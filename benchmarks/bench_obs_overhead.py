@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -204,7 +205,8 @@ def main() -> int:
     status = check(entry, gate) if (args.check or args.write) else 0
     if args.write and status == 0:
         BASELINE_PATH.write_text(json.dumps(
-            {("quick" if args.quick else "full"): entry,
+            {"cpu_count": os.cpu_count(),
+             ("quick" if args.quick else "full"): entry,
              "overhead_gate": OVERHEAD_GATE}, indent=2) + "\n")
         print(f"wrote {BASELINE_PATH}")
     return status

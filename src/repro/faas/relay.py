@@ -26,7 +26,7 @@ by candidate order, keeping selection deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..common import AuthorizationError, IdGenerator, NotFoundError, sim_logger
@@ -189,7 +189,6 @@ class RelayService:
         self._ids = ids or IdGenerator()
         self._endpoints: Dict[str, Any] = {}
         self._tasks: Dict[str, TaskRecord] = {}
-        self._futures: Dict[str, TaskFuture] = {}
         self._result_channel = Resource(env, capacity=1)
         #: Tasks routed to an endpoint but not yet handed to it (still inside
         #: the submit/dispatch latencies).  The endpoint cannot see these, so
@@ -235,8 +234,10 @@ class RelayService:
     # -- task submission --------------------------------------------------------------
     @property
     def queued_tasks(self) -> int:
-        """Tasks accepted by the cloud service that have not yet completed."""
-        return sum(1 for t in self._tasks.values() if not t.status.terminal)
+        """Tasks accepted by the cloud service that have not yet completed
+        (a ledger read: submissions must not cost more as history grows)."""
+        stats = self.stats
+        return stats.submitted - stats.completed - stats.failed
 
     def select_endpoint(
         self,
@@ -305,10 +306,11 @@ class RelayService:
             )
         function = self.functions.require_registered(function_id)
         endpoint = self.select_endpoint(endpoint_id, model=self._payload_model(payload))
-        if self.queued_tasks >= self.config.max_queued_tasks:
+        queued = self.queued_tasks
+        if queued >= self.config.max_queued_tasks:
             self.stats.rejected += 1
             self._log.warning("relay rejected submission: task queue full",
-                              queued=self.queued_tasks,
+                              queued=queued,
                               limit=self.config.max_queued_tasks)
             raise RuntimeError("Relay task queue is full")
 
@@ -322,9 +324,8 @@ class RelayService:
         )
         future = TaskFuture(self.env, record)
         self._tasks[record.task_id] = record
-        self._futures[record.task_id] = future
         self.stats.submitted += 1
-        self.stats.peak_queued = max(self.stats.peak_queued, self.queued_tasks)
+        self.stats.peak_queued = max(self.stats.peak_queued, queued + 1)
         eid = endpoint.endpoint_id
         self._open_dispatches[eid] = self._open_dispatches.get(eid, 0) + 1
         # Anchor the relay's spans under the caller's active span (the
@@ -376,27 +377,8 @@ class RelayService:
             yield self.env.timeout(self.result_service_time_s())
         yield self.env.timeout(cfg.result_latency_s)
 
-        record.completion_time = self.env.now
-        if outcome.get("success", False):
-            record.status = TaskStatus.COMPLETED
-            record.result = outcome.get("result")
-            self.stats.completed += 1
-            if result_span is not None:
-                result_span.attrs["success"] = True
-                trace.end_span(result_span)
-            future.resolve(record.result)
-        else:
-            record.status = TaskStatus.FAILED
-            record.error = outcome.get("error", "unknown error")
-            self.stats.failed += 1
-            self._log.warning("task failed at endpoint",
-                              task_id=record.task_id,
-                              endpoint=record.endpoint_id, error=record.error)
-            if result_span is not None:
-                result_span.attrs["success"] = False
-                result_span.status = "error"
-                trace.end_span(result_span)
-            future.reject(record.error)
+        self._finish(record, future, outcome, "task failed at endpoint",
+                     trace=trace, result_span=result_span)
 
     def _process_boundary_task(self, record: TaskRecord, future: TaskFuture,
                                function, endpoint: RelayBoundaryProxy):
@@ -427,8 +409,24 @@ class RelayService:
             yield req
             yield self.env.timeout(self.result_service_time_s())
 
+        self._finish(record, future, outcome, "task failed at remote partition")
+
+    def _finish(self, record: TaskRecord, future: TaskFuture,
+                outcome: Dict[str, Any], failure_message: str,
+                trace=None, result_span=None) -> None:
+        """Complete ``record`` with ``outcome`` and settle its future.
+
+        The only place a task turns terminal, hence the only place
+        :attr:`queued_tasks` drops.
+        """
         record.completion_time = self.env.now
-        if outcome.get("success", False):
+        success = bool(outcome.get("success", False))
+        if result_span is not None:
+            result_span.attrs["success"] = success
+            if not success:
+                result_span.status = "error"
+            trace.end_span(result_span)
+        if success:
             record.status = TaskStatus.COMPLETED
             record.result = outcome.get("result")
             self.stats.completed += 1
@@ -437,8 +435,7 @@ class RelayService:
             record.status = TaskStatus.FAILED
             record.error = outcome.get("error", "unknown error")
             self.stats.failed += 1
-            self._log.warning("task failed at remote partition",
-                              task_id=record.task_id,
+            self._log.warning(failure_message, task_id=record.task_id,
                               endpoint=record.endpoint_id, error=record.error)
             future.reject(record.error)
 
@@ -459,9 +456,3 @@ class RelayService:
         if record.status != TaskStatus.COMPLETED:
             raise RuntimeError(f"Task {task_id} failed: {record.error}")
         return record.result
-
-    def get_future(self, task_id: str) -> TaskFuture:
-        try:
-            return self._futures[task_id]
-        except KeyError:
-            raise NotFoundError(f"Unknown task id: {task_id}") from None

@@ -280,9 +280,9 @@ class DispatchMiddleware(Middleware):
     """Convert the request into a compute task and retrieve the result.
 
     For streaming requests an ingress :class:`~repro.serving.StreamChannel`
-    travels with the task down to the engine; a forwarder process consumes
-    it, timestamps every token at the gateway (the gateway-observed
-    TTFT/ITL) and relays the events to the caller's egress channel.
+    travels with the task down to the engine; a forwarding sink on it
+    timestamps every token at the gateway (the gateway-observed TTFT/ITL)
+    and relays the events to the caller's egress channel.
     """
 
     name = "dispatch"
@@ -295,10 +295,10 @@ class DispatchMiddleware(Middleware):
             HANDLER_EMBEDDING if request.kind == RequestKind.EMBEDDING else HANDLER_CHAT
         )
         ingress = None
-        forwarder = None
+        forwarded = None
         if ctx.streaming:
             ingress = StreamChannel(api.env, delivery_latency_s=cfg.stream_chunk_latency_s)
-            forwarder = api.env.process(self._forward_stream(ctx, ingress))
+            forwarded = self._forward_stream(ctx, ingress)
         future = api.compute_client.submit(
             api.function_for(handler),
             ctx.endpoint.endpoint_id,
@@ -318,13 +318,13 @@ class DispatchMiddleware(Middleware):
                 # hang on it.
                 ingress.close()
             raise
-        if forwarder is not None:
+        if forwarded is not None:
             # Wait for the engine's terminal event (or its close) to reach
-            # the forwarder before touching the channel: even if the result
-            # future somehow beat the per-chunk delivery latency, no
+            # the forwarding sink before touching the channel: even if the
+            # result future somehow beat the per-chunk delivery latency, no
             # in-flight token events are dropped and the gateway-observed
             # timeline is complete.
-            yield forwarder
+            yield forwarded
             ingress.close()
 
         # Egress CPU work (serialise the response).
@@ -350,30 +350,38 @@ class DispatchMiddleware(Middleware):
         yield from call_next(ctx)
 
     def _forward_stream(self, ctx: RequestContext, ingress: StreamChannel):
-        """Consume engine events, timestamp them and relay to the caller."""
+        """Timestamp engine events as they reach the gateway and relay them to
+        the caller; returns the event that fires once the stream has ended
+        (the engine's terminal event, or the channel's close, arrived)."""
+        env = self.api.env
         tctx = ctx.trace_context
         anchor = tctx.current if tctx is not None else None
+        ended = env.event()
         span = None
         tokens = 0
-        while True:
-            event = yield ingress.get()
-            if event is None:
-                break
-            if event.kind == "token":
-                ctx.gateway_token_times.append(self.api.env.now)
+
+        def sink(event) -> None:
+            nonlocal span, tokens
+            if ended.triggered:
+                return
+            if event is not None and event.kind == "token":
+                ctx.gateway_token_times.append(env.now)
                 if tctx is not None and span is None:
                     span = tctx.start_span("gateway.stream_delivery",
                                            parent=anchor, layer="gateway")
                 tokens += 1
                 if ctx.egress is not None:
                     ctx.egress.deliver(event)
-            elif event.kind == "done":
+            elif event is None or event.kind == "done":
                 # The terminal chunk for the caller is emitted by the gateway
                 # once the authoritative result arrives via the future path.
-                break
-        if span is not None:
-            span.attrs["tokens"] = tokens
-            tctx.end_span(span)
+                if span is not None:
+                    span.attrs["tokens"] = tokens
+                    tctx.end_span(span)
+                ended.succeed()
+
+        ingress.attach_sink(sink)
+        return ended
 
 
 def default_middleware_factories() -> List[MiddlewareFactory]:

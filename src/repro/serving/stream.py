@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional
 
 from ..sim import Environment, Event
 
@@ -57,7 +57,9 @@ class StreamChannel:
     Producers call :meth:`publish` / :meth:`close`; the consumer repeatedly
     yields :meth:`get`, which resolves to the next item or ``None`` once the
     channel is closed and drained.  Both sides are simulation-safe: a
-    pending consumer is woken as soon as an item is delivered.
+    pending consumer is woken as soon as an item is delivered.  A consumer
+    that only reacts to items (no waiting of its own) can :meth:`attach_sink`
+    instead and skip the kernel event per :meth:`get`.
     """
 
     def __init__(self, env: Environment, delivery_latency_s: float = 0.0):
@@ -65,6 +67,7 @@ class StreamChannel:
         self.delivery_latency_s = delivery_latency_s
         self._items: Deque[Any] = deque()
         self._waiters: Deque[Event] = deque()
+        self._sink: Optional[Callable[[Any], None]] = None
         self._closed = False
         self._consumed = False
         self.published = 0
@@ -74,10 +77,7 @@ class StreamChannel:
     def publish(self, item: Any) -> None:
         """Make ``item`` available to the consumer after the delivery latency."""
         self.published += 1
-        if self.delivery_latency_s > 0:
-            self.env.process(self._deliver_later(item, close=False))
-        else:
-            self._push(item)
+        self._after_hop(self._push, item)
 
     def publish_bulk(self, items: list) -> None:
         """Publish several events as one batch.
@@ -92,11 +92,7 @@ class StreamChannel:
         possible when nobody was consuming live).
         """
         self.published += len(items)
-        if self.delivery_latency_s > 0:
-            self.env.process(self._deliver_bulk_later(items))
-        else:
-            for item in items:
-                self._push(item)
+        self._after_hop(self._push_all, items)
 
     def close(self) -> None:
         """Close the channel (idempotent); pending ``get``\\ s resolve to ``None``.
@@ -104,27 +100,32 @@ class StreamChannel:
         The close travels through the same delayed-delivery path as items so
         it can never overtake an in-flight event.
         """
+        self._after_hop(self._close_now)
+
+    def _after_hop(self, deliver, *args) -> None:
+        """Call ``deliver(*args)`` one delivery latency from now.
+
+        The hop is a single bare timeout, not a process: the kernel pops
+        same-time events in the order they were scheduled, which is exactly
+        the channel's FIFO order.
+        """
         if self.delivery_latency_s > 0:
-            self.env.process(self._deliver_later(None, close=True))
+            hop = self.env.timeout(self.delivery_latency_s)
+            hop.callbacks.append(lambda _hop: deliver(*args))
         else:
-            self._close_now()
+            deliver(*args)
 
-    def _deliver_later(self, item: Any, close: bool):
-        yield self.env.timeout(self.delivery_latency_s)
-        if close:
-            self._close_now()
-        else:
-            self._push(item)
-
-    def _deliver_bulk_later(self, items: list):
-        yield self.env.timeout(self.delivery_latency_s)
+    def _push_all(self, items: list) -> None:
         for item in items:
             self._push(item)
 
     def _push(self, item: Any) -> None:
         if self._closed:
             return
-        if self._waiters:
+        if self._sink is not None:
+            self.delivered += 1
+            self._sink(item)
+        elif self._waiters:
             self.delivered += 1
             self._waiters.popleft().succeed(item)
         else:
@@ -134,6 +135,11 @@ class StreamChannel:
         if self._closed:
             return
         self._closed = True
+        if self._sink is not None:
+            # Drop the sink with the close: task records keep their channel,
+            # and must not keep the consumer's state alive with it.
+            sink, self._sink = self._sink, None
+            sink(None)
         while self._waiters:
             self._waiters.popleft().succeed(None)
 
@@ -169,6 +175,16 @@ class StreamChannel:
         items = list(self._items)
         self._items.clear()
         return items
+
+    def attach_sink(self, sink: Callable[[Any], None]) -> None:
+        """Consume by callback: ``sink(item)`` runs at each item's delivery
+        instant and ``sink(None)`` once when the channel closes.
+
+        Replaces :meth:`get` for this channel (and marks it :attr:`live`);
+        attach before the first publish.
+        """
+        self._consumed = True
+        self._sink = sink
 
     def get(self) -> Event:
         """Event resolving to the next item, or ``None`` when closed and empty."""

@@ -1,11 +1,14 @@
 """Tests for the FaaS function registry, task records and cloud relay."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common import AuthorizationError, NotFoundError
 from repro.faas import (
     HANDLER_CHAT,
     FunctionRegistry,
+    RelayBoundaryProxy,
     RelayConfig,
     RelayService,
     TaskRecord,
@@ -173,6 +176,135 @@ def test_relay_queue_depth_supports_thousands_of_tasks():
     env.run(until=10.0)
     assert relay.queued_tasks >= 8000
     assert relay.stats.peak_queued >= 8000
+
+
+def test_relay_rejects_when_task_queue_is_full():
+    """``max_queued_tasks`` bounds the tasks in flight, not the tasks ever seen."""
+    env = Environment()
+    relay = RelayService(env, RelayConfig(max_queued_tasks=3))
+    relay.functions.register("fn-chat", "chat", HANDLER_CHAT, owner="admins")
+    relay.register_endpoint(FakeEndpoint(env))
+    futures = [relay.submit("fn-chat", "ep-fake", {"x": i}) for i in range(3)]
+    with pytest.raises(RuntimeError, match="Relay task queue is full"):
+        relay.submit("fn-chat", "ep-fake", {"x": 3})
+    assert relay.stats.rejected == 1
+    assert relay.stats.submitted == 3
+    assert relay.queued_tasks == 3
+    assert len(relay._tasks) == 3  # the refused task left no record behind
+
+    env.run(until=futures[0].done)
+    assert relay.queued_tasks == 2
+    accepted = relay.submit("fn-chat", "ep-fake", {"x": 4})
+    assert accepted.record.status == TaskStatus.PENDING
+    assert relay.stats.submitted == 4
+    assert relay.stats.peak_queued == 3
+
+
+def test_unauthorised_client_leaves_queue_accounting_untouched():
+    env = Environment()
+    relay, _ = make_relay(env)
+    relay.authorize_client("trusted-client")
+    relay.submit("fn-chat", "ep-fake", {}, client_id="trusted-client")
+    with pytest.raises(AuthorizationError):
+        relay.submit("fn-chat", "ep-fake", {}, client_id="rogue")
+    assert relay.queued_tasks == 1
+    assert relay.stats.submitted == 1
+    assert relay.stats.peak_queued == 1
+    assert relay.stats.rejected == 1
+    assert relay._open_dispatches == {"ep-fake": 1}
+
+
+def recount_queued(relay):
+    """The pre-ledger ``queued_tasks``: scan every task the relay ever saw."""
+    return sum(1 for t in relay._tasks.values() if not t.status.terminal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tasks=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=30.0),       # submit gap
+                  st.sampled_from(["ep-ok", "ep-bad", "ep-remote"])),
+        min_size=1, max_size=40),
+    remote_delay=st.floats(min_value=0.0, max_value=20.0),
+    stops=st.lists(st.floats(min_value=0.01, max_value=400.0), max_size=6),
+)
+def test_queued_tasks_ledger_matches_a_recount(tasks, remote_delay, stops):
+    """``queued_tasks`` and ``peak_queued`` equal a full recount of the task
+    table at every submit and at arbitrary stopping times, across succeeding,
+    failing and partition-boundary tasks."""
+    env = Environment()
+    relay = RelayService(env)
+    relay.functions.register("fn-chat", "chat", HANDLER_CHAT, owner="admins")
+    relay.register_endpoint(FakeEndpoint(env, endpoint_id="ep-ok", delay=3.0))
+    relay.register_endpoint(FakeEndpoint(env, endpoint_id="ep-bad", delay=5.0,
+                                         succeed=False))
+    proxy = RelayBoundaryProxy(env, "ep-remote", "remote", ["m"])
+    relay.register_endpoint(proxy)
+    peak = 0
+
+    def check():
+        nonlocal peak
+        peak = max(peak, recount_queued(relay))
+        assert relay.queued_tasks == recount_queued(relay)
+        assert relay.stats.peak_queued == peak
+
+    def submitter(env):
+        for index, (gap, endpoint_id) in enumerate(tasks):
+            yield env.timeout(gap)
+            relay.submit("fn-chat", endpoint_id, {"x": index})
+            check()
+
+    def remote_partition(env):
+        """Answers boundary tasks the way a cluster partition would."""
+        while True:
+            yield env.timeout(1.0)
+            for message in proxy.drain_outbox():
+                yield env.timeout(remote_delay)
+                proxy.complete(message["task_id"],
+                               {"success": message["seq"] % 3 != 0,
+                                "result": None, "error": "remote boom"})
+
+    done = env.process(submitter(env))
+    env.process(remote_partition(env))
+    for stop in sorted(set(stops)):
+        if stop > env.now:
+            env.run(until=stop)
+            check()
+    env.run(until=done)
+    env.run(until=env.now + 40.0 * (remote_delay + 1.0) + 60.0)
+    check()
+    assert relay.queued_tasks == 0
+    assert relay._open_dispatches == {}
+    assert relay.stats.submitted == len(tasks)
+    assert relay.stats.submitted == relay.stats.completed + relay.stats.failed
+
+
+def test_submit_cost_is_independent_of_relay_history(monkeypatch):
+    """After 20,000 completed tasks one more submit inspects no task's
+    status — a count, not a clock, so a rescan cannot return silently."""
+    env = Environment()
+    relay, _ = make_relay(env, delay=0.0)
+    for start in range(0, 20_000, 2_000):
+        futures = [relay.submit("fn-chat", "ep-fake", {"x": i})
+                   for i in range(start, start + 2_000)]
+        env.run(until=futures[-1].done)
+    assert relay.stats.completed == 20_000
+    assert relay.queued_tasks == 0
+
+    terminal_reads = 0
+    plain_terminal = TaskStatus.terminal.fget
+
+    def counting_terminal(status):
+        nonlocal terminal_reads
+        terminal_reads += 1
+        return plain_terminal(status)
+
+    monkeypatch.setattr(TaskStatus, "terminal", property(counting_terminal))
+    relay.submit("fn-chat", "ep-fake", {"x": "one more"})
+    assert relay.queued_tasks == 1
+    assert relay.stats.peak_queued == 2_000
+    assert terminal_reads == 0
+    assert recount_queued(relay) == 1 and terminal_reads == 20_001  # the patch counts
 
 
 def test_relay_routing_scalability_curve():

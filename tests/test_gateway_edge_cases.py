@@ -349,6 +349,133 @@ def test_stream_channel_delivery_latency_preserves_order():
     assert arrivals == [(1, 0.5), (2, 0.5)]
 
 
+def _record_arrivals(env, channel):
+    arrivals = []
+
+    def consume():
+        while True:
+            item = yield channel.get()
+            arrivals.append((item, env.now))
+            if item is None:
+                return
+
+    env.process(consume())
+    return arrivals
+
+
+def test_stream_hop_delivers_fifo_at_exactly_publish_time_plus_latency():
+    from repro.serving import StreamChannel
+
+    env = Environment()
+    latency = 0.3
+    channel = StreamChannel(env, delivery_latency_s=latency)
+    arrivals = _record_arrivals(env, channel)
+    publish_times = [0.0, 0.0, 0.1, 0.1, 0.25, 1.7]
+
+    def produce():
+        for index, at in enumerate(publish_times):
+            if at > env.now:
+                yield env.timeout_at(at)
+            channel.publish(index)
+        channel.close()
+
+    env.process(produce())
+    env.run()
+    assert arrivals == [(i, at + latency) for i, at in enumerate(publish_times)] + [
+        (None, publish_times[-1] + latency)]
+    assert (channel.published, channel.delivered) == (6, 6)
+
+
+def test_stream_hop_close_never_overtakes_a_same_instant_publish():
+    from repro.serving import StreamChannel
+
+    env = Environment()
+    channel = StreamChannel(env, delivery_latency_s=0.5)
+    arrivals = _record_arrivals(env, channel)
+
+    def produce():
+        yield env.timeout(2.0)
+        channel.publish("last")
+        channel.close()
+        channel.publish("after close")  # in flight behind the close: dropped
+
+    env.process(produce())
+    env.run()
+    assert arrivals == [("last", 2.5), (None, 2.5)]
+
+
+def test_stream_hop_costs_one_kernel_event_and_bulk_is_one_hop():
+    from repro.serving import StreamChannel
+
+    env = Environment()
+    channel = StreamChannel(env, delivery_latency_s=0.5)
+    channel.publish("solo")
+    assert env.queue_size == 1  # one bare timeout: no process start, no process end
+    env.run()
+    channel.publish_bulk(["a", "b", "c"])
+    assert env.queue_size == 1
+    assert channel.pending == 1  # the batch is still in flight
+    env.run()
+    assert channel.drain() == ["solo", "a", "b", "c"]
+    assert env.now == 1.0
+
+
+def test_stream_sink_sees_every_item_at_its_delivery_instant_then_the_close():
+    from repro.serving import StreamChannel
+
+    env = Environment()
+    channel = StreamChannel(env, delivery_latency_s=0.5)
+    seen = []
+    channel.attach_sink(lambda item: seen.append((item, env.now)))
+    assert channel.live
+    channel.publish("a")
+    channel.publish_bulk(["b", "c"])
+    channel.close()
+    channel.close()  # idempotent: the sink hears one close
+    assert env.queue_size == 4  # the hops only — a sink needs no event per item
+    env.run()
+    assert seen == [("a", 0.5), ("b", 0.5), ("c", 0.5), (None, 0.5)]
+    assert channel.delivered == 3
+
+
+#: ``gateway_token_times`` and kernel event count of the request below, recorded
+#: at the commit before the stream hop went process-free (4419ea3).
+_PARENT_TOKEN_TIMES = [
+    42.03356436378204, 42.059158641280916, 42.08475291877979, 42.11034719627867,
+    42.13594147377754, 42.16153575127642, 42.18713002877529, 42.21272430627417,
+    42.238318583773044, 42.26391286127192,
+]
+_PARENT_KERNEL_EVENTS = 98
+
+
+def test_streamed_request_keeps_parent_token_times_with_fewer_kernel_events():
+    class EventCounter:
+        events = 0
+
+        def on_event(self, now, event, depth):
+            self.events += 1
+
+    fresh = FIRSTDeployment(DeploymentConfig(
+        clusters=[ClusterDeploymentSpec(
+            name="devcluster", kind="small", num_nodes=2, scheduler="local",
+            models=[ModelDeploymentSpec(MODEL_7B, max_parallel_tasks=32)])],
+        users=["researcher@anl.gov"],
+    ))
+    assert fresh.gateway.config.stream_chunk_latency_s > 0
+    fresh.warm_up(MODEL_7B)
+    client = fresh.client("researcher@anl.gov")
+    fresh.env.run(until=client.submit(
+        InferenceRequest("warm-0", MODEL_7B, prompt_tokens=20, max_output_tokens=2)))
+    counter = EventCounter()
+    fresh.env.attach_profiler(counter)
+    result = fresh.env.run(until=client.submit(InferenceRequest(
+        "stream-probe-0", MODEL_7B, prompt_tokens=50, max_output_tokens=10, stream=True)))
+    fresh.env.detach_profiler()
+    assert result.metadata["gateway_token_times"] == _PARENT_TOKEN_TIMES
+    assert fresh.env.now == 44.22522498248404
+    assert counter.events < _PARENT_KERNEL_EVENTS
+
+
 def test_routing_cache_reuses_decision(deployment):
     client = deployment.client("researcher@anl.gov")
     before = len(deployment.gateway.router.decisions)

@@ -33,6 +33,15 @@ def build_deployment(**kwargs):
     return FIRSTDeployment(config)
 
 
+def assert_relay_conserved(deployment):
+    """Every task the relay accepted has terminated exactly once and nothing
+    is left parked in its accounting (a quiesced scenario's closing check)."""
+    relay = deployment.relay
+    assert relay.queued_tasks == 0
+    assert relay._open_dispatches == {}
+    assert relay.stats.submitted == relay.stats.completed + relay.stats.failed
+
+
 def test_multi_user_mixed_workload_accounting():
     """Two users, two models, interactive + batch — accounting stays consistent."""
     deployment = build_deployment()
@@ -69,6 +78,7 @@ def test_multi_user_mixed_workload_accounting():
     assert deployment.gateway.metrics.total_completed == 20
     # Relay accounting: 20 chat tasks + 1 batch task.
     assert deployment.relay.stats.completed == 21
+    assert_relay_conserved(deployment)
 
 
 def test_instance_failure_mid_workload_recovers_and_serves_everything():
@@ -95,6 +105,7 @@ def test_instance_failure_mid_workload_recovers_and_serves_everything():
     # the service recovers and the vast majority completes.
     assert summary.num_successful >= 30
     assert deployment.endpoints["ep-sophia"].ready_instance_count() >= 1
+    assert_relay_conserved(deployment)
 
 
 def test_hot_idle_release_then_cold_start_again():
@@ -123,6 +134,7 @@ def test_hot_idle_release_then_cold_start_again():
     deployment.env.run(until=ev)
     assert ev.value.success
     assert deployment.now - t0 > 20.0  # cold start paid again
+    assert_relay_conserved(deployment)
 
 
 def test_auth_single_flight_coalesces_burst_of_new_token():
@@ -142,6 +154,7 @@ def test_auth_single_flight_coalesces_burst_of_new_token():
     assert layer.coalesced == 59
     assert deployment.auth.introspection_calls == 1
     assert deployment.gateway.metrics.rate_limited == 0
+    assert_relay_conserved(deployment)
 
 
 def test_sustained_load_relay_queues_but_everything_completes():
@@ -158,6 +171,7 @@ def test_sustained_load_relay_queues_but_everything_completes():
     dash = deployment.gateway.dashboard()
     assert dash["total_completed"] >= 300
     assert dash["database"]["total_requests"] >= 300
+    assert_relay_conserved(deployment)
 
 
 def test_scale_up_and_jobs_endpoint_reflect_additional_instances():
@@ -172,3 +186,4 @@ def test_scale_up_and_jobs_endpoint_reflect_additional_instances():
     assert len(pool.instances) >= 2  # auto-scaled to the second instance
     states = [j for j in client.jobs() if j["model"] == MODEL_7B]
     assert states[0]["running_instances"] >= 2
+    assert_relay_conserved(deployment)

@@ -39,6 +39,8 @@ def test_serial_run_completes_every_request():
     assert result.stats.windows > 0
     assert result.stats.message_kinds.get("dispatch") == 12
     assert result.stats.message_kinds.get("result") == 12
+    relay = result.per_partition[0]["relay"]
+    assert relay["submitted"] == relay["completed"] + relay["failed"] == 12
 
 
 @pytest.mark.parametrize("backend", ["heap", "calendar", "packed"])
