@@ -3,9 +3,13 @@
 The paper's interactive WebUI traffic (Table 1) cares about time-to-first-
 token and inter-token latency, but API v1 discarded the ``stream`` flag and
 those metrics were only measurable inside the serving engine.  Gateway API
-v2 honours ``stream=True`` end to end: the engine publishes one event per
-token at its real iteration timing, the events ride a stream channel through
-the relay, and the gateway timestamps each one.
+v2 honours ``stream=True`` end to end: every token is timed at the engine's
+real iteration boundary and reaches the gateway one stream-channel hop
+later.  This harness submits through ``client.submit`` and reads the
+timeline only after completion, so the engine macro-steps these requests and
+hands the gateway each request's token times as one batch; the gateway
+stamps token *i* at production time + hop latency, exactly what a
+token-by-token reader (``submit_stream``) observes on its clock.
 
 This harness sweeps the offered request rate and reports, for the same
 ShareGPT workload:

@@ -282,7 +282,9 @@ class DispatchMiddleware(Middleware):
     For streaming requests an ingress :class:`~repro.serving.StreamChannel`
     travels with the task down to the engine; a forwarding sink on it
     timestamps every token at the gateway (the gateway-observed TTFT/ITL)
-    and relays the events to the caller's egress channel.
+    and relays the events to the caller's egress channel.  Only a caller
+    with an egress channel reads tokens live; without one the sink asks for
+    the timeline alone and the engine sends it as one batch.
     """
 
     name = "dispatch"
@@ -334,7 +336,7 @@ class DispatchMiddleware(Middleware):
             yield api.env.timeout(cfg.egress_processing_s)
 
         if ctx.streaming:
-            token_times = list(ctx.gateway_token_times)
+            token_times = ctx.gateway_token_times
             result.metadata["gateway_token_times"] = token_times
             if token_times:
                 result.metadata["gateway_first_token_time"] = token_times[0]
@@ -350,37 +352,44 @@ class DispatchMiddleware(Middleware):
         yield from call_next(ctx)
 
     def _forward_stream(self, ctx: RequestContext, ingress: StreamChannel):
-        """Timestamp engine events as they reach the gateway and relay them to
+        """Timestamp engine tokens as they reach the gateway and relay them to
         the caller; returns the event that fires once the stream has ended
-        (the engine's terminal event, or the channel's close, arrived)."""
-        env = self.api.env
+        (the engine's terminal event, or the channel's close, arrived).
+
+        A token produced at ``time`` arrives at ``time + delivery_latency_s``
+        — what the clock reads when a live hop delivers it, and what a
+        batched token is stamped with."""
         tctx = ctx.trace_context
         anchor = tctx.current if tctx is not None else None
-        ended = env.event()
+        ended = self.api.env.event()
+        latency = ingress.delivery_latency_s
+        times = ctx.gateway_token_times
+        egress = ctx.egress
         span = None
-        tokens = 0
 
-        def sink(event) -> None:
-            nonlocal span, tokens
+        def sink(item) -> None:
+            nonlocal span
             if ended.triggered:
                 return
-            if event is not None and event.kind == "token":
-                ctx.gateway_token_times.append(env.now)
-                if tctx is not None and span is None:
-                    span = tctx.start_span("gateway.stream_delivery",
-                                           parent=anchor, layer="gateway")
-                tokens += 1
-                if ctx.egress is not None:
-                    ctx.egress.deliver(event)
-            elif event is None or event.kind == "done":
+            if item is None or item.kind == "done":
                 # The terminal chunk for the caller is emitted by the gateway
                 # once the authoritative result arrives via the future path.
                 if span is not None:
-                    span.attrs["tokens"] = tokens
+                    span.attrs["tokens"] = len(times)
                     tctx.end_span(span)
                 ended.succeed()
+                return
+            if item.kind == "tokens":
+                times.extend([t + latency for t in item.times])
+            elif item.kind == "token":
+                times.append(item.time + latency)
+                if egress is not None:
+                    egress.deliver(item)
+            if tctx is not None and span is None and times:
+                span = tctx.start_span("gateway.stream_delivery", parent=anchor,
+                                       layer="gateway", t=times[0])
 
-        ingress.attach_sink(sink)
+        ingress.attach_sink(sink, live=egress is not None)
         return ended
 
 

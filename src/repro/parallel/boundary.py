@@ -25,7 +25,7 @@ __all__ = ["DISPATCH", "RESULT", "PING", "BoundaryMessage", "sort_key"]
 
 #: Gateway → cluster: a relay task crossing into the cluster's partition.
 DISPATCH = "dispatch"
-#: Cluster → gateway: the task outcome (plus any batched stream events).
+#: Cluster → gateway: the task outcome (plus a streamed task's token times).
 RESULT = "result"
 #: Toy kind used by :class:`~repro.parallel.partition.PingPartition` — the
 #: minimal zero-lookahead exchange the null-message tests drive.
@@ -44,7 +44,7 @@ class BoundaryMessage:
     seq: int
     #: Absolute simulated time the message takes effect at the receiver.
     arrival_time: float
-    #: Kind-specific body (task fields, outcome, stream-event batch, ...).
+    #: Kind-specific body (task fields, outcome, token times, ...).
     body: Dict[str, Any] = field(default_factory=dict)
 
 

@@ -51,7 +51,7 @@ from ..metrics import RequestRecord
 from ..obs import MetricsRegistry
 from ..placement import TopologyView
 from ..serving import InstanceState
-from ..serving.stream import STREAM_CHANNEL_KEY, StreamChannel, StreamEvent
+from ..serving.stream import STREAM_CHANNEL_KEY, StreamChannel
 from ..sim import Environment
 from .boundary import DISPATCH, PING, RESULT, BoundaryMessage, sort_key, validate_arrival
 from .horizon import Window
@@ -231,7 +231,9 @@ class GatewayPartition(Partition):
         self._completed = self.registry.counter(
             "parallel_requests_total",
             "Requests completed, by outcome", labelnames=("outcome",))
-        self._channels: Dict[str, StreamChannel] = {}
+        #: Engine-side token production times of streamed tasks whose result
+        #: message has arrived, until the task's record is written.
+        self._token_times: Dict[str, List[float]] = {}
         self.records: List[RequestRecord] = []
         self.env.process(self._driver())
 
@@ -245,22 +247,11 @@ class GatewayPartition(Partition):
             future = self.relay.submit(FUNCTION_ID, self._candidates,
                                        {"request": request},
                                        submitter="parallel-gateway")
-            channel = None
-            if self.stream:
-                channel = StreamChannel(self.env)
-                self._channels[future.task_id] = channel
-            self.env.process(self._record(request, self.env.now, future, channel))
+            self.env.process(self._record(request, self.env.now, future))
 
-    def _record(self, request, send_time: float, future, channel):
-        token_times: List[float] = []
-        if channel is not None:
-            while True:
-                item = yield channel.get()
-                if item is None:
-                    break
-                if item.kind == "token":
-                    token_times.append(item.time)
+    def _record(self, request, send_time: float, future):
         result = yield future.done
+        token_times = self._token_times.pop(future.task_id, None)
         success = result is not None and getattr(result, "success", True)
         first_token = token_times[0] if token_times else (
             getattr(result, "first_token_time", 0.0) or None)
@@ -274,7 +265,7 @@ class GatewayPartition(Partition):
             success=success,
             error=None if success else (future.record.error or "failed"),
             first_token_time=first_token if success else None,
-            token_times=token_times or None,
+            token_times=token_times,
         )
         self.records.append(record)
         if success:
@@ -304,13 +295,8 @@ class GatewayPartition(Partition):
     def _ingest_result(self, message: BoundaryMessage):
         yield self.env.timeout_at(message.arrival_time)
         body = message.body
-        channel = self._channels.pop(body["task_id"], None)
-        if channel is not None:
-            events = [StreamEvent(kind="token", index=i, time=t)
-                      for i, t in enumerate(body.get("stream_events") or [])]
-            if events:
-                channel.publish_bulk(events)
-            channel.close()
+        if body["stream_times"]:
+            self._token_times[body["task_id"]] = body["stream_times"]
         self._proxy_by_pid[message.src].complete(body["task_id"], body["outcome"])
 
     def apply_snapshots(self, snapshots: List[dict]) -> None:
@@ -319,7 +305,7 @@ class GatewayPartition(Partition):
 
     def done(self) -> bool:
         # One record per workload request, appended only after its future
-        # resolved and its stream channel (if any) was drained and closed.
+        # resolved (its token times, if any, arrived on the same message).
         return len(self.records) >= self.num_requests
 
     def finalize(self) -> dict:
@@ -437,16 +423,16 @@ class ClusterPartition(Partition):
         channel = None
         if request is not None and getattr(request, "stream", False):
             # Cluster-side stream channel with no live consumer: the engine
-            # batches a window's tokens through publish_bulk, and the batch
-            # rides the result message back to the gateway.
+            # hands it the request's tokens as one batch, whose times ride
+            # the result message back to the gateway.
             channel = StreamChannel(self.env)
             payload[STREAM_CHANNEL_KEY] = channel
         outcome = yield self.endpoint.enqueue(record, self._function)
 
-        stream_events: Optional[List[float]] = None
+        stream_times: Optional[List[float]] = None
         if channel is not None:
-            stream_events = [event.time for event in channel.drain()
-                             if getattr(event, "kind", None) == "token"]
+            stream_times = [time for item in channel.drain()
+                            if item.kind == "tokens" for time in item.times]
             payload.pop(STREAM_CHANNEL_KEY, None)
             if request is not None:
                 request.metadata.pop(STREAM_CHANNEL_KEY, None)
@@ -462,7 +448,7 @@ class ClusterPartition(Partition):
                   self.env.now + self.result_latency_s, {
                       "task_id": record.task_id,
                       "outcome": outcome,
-                      "stream_events": stream_events,
+                      "stream_times": stream_times,
                   })
 
     def snapshots(self) -> List[dict]:

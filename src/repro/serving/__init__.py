@@ -16,7 +16,7 @@ from .kvcache import KVCacheConfig, KVCacheManager
 from .models import ModelCatalog, ModelKind, ModelSpec, default_catalog
 from .offline import OfflineBatchRunner, OfflineRunResult
 from .request import InferenceRequest, InferenceResult, RequestKind
-from .stream import STREAM_CHANNEL_KEY, StreamChannel, StreamEvent
+from .stream import STREAM_CHANNEL_KEY, StreamChannel, StreamEvent, TokenBatch
 from .textgen import SyntheticTextGenerator, estimate_tokens
 from .timing import PerfModelConfig, PerformanceModel
 
@@ -47,6 +47,7 @@ __all__ = [
     "InferenceResult",
     "RequestKind",
     "StreamChannel",
+    "TokenBatch",
     "StreamEvent",
     "STREAM_CHANNEL_KEY",
     "SyntheticTextGenerator",

@@ -43,13 +43,19 @@ A macro-step window ends at the earliest of:
 * KV growth that cannot be guaranteed for the whole window
   (``grow_bulk`` fails ⇒ fall back to per-token stepping, which performs
   preemption with the exact original semantics);
-* a running sequence with a *live* stream channel — one whose consumer has
-  started reading (:attr:`StreamChannel.live`); live consumers observe
-  per-token timing, so the engine keeps emitting one event per iteration.
-  Streaming sequences nobody is reading yet macro-step normally: their
-  token events are published as one bulk batch per window, each event
-  stamped with its exact iteration-boundary time, so TTFT/ITL math is
-  unchanged.
+* a running sequence with a *live* stream channel — one whose consumer
+  reads tokens as they arrive (:attr:`StreamChannel.live`: a ``get()``
+  consumer, or a sink attached with ``live=True``); the engine keeps
+  emitting one kernel event and one ``token`` event per iteration for it.
+  Every other streaming sequence macro-steps like a non-streaming one and
+  costs no stream events while it runs: each token's exact
+  iteration-boundary time (and text, when text is generated) goes into a
+  per-sequence buffer that reaches the channel as **one**
+  :class:`~repro.serving.stream.TokenBatch`, on the same hop as the ``done``
+  event when the sequence finishes, ahead of the close when it fails
+  (``stop()``, KV exhaustion), or at the first publish after the channel
+  turns live — so a late consumer still reads the identical per-token
+  sequence, and TTFT/ITL math is unchanged.
 
 When a request is submitted mid-window, the window is split: the loop is
 interrupted, catches up to the last boundary already passed, finishes the
@@ -73,6 +79,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Deque, List, Optional, Set, Tuple
 
 try:  # Vector window math is optional: the scalar path is bit-identical.
@@ -84,7 +91,7 @@ from ..obs.trace import TRACE_KEY
 from ..sim import Environment, Event, Interrupt
 from .kvcache import KVCacheConfig, KVCacheManager
 from .request import InferenceRequest, InferenceResult, RequestKind
-from .stream import STREAM_CHANNEL_KEY, StreamEvent
+from .stream import STREAM_CHANNEL_KEY, StreamEvent, TokenBatch
 from .textgen import SyntheticTextGenerator
 from .timing import PerformanceModel
 
@@ -155,6 +162,8 @@ class _Sequence:
         "stream_channel",
         "streamed",
         "stream_words",
+        "stream_times",
+        "stream_texts",
         "trace",
         "trace_spans",
     )
@@ -180,6 +189,11 @@ class _Sequence:
         #: has already seen.
         self.streamed = 0
         self.stream_words = None
+        #: Production times (and texts) of tokens generated for a non-live
+        #: channel and not yet handed to it: counts ``streamed - len + 1 ..
+        #: streamed``, contiguous across preemptions.
+        self.stream_times: List[float] = []
+        self.stream_texts: List[str] = []
 
     @property
     def seq_id(self) -> str:
@@ -322,6 +336,7 @@ class ContinuousBatchingEngine:
                     seq.event.succeed(self._make_result(seq, success=False,
                                                         error="engine stopped"))
                 if seq.stream_channel is not None:
+                    self._flush_stream(seq)
                     seq.stream_channel.close()
                 self.kv.free(seq.seq_id)
         self.stats.failed += failed
@@ -485,8 +500,8 @@ class ContinuousBatchingEngine:
             channel = seq.stream_channel
             if channel is not None and channel.live:
                 # A live consumer observes per-token timing; keep exact
-                # events.  Channels nobody reads yet get their window's
-                # events in bulk from _apply_iterations instead.
+                # events.  Any other channel's tokens are buffered by
+                # _apply_iterations at their boundary times instead.
                 return 1
         if _np is not None and len(running) >= self.config.vector_batch_crossover:
             remaining = _np.fromiter(
@@ -633,10 +648,9 @@ class ContinuousBatchingEngine:
         self.kv.free(seq.seq_id)
         self.stats.completed += 1
         if seq.stream_channel is not None:
-            seq.stream_channel.publish(
-                StreamEvent(kind="done", index=seq.generated, time=now,
-                            finish_reason="stop")
-            )
+            self._flush_stream(
+                seq, StreamEvent(kind="done", index=seq.generated, time=now,
+                                 finish_reason="stop"))
             seq.stream_channel.close()
         seq.event.succeed(self._make_result(seq, success=True))
 
@@ -711,42 +725,59 @@ class ContinuousBatchingEngine:
             self._finish_sequence(seq, now)
 
     def _publish_token(self, seq: _Sequence, now: float) -> None:
-        """Emit one per-token stream event at the engine's iteration timing."""
-        text = ""
-        if self.config.generate_text and seq.request.kind != RequestKind.EMBEDDING:
-            if seq.stream_words is None:
-                seq.stream_words = self.text_generator.stream_pieces(seq.request)
-            text = next(seq.stream_words)
+        """Emit one token at the engine's iteration timing: a stream event for
+        a live channel, a buffered production time for any other."""
+        words = self._stream_words(seq)
+        text = next(words) if words is not None else ""
+        if seq.stream_channel.live:
+            # Behind any tokens buffered before the consumer attached.
+            self._flush_stream(seq, StreamEvent(kind="token", index=seq.generated - 1,
+                                                time=now, text=text))
+        else:
+            seq.stream_times.append(now)
+            if words is not None:
+                seq.stream_texts.append(text)
         seq.streamed = seq.generated
-        seq.stream_channel.publish(
-            StreamEvent(kind="token", index=seq.generated - 1, time=now, text=text)
-        )
 
     def _publish_window_tokens(self, seq: _Sequence, before: int,
                                window: _Window, done: int) -> None:
-        """Bulk-publish one catch-up's token events for a non-live channel.
+        """Buffer one catch-up's tokens for a channel that was not live when
+        the window was planned.
 
         Covers token counts ``before + 1 .. seq.generated`` (skipping any
-        already streamed before a preemption), each stamped with the window
-        boundary the per-token loop would have published it at, and consumes
+        already streamed before a preemption), each at the window boundary
+        the per-token loop would have published it at, and consumes
         ``stream_words`` in the same order — so a consumer attaching later
         sees an identical event sequence.
         """
-        words = None
-        if self.config.generate_text and seq.request.kind != RequestKind.EMBEDDING:
-            if seq.stream_words is None:
-                seq.stream_words = self.text_generator.stream_pieces(seq.request)
-            words = seq.stream_words
-        boundaries = window.boundaries
-        events = []
-        for count in range(max(before, seq.streamed) + 1, seq.generated + 1):
-            text = next(words) if words is not None else ""
-            events.append(
-                StreamEvent(kind="token", index=count - 1,
-                            time=boundaries[done + count - before - 1], text=text)
-            )
+        first = done + max(before, seq.streamed) - before
+        last = done + seq.generated - before
+        seq.stream_times += window.boundaries[first:last]
+        words = self._stream_words(seq)
+        if words is not None:
+            seq.stream_texts += islice(words, last - first)
         seq.streamed = seq.generated
-        seq.stream_channel.publish_bulk(events)
+        if seq.stream_channel.live:
+            self._flush_stream(seq)  # a consumer attached mid-window
+
+    def _stream_words(self, seq: _Sequence):
+        """The sequence's text pieces, one per token (``None``: no text)."""
+        if (seq.stream_words is None and self.config.generate_text
+                and seq.request.kind != RequestKind.EMBEDDING):
+            seq.stream_words = self.text_generator.stream_pieces(seq.request)
+        return seq.stream_words
+
+    def _flush_stream(self, seq: _Sequence, *tail: StreamEvent) -> None:
+        """Hand the buffered tokens (as one :class:`TokenBatch`) and ``tail``
+        to the channel on a single hop."""
+        times = seq.stream_times
+        if times:
+            tail = (TokenBatch(seq.streamed - len(times), times, seq.stream_texts),
+                    *tail)
+            seq.stream_times = []
+            seq.stream_texts = []
+        if tail:
+            seq.stream_channel.publish_bulk(tail)
 
     def _handle_kv_pressure(self, needy: _Sequence, inactive: Set[_Sequence]) -> None:
         """Preempt the most recently admitted other sequence to free blocks."""
@@ -761,6 +792,7 @@ class ContinuousBatchingEngine:
             self.kv.free(needy.seq_id)
             self.stats.failed += 1
             if needy.stream_channel is not None:
+                self._flush_stream(needy)
                 needy.stream_channel.close()
             needy.event.succeed(self._make_result(needy, success=False,
                                                   error="KV cache exhausted"))

@@ -3,26 +3,33 @@
 When a request arrives with ``stream=True`` the gateway opens a
 :class:`StreamChannel` and threads it through the compute layer down to the
 engine (gateway → ComputeClient payload → relay → endpoint → engine).  The
-continuous-batching engine publishes one :class:`StreamEvent` per generated
-token — using the *same* iteration timing the performance model produces for
-non-streaming requests — so TTFT and inter-token latency become observable
-outside the serving engine for the first time.
+continuous-batching engine reports every generated token through it — at the
+*same* iteration timing the performance model produces for non-streaming
+requests — so TTFT and inter-token latency become observable outside the
+serving engine for the first time.
 
 The channel is a single-producer/single-consumer queue in simulated time.
 ``delivery_latency_s`` models the per-chunk network hop (the SSE frame
 travelling engine → relay → gateway): every published item becomes visible
 to the consumer that many simulated seconds later, preserving FIFO order.
+
+Only a *live* consumer — one that reads while the engine generates — pays a
+channel round-trip per token.  For everyone else the engine keeps a token's
+production time in a per-request buffer and hands the channel one
+:class:`TokenBatch` when the request ends; a token's arrival time is then
+its production time plus ``delivery_latency_s``, the same float addition
+the per-token hop performs, so both timelines agree bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Callable, Deque, List, Optional, Sequence
 
 from ..sim import Environment, Event
 
-__all__ = ["STREAM_CHANNEL_KEY", "StreamEvent", "StreamChannel"]
+__all__ = ["STREAM_CHANNEL_KEY", "StreamEvent", "TokenBatch", "StreamChannel"]
 
 #: Key under which a :class:`StreamChannel` rides in ``InferenceRequest.metadata``
 #: (and in the FaaS task payload) on its way to the engine.
@@ -51,6 +58,33 @@ class StreamEvent:
     metadata: dict = field(default_factory=dict)
 
 
+class TokenBatch:
+    """A run of consecutive ``token`` events in columnar form.
+
+    Stands for ``StreamEvent("token", index=start + i, time=times[i],
+    text=texts[i])`` for every ``i`` (``texts`` is empty when the engine
+    generates no text).  This is what a channel nobody reads live carries
+    instead of one event object per token; :meth:`StreamChannel.get` expands
+    it, sinks and :meth:`StreamChannel.drain` see it as is.
+    """
+
+    __slots__ = ("start", "times", "texts")
+    kind = "tokens"
+
+    def __init__(self, start: int, times: List[float], texts: List[str]):
+        self.start = start
+        self.times = times
+        self.texts = texts
+
+    def events(self) -> List[StreamEvent]:
+        texts = self.texts
+        return [
+            StreamEvent(kind="token", index=self.start + i, time=time,
+                        text=texts[i] if texts else "")
+            for i, time in enumerate(self.times)
+        ]
+
+
 class StreamChannel:
     """FIFO channel of :class:`StreamEvent` items in simulated time.
 
@@ -59,7 +93,10 @@ class StreamChannel:
     channel is closed and drained.  Both sides are simulation-safe: a
     pending consumer is woken as soon as an item is delivered.  A consumer
     that only reacts to items (no waiting of its own) can :meth:`attach_sink`
-    instead and skip the kernel event per :meth:`get`.
+    instead and skip the kernel event per :meth:`get`.  :meth:`get` hands
+    out per-token events whatever the engine published (see :attr:`live`),
+    so a consumer that attaches late sees the same sequence as one that was
+    there from the start.
     """
 
     def __init__(self, env: Environment, delivery_latency_s: float = 0.0):
@@ -69,7 +106,7 @@ class StreamChannel:
         self._waiters: Deque[Event] = deque()
         self._sink: Optional[Callable[[Any], None]] = None
         self._closed = False
-        self._consumed = False
+        self._live = False
         self.published = 0
         self.delivered = 0
 
@@ -79,17 +116,14 @@ class StreamChannel:
         self.published += 1
         self._after_hop(self._push, item)
 
-    def publish_bulk(self, items: list) -> None:
-        """Publish several events as one batch.
+    def publish_bulk(self, items: Sequence[Any]) -> None:
+        """Publish several items on one delayed-delivery hop.
 
-        The engine uses this under macro-stepping when no live consumer is
-        attached (see :attr:`live`): instead of one channel round-trip per
-        token, a whole window's events arrive together.  Each event still
-        carries its own production ``time``, so TTFT/ITL math downstream is
-        unchanged.  With a delivery latency the batch rides a single
-        delayed-delivery hop (items become visible ``delivery_latency_s``
-        after the *publish*, not after their production times — only
-        possible when nobody was consuming live).
+        The engine flushes a request's buffered :class:`TokenBatch` and its
+        terminal ``done`` event this way.  The items become visible
+        ``delivery_latency_s`` after the *publish*; a batch's tokens carry
+        their own production times, from which a consumer derives each
+        token's arrival (production time plus ``delivery_latency_s``).
         """
         self.published += len(items)
         self._after_hop(self._push_all, items)
@@ -100,7 +134,8 @@ class StreamChannel:
         The close travels through the same delayed-delivery path as items so
         it can never overtake an in-flight event.
         """
-        self._after_hop(self._close_now)
+        if not self._closed:
+            self._after_hop(self._close_now)
 
     def _after_hop(self, deliver, *args) -> None:
         """Call ``deliver(*args)`` one delivery latency from now.
@@ -115,7 +150,7 @@ class StreamChannel:
         else:
             deliver(*args)
 
-    def _push_all(self, items: list) -> None:
+    def _push_all(self, items: Sequence[Any]) -> None:
         for item in items:
             self._push(item)
 
@@ -125,11 +160,21 @@ class StreamChannel:
         if self._sink is not None:
             self.delivered += 1
             self._sink(item)
-        elif self._waiters:
-            self.delivered += 1
-            self._waiters.popleft().succeed(item)
-        else:
-            self._items.append(item)
+            return
+        self._items.append(item)
+        while self._waiters and self._items:
+            self._waiters.popleft().succeed(self._take())
+
+    def _take(self) -> Any:
+        """Pop the next item for a :meth:`get` consumer, first expanding a
+        :class:`TokenBatch` at the head into its per-token events."""
+        items = self._items
+        if type(items[0]) is TokenBatch:
+            events = items.popleft().events()
+            self.published += len(events) - 1  # counted as one item until now
+            items.extendleft(reversed(events))
+        self.delivered += 1
+        return items.popleft()
 
     def _close_now(self) -> None:
         if self._closed:
@@ -154,45 +199,51 @@ class StreamChannel:
 
     @property
     def live(self) -> bool:
-        """True once a consumer has ever called :meth:`get`.
+        """True once a consumer reads tokens as they arrive: :meth:`get` was
+        called, or a sink was attached with ``live=True``.
 
-        A live channel's consumer observes per-token timing, so the engine
-        keeps emitting one kernel event per iteration for it; channels that
-        nobody is reading (yet) may receive their events in window-sized
-        batches instead.
+        The engine steps per token for a live channel and publishes each
+        token at its iteration boundary.  For any other channel it
+        macro-steps and buffers the tokens' production times, handing them
+        over as one :class:`TokenBatch` when the request ends — or as soon
+        as it notices the channel has turned live.
         """
-        return self._consumed
+        return self._live
 
     def drain(self) -> list:
-        """Synchronously take every delivered-but-unconsumed item.
+        """Synchronously take every delivered-but-unconsumed item as is (a
+        :class:`TokenBatch` stays one item).
 
         Used at partition boundaries (:mod:`repro.parallel`): a cluster-side
-        channel that nobody consumes live accumulates its window-batched
-        events here, and the partition drains them into a serializable
-        result message instead of attaching a consumer process.  Does not
-        mark the channel live and wakes no waiters.
+        channel that nobody consumes live holds the request's token batch
+        once it ends, and the partition ships the batch's ``times`` in a
+        serializable result message instead of attaching a consumer process.
+        Does not mark the channel live and wakes no waiters.
         """
         items = list(self._items)
         self._items.clear()
         return items
 
-    def attach_sink(self, sink: Callable[[Any], None]) -> None:
+    def attach_sink(self, sink: Callable[[Any], None], live: bool = True) -> None:
         """Consume by callback: ``sink(item)`` runs at each item's delivery
         instant and ``sink(None)`` once when the channel closes.
 
-        Replaces :meth:`get` for this channel (and marks it :attr:`live`);
-        attach before the first publish.
+        Replaces :meth:`get` for this channel; attach before the first
+        publish.  A sink that needs every token at its own arrival instant
+        leaves the channel :attr:`live`; one that only wants the timeline
+        passes ``live=False`` and receives a single :class:`TokenBatch`
+        ahead of the terminal event, each token having arrived at its
+        ``time + delivery_latency_s``.
         """
-        self._consumed = True
+        self._live = live
         self._sink = sink
 
     def get(self) -> Event:
         """Event resolving to the next item, or ``None`` when closed and empty."""
-        self._consumed = True
+        self._live = True
         event = self.env.event()
         if self._items:
-            self.delivered += 1
-            event.succeed(self._items.popleft())
+            event.succeed(self._take())
         elif self._closed:
             event.succeed(None)
         else:

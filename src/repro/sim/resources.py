@@ -47,13 +47,19 @@ class Request(Event):
 
 
 class Release(Event):
-    """Event representing the release of a resource slot (triggers immediately)."""
+    """Event representing the release of a resource slot.
+
+    A release takes effect inside :meth:`Resource.release`, so the event is
+    born already processed: it costs no kernel event, and a process that
+    yields it continues immediately.
+    """
 
     def __init__(self, resource: "Resource", request: Request):
         super().__init__(resource._env)
         self.resource = resource
         self.request = request
-        self.succeed()
+        self._value = None
+        self.callbacks = None
 
 
 class Resource:

@@ -84,7 +84,7 @@ class BenchmarkClient:
             # (engine timing + per-chunk delivery) over the engine-side TTFT.
             token_times = getattr(result, "metadata", {}).get("gateway_token_times")
             if token_times:
-                record.token_times = list(token_times)
+                record.token_times = token_times
                 record.first_token_time = token_times[0]
             record.error = getattr(result, "error", None)
         self.collector.record(record)

@@ -43,14 +43,14 @@ def result_trace(result):
 
 
 def make_engine(env, macro, spec=SPEC_70B, tp=8, kv_capacity=None, max_num_seqs=256,
-                crossover=None):
+                crossover=None, generate_text=False):
     perf = PerformanceModel(spec, tp, A100_40GB, node_spec=dgx_a100_spec())
     if kv_capacity is not None:
         class TinyKV(PerformanceModel):
             def kv_capacity_tokens(self, vram_utilization=0.9):
                 return kv_capacity
         perf = TinyKV(spec, tp, A100_40GB, node_spec=dgx_a100_spec())
-    config = EngineConfig(generate_text=False, macro_stepping=macro,
+    config = EngineConfig(generate_text=generate_text, macro_stepping=macro,
                           max_num_seqs=max_num_seqs)
     if crossover is not None:
         config.vector_batch_crossover = crossover
@@ -58,12 +58,20 @@ def make_engine(env, macro, spec=SPEC_70B, tp=8, kv_capacity=None, max_num_seqs=
 
 
 def run_trace(macro, requests, offsets, kv_capacity=None, stream_indices=(),
-              stop_at=None, drain_at=None, max_num_seqs=256, crossover=None):
-    """Drive one engine over a timed workload; returns the full golden trace."""
+              stop_at=None, drain_at=None, max_num_seqs=256, crossover=None,
+              read_live=True, generate_text=False):
+    """Drive one engine over a timed workload; returns the full golden trace.
+
+    Streams are read token by token while the engine runs, or — with
+    ``read_live=False`` — left alone and read off their channels afterwards
+    (``unread`` then holds what each channel held: item kinds, as published).
+    """
     env = Environment()
     engine = make_engine(env, macro, kv_capacity=kv_capacity,
-                         max_num_seqs=max_num_seqs, crossover=crossover)
+                         max_num_seqs=max_num_seqs, crossover=crossover,
+                         generate_text=generate_text)
     stream_events = {}
+    channels = {}
     events = []
 
     def consume(channel, sink):
@@ -71,7 +79,7 @@ def run_trace(macro, requests, offsets, kv_capacity=None, stream_indices=(),
             item = yield channel.get()
             if item is None:
                 return
-            sink.append((item.kind, item.index, item.time))
+            sink.append((item.kind, item.index, item.time, item.text))
 
     def driver(env):
         last = 0.0
@@ -84,7 +92,9 @@ def run_trace(macro, requests, offsets, kv_capacity=None, stream_indices=(),
                 request.stream = True
                 request.metadata[STREAM_CHANNEL_KEY] = channel
                 stream_events[i] = []
-                env.process(consume(channel, stream_events[i]))
+                channels[i] = channel
+                if read_live:
+                    env.process(consume(channel, stream_events[i]))
             events.append(engine.submit(request))
 
     def stopper(env):
@@ -101,9 +111,8 @@ def run_trace(macro, requests, offsets, kv_capacity=None, stream_indices=(),
     if drain_at is not None:
         env.process(drainer(env))
     env.run()
-    traces = [result_trace(ev.value) for ev in events]
-    return {
-        "results": traces,
+    trace = {
+        "results": [result_trace(ev.value) for ev in events],
         "stats": engine.stats.snapshot(),
         "allocation_failures": engine.kv.allocation_failures,
         "preemptions": engine.kv.preemptions,
@@ -111,6 +120,12 @@ def run_trace(macro, requests, offsets, kv_capacity=None, stream_indices=(),
         "end_time": env.now,
         "streams": stream_events,
     }
+    if not read_live:
+        trace["unread"] = {i: [item.kind for item in channel._items]
+                           for i, channel in channels.items()}
+        for i, channel in channels.items():
+            env.run(until=env.process(consume(channel, stream_events[i])))
+    return trace
 
 
 def fresh_requests(lengths, model=SPEC_70B.name):
@@ -356,7 +371,8 @@ def test_macro_stepping_uses_fewer_kernel_events():
 
 def _run_streaming_unconsumed(macro):
     """One streaming request nobody reads plus a plain neighbour; returns the
-    channel's undelivered event trace and the kernel-event count."""
+    per-token event trace a consumer attaching afterwards reads off the
+    channel, and the kernel-event count of the generation itself."""
     env = Environment()
     engine = make_engine(env, macro)
     channel = StreamChannel(env)
@@ -377,21 +393,190 @@ def _run_streaming_unconsumed(macro):
     other = engine.submit(InferenceRequest("ns-1", SPEC_70B.name, prompt_tokens=60,
                                            max_output_tokens=90))
     env.run(until=env.all_of([done, other]))
-    trace = [(item.kind, item.index, item.time) for item in channel._items]
-    return trace, steps
+    generation_steps = steps
+    # Nobody read during generation: the channel holds one batch and ``done``.
+    assert [item.kind for item in channel._items] == ["tokens", "done"]
+    trace = []
+    while True:
+        item = env.run(until=channel.get())
+        if item is None:
+            break
+        trace.append((item.kind, item.index, item.time))
+    return trace, generation_steps
 
 
 def test_unconsumed_stream_macro_steps_with_identical_events():
     """A streaming channel nobody is reading must not force per-token
-    stepping: the macro engine delivers the same event sequence (same kinds,
-    indices and production times) in window-sized batches, with far fewer
-    kernel events."""
+    stepping: the macro engine hands over the same event sequence (same
+    kinds, indices and production times, once the batch is expanded) with
+    far fewer kernel events."""
     macro_trace, macro_steps = _run_streaming_unconsumed(True)
     ref_trace, ref_steps = _run_streaming_unconsumed(False)
     assert macro_trace == ref_trace
     assert macro_trace[-1][0] == "done"
     assert len(macro_trace) == 121  # 120 tokens + done
     assert macro_steps * 5 < ref_steps
+
+
+def check_stream_law(lengths, offsets, kv_capacity=None, stop_at=None,
+                     generate_text=False):
+    """Every request streamed, in all four modes (per-token / macro engine ×
+    read live / left unread): one token sequence per request, each generated
+    token in it exactly once, and nothing but one batch ahead of the terminal
+    event on a channel nobody read.  Returns the reference run."""
+    runs = {
+        (macro, live): run_trace(
+            macro, fresh_requests(lengths), offsets, kv_capacity=kv_capacity,
+            stream_indices=range(len(lengths)), stop_at=stop_at, read_live=live,
+            generate_text=generate_text)
+        for macro in (False, True) for live in (True, False)
+    }
+    for (_macro, live), run in runs.items():
+        run.pop("end_time")  # mode-dependent after a stop (see the module docstring)
+        if not live:
+            for i, kinds in run.pop("unread").items():
+                success = run["results"][i][1]
+                assert kinds in ([], ["tokens"], ["tokens", "done"]), kinds
+                assert (kinds[-1:] == ["done"]) == success
+    reference = runs[(False, True)]
+    for mode, run in runs.items():
+        assert run == reference, mode
+    for i, events in reference["streams"].items():
+        _id, success, _error, _prompt, output_tokens = reference["results"][i][:5]
+        tokens = [event for event in events if event[0] == "token"]
+        assert [event[1] for event in tokens] == list(range(len(tokens)))
+        assert [event[2] for event in tokens] == sorted(event[2] for event in tokens)
+        if success:
+            assert len(tokens) == output_tokens
+            assert events[len(tokens):] == [("done", output_tokens, events[-1][2], "")]
+        else:
+            # A failed sequence's tokens were flushed ahead of the close; it
+            # may have been re-generating ones it had already streamed.
+            assert events == tokens and len(tokens) >= output_tokens
+    return reference
+
+
+def test_stream_law_across_preemption_kv_exhaustion_and_stop():
+    # A 1100-token pool.  The late third sequence is preempted after streaming
+    # a few tokens and, once the pool has drained, recomputes them inside a
+    # macro window: only tokens past its high-water mark may be emitted.
+    preempted = check_stream_law([(100, 400), (100, 400), (100, 300)],
+                                 [0.0, 0.0, 5.0], kv_capacity=1100)
+    assert preempted["preemptions"] > 0
+    assert all(trace[1] for trace in preempted["results"])
+    # A lone 1200-token sequence outgrows the pool with nobody to preempt.
+    lengths = [(100, 400), (100, 400), (100, 1200)]
+    exhausted = check_stream_law(lengths, [0.0, 0.0, 5.0], kv_capacity=1100)
+    assert "KV cache exhausted" in {trace[2] for trace in exhausted["results"]}
+    # The engine stops mid-generation, with text this time.
+    stopped = check_stream_law(lengths, [0.0, 0.0, 5.0], kv_capacity=1100,
+                               stop_at=9.0, generate_text=True)
+    assert "engine stopped" in {trace[2] for trace in stopped["results"]}
+    assert all(stopped["streams"].values())
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    arrivals=st.lists(
+        st.tuples(st.integers(min_value=50, max_value=400),   # prompt tokens
+                  st.integers(min_value=2, max_value=120),    # output tokens
+                  st.floats(min_value=0.0, max_value=3.0)),   # gap to the previous
+        min_size=1,
+        max_size=8,
+    ),
+    kv_capacity=st.integers(min_value=1200, max_value=3000),
+    stop_after=st.one_of(st.none(), st.floats(min_value=0.01, max_value=30.0)),
+    generate_text=st.booleans(),
+)
+def test_property_stream_sequence_is_mode_independent(arrivals, kv_capacity,
+                                                      stop_after, generate_text):
+    lengths = [(prompt, output) for prompt, output, _gap in arrivals]
+    offsets, at = [], 0.0
+    for _prompt, _output, gap in arrivals:
+        at += gap
+        offsets.append(at)
+    stop_at = None if stop_after is None else at + stop_after
+    check_stream_law(lengths, offsets, kv_capacity=kv_capacity, stop_at=stop_at,
+                     generate_text=generate_text)
+
+
+#: One stream plus two shorter neighbours that end its windows at tokens 30 and 60.
+LATE_READER_LENGTHS = [(80, 120), (60, 30), (60, 60)]
+
+
+def run_late_reader(macro, attach_at):
+    """The first of ``LATE_READER_LENGTHS`` streamed into a channel that gets
+    its ``get()`` reader only at ``attach_at``; returns what the reader saw
+    as ``(kind, index, time, text, arrival time)`` and when windows ended."""
+    env = Environment()
+    window_ends = []
+
+    class Windows:
+        def on_event(self, now, event, depth):
+            pass
+
+        def on_window(self, iterations, width_s):
+            window_ends.append(env.now)
+
+    env.attach_profiler(Windows())
+    engine = make_engine(env, macro)
+    channel = StreamChannel(env)
+    request, *neighbours = fresh_requests(LATE_READER_LENGTHS)
+    request.stream = True
+    request.metadata[STREAM_CHANNEL_KEY] = channel
+    done = engine.submit(request)
+    for neighbour in neighbours:
+        engine.submit(neighbour)
+    arrivals = []
+
+    def late_reader():
+        yield env.timeout(attach_at)
+        assert not channel.live
+        while True:
+            item = yield channel.get()
+            if item is None:
+                return
+            arrivals.append((item.kind, item.index, item.time, item.text, env.now))
+
+    env.run(until=env.process(late_reader()))
+    assert done.value.success
+    return arrivals, window_ends
+
+
+@pytest.mark.parametrize("macro", [True, False])
+def test_consumer_attaching_mid_generation_reads_the_same_sequence(macro):
+    """A reader that shows up while the engine is generating an unread stream
+    gets every token generated so far in one go, then the rest one by one at
+    their production times; a macro-stepping engine steps per token from the
+    window that was in flight onwards."""
+    reference = run_trace(False, fresh_requests(LATE_READER_LENGTHS), [0.0] * 3,
+                          stream_indices=[0])["streams"][0]
+    attach_at = 0.6  # tokens 31..60 are being generated
+    arrivals, window_ends = run_late_reader(macro, attach_at)
+    assert [a[:4] for a in arrivals] == reference
+    backlog = [a for a in arrivals if a[4] > a[2]]
+    live = arrivals[len(backlog):]
+    assert 30 < len(backlog) < 60
+    assert all(arrived == produced for _k, _i, produced, _t, arrived in live)
+    # The backlog came with the first token published after the reader attached.
+    assert {a[4] for a in backlog} == {live[0][2]}
+    if macro:
+        # One window was in flight when the reader attached; none was planned after.
+        assert len(window_ends) == 2 and window_ends[0] < attach_at < window_ends[1]
+        assert live[0][2] == window_ends[1]
+    else:
+        assert window_ends == [] and live[0][1] == len(backlog)
+
+
+@settings(max_examples=25, deadline=None)
+@given(macro=st.booleans(), attach_at=st.floats(min_value=0.0, max_value=2.0))
+def test_property_late_reader_sees_the_reference_sequence(macro, attach_at):
+    """Whenever the reader attaches — before the first token, mid-window, on a
+    boundary, after ``done`` — it reads the per-token engine's sequence."""
+    reference = run_trace(False, fresh_requests(LATE_READER_LENGTHS), [0.0] * 3,
+                          stream_indices=[0])["streams"][0]
+    arrivals, _window_ends = run_late_reader(macro, attach_at)
+    assert [a[:4] for a in arrivals] == reference
 
 
 @pytest.mark.parametrize("crossover", [1, 10**9])

@@ -448,13 +448,8 @@ _PARENT_TOKEN_TIMES = [
 _PARENT_KERNEL_EVENTS = 98
 
 
-def test_streamed_request_keeps_parent_token_times_with_fewer_kernel_events():
-    class EventCounter:
-        events = 0
-
-        def on_event(self, now, event, depth):
-            self.events += 1
-
+def _warm_stream_deployment():
+    """A fresh warmed-up deployment (token cache filled) and a client on it."""
     fresh = FIRSTDeployment(DeploymentConfig(
         clusters=[ClusterDeploymentSpec(
             name="devcluster", kind="small", num_nodes=2, scheduler="local",
@@ -466,6 +461,21 @@ def test_streamed_request_keeps_parent_token_times_with_fewer_kernel_events():
     client = fresh.client("researcher@anl.gov")
     fresh.env.run(until=client.submit(
         InferenceRequest("warm-0", MODEL_7B, prompt_tokens=20, max_output_tokens=2)))
+    return fresh, client
+
+
+def test_streamed_request_keeps_parent_token_times_with_fewer_kernel_events():
+    class EventCounter:
+        events = 0
+        windows = 0
+
+        def on_event(self, now, event, depth):
+            self.events += 1
+
+        def on_window(self, iterations, width_s):
+            self.windows += 1
+
+    fresh, client = _warm_stream_deployment()
     counter = EventCounter()
     fresh.env.attach_profiler(counter)
     result = fresh.env.run(until=client.submit(InferenceRequest(
@@ -473,7 +483,51 @@ def test_streamed_request_keeps_parent_token_times_with_fewer_kernel_events():
     fresh.env.detach_profiler()
     assert result.metadata["gateway_token_times"] == _PARENT_TOKEN_TIMES
     assert fresh.env.now == 44.22522498248404
-    assert counter.events < _PARENT_KERNEL_EVENTS
+    # Nobody reads this stream live, so the engine macro-steps it and the
+    # tokens cross the hop as one batch: 35 events, exactly (98 with a process
+    # per hop, 60 with a bare timeout per token).
+    assert counter.windows == 1
+    assert counter.events == 35 < _PARENT_KERNEL_EVENTS
+
+
+def test_live_and_batched_streams_observe_the_same_timeline():
+    """The same request read token by token (``submit_stream``) and unread
+    (``submit_request(stream=True)``) on identical fresh deployments: one
+    gateway timeline, one result, one completion instant."""
+    def probe():
+        return InferenceRequest("stream-probe-0", MODEL_7B, prompt_tokens=50,
+                                max_output_tokens=10)
+
+    live, live_client = _warm_stream_deployment()
+    stream = live.gateway.submit_stream(live_client.access_token, probe())
+    seen = []
+
+    def read():
+        while True:
+            item = yield stream.channel.get()
+            if item is None:
+                return
+            seen.append((item.kind, item.index, live.env.now))
+
+    live.env.process(read())
+    live_result = live.env.run(until=stream.done)
+
+    batched, batched_client = _warm_stream_deployment()
+    request = probe()
+    request.stream = True
+    batched_result = batched.env.run(until=batched_client.submit(request))
+
+    times = batched_result.metadata["gateway_token_times"]
+    assert times == live_result.metadata["gateway_token_times"] == _PARENT_TOKEN_TIMES
+    assert (batched_result.metadata["gateway_first_token_time"]
+            == live_result.metadata["gateway_first_token_time"] == times[0])
+    # The live reader saw each token at the instant the batched run stamps it.
+    assert seen[:-1] == [("token", i, t) for i, t in enumerate(times)]
+    assert seen[-1][:2] == ("done", 10)
+    for field in ("output_tokens", "success", "prefill_start_time",
+                  "first_token_time", "completion_time", "text"):
+        assert getattr(batched_result, field) == getattr(live_result, field), field
+    assert batched.env.now == live.env.now == 44.22522498248404
 
 
 def test_routing_cache_reuses_decision(deployment):

@@ -187,3 +187,40 @@ def test_scale_up_and_jobs_endpoint_reflect_additional_instances():
     states = [j for j in client.jobs() if j["model"] == MODEL_7B]
     assert states[0]["running_instances"] >= 2
     assert_relay_conserved(deployment)
+
+
+def test_streamed_scenario_stays_within_its_kernel_event_budget():
+    """Fifty streamed chats nobody reads token by token: the kernel-event
+    count is exact, so per-token stepping (or a per-token hop) cannot come
+    back unnoticed — it would cost ~100 more events per request."""
+    from repro.obs import KernelProfiler
+
+    deployment = build_deployment()
+    env = deployment.env
+    deployment.warm_up(MODEL_7B)
+    client = deployment.client("alice@anl.gov")
+    env.run(until=client.submit(
+        InferenceRequest("warm-0", MODEL_7B, prompt_tokens=20, max_output_tokens=2)))
+    requests = [
+        InferenceRequest(f"budget-{i}", MODEL_7B, prompt_tokens=40 + 7 * (i % 9),
+                         max_output_tokens=60 + (13 * i) % 90, stream=True)
+        for i in range(50)
+    ]
+    results = []
+
+    def drive():
+        for request in requests:
+            yield env.timeout(0.25)  # 4 requests/s
+            results.append(client.submit(request))
+        yield env.all_of(results)
+
+    counter = KernelProfiler()
+    env.attach_profiler(counter)
+    env.run(until=env.process(drive()))
+    env.detach_profiler()
+    assert all(event.value.success for event in results)
+    assert [len(event.value.metadata["gateway_token_times"]) for event in results] == [
+        request.max_output_tokens for request in requests]
+    # 37.94 events per request (151.36 when every token was a hop and a step).
+    assert (counter.events_total, counter.windows) == (1897, 79)
+    assert_relay_conserved(deployment)

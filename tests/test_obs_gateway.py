@@ -95,6 +95,39 @@ def test_streamed_request_span_tree_covers_every_layer(traced_request):
     assert by_name["gateway.stream_delivery"]["attrs"]["tokens"] == 8
 
 
+def test_unread_stream_is_traced_as_the_live_one_was():
+    """A streamed request nobody reads live crosses the hop as one batch; its
+    delivery span, TTFT histogram sample and rolling TTFT/ITL inputs must be
+    the values recorded when every token was its own hop (commit 2d275b0)."""
+    from repro.serving import InferenceRequest
+
+    deployment = obs_deployment(ObservabilityConfig())
+    deployment.warm_up(MODEL)
+    client = deployment.client("researcher@anl.gov")
+    result = deployment.env.run(until=client.submit(InferenceRequest(
+        "traced-stream-0", MODEL, prompt_tokens=40, max_output_tokens=12,
+        stream=True)))
+    spans = client.get_trace(deployment.observability.tracer.trace_ids()[0])["spans"]
+    delivery = _index(spans)["gateway.stream_delivery"]
+    token_times = result.metadata["gateway_token_times"]
+    assert len(token_times) == 12
+    assert (delivery["start"], delivery["end"]) == (35.67370536896933, 35.95524242145696)
+    assert (delivery["start"], delivery["end"]) == (token_times[0], token_times[-1])
+    assert delivery["attrs"] == {"tokens": 12}
+    ttft = deployment.observability.ttft.labels(model=MODEL)
+    assert (ttft.count, ttft.sum) == (1, 6.17370536896933)
+    recent = deployment.gateway.metrics.recent_timings(MODEL)
+    assert recent["ttft_p50_s"] == 6.17370536896933
+    assert recent["itl_p50_s"] == 0.02559427749887533
+    assert deployment.env.now == 37.91655454266908
+    # What did change: the engine macro-steps the request, so the eleven
+    # post-prefill tokens are one decode window instead of eleven.
+    windows = [s for s in spans if s["name"] == "engine.decode_window"]
+    assert [w["attrs"]["iterations"] for w in windows] == [11]
+    assert (windows[0]["start"], windows[0]["end"]) == (35.62370536896933,
+                                                        35.90524242145696)
+
+
 def test_span_nesting_and_monotone_timestamps(traced_request):
     deployment, client, _, trace_id = traced_request
     trace = client.get_trace(trace_id)
