@@ -20,11 +20,7 @@ and ``--write`` additionally records:
   (the backends are at parity there — the pending set stays small) plus a
   pure queue-op stress with 100k pending entries, where the calendar's
   amortised O(1) push/pop beats the heap's O(log n) and the packed
-  lazy-sorted calendar beats both;
-* a vectorized-planning batch-width sweep: all-at-once bursts at batch
-  widths spanning ``EngineConfig.vector_batch_crossover``, run with the
-  numpy window math forced on and forced off, asserting bit-identical
-  traces either way.
+  lazy-sorted calendar beats both.
 
 Usage::
 
@@ -91,9 +87,6 @@ STRESS_OPS = 100_000
 #: retain (ratio-vs-ratio, so machine speed cancels; shared-runner noise
 #: does not, hence the generous margin).
 STRESS_TOLERANCE = 0.75
-#: Batch widths for the vectorized-planning sweep; the default crossover is
-#: 32, so the sweep spans it from both sides.
-VECTOR_WIDTHS = (8, 64, 256)
 
 
 def run_mode(macro: bool, num_requests: int, rate: float,
@@ -250,63 +243,6 @@ def run_queue_sweep(num_requests: int, rate: float, repeats: int = 5) -> dict:
     return entry
 
 
-def run_width_mode(width: int, vector: bool, repeats: int = 3) -> dict:
-    """All-at-once burst at one batch width, numpy window math on or off."""
-    from repro.serving import InferenceRequest
-
-    best = None
-    for _ in range(repeats):
-        env = Environment(queue="packed")
-        spec = default_catalog().get(MODEL)
-        perf = PerformanceModel(spec, 8, A100_40GB, node_spec=dgx_a100_spec())
-        engine = ContinuousBatchingEngine(
-            env, perf,
-            EngineConfig(generate_text=False, macro_stepping=True,
-                         max_num_seqs=width,
-                         vector_batch_crossover=1 if vector else (1 << 30)),
-        )
-        events = [
-            engine.submit(InferenceRequest(
-                f"w-{i:05d}", spec.name,
-                prompt_tokens=64 + (i * 13) % 192,
-                max_output_tokens=40 + (i * 7) % 120,
-            ))
-            for i in range(width * 3)
-        ]
-        wall_start = time.perf_counter()
-        env.run(until=env.all_of(events))
-        wall_s = time.perf_counter() - wall_start
-        digest = hashlib.sha256()
-        for ev in events:
-            r = ev.value
-            digest.update(repr((r.request_id, r.first_token_time,
-                                r.completion_time)).encode())
-        run = {"wall_s": round(wall_s, 4), "trace_sha256": digest.hexdigest()}
-        if best is None or run["wall_s"] < best["wall_s"]:
-            best = run
-    return best
-
-
-def run_width_sweep() -> dict:
-    """Vectorized window planning on/off across batch widths; traces must match."""
-    entries = {}
-    for width in VECTOR_WIDTHS:
-        vec = run_width_mode(width, vector=True)
-        scalar = run_width_mode(width, vector=False)
-        entries[str(width)] = {
-            "vector": vec,
-            "scalar": scalar,
-            "bit_identical": vec["trace_sha256"] == scalar["trace_sha256"],
-            "vector_speedup": round(scalar["wall_s"] / max(vec["wall_s"], 1e-9), 3),
-        }
-    return {
-        "scenario": {"name": "vector-width-sweep", "model": MODEL,
-                     "widths": list(VECTOR_WIDTHS),
-                     "requests_per_width_factor": 3},
-        "widths": entries,
-    }
-
-
 def print_sweep_report(sweep: dict) -> None:
     s = sweep["scenario"]
     print(f"\n=== queue sweep: {' vs '.join(QUEUE_BACKENDS)} "
@@ -324,16 +260,6 @@ def print_sweep_report(sweep: dict) -> None:
     gains = " ".join(f"{q}={stress[f'{q}_speedup']:.2f}x" for q in QUEUE_BACKENDS[1:])
     print(f"  queue stress (hold={stress['hold']}, ops={stress['ops']}): "
           f"{walls} -> {gains}")
-
-
-def print_width_report(sweep: dict) -> None:
-    print(f"\n=== vectorized planning: batch-width sweep "
-          f"(widths {sweep['scenario']['widths']}, {sweep['scenario']['model']}) ===")
-    for width, entry in sweep["widths"].items():
-        print(f"  width {width:>4}: scalar={entry['scalar']['wall_s']:.3f}s "
-              f"vector={entry['vector']['wall_s']:.3f}s "
-              f"-> {entry['vector_speedup']:.2f}x "
-              f"bit-identical={entry['bit_identical']}")
 
 
 def print_report(entry: dict) -> None:
@@ -402,16 +328,12 @@ def main(argv=None) -> int:
             baseline[f"quick{suffix}"] = run_scenario(
                 "fig3-style-quick", queue=queue, **QUICK_SCENARIO)
         baseline["queue_sweep"] = run_queue_sweep(**FULL_SCENARIO)
-        baseline["vector_sweep"] = run_width_sweep()
         for key, entry in baseline.items():
             if key == "queue_sweep":
                 print_sweep_report(entry)
-            elif key == "vector_sweep":
-                print_width_report(entry)
             else:
                 print_report(entry)
-        scenarios = [e for k, e in baseline.items()
-                     if k not in ("queue_sweep", "vector_sweep")]
+        scenarios = [e for k, e in baseline.items() if k != "queue_sweep"]
         if not all(e["bit_identical"] for e in scenarios):
             print("FAIL: simulated-time results differ between stepping modes")
             return 1
@@ -424,9 +346,6 @@ def main(argv=None) -> int:
                 if baseline[a]["macro"]["trace_sha256"] != baseline[b]["macro"]["trace_sha256"]:
                     print(f"FAIL: {a} and {b} traces differ between queue backends")
                     return 1
-        if not all(e["bit_identical"] for e in baseline["vector_sweep"]["widths"].values()):
-            print("FAIL: vectorized window planning diverged from the scalar path")
-            return 1
         if baseline["full"]["speedup"] < FULL_SPEEDUP_FLOOR:
             print(f"FAIL: full-scenario speedup {baseline['full']['speedup']:.2f}x "
                   f"is below the {FULL_SPEEDUP_FLOOR:.1f}x acceptance floor")

@@ -7,42 +7,55 @@ so aggregate throughput saturates with batch size exactly as described in the
 paper's evaluation.  Admission is bounded by ``max_num_seqs`` and by the
 paged KV cache (:class:`~repro.serving.kvcache.KVCacheManager`).
 
-Performance notes (macro-stepping)
-----------------------------------
+Performance notes
+-----------------
 
 Naively the engine costs one kernel event plus O(batch) Python work per
-decode iteration, which dominates the wall-clock time of large benchmark
-sweeps.  With ``EngineConfig.macro_stepping`` (the default) the loop instead
-computes how many iterations can pass before the simulation state can
-change and collapses them into a single kernel event, bulk-updating token
-counts, KV allocations (:meth:`KVCacheManager.grow_bulk`) and stats.  The
-simulated-time results are reproduced exactly — iteration boundary times are
-accumulated with the same sequence of float additions the per-token loop
-performs, and absolute-time scheduling (``Environment.timeout_at``) replays
-them bit-for-bit.
-
-The remaining kernel cost is the pending-event structure itself; it is
-pluggable (``Environment(queue="heap"|"calendar"|"packed"|"auto")``, see
+decode iteration.  Both are avoided, and both by the same primitive —
+:meth:`ContinuousBatchingEngine._advance_epoch`, "advance the batch by ``n``
+iterations" — whose cost is the number of sequences that *change* in those
+iterations, not the batch width.  The per-token loop is its ``n = 1`` case;
+with ``EngineConfig.macro_stepping`` (the default) the loop computes how many
+iterations can pass before the simulation state can change and spends one
+kernel event on all of them.  Simulated-time results are reproduced exactly:
+iteration boundary times are accumulated with the same sequence of float
+additions the per-token loop performs, and absolute-time scheduling
+(``Environment.timeout_at``) replays them bit-for-bit.  The remaining kernel
+cost is the pending-event structure itself; it is pluggable
+(``Environment(queue="heap"|"calendar"|"packed"|"auto")``, see
 :mod:`repro.sim.queues`) and every backend pops the same total order, so
 engine results do not depend on the choice.
 
-Window *math* is additionally vectorized with numpy when the batch (or
-window) reaches ``EngineConfig.vector_batch_crossover``: the remaining-token
-reduction in :meth:`_plan_window`, the KV-growth targets in
-:meth:`_window_growth`, and the iteration-boundary / busy-time accumulation
-chains (via ``np.cumsum``, whose sequential ``add.accumulate`` reproduces
-the scalar loop's float additions bit-for-bit).  Below the crossover — and
-whenever numpy is not installed — the scalar path runs instead; both paths
-produce bit-identical results, so the dependency stays optional.
+* **Epoch.**  ``_epoch`` counts executed iterations.  A running sequence
+  stores the epoch it joined at, so its token count is ``_epoch - join`` and
+  nothing is written per iteration; ``generated`` is materialised when the
+  sequence leaves the batch (finish, preemption, KV failure, ``stop()``) or
+  a hook reads it.
+* **Completion heap.**  ``_finishing`` holds ``(finish epoch, admission rank,
+  sequence)``: the next completion is a peek, and sequences finishing at one
+  epoch pop in admission order — the order of ``running``, so result events
+  and stream closes keep their order.
+* **Growth calendar.**  ``_calendar`` maps an epoch to the sequences whose KV
+  allocation must grow right after it (each running sequence sits in at most
+  one bucket, never at its finishing epoch: the final iteration does not
+  grow).  The blocks needed to reach an epoch are a sum over the buckets up
+  to it, and only those sequences call :meth:`KVCacheManager.grow`.
+* **Exact slow path.**  An iteration whose demand exceeds the free pool runs
+  the per-sequence reference walk (:meth:`_advance_under_pressure`): same
+  order, same ``grow`` calls, same preemption victim and failure accounting;
+  heap and calendar are then rebuilt from the survivors.
+* **Hooked subset.**  Only sequences with a trace or a stream channel are
+  visited per iteration or window (``_hooked``); ``_fresh`` carries
+  just-admitted sequences to their first token time.
 
 A macro-step window ends at the earliest of:
 
 * the earliest completion among running sequences (state changes there);
 * any admission this iteration (prefill extends only the *first* iteration's
   duration, so admission iterations always step per-token);
-* KV growth that cannot be guaranteed for the whole window
-  (``grow_bulk`` fails ⇒ fall back to per-token stepping, which performs
-  preemption with the exact original semantics);
+* KV growth that cannot be guaranteed for the whole window (the calendar's
+  demand up to the window end exceeds the free pool ⇒ per-token stepping,
+  which reaches the slow path at the exact iteration the pool runs out);
 * a running sequence with a *live* stream channel — one whose consumer
   reads tokens as they arrive (:attr:`StreamChannel.live`: a ``get()``
   consumer, or a sink attached with ``live=True``); the engine keeps
@@ -79,13 +92,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import islice
-from typing import Deque, List, Optional, Set, Tuple
-
-try:  # Vector window math is optional: the scalar path is bit-identical.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs.trace import TRACE_KEY
 from ..sim import Environment, Event, Interrupt
@@ -115,11 +124,6 @@ class EngineConfig:
     #: reference one-event-per-iteration loop; simulated-time results are
     #: identical either way.
     macro_stepping: bool = True
-    #: Batch size (or window length) at which window math switches from the
-    #: scalar loops to numpy array ops.  Both paths are bit-identical; the
-    #: crossover only trades constant factors (array construction overhead
-    #: vs per-element interpreter work).  Ignored when numpy is missing.
-    vector_batch_crossover: int = 32
 
 
 @dataclass
@@ -154,11 +158,15 @@ class _Sequence:
     __slots__ = (
         "request",
         "event",
+        "seq_id",
+        "prompt",
+        "target",
         "generated",
+        "join",
+        "finish",
         "enqueue_time",
         "admit_time",
         "first_token_time",
-        "prefilled",
         "stream_channel",
         "streamed",
         "stream_words",
@@ -171,11 +179,20 @@ class _Sequence:
     def __init__(self, request: InferenceRequest, event: Event, enqueue_time: float):
         self.request = request
         self.event = event
+        self.seq_id = request.request_id
+        self.prompt = request.prompt_tokens
+        #: Output tokens to generate.
+        self.target = max(1, request.max_output_tokens)
+        #: Tokens generated so far.  While the sequence runs this is *stale*:
+        #: the live count is ``engine._epoch - join`` (see the module docstring).
         self.generated = 0
+        #: Engine epoch at (re)admission, and the epoch whose iteration
+        #: produces the last token (``join + target``).
+        self.join = 0
+        self.finish = 0
         self.enqueue_time = enqueue_time
         self.admit_time: Optional[float] = None
         self.first_token_time: Optional[float] = None
-        self.prefilled = False
         #: Stream channel carried in the request metadata (``stream=True`` only).
         self.stream_channel = (
             request.metadata.get(STREAM_CHANNEL_KEY) if request.stream else None
@@ -194,18 +211,6 @@ class _Sequence:
         #: streamed``, contiguous across preemptions.
         self.stream_times: List[float] = []
         self.stream_texts: List[str] = []
-
-    @property
-    def seq_id(self) -> str:
-        return self.request.request_id
-
-    @property
-    def target_tokens(self) -> int:
-        return max(1, self.request.max_output_tokens)
-
-    @property
-    def total_tokens(self) -> int:
-        return self.request.prompt_tokens + self.generated
 
 
 class _Window:
@@ -257,7 +262,20 @@ class ContinuousBatchingEngine:
         )
         self.stats = EngineStats()
         self.waiting: Deque[_Sequence] = deque()
-        self.running: List[_Sequence] = []
+        #: The batch, in admission order (insertion-ordered, O(1) removal).
+        self.running: Dict[_Sequence, None] = {}
+        #: Iterations executed so far, and (re)admissions performed.
+        self._epoch = 0
+        self._admissions = 0
+        #: ``(finish epoch, admission rank, sequence)`` of every running
+        #: sequence; ranks are unique, so sequences are never compared.
+        self._finishing: List[Tuple[int, int, _Sequence]] = []
+        #: Epoch -> sequences whose KV allocation grows right after it.
+        self._calendar: Dict[int, List[_Sequence]] = {}
+        #: Running sequences with a trace or a stream channel, in admission
+        #: order, and the just-admitted ones still waiting for a first token.
+        self._hooked: Dict[_Sequence, None] = {}
+        self._fresh: List[_Sequence] = []
         self._idle: Optional[Event] = None
         self._window: Optional[_Window] = None
         self._stopped = False
@@ -328,6 +346,8 @@ class ContinuousBatchingEngine:
                 self.stats.busy_time_s += window.step
             window.closed = True
         self._stopped = True
+        for seq in self.running:
+            seq.generated = self._epoch - seq.join
         failed = 0
         for group in (self.waiting, self.running):
             for seq in group:
@@ -341,7 +361,9 @@ class ContinuousBatchingEngine:
                 self.kv.free(seq.seq_id)
         self.stats.failed += failed
         self.waiting.clear()
-        self.running.clear()
+        for batch_state in (self.running, self._finishing, self._calendar,
+                            self._hooked, self._fresh):
+            batch_state.clear()
         self._notify()
 
     @property
@@ -390,8 +412,8 @@ class ContinuousBatchingEngine:
             prefill_tokens, kv_blocked = self._admit()
             batch = len(self.running)
             if batch == 0:
-                # Nothing admitted (e.g. KV exhausted with nothing running);
-                # this should not normally happen, but avoid a busy loop.
+                # Nothing admitted (every queued request was unservable and
+                # has been failed, or the limits admit none): avoid a busy loop.
                 self._idle = env.event()
                 yield self._idle
                 self._idle = None
@@ -405,7 +427,7 @@ class ContinuousBatchingEngine:
 
             # Prefill extends only this iteration's duration, so any iteration
             # that admitted work must step alone.
-            iters = 1 if prefill_tokens else self._plan_window(kv_blocked)
+            iters = 1 if prefill_tokens else self._plan_window()
             if iters <= 1:
                 yield env.timeout(step)
                 self.stats.busy_time_s += step
@@ -414,19 +436,12 @@ class ContinuousBatchingEngine:
 
             # Macro-step: one kernel event covers ``iters`` iterations.  The
             # boundary times are accumulated with the same float additions the
-            # per-token loop performs, so they replay bit-for-bit; np.cumsum
-            # (sequential add.accumulate) reproduces exactly that chain.
-            if _np is not None and iters >= self.config.vector_batch_crossover:
-                acc = _np.empty(iters + 1, dtype=_np.float64)
-                acc[0] = env.now
-                acc[1:] = step
-                boundaries = _np.cumsum(acc)[1:].tolist()
-            else:
-                boundaries = []
-                t = env.now
-                for _ in range(iters):
-                    t += step
-                    boundaries.append(t)
+            # per-token loop performs, so they replay bit-for-bit.
+            boundaries = []
+            t = env.now
+            for _ in range(iters):
+                t += step
+                boundaries.append(t)
             window = _Window(step, boundaries, kv_blocked)
             self._window = window
             try:
@@ -463,99 +478,100 @@ class ContinuousBatchingEngine:
         waiting = self.waiting
         running = self.running
         cfg = self.config
+        epoch = self._epoch
         while (
             waiting
             and len(running) < cfg.max_num_seqs
             and prefill_tokens < cfg.max_prefill_tokens_per_step
         ):
             seq = waiting[0]
-            reserve = seq.request.prompt_tokens + cfg.kv_block_size
-            if not self.kv.allocate(seq.seq_id, reserve):
-                kv_blocked = True
-                break
+            if not self.kv.allocate(seq.seq_id, seq.prompt + cfg.kv_block_size):
+                if running:
+                    kv_blocked = True
+                    break
+                # The pool is empty and still too small: waiting would park
+                # this request and everything queued behind it forever.
+                waiting.popleft()
+                self._fail_sequence(seq)
+                continue
             waiting.popleft()
             seq.admit_time = self.env.now
-            seq.prefilled = True
             if seq.trace is not None:
                 self._trace_admit(seq)
-            prefill_tokens += seq.request.prompt_tokens
-            running.append(seq)
+            prefill_tokens += seq.prompt
+            seq.join = epoch
+            seq.finish = epoch + seq.target
+            heappush(self._finishing, (seq.finish, self._admissions, seq))
+            self._admissions += 1
+            running[seq] = None
+            if seq.trace is not None or seq.stream_channel is not None:
+                self._hooked[seq] = None
+            if seq.first_token_time is None:
+                # A readmitted victim keeps its first token time: its next
+                # token is a decode window, not the end of a prefill.
+                self._fresh.append(seq)
+            self._file_growth(seq)
         return prefill_tokens, kv_blocked
 
-    # -- macro-stepping ---------------------------------------------------------
-    def _plan_window(self, kv_blocked: bool) -> int:
+    # -- epoch stepping -----------------------------------------------------------
+    def _file_growth(self, seq: _Sequence) -> None:
+        """File ``seq`` under the first epoch after now at which the per-token
+        loop's ``grow(prompt + generated + 1)`` outgrows its allocation."""
+        blocks = self.kv._allocated[seq.seq_id]
+        due = seq.join + max(self._epoch - seq.join + 1,
+                             blocks * self.config.kv_block_size - seq.prompt)
+        if due < seq.finish:  # the finishing iteration never grows
+            self._calendar.setdefault(due, []).append(seq)
+
+    def _due_epochs(self, upto: int) -> Sequence[int]:
+        """Calendar epochs up to ``upto`` (all of them lie after ``_epoch``)."""
+        calendar = self._calendar
+        if upto == self._epoch + 1:
+            return (upto,) if upto in calendar else ()
+        return [epoch for epoch in calendar if epoch <= upto]
+
+    def _growth_demand(self, upto: int) -> int:
+        """KV blocks the batch must add to run through epoch ``upto``.
+
+        Block demand per sequence is monotone in tokens, so a demand within
+        ``kv.free_blocks`` proves that growing the same sequences one token
+        at a time cannot fail anywhere on the way.  Sequences that finish at
+        ``upto`` stop growing one iteration earlier (the per-token loop checks
+        completion before growing), hence no one-token lookahead for them.
+        """
+        demand = 0
+        blocks_for = self.kv.blocks_for
+        allocated = self.kv._allocated
+        for epoch in self._due_epochs(upto):
+            for seq in self._calendar[epoch]:
+                tokens = seq.prompt + upto - seq.join + (seq.finish != upto)
+                demand += blocks_for(tokens) - allocated[seq.seq_id]
+        return demand
+
+    def _plan_window(self) -> int:
         """Number of iterations until the next possible state change.
 
-        A return value above 1 additionally guarantees (by probing the whole
-        window's KV growth via :meth:`KVCacheManager.can_grow_bulk`) that no
-        KV-pressure preemption can occur inside the window.  The probe does
-        not allocate: growth is applied by :meth:`_apply_iterations` only for
-        iterations that actually execute, so a window that is interrupted and
-        abandoned leaves the free-block pool in the exact per-token state.
+        A return value above 1 additionally guarantees that no KV-pressure
+        preemption can occur inside the window.  The probe does not allocate:
+        growth is applied only for iterations that actually execute, so a
+        window that is interrupted and abandoned leaves the free-block pool
+        in the exact per-token state.
         """
         if not self.config.macro_stepping:
             return 1
-        running = self.running
-        for seq in running:
+        for seq in self._hooked:
             channel = seq.stream_channel
             if channel is not None and channel.live:
                 # A live consumer observes per-token timing; keep exact
-                # events.  Any other channel's tokens are buffered by
-                # _apply_iterations at their boundary times instead.
+                # events.  Any other channel's tokens are buffered at their
+                # boundary times instead.
                 return 1
-        if _np is not None and len(running) >= self.config.vector_batch_crossover:
-            remaining = _np.fromiter(
-                (seq.target_tokens - seq.generated for seq in running),
-                dtype=_np.int64,
-                count=len(running),
-            )
-            iters = int(remaining.min())
-        else:
-            iters = None
-            for seq in running:
-                remaining = seq.target_tokens - seq.generated
-                if iters is None or remaining < iters:
-                    iters = remaining
-            if iters is None:
-                return 1
-        if iters <= 1:
-            return 1
-        if not self.kv.can_grow_bulk(self._window_growth(iters)):
+        end = self._finishing[0][0]
+        if end - self._epoch <= 1 or self._growth_demand(end) > self.kv.free_blocks:
             # KV pressure possible mid-window: the per-token path reproduces
             # the original preemption semantics exactly.
             return 1
-        return iters
-
-    def _window_growth(self, iters: int) -> List[Tuple[str, int]]:
-        """Per-sequence KV token targets at the end of an ``iters`` window.
-
-        Sequences that finish exactly at the window end stop growing one
-        iteration earlier (the per-token loop checks completion before
-        growing), hence the missing one-token lookahead for them.
-        """
-        running = self.running
-        if _np is not None and len(running) >= self.config.vector_batch_crossover:
-            count = len(running)
-            generated = _np.fromiter(
-                (seq.generated for seq in running), dtype=_np.int64, count=count
-            )
-            targets = _np.fromiter(
-                (seq.target_tokens for seq in running), dtype=_np.int64, count=count
-            )
-            prompts = _np.fromiter(
-                (seq.request.prompt_tokens for seq in running),
-                dtype=_np.int64,
-                count=count,
-            )
-            ends = (
-                prompts + generated + iters + (targets - generated != iters)
-            ).tolist()  # integer math: exact, so identical to the scalar loop
-            return [(seq.seq_id, ends[i]) for i, seq in enumerate(running)]
-        growth = []
-        for seq in running:
-            lookahead = 0 if seq.target_tokens - seq.generated == iters else 1
-            growth.append((seq.seq_id, seq.total_tokens + iters + lookahead))
-        return growth
+        return end - self._epoch
 
     def _sync_window(self, window: _Window) -> None:
         """Apply every window iteration whose boundary time has passed."""
@@ -578,19 +594,10 @@ class ContinuousBatchingEngine:
         n = upto - done
         if n <= 0:
             return
-        running = self.running
         stats = self.stats
         step = window.step
-        if _np is not None and n >= self.config.vector_batch_crossover:
-            # cumsum accumulates sequentially, so seeding the running total
-            # as element 0 replays the per-token additions bit-for-bit.
-            acc = _np.empty(n + 1, dtype=_np.float64)
-            acc[0] = stats.busy_time_s
-            acc[1:] = step
-            stats.busy_time_s = float(_np.cumsum(acc)[-1])
-        else:
-            for _ in range(n):  # same addition order as the per-token loop
-                stats.busy_time_s += step
+        for _ in range(n):  # same addition order as the per-token loop
+            stats.busy_time_s += step
         if window.kv_blocked:
             # The per-token loop re-attempts (and fails) the blocked head-of-
             # line admission at every interior boundary; mirror its failure
@@ -600,46 +607,119 @@ class ContinuousBatchingEngine:
             retries = min(upto, last_interior) - min(done, last_interior)
             if retries > 0:
                 self.kv.allocation_failures += retries
-        if done == 0:
-            first_boundary = window.boundaries[0]
-            for seq in running:
-                if seq.first_token_time is None:
-                    seq.first_token_time = first_boundary
-                    self._trace_end(seq, "prefill", t=first_boundary)
         profiler = self.env.profiler
         if profiler is not None:
             profiler.on_window(n, step * n)
-        growth = []
-        for seq in running:
-            before = seq.generated
-            seq.generated += n
-            if seq.trace is not None:
-                self._trace_decode(seq, window.boundaries[done] - step,
-                                   window.boundaries[upto - 1], n)
-            if seq.stream_channel is not None and seq.generated > seq.streamed:
-                self._publish_window_tokens(seq, before, window, done)
-            if seq.generated < seq.target_tokens:
-                # Same one-token lookahead the per-token loop grows to after
-                # iteration ``upto``; sequences finishing here never grow in
-                # their final iteration and are freed right below.  Success is
-                # guaranteed by the window's can_grow_bulk probe.
-                growth.append((seq.seq_id, seq.total_tokens + 1))
-        if growth:
-            self.kv.grow_bulk(growth)
-        stats.output_tokens += n * len(running)
+        self._advance_epoch(n, window.boundaries, done, step, windowed=True)
         window.done = upto
-        if upto == len(window.boundaries):
-            self._complete_finished()
 
-    def _complete_finished(self) -> None:
-        """Complete every running sequence that reached its target tokens."""
+    def _advance(self, step: float) -> None:
+        """One per-token iteration, ending now."""
+        if self._growth_demand(self._epoch + 1) > self.kv.free_blocks:
+            self._advance_under_pressure(step)
+        else:
+            self._advance_epoch(1, (self.env.now,), 0, step, windowed=False)
+
+    def _advance_epoch(self, n: int, boundaries: Sequence[float], lo: int,
+                       step: float, windowed: bool) -> None:
+        """Advance the batch by ``n`` iterations ending at ``boundaries[lo:lo + n]``.
+
+        The caller has established that every KV growth on the way fits
+        (:meth:`_growth_demand`).  Only sequences that change are touched:
+        hooked ones, fresh ones, those due in the growth calendar and those
+        finishing at the new epoch (possible only at a window's last boundary).
+        """
+        first = boundaries[lo]
+        last = boundaries[lo + n - 1]
+        for seq in self._hooked:
+            before = self._epoch - seq.join
+            seq.generated = before + n
+            # Per-token, a first token is the prefill's output and opens no
+            # decode window; a window is recorded whole.
+            if seq.trace is not None and (windowed or seq.first_token_time is not None):
+                self._trace_decode(seq, first - step, last, n)
+            if seq.stream_channel is not None and seq.generated > seq.streamed:
+                if windowed:
+                    self._publish_window_tokens(seq, before, boundaries, lo)
+                else:
+                    self._publish_token(seq, first)
+        for seq in self._fresh:
+            seq.first_token_time = first
+            self._trace_end(seq, "prefill", t=first)
+        self._fresh.clear()
+        due = self._due_epochs(self._epoch + n)
+        self._epoch = epoch = self._epoch + n
         running = self.running
-        finished = [seq for seq in running if seq.generated >= seq.target_tokens]
-        if not finished:
-            return
-        drop = set(finished)
-        self.running = [seq for seq in running if seq not in drop]
+        self.stats.output_tokens += n * len(running)
+        for key in due:
+            for seq in self._calendar.pop(key):
+                if seq.finish != epoch:  # a finishing sequence is freed below
+                    self.kv.grow(seq.seq_id, seq.prompt + epoch - seq.join + 1)
+                    self._file_growth(seq)
+        finishing = self._finishing
+        if finishing and finishing[0][0] == epoch:
+            finished = []
+            while finishing and finishing[0][0] == epoch:
+                seq = heappop(finishing)[2]
+                seq.generated = seq.target
+                del running[seq]
+                self._hooked.pop(seq, None)
+                finished.append(seq)
+            now = self.env.now
+            for seq in finished:
+                self._finish_sequence(seq, now)
+
+    def _advance_under_pressure(self, step: float) -> None:
+        """One iteration in which some KV growth fails: the reference walk.
+
+        Every running sequence is visited in admission order with its token
+        count materialised, exactly as a naive per-token engine would, so the
+        preemption victim (possibly a later sequence that would itself have
+        finished in this iteration), ``allocation_failures`` and a failed
+        sequence staying one block behind are reproduced bit-for-bit.  The
+        completion heap and growth calendar are rebuilt from the survivors.
+        """
         now = self.env.now
+        stats = self.stats
+        kv = self.kv
+        #: Sequences that left the batch during this iteration (preempted,
+        #: failed, or finished).
+        inactive: Set[_Sequence] = set()
+        finished: List[_Sequence] = []
+        for seq in self.running:
+            if seq in inactive:
+                # Preempted earlier in this same iteration by another
+                # sequence's KV growth; it will be re-prefilled later.
+                continue
+            seq.generated = self._epoch - seq.join + 1
+            stats.output_tokens += 1
+            if seq.first_token_time is None:
+                # The first token is the prefill's output, not a decode
+                # window: close the prefill span and emit no window for it.
+                seq.first_token_time = now
+                self._trace_end(seq, "prefill", t=now)
+            elif seq.trace is not None:
+                self._trace_decode(seq, now - step, now, 1)
+            if seq.stream_channel is not None and seq.generated > seq.streamed:
+                self._publish_token(seq, now)
+            if seq.generated >= seq.target:
+                finished.append(seq)
+                # Not a preemption candidate: its blocks are freed right below.
+                inactive.add(seq)
+                continue
+            if not kv.grow(seq.seq_id, seq.prompt + seq.generated + 1):
+                self._handle_kv_pressure(seq, inactive)
+        self._epoch += 1
+        self._fresh.clear()  # survivors got their first token; victims re-enter later
+        self.running = {seq: None for seq in self.running if seq not in inactive}
+        self._hooked = {seq: None for seq in self._hooked if seq not in inactive}
+        self._finishing = [(seq.finish, rank, seq)
+                           for rank, seq in enumerate(self.running)]
+        heapify(self._finishing)
+        self._admissions = len(self.running)
+        self._calendar = {}
+        for seq in self.running:
+            self._file_growth(seq)
         for seq in finished:
             self._finish_sequence(seq, now)
 
@@ -684,46 +764,7 @@ class ContinuousBatchingEngine:
                                 attrs={"iterations": iterations}, t=start)
         trace.end_span(span, t=end)
 
-    # -- per-token stepping -------------------------------------------------------
-    def _advance(self, step: float = 0.0) -> None:
-        """One token generated for every running sequence."""
-        now = self.env.now
-        running = self.running
-        stats = self.stats
-        kv = self.kv
-        #: Sequences that left the batch during this iteration (preempted,
-        #: failed, or finished); an O(1) membership index replacing the
-        #: seed's ``seq not in self.running`` scans and in-place removals.
-        inactive: Set[_Sequence] = set()
-        finished: List[_Sequence] = []
-        for seq in running:
-            if seq in inactive:
-                # Preempted earlier in this same iteration by another
-                # sequence's KV growth; it will be re-prefilled later.
-                continue
-            seq.generated += 1
-            stats.output_tokens += 1
-            if seq.first_token_time is None:
-                # The first token is the prefill's output, not a decode
-                # window: close the prefill span and emit no window for it.
-                seq.first_token_time = now
-                self._trace_end(seq, "prefill", t=now)
-            elif seq.trace is not None:
-                self._trace_decode(seq, now - step, now, 1)
-            if seq.stream_channel is not None and seq.generated > seq.streamed:
-                self._publish_token(seq, now)
-            if seq.generated >= seq.target_tokens:
-                finished.append(seq)
-                # Not a preemption candidate: its blocks are freed right below.
-                inactive.add(seq)
-                continue
-            if not kv.grow(seq.seq_id, seq.total_tokens + 1):
-                self._handle_kv_pressure(seq, inactive)
-        if inactive:
-            self.running = [seq for seq in running if seq not in inactive]
-        for seq in finished:
-            self._finish_sequence(seq, now)
-
+    # -- streaming ---------------------------------------------------------------
     def _publish_token(self, seq: _Sequence, now: float) -> None:
         """Emit one token at the engine's iteration timing: a stream event for
         a live channel, a buffered production time for any other."""
@@ -740,7 +781,7 @@ class ContinuousBatchingEngine:
         seq.streamed = seq.generated
 
     def _publish_window_tokens(self, seq: _Sequence, before: int,
-                               window: _Window, done: int) -> None:
+                               boundaries: Sequence[float], done: int) -> None:
         """Buffer one catch-up's tokens for a channel that was not live when
         the window was planned.
 
@@ -752,7 +793,7 @@ class ContinuousBatchingEngine:
         """
         first = done + max(before, seq.streamed) - before
         last = done + seq.generated - before
-        seq.stream_times += window.boundaries[first:last]
+        seq.stream_times += boundaries[first:last]
         words = self._stream_words(seq)
         if words is not None:
             seq.stream_texts += islice(words, last - first)
@@ -789,20 +830,13 @@ class ContinuousBatchingEngine:
         if victim is None:
             # Nothing to preempt: fail the sequence (it cannot make progress).
             inactive.add(needy)
-            self.kv.free(needy.seq_id)
-            self.stats.failed += 1
-            if needy.stream_channel is not None:
-                self._flush_stream(needy)
-                needy.stream_channel.close()
-            needy.event.succeed(self._make_result(needy, success=False,
-                                                  error="KV cache exhausted"))
+            self._fail_sequence(needy)
             return
         inactive.add(victim)
         self.kv.preempt(victim.seq_id)
         self.stats.preempted += 1
         # The victim restarts from scratch (recompute preemption).
         victim.generated = 0
-        victim.prefilled = False
         victim.admit_time = None
         if victim.trace is not None:
             trace = victim.trace
@@ -813,6 +847,16 @@ class ContinuousBatchingEngine:
             victim.trace_spans["queue"] = trace.start_span(
                 "engine.queue_wait", parent=root, layer="engine")
         self.waiting.appendleft(victim)
+
+    def _fail_sequence(self, seq: _Sequence) -> None:
+        """Fail a sequence the KV pool cannot hold (already off ``running``)."""
+        self.kv.free(seq.seq_id)
+        self.stats.failed += 1
+        if seq.stream_channel is not None:
+            self._flush_stream(seq)
+            seq.stream_channel.close()
+        seq.event.succeed(self._make_result(seq, success=False,
+                                            error="KV cache exhausted"))
 
     def _close_seq_spans(self, seq: _Sequence, error: Optional[str] = None) -> None:
         """End every still-open engine span for a terminating sequence."""

@@ -104,53 +104,6 @@ class KVCacheManager:
         self._used_blocks += extra
         return True
 
-    def _bulk_extra_blocks(self, requirements) -> int:
-        """Extra blocks needed to grow every ``(seq_id, tokens)`` requirement."""
-        extra = 0
-        allocated = self._allocated
-        for seq_id, tokens in requirements:
-            if seq_id not in allocated:
-                raise KeyError(f"Sequence {seq_id} has no allocation")
-            need = self.blocks_for(tokens) - allocated[seq_id]
-            if need > 0:
-                extra += need
-        return extra
-
-    def can_grow_bulk(self, requirements) -> bool:
-        """Whether every growth in ``requirements`` could be applied together.
-
-        Because block demand per sequence is monotone in tokens, a ``True``
-        answer proves that growing the same sequences one token at a time (in
-        any interleaving, up to their requirement) cannot fail either; the
-        engine's macro-stepper relies on exactly that property to rule out
-        preemption inside a window.  A pure probe: nothing is allocated and a
-        ``False`` answer does not count towards :attr:`allocation_failures`
-        (the caller falls back to per-token stepping, whose individual
-        :meth:`grow` calls keep the failure accounting of the non-bulk path).
-        """
-        return self._bulk_extra_blocks(list(requirements)) <= self.free_blocks
-
-    def grow_bulk(self, requirements) -> bool:
-        """Atomically grow several sequences' allocations.
-
-        ``requirements`` is an iterable of ``(seq_id, new_total_tokens)``
-        pairs.  Either every growth is applied, or — if the combined extra
-        blocks exceed the free pool — nothing changes and ``False`` is
-        returned (without counting an allocation failure; see
-        :meth:`can_grow_bulk`).
-        """
-        requirements = list(requirements)
-        allocated = self._allocated
-        if self._bulk_extra_blocks(requirements) > self.free_blocks:
-            return False
-        for seq_id, tokens in requirements:
-            needed = self.blocks_for(tokens)
-            current = allocated[seq_id]
-            if needed > current:
-                allocated[seq_id] = needed
-                self._used_blocks += needed - current
-        return True
-
     def free(self, seq_id: str) -> None:
         """Release every block held by ``seq_id`` (no-op if unknown)."""
         blocks = self._allocated.pop(seq_id, 0)

@@ -43,7 +43,7 @@ def result_trace(result):
 
 
 def make_engine(env, macro, spec=SPEC_70B, tp=8, kv_capacity=None, max_num_seqs=256,
-                crossover=None, generate_text=False):
+                generate_text=False, block_size=16):
     perf = PerformanceModel(spec, tp, A100_40GB, node_spec=dgx_a100_spec())
     if kv_capacity is not None:
         class TinyKV(PerformanceModel):
@@ -51,15 +51,13 @@ def make_engine(env, macro, spec=SPEC_70B, tp=8, kv_capacity=None, max_num_seqs=
                 return kv_capacity
         perf = TinyKV(spec, tp, A100_40GB, node_spec=dgx_a100_spec())
     config = EngineConfig(generate_text=generate_text, macro_stepping=macro,
-                          max_num_seqs=max_num_seqs)
-    if crossover is not None:
-        config.vector_batch_crossover = crossover
+                          max_num_seqs=max_num_seqs, kv_block_size=block_size)
     return ContinuousBatchingEngine(env, perf, config)
 
 
 def run_trace(macro, requests, offsets, kv_capacity=None, stream_indices=(),
-              stop_at=None, drain_at=None, max_num_seqs=256, crossover=None,
-              read_live=True, generate_text=False):
+              stop_at=None, drain_at=None, max_num_seqs=256,
+              read_live=True, generate_text=False, block_size=16):
     """Drive one engine over a timed workload; returns the full golden trace.
 
     Streams are read token by token while the engine runs, or — with
@@ -68,8 +66,8 @@ def run_trace(macro, requests, offsets, kv_capacity=None, stream_indices=(),
     """
     env = Environment()
     engine = make_engine(env, macro, kv_capacity=kv_capacity,
-                         max_num_seqs=max_num_seqs, crossover=crossover,
-                         generate_text=generate_text)
+                         max_num_seqs=max_num_seqs, generate_text=generate_text,
+                         block_size=block_size)
     stream_events = {}
     channels = {}
     events = []
@@ -186,20 +184,47 @@ def test_submit_then_stop_in_one_callback_does_not_double_count_busy_time():
     def run(macro):
         env = Environment()
         engine = make_engine(env, macro)
-        engine.submit(InferenceRequest("bt-0", SPEC_70B.name, prompt_tokens=80,
-                                       max_output_tokens=200))
+        events = [engine.submit(InferenceRequest(
+            "bt-0", SPEC_70B.name, prompt_tokens=80, max_output_tokens=200))]
 
         def submit_then_stop(env):
             yield env.timeout(2.0)  # mid-window for the macro engine
-            engine.submit(InferenceRequest("bt-1", SPEC_70B.name, prompt_tokens=80,
-                                           max_output_tokens=200))
+            events.append(engine.submit(InferenceRequest(
+                "bt-1", SPEC_70B.name, prompt_tokens=80, max_output_tokens=200)))
             engine.stop()
 
         env.process(submit_then_stop(env))
         env.run()
-        return engine.stats.snapshot()
+        return engine.stats.snapshot(), [event.value.output_tokens for event in events]
 
-    assert run(True) == run(False)
+    stats, progress = run(True)
+    assert (stats, progress) == run(False)
+    # The running sequence's token count is derived from the engine epoch and
+    # written back by stop(): it must report the tokens of the boundaries passed.
+    assert 0 < progress[0] < 200 and progress[1] == 0
+    assert stats["output_tokens"] == progress[0]
+
+
+@pytest.mark.parametrize("macro", [True, False])
+def test_unservable_head_of_line_request_fails_instead_of_parking_the_queue(macro):
+    """A prompt the whole KV pool cannot hold used to stay at the head of the
+    queue forever, with everything behind it: it now fails as soon as the
+    pool is empty and still too small, and the queue moves on."""
+    lengths = [(60, 20), (1000, 10), (60, 30), (1000, 10)]
+    trace = run_trace(macro, fresh_requests(lengths), [0.0, 0.0, 0.0, 0.1],
+                      kv_capacity=256, stream_indices={1})
+    assert [(ok, error) for _id, ok, error, *_ in trace["results"]] == [
+        (True, None), (False, "KV cache exhausted"),
+        (True, None), (False, "KV cache exhausted")]
+    assert [r[4] for r in trace["results"]] == [20, 0, 30, 0]
+    assert trace["stats"]["failed"] == 2 and trace["stats"]["completed"] == 2
+    assert trace["streams"][1] == []  # closed without a token, consumer released
+    assert trace["kv_used"] == 0
+    # While a small request runs, the big one behind it is retried (and
+    # counted) like any blocked admission; it fails once the pool is empty.
+    assert trace["allocation_failures"] > 2
+    assert trace == run_trace(not macro, fresh_requests(lengths), [0.0, 0.0, 0.0, 0.1],
+                              kv_capacity=256, stream_indices={1})
 
 
 def test_stop_counts_each_failed_sequence_exactly_once():
@@ -579,29 +604,170 @@ def test_property_late_reader_sees_the_reference_sequence(macro, attach_at):
     assert [a[:4] for a in arrivals] == reference
 
 
-@pytest.mark.parametrize("crossover", [1, 10**9])
-def test_vectorized_planning_is_bit_identical_across_crossover(crossover):
-    """Forcing the numpy path on (crossover=1) or off (crossover=huge) must
-    not perturb a single timing relative to the per-token reference — the
-    scenario's batch widths span the default crossover from both sides."""
-    workload = ShareGPTWorkload()
-    offsets = PoissonArrival(rate=6.0, seed=17).offsets(80)
-    golden = run_trace(False, workload.generate(SPEC_70B.name, num_requests=80),
-                       offsets)
-    vec = run_trace(True, workload.generate(SPEC_70B.name, num_requests=80),
-                    offsets, crossover=crossover)
-    assert vec == golden
+# -- the batch-level structures: epoch, completion heap, growth calendar ---------
 
 
-def test_macro_stepping_without_numpy_is_bit_identical(monkeypatch):
-    """The scalar fallback (numpy absent) replays the reference exactly."""
-    import repro.serving.engine as engine_mod
+def check_batch_invariants(engine):
+    """What must hold of the engine's KV books and growth calendar at any
+    kernel event (inside a window: as of the last boundary applied)."""
+    kv = engine.kv
+    block = engine.config.kv_block_size
+    assert kv.used_blocks == sum(kv._allocated.values())
+    assert set(kv._allocated) == {seq.seq_id for seq in engine.running}
+    expected = {}
+    for seq in engine.running:
+        generated = engine._epoch - seq.join
+        assert 0 <= generated < seq.target and seq.finish == seq.join + seq.target
+        allocated = kv._allocated[seq.seq_id]
+        if kv.preemptions == 0:
+            # Nothing ever failed: the allocation is a function of the tokens.
+            assert allocated == max(kv.blocks_for(seq.prompt + block),
+                                    kv.blocks_for(seq.prompt + generated + 1))
+        # The next iteration after which the per-token loop's
+        # grow(prompt + generated + 1) needs a block (never the finishing one).
+        for after in range(generated + 1, seq.target):
+            if kv.blocks_for(seq.prompt + after + 1) > allocated:
+                expected.setdefault(seq.join + after, set()).add(seq)
+                break
+    filed = {epoch: set(bucket) for epoch, bucket in engine._calendar.items()}
+    assert filed == expected
+    # ... and no sequence is filed twice in its bucket.
+    assert sum(map(len, engine._calendar.values())) == sum(map(len, filed.values()))
+    assert sorted(entry[0] for entry in engine._finishing) == sorted(
+        seq.finish for seq in engine.running)
+    assert all(seq in engine.running for seq in engine._hooked)
 
-    workload = ShareGPTWorkload()
-    offsets = PoissonArrival(rate=6.0, seed=19).offsets(60)
-    golden = run_trace(False, workload.generate(SPEC_70B.name, num_requests=60),
-                       offsets)
-    monkeypatch.setattr(engine_mod, "_np", None)
-    macro = run_trace(True, workload.generate(SPEC_70B.name, num_requests=60),
-                      offsets)
+
+@settings(max_examples=25, deadline=None)
+@given(
+    macro=st.booleans(),
+    lengths=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=200),
+                  st.integers(min_value=1, max_value=200)),
+        min_size=1,
+        max_size=16,
+    ),
+    rate=st.floats(min_value=2.0, max_value=50.0),
+    block_size=st.sampled_from([1, 3, 16, 64]),
+    kv_capacity=st.one_of(st.none(), st.integers(min_value=600, max_value=2000)),
+    period=st.floats(min_value=0.03, max_value=0.7),
+)
+def test_property_kv_books_and_growth_calendar_stay_exact(
+        macro, lengths, rate, block_size, kv_capacity, period):
+    env = Environment()
+    engine = make_engine(env, macro, kv_capacity=kv_capacity, block_size=block_size)
+    events = []
+
+    def driver():
+        last = 0.0
+        offsets = PoissonArrival(rate=rate, seed=23).offsets(len(lengths))
+        for i, (request, offset) in enumerate(zip(fresh_requests(lengths), offsets)):
+            if offset > last:
+                yield env.timeout(offset - last)
+                last = offset
+            if i % 3 == 1:
+                request.stream = True
+                request.metadata[STREAM_CHANNEL_KEY] = StreamChannel(env)
+            events.append(engine.submit(request))
+
+    def probe():  # lands inside windows, between them and on idle stretches
+        while len(events) < len(lengths) or not engine.is_idle:
+            yield env.timeout(period)
+            check_batch_invariants(engine)
+
+    env.process(driver())
+    env.process(probe())
+    env.run()
+    check_batch_invariants(engine)
+    assert all(event.triggered for event in events)
+    assert engine.is_idle and engine.kv.used_blocks == 0
+    assert not engine._calendar and not engine._finishing and not engine._hooked
+
+
+@pytest.mark.parametrize("macro", [True, False])
+def test_kv_grow_is_called_only_at_block_boundaries(macro):
+    """O(changes), as an exact count: 64 equal sequences of 112 + 64 tokens
+    each cross three block boundaries before their last token (at tokens 16,
+    32, 48 of the output), and that is every ``kv.grow`` the per-token engine
+    makes — the walk-the-batch loop it replaces made 64 * 63 = 4032.  The
+    macro-stepped engine covers tokens 2..64 with one window whose sequences
+    all finish at its end, and so never grows at all."""
+    env = Environment()
+    engine = make_engine(env, macro)
+    calls = []
+    grow = engine.kv.grow
+
+    def counting_grow(seq_id, tokens):
+        calls.append(seq_id)
+        return grow(seq_id, tokens)
+
+    engine.kv.grow = counting_grow
+    events = [engine.submit(request) for request in fresh_requests([(112, 64)] * 64)]
+    env.run(until=env.all_of(events))
+    assert engine.stats.output_tokens == 64 * 64
+    assert len(calls) == (0 if macro else 64 * 3)
+
+
+def test_preempted_victim_was_due_to_finish_in_the_same_iteration():
+    """Four KV blocks, two sequences of two blocks each.  At iteration 16 the
+    first needs a third block and the only candidate victim is the second —
+    which would itself have produced its last token in this iteration, later
+    in the walk.  It is preempted, not completed, and restarts from scratch
+    every time it is readmitted until the first finishes.  Literals recorded
+    at the commit before the engine kept a completion heap."""
+    lengths, offsets = [(16, 40), (16, 16)], [0.0, 0.0]
+    golden = run_trace(False, fresh_requests(lengths), offsets, kv_capacity=64)
+    macro = run_trace(True, fresh_requests(lengths), offsets, kv_capacity=64)
     assert macro == golden
+    assert macro["stats"] == {
+        "submitted": 2, "completed": 2, "failed": 0, "preempted": 24,
+        "output_tokens": 71, "prompt_tokens": 32,
+        "busy_time_s": 0.7779734567049205, "peak_batch_size": 2}
+    assert (macro["allocation_failures"], macro["preemptions"]) == (24, 24)
+    assert [trace[6:] for trace in macro["results"]] == [
+        (0.0, 0.015227805926484903, 0.5746702885764563),
+        (0.5600802965107666, 0.015227805926484903, 0.7779734567049205)]
+
+
+def test_promptless_admission_inside_a_window_gets_its_first_token_at_the_boundary():
+    """A request with no prompt adds no prefill, so the iteration that admits
+    it may open a macro window: its first token time is that window's first
+    boundary, as in the per-token engine."""
+
+    def run(macro):
+        env = Environment()
+        engine = make_engine(env, macro)
+        events = [engine.submit(request) for request in fresh_requests([(100, 300)])]
+
+        def late(env):
+            yield env.timeout(1.0)
+            events.append(engine.submit(InferenceRequest(
+                "g-late", SPEC_70B.name, prompt_tokens=0, max_output_tokens=40)))
+
+        env.process(late(env))
+        env.run()
+        return [result_trace(event.value) for event in events], engine.stats.snapshot()
+
+    results, stats = run(True)
+    assert (results, stats) == run(False)
+    _id, _ok, _err, _prompt, _out, enqueued, admitted, first_token, _end = results[1]
+    step = PerformanceModel(SPEC_70B, 8, A100_40GB,
+                            node_spec=dgx_a100_spec()).decode_step_time_s(2)
+    assert enqueued == 1.0 < admitted and first_token == admitted + step
+
+
+@pytest.mark.parametrize("block_size,kv_capacity", [(1, 600), (1, None), (512, 4096)])
+def test_golden_trace_at_extreme_block_sizes(block_size, kv_capacity):
+    """One-token blocks (every iteration grows every sequence; a sequence
+    whose growth failed is two blocks short the next time) and blocks larger
+    than any output (nothing ever grows), with and without KV pressure."""
+    lengths = [(100, 200), (100, 150), (60, 120), (100, 100), (40, 60), (80, 90)]
+    offsets = [0.0, 0.0, 0.5, 0.5, 2.0, 2.0]
+    golden = run_trace(False, fresh_requests(lengths), offsets,
+                       kv_capacity=kv_capacity, block_size=block_size, stream_indices={2})
+    macro = run_trace(True, fresh_requests(lengths), offsets,
+                      kv_capacity=kv_capacity, block_size=block_size, stream_indices={2})
+    assert macro == golden
+    assert macro["kv_used"] == 0
+    assert (macro["preemptions"] > 0) == (kv_capacity == 600)
+    assert all(trace[1] for trace in macro["results"])
