@@ -77,6 +77,7 @@ class GatewayPipeline:
 
     def __init__(self, middlewares: Sequence[Middleware]):
         self.middlewares: List[Middleware] = list(middlewares)
+        self._span_names = [f"gateway.stage.{m.name}" for m in self.middlewares]
 
     def run(self, ctx: RequestContext):
         """Simulation process: drive ``ctx`` through every stage."""
@@ -100,8 +101,8 @@ class GatewayPipeline:
         # parent; `current` is restored on unwind so post-order code (cache
         # fill, accounting) is attributed to its own stage.
         prev = tctx.current
-        span = tctx.start_span(f"gateway.stage.{middleware.name}",
-                               parent=prev, layer="gateway")
+        span = tctx.start_span(self._span_names[index], parent=prev,
+                               layer="gateway")
         tctx.current = span
         try:
             yield from middleware.process(ctx, call_next)

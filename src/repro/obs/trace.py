@@ -15,6 +15,23 @@ no simulated-time spends, schedules no events and draws no random numbers,
 so simulation results are bit-identical with tracing on or off (pinned by
 golden-trace tests).
 
+Decode windows are the bulk of a trace and every sequence of a batch shares
+them, so they are not recorded per trace.  The engine keeps one *window log*
+(``(start, end, iterations)`` per executed advance) and a context only holds
+a **run**: opened with :meth:`TraceContext.open_run` (parent span id, log,
+index of the first window), closed with :meth:`TraceContext.close_run` into
+one row ``(parent_id, first span number, log, lo, hi)`` that sits among the
+:class:`Span` objects where its spans belong.  Any ``start_span`` on a
+context with an open run first takes the windows logged so far, so span ids,
+list order, the span cap and ``dropped_spans`` are exactly what recording a
+span per window would have produced.  Rows become ``Span`` objects when
+:attr:`TraceContext.spans` is read (``to_dict``, export, ``find_spans``) —
+once, in place; :class:`TraceShape` and :meth:`Tracer.finish` work from the
+rows, so a trace that is dropped is never expanded.  A row references the log
+segment it indexes (the engine starts a new list every 128 windows):
+retained traces keep the segments they decoded through alive, nothing else
+does.
+
 Retention is three-tier so interesting exemplars survive aggressive sampling:
 
 * **head sampling** — the keep/drop decision is made at ``begin`` time
@@ -116,8 +133,8 @@ class TraceContext:
     """
 
     __slots__ = ("trace_id", "env", "sampled", "recording", "started_at",
-                 "finished_at", "spans", "current", "max_spans",
-                 "dropped_spans", "_next_id")
+                 "finished_at", "current", "max_spans", "dropped_spans",
+                 "_next_id", "_rows", "_stored", "_run")
 
     def __init__(self, trace_id: str, env, sampled: bool, max_spans: int = 512,
                  recording: bool = True):
@@ -133,7 +150,14 @@ class TraceContext:
         self.recording = recording
         self.started_at = env.now
         self.finished_at: Optional[float] = None
-        self.spans: List[Span] = []
+        #: Recorded spans in order: :class:`Span` objects and, until someone
+        #: reads :attr:`spans`, closed decode-window runs as ``(parent_id,
+        #: first span number, window log, lo, hi)`` rows (module docstring).
+        self._rows: List[Any] = []
+        #: Spans the rows stand for (a run counts ``hi - lo``).
+        self._stored = 0
+        #: The open run ``(parent_id, window log, index of its next window)``.
+        self._run: Optional[Tuple[Optional[str], list, int]] = None
         #: Active gateway-pipeline span (see class docstring).
         self.current: Optional[Span] = None
         self.max_spans = max_spans
@@ -149,14 +173,18 @@ class TraceContext:
         Beyond ``max_spans`` the span object still works (callers never need
         to branch) but is not recorded; ``dropped_spans`` counts the loss.
         """
+        if self._run is not None:
+            # The windows decoded so far precede this span: number them now.
+            self._take_windows()
         span_id = f"s{self._next_id}"
         self._next_id += 1
         span = Span(name, span_id, parent.span_id if parent is not None else None,
                     layer, self.env.now if t is None else t)
         if attrs:
             span.attrs.update(attrs)
-        if len(self.spans) < self.max_spans:
-            self.spans.append(span)
+        if self._stored < self.max_spans:
+            self._rows.append(span)
+            self._stored += 1
         else:
             self.dropped_spans += 1
         return span
@@ -169,7 +197,69 @@ class TraceContext:
         """Record a point-in-time event on ``span``."""
         span.events.append((self.env.now if t is None else t, name, attrs))
 
+    # -- decode-window runs ------------------------------------------------
+    def open_run(self, parent_id: Optional[str], log: list, index: int) -> None:
+        """From ``log[index]`` on, every window the engine logs is one
+        ``engine.decode_window`` span of this trace under ``parent_id`` —
+        until :meth:`close_run`."""
+        self._run = (parent_id, log, index)
+
+    def close_run(self, upto: Optional[int] = None) -> None:
+        """End the open run (if any) before ``log[upto]`` (default: the
+        log's current end)."""
+        self._take_windows(upto)
+        self._run = None
+
+    def continue_run(self, log: list) -> None:
+        """Close the open run (if any) on its log and carry it on at the
+        start of ``log``, the engine's next log segment."""
+        if self._run is not None:
+            parent_id = self._run[0]
+            self._take_windows()
+            self._run = (parent_id, log, 0)
+
+    def _take_windows(self, upto: Optional[int] = None) -> None:
+        """Turn the open run's windows up to ``upto`` into one row, with the
+        span numbers, cap accounting and list position eager recording of
+        each window would have produced; the run continues after them."""
+        if self._run is None:
+            return
+        parent_id, log, lo = self._run
+        hi = len(log) if upto is None else upto
+        count = hi - lo
+        if count <= 0:
+            return
+        self._run = (parent_id, log, hi)
+        keep = min(count, self.max_spans - self._stored)
+        if keep > 0:
+            self._rows.append((parent_id, self._next_id, log, lo, lo + keep))
+            self._stored += keep
+        self.dropped_spans += count - keep
+        self._next_id += count
+
     # -- queries -----------------------------------------------------------
+    @property
+    def spans(self) -> List[Span]:
+        """Every recorded span, in recording order.  Reading expands run
+        rows into :class:`Span` objects, once, in place."""
+        self._take_windows()
+        if any(type(row) is tuple for row in self._rows):
+            rows: List[Any] = []
+            for row in self._rows:
+                if type(row) is tuple:
+                    parent_id, number, log, lo, hi = row
+                    for start, end, iterations in log[lo:hi]:
+                        span = Span("engine.decode_window", f"s{number}",
+                                    parent_id, "engine", start)
+                        span.end = end
+                        span.attrs["iterations"] = iterations
+                        rows.append(span)
+                        number += 1
+                else:
+                    rows.append(row)
+            self._rows = rows
+        return self._rows
+
     @property
     def duration_s(self) -> float:
         end = self.finished_at if self.finished_at is not None else self.env.now
@@ -233,10 +323,15 @@ class TraceShape:
 
     @classmethod
     def from_context(cls, ctx: "TraceContext") -> "TraceShape":
+        ctx._take_windows()
         errors = 0
         layers: Set[str] = set()
         clusters: Set[str] = set()
-        for span in ctx.spans:
+        for span in ctx._rows:
+            if type(span) is tuple:
+                # A packed run: ``ok`` engine-layer windows, no cluster attrs.
+                layers.add("engine")
+                continue
             if span.status != "ok":
                 errors += 1
             if span.layer:
@@ -247,7 +342,7 @@ class TraceShape:
         return cls(
             trace_id=ctx.trace_id,
             duration_s=ctx.duration_s,
-            span_count=len(ctx.spans),
+            span_count=ctx._stored,
             dropped_spans=ctx.dropped_spans,
             error_spans=errors,
             layers=tuple(sorted(layers)),

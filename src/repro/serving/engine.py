@@ -44,9 +44,19 @@ engine results do not depend on the choice.
   the per-sequence reference walk (:meth:`_advance_under_pressure`): same
   order, same ``grow`` calls, same preemption victim and failure accounting;
   heap and calendar are then rebuilt from the survivors.
-* **Hooked subset.**  Only sequences with a trace or a stream channel are
-  visited per iteration or window (``_hooked``); ``_fresh`` carries
-  just-admitted sequences to their first token time.
+* **Hooked subset.**  Only sequences with a stream channel are visited per
+  iteration or window (``_hooked``); ``_fresh`` carries just-admitted
+  sequences to their first token time.
+* **Window log.**  A traced sequence is not visited either.  While any is
+  running (``_traced``), each executed advance appends one ``(start, end,
+  iterations)`` entry to ``_window_log``; a sequence opens a *run* on its
+  :class:`~repro.obs.trace.TraceContext` at its first token or readmission
+  ("my decode windows are the log's entries from here on") and closes it
+  when it finishes, fails, is preempted or the engine stops.  The context
+  turns the run into ``engine.decode_window`` spans only if the trace is
+  read.  The log is cut into segments of ``_LOG_SEGMENT`` entries, open runs
+  moving on to the new one, so a retained trace pins the segments it
+  decoded through and a dropped one nothing.
 
 A macro-step window ends at the earliest of:
 
@@ -105,6 +115,9 @@ from .textgen import SyntheticTextGenerator
 from .timing import PerformanceModel
 
 __all__ = ["EngineConfig", "EngineStats", "ContinuousBatchingEngine"]
+
+#: Entries per window-log segment (see ``_log_window``).
+_LOG_SEGMENT = 128
 
 
 @dataclass
@@ -173,7 +186,8 @@ class _Sequence:
         "stream_times",
         "stream_texts",
         "trace",
-        "trace_spans",
+        "trace_root",
+        "trace_phase",
     )
 
     def __init__(self, request: InferenceRequest, event: Event, enqueue_time: float):
@@ -198,9 +212,11 @@ class _Sequence:
             request.metadata.get(STREAM_CHANNEL_KEY) if request.stream else None
         )
         #: Observability: TraceContext riding the request metadata (or None),
-        #: and this sequence's open engine-layer spans keyed by phase.
+        #: this sequence's open ``engine.request`` span and, under it, the
+        #: open queue-wait or prefill span (None while it decodes).
         self.trace = request.metadata.get(TRACE_KEY)
-        self.trace_spans = None
+        self.trace_root = None
+        self.trace_phase = None
         #: High-water mark of tokens already streamed, so a preempted sequence
         #: that recomputes from scratch does not re-emit chunks the consumer
         #: has already seen.
@@ -272,10 +288,14 @@ class ContinuousBatchingEngine:
         self._finishing: List[Tuple[int, int, _Sequence]] = []
         #: Epoch -> sequences whose KV allocation grows right after it.
         self._calendar: Dict[int, List[_Sequence]] = {}
-        #: Running sequences with a trace or a stream channel, in admission
-        #: order, and the just-admitted ones still waiting for a first token.
+        #: Running sequences with a stream channel, in admission order, and
+        #: the just-admitted ones still waiting for a first token.
         self._hooked: Dict[_Sequence, None] = {}
         self._fresh: List[_Sequence] = []
+        #: Running sequences with a trace, and the current segment of the
+        #: window log their decode-window runs index into.
+        self._traced: Dict[_Sequence, None] = {}
+        self._window_log: List[Tuple[float, float, int]] = []
         self._idle: Optional[Event] = None
         self._window: Optional[_Window] = None
         self._stopped = False
@@ -293,14 +313,11 @@ class ContinuousBatchingEngine:
         if trace is not None:
             # `current` is the caller's active span (the gateway's dispatch
             # stage, still suspended) — the whole engine subtree hangs off it.
-            root = trace.start_span("engine.request", parent=trace.current,
-                                    layer="engine",
-                                    attrs={"instance": self.instance_id})
-            seq.trace_spans = {
-                "request": root,
-                "queue": trace.start_span("engine.queue_wait", parent=root,
-                                          layer="engine"),
-            }
+            seq.trace_root = root = trace.start_span(
+                "engine.request", parent=trace.current, layer="engine",
+                attrs={"instance": self.instance_id})
+            seq.trace_phase = trace.start_span("engine.queue_wait", parent=root,
+                                               layer="engine")
         self.waiting.append(seq)
         self.stats.submitted += 1
         self.stats.prompt_tokens += request.prompt_tokens
@@ -362,7 +379,7 @@ class ContinuousBatchingEngine:
         self.stats.failed += failed
         self.waiting.clear()
         for batch_state in (self.running, self._finishing, self._calendar,
-                            self._hooked, self._fresh):
+                            self._hooked, self._fresh, self._traced):
             batch_state.clear()
         self._notify()
 
@@ -504,7 +521,7 @@ class ContinuousBatchingEngine:
             heappush(self._finishing, (seq.finish, self._admissions, seq))
             self._admissions += 1
             running[seq] = None
-            if seq.trace is not None or seq.stream_channel is not None:
+            if seq.stream_channel is not None:
                 self._hooked[seq] = None
             if seq.first_token_time is None:
                 # A readmitted victim keeps its first token time: its next
@@ -626,26 +643,26 @@ class ContinuousBatchingEngine:
 
         The caller has established that every KV growth on the way fits
         (:meth:`_growth_demand`).  Only sequences that change are touched:
-        hooked ones, fresh ones, those due in the growth calendar and those
+        streamed ones, fresh ones, those due in the growth calendar and those
         finishing at the new epoch (possible only at a window's last boundary).
         """
         first = boundaries[lo]
-        last = boundaries[lo + n - 1]
+        if self._traced:
+            self._log_window(first - step, boundaries[lo + n - 1], n)
         for seq in self._hooked:
             before = self._epoch - seq.join
             seq.generated = before + n
-            # Per-token, a first token is the prefill's output and opens no
-            # decode window; a window is recorded whole.
-            if seq.trace is not None and (windowed or seq.first_token_time is not None):
-                self._trace_decode(seq, first - step, last, n)
-            if seq.stream_channel is not None and seq.generated > seq.streamed:
+            if seq.generated > seq.streamed:
                 if windowed:
                     self._publish_window_tokens(seq, before, boundaries, lo)
                 else:
                     self._publish_token(seq, first)
         for seq in self._fresh:
             seq.first_token_time = first
-            self._trace_end(seq, "prefill", t=first)
+            if seq.trace is not None:
+                # Per-token, a first token is the prefill's output and opens
+                # no decode window; a window is recorded whole.
+                self._trace_first_token(seq, first, skip=not windowed)
         self._fresh.clear()
         due = self._due_epochs(self._epoch + n)
         self._epoch = epoch = self._epoch + n
@@ -682,6 +699,10 @@ class ContinuousBatchingEngine:
         now = self.env.now
         stats = self.stats
         kv = self.kv
+        if self._traced:
+            # Logged up front: a victim preempted before the walk reaches it
+            # closes its run short of this entry (_handle_kv_pressure).
+            self._log_window(now - step, now, 1)
         #: Sequences that left the batch during this iteration (preempted,
         #: failed, or finished).
         inactive: Set[_Sequence] = set()
@@ -695,11 +716,10 @@ class ContinuousBatchingEngine:
             stats.output_tokens += 1
             if seq.first_token_time is None:
                 # The first token is the prefill's output, not a decode
-                # window: close the prefill span and emit no window for it.
+                # window: close the prefill span, the run starts after it.
                 seq.first_token_time = now
-                self._trace_end(seq, "prefill", t=now)
-            elif seq.trace is not None:
-                self._trace_decode(seq, now - step, now, 1)
+                if seq.trace is not None:
+                    self._trace_first_token(seq, now, skip=True)
             if seq.stream_channel is not None and seq.generated > seq.streamed:
                 self._publish_token(seq, now)
             if seq.generated >= seq.target:
@@ -738,31 +758,38 @@ class ContinuousBatchingEngine:
     def _trace_admit(self, seq: _Sequence) -> None:
         """Close the queue-wait span and open the prefill span."""
         trace = seq.trace
-        spans = seq.trace_spans
-        self._trace_end(seq, "queue")
-        root = spans.get("request")
-        if root is not None:
-            trace.event(root, "engine.admitted")
-        spans["prefill"] = trace.start_span("engine.prefill", parent=root,
-                                            layer="engine")
+        root = seq.trace_root
+        trace.end_span(seq.trace_phase)
+        trace.event(root, "engine.admitted")
+        seq.trace_phase = trace.start_span("engine.prefill", parent=root,
+                                           layer="engine")
+        self._traced[seq] = None
+        if seq.first_token_time is not None:
+            # A readmitted victim decodes from its next iteration on.
+            trace.open_run(root.span_id, self._window_log, len(self._window_log))
 
-    def _trace_end(self, seq: _Sequence, key: str, t: Optional[float] = None) -> None:
-        """End one of the sequence's open phase spans, if recording."""
-        if seq.trace is None or seq.trace_spans is None:
-            return
-        span = seq.trace_spans.pop(key, None)
-        if span is not None:
-            seq.trace.end_span(span, t=t)
+    def _trace_first_token(self, seq: _Sequence, t: float, skip: bool) -> None:
+        """End the prefill span at ``t`` and open the sequence's run of decode
+        windows: after the window just logged (``skip``), or with it."""
+        seq.trace.end_span(seq.trace_phase, t=t)
+        seq.trace_phase = None
+        log = self._window_log
+        seq.trace.open_run(seq.trace_root.span_id, log,
+                           len(log) if skip else len(log) - 1)
 
-    def _trace_decode(self, seq: _Sequence, start: float, end: float,
-                      iterations: int) -> None:
-        """Record one (macro or per-token) decode window as a complete span."""
-        trace = seq.trace
-        span = trace.start_span("engine.decode_window",
-                                parent=seq.trace_spans.get("request"),
-                                layer="engine",
-                                attrs={"iterations": iterations}, t=start)
-        trace.end_span(span, t=end)
+    def _log_window(self, start: float, end: float, iterations: int) -> None:
+        """Record one executed advance for every traced sequence at once.
+
+        The log is cut into segments so that a retained trace pins the
+        segments its runs index, not the whole run's windows: when one fills
+        up, the open runs are closed on it and continue on a new one.
+        """
+        log = self._window_log
+        if len(log) >= _LOG_SEGMENT:
+            self._window_log = log = []
+            for seq in self._traced:
+                seq.trace.continue_run(log)
+        log.append((start, end, iterations))
 
     # -- streaming ---------------------------------------------------------------
     def _publish_token(self, seq: _Sequence, now: float) -> None:
@@ -823,8 +850,13 @@ class ContinuousBatchingEngine:
     def _handle_kv_pressure(self, needy: _Sequence, inactive: Set[_Sequence]) -> None:
         """Preempt the most recently admitted other sequence to free blocks."""
         victim = None
+        #: Whether this iteration's walk has already passed the victim (it
+        #: has once the reverse scan meets ``needy``, the walk's position).
+        visited = False
         for seq in reversed(self.running):
-            if seq is not needy and seq not in inactive:
+            if seq is needy:
+                visited = True
+            elif seq not in inactive:
                 victim = seq
                 break
         if victim is None:
@@ -840,11 +872,15 @@ class ContinuousBatchingEngine:
         victim.admit_time = None
         if victim.trace is not None:
             trace = victim.trace
-            self._trace_end(victim, "prefill")
-            root = victim.trace_spans.get("request")
-            if root is not None:
-                trace.event(root, "engine.preempted")
-            victim.trace_spans["queue"] = trace.start_span(
+            del self._traced[victim]
+            # This iteration's window (the log's last entry) is the victim's
+            # only if the walk produced its token before preempting it.
+            trace.close_run(None if visited else len(self._window_log) - 1)
+            if victim.trace_phase is not None:  # still waiting for its first token
+                trace.end_span(victim.trace_phase)
+            root = victim.trace_root
+            trace.event(root, "engine.preempted")
+            victim.trace_phase = trace.start_span(
                 "engine.queue_wait", parent=root, layer="engine")
         self.waiting.appendleft(victim)
 
@@ -860,17 +896,19 @@ class ContinuousBatchingEngine:
 
     def _close_seq_spans(self, seq: _Sequence, error: Optional[str] = None) -> None:
         """End every still-open engine span for a terminating sequence."""
-        trace = seq.trace
-        if trace is None or seq.trace_spans is None:
+        root = seq.trace_root
+        if root is None:
             return
-        self._trace_end(seq, "queue")
-        self._trace_end(seq, "prefill")
-        root = seq.trace_spans.pop("request", None)
-        if root is not None:
-            if error is not None:
-                root.status = f"error:{error}"
-            root.attrs["output_tokens"] = seq.generated
-            trace.end_span(root)
+        trace = seq.trace
+        seq.trace_root = None
+        self._traced.pop(seq, None)
+        trace.close_run()
+        if seq.trace_phase is not None:  # a queue wait or prefill cut short
+            trace.end_span(seq.trace_phase)
+        if error is not None:
+            root.status = f"error:{error}"
+        root.attrs["output_tokens"] = seq.generated
+        trace.end_span(root)
 
     def _make_result(self, seq: _Sequence, success: bool, error: Optional[str] = None) -> InferenceResult:
         self._close_seq_spans(seq, error=None if success else error)

@@ -6,10 +6,11 @@ per-request timings, same stats, same KV accounting, same preemptions.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import A100_40GB, dgx_a100_spec
+from repro.obs.trace import TRACE_KEY, TraceContext
 from repro.serving import (
     ContinuousBatchingEngine,
     EngineConfig,
@@ -635,7 +636,11 @@ def check_batch_invariants(engine):
     assert sum(map(len, engine._calendar.values())) == sum(map(len, filed.values()))
     assert sorted(entry[0] for entry in engine._finishing) == sorted(
         seq.finish for seq in engine.running)
-    assert all(seq in engine.running for seq in engine._hooked)
+    # Only streams are walked per advance; traces ride the shared window log.
+    assert all(seq in engine.running and seq.stream_channel is not None
+               for seq in engine._hooked)
+    assert set(engine._traced) == {seq for seq in engine.running
+                                   if seq.trace is not None}
 
 
 @settings(max_examples=25, deadline=None)
@@ -682,6 +687,7 @@ def test_property_kv_books_and_growth_calendar_stay_exact(
     assert all(event.triggered for event in events)
     assert engine.is_idle and engine.kv.used_blocks == 0
     assert not engine._calendar and not engine._finishing and not engine._hooked
+    assert not engine._traced
 
 
 @pytest.mark.parametrize("macro", [True, False])
@@ -771,3 +777,163 @@ def test_golden_trace_at_extreme_block_sizes(block_size, kv_capacity):
     assert macro["kv_used"] == 0
     assert (macro["preemptions"] > 0) == (kv_capacity == 600)
     assert all(trace[1] for trace in macro["results"])
+
+
+# -- traced sequences: the shared window log and lazy span runs -------------------
+
+def run_traced(macro, arrivals, untraced, kv_capacity, stop_at, period):
+    """Drive ``(prompt, output, gap, stream)`` arrivals (``stream`` one of
+    ``None``, ``"unread"``, ``"live"``), traced unless indexed by
+    ``untraced``, through one engine with :func:`check_batch_invariants`
+    probing every ``period``; returns the results, each traced request's
+    ``to_dict()`` with its result, and the tokens the engine counted."""
+    env = Environment()
+    engine = make_engine(env, macro, kv_capacity=kv_capacity)
+    events, traces = [], {}
+
+    def read(channel):
+        while (yield channel.get()) is not None:
+            pass
+
+    def driver():
+        for i, (prompt, output, gap, stream) in enumerate(arrivals):
+            if gap:
+                yield env.timeout(gap)
+            request = InferenceRequest(f"t-{i}", SPEC_70B.name, prompt_tokens=prompt,
+                                       max_output_tokens=output)
+            if stream is not None:
+                request.stream = True
+                channel = request.metadata[STREAM_CHANNEL_KEY] = StreamChannel(env)
+                if stream == "live":
+                    env.process(read(channel))
+            if i not in untraced:
+                # No cap: a much-preempted request recomputes many windows.
+                traces[i] = request.metadata[TRACE_KEY] = TraceContext(
+                    f"t-{i}", env, sampled=True, max_spans=1 << 30)
+            events.append(engine.submit(request))
+        if stop_at is not None:
+            yield env.timeout(stop_at)
+            engine.stop()
+
+    def probe():
+        while len(events) < len(arrivals) or not engine.is_idle:
+            yield env.timeout(period)
+            check_batch_invariants(engine)
+
+    env.process(driver())
+    env.process(probe())
+    env.run()
+    assert not engine._hooked and not engine._traced
+    results = [result_trace(event.value) for event in events]
+    return results, {i: (trace.to_dict(), events[i].value)
+                     for i, trace in traces.items()}, engine.stats.output_tokens
+
+
+def check_decode_windows(trace, result):
+    """What holds of one engine-level trace in either stepping mode; returns
+    its non-window spans and the extent of its windows."""
+    spans = trace["spans"]
+    assert [span["span_id"] for span in spans] == [f"s{i}" for i in range(len(spans))]
+    root = spans[0]
+    assert root["name"] == "engine.request" and trace["dropped_spans"] == 0
+    windows = [span for span in spans if span["name"] == "engine.decode_window"]
+    for window in windows:
+        assert (window["parent_id"], window["layer"], window["status"]) == (
+            "s0", "engine", "ok")
+        assert window["attrs"]["iterations"] >= 1 and window["end"] > window["start"]
+    gaps = [after["start"] - before["end"] for before, after in zip(windows, windows[1:])]
+    assert all(gap > -1e-9 for gap in gaps)  # in order, never overlapping
+    if not any(event["name"] == "engine.preempted" for event in root["events"]):
+        # One unbroken run: the first token is the prefill's, every later one
+        # is an iteration of exactly one window.
+        assert all(gap < 1e-9 for gap in gaps)
+        assert sum(window["attrs"]["iterations"] for window in windows) == max(
+            0, result.output_tokens - 1)
+    phases = [(span["name"], span["parent_id"], span["start"], span["end"],
+               span["status"], span["attrs"], span["events"])
+              for span in spans if span["name"] != "engine.decode_window"]
+    extent = (sum(window["attrs"]["iterations"] for window in windows),
+              windows[0]["start"] if windows else None,
+              windows[-1]["end"] if windows else None)
+    return phases, extent
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    arrivals=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=200),    # prompt tokens
+                  st.integers(min_value=1, max_value=150),    # output tokens
+                  st.floats(min_value=0.0, max_value=1.5),    # gap to the previous
+                  st.sampled_from([None, None, "unread", "live"])),
+        min_size=1,
+        max_size=10,
+    ),
+    untraced=st.sets(st.integers(min_value=0, max_value=9), max_size=3),
+    kv_capacity=st.one_of(st.none(), st.integers(min_value=400, max_value=1500)),
+    stop_after=st.one_of(st.none(), st.floats(min_value=0.01, max_value=8.0)),
+    period=st.floats(min_value=0.03, max_value=0.7),
+)
+# The fingerprint ledger's starved pool, every request traced: 28 preemptions,
+# victims ahead of and behind the walk, an unread and a live stream among them.
+@example(arrivals=[(100, 400, 0.0, None), (100, 300, 0.0, "unread"),
+                   (100, 250, 0.5, "live"), (60, 120, 0.0, None),
+                   (100, 300, 4.5, None), (40, 60, 0.0, None), (80, 200, 4.0, None)],
+         untraced=set(), kv_capacity=900, stop_after=None, period=0.5)
+# Two sequences that thrash until the stop: 509 tokens hold either, not both.
+@example(arrivals=[(190, 147, 1.4, None), (174, 143, 0.0, "unread"),
+                   (40, 29, 0.0, "unread"), (80, 141, 0.9, None),
+                   (13, 43, 0.0, "live"), (59, 45, 0.0, "unread"),
+                   (123, 95, 1.2, "live")],
+         untraced={6}, kv_capacity=509, stop_after=20.0, period=0.25)
+def test_property_decode_window_runs_are_what_eager_spans_were(
+        arrivals, untraced, kv_capacity, stop_after, period):
+    """Decode windows come off a log shared by the batch, as lazily numbered
+    runs: whatever is preempted, streamed, stopped or cut by an arrival, each
+    trace's windows tile its decode time, a macro window is one span where
+    the per-token engine records one per token, and every other span is the
+    same span in both modes."""
+    # Always stopped, if only long after a healthy run has gone idle: in a
+    # small pool two growing sequences can evict each other for ever (each
+    # restarts from scratch), on the parent engine as on this one.
+    stop_after = 60.0 if stop_after is None else stop_after
+    runs = [run_traced(macro, arrivals, untraced, kv_capacity, stop_after, period)
+            for macro in (True, False)]
+    assert runs[0][0] == runs[1][0]
+    checked = [{i: check_decode_windows(trace, result)
+                for i, (trace, result) in traces.items()}
+               for _results, traces, _tokens in runs]
+    assert checked[0] == checked[1]
+    if len(checked[0]) == len(arrivals):
+        # Every request traced: each token the engine counted is some
+        # request's first (the prefill's output) or one iteration of one of
+        # its windows — a preemption victim the iteration's walk had not
+        # reached yet must not be given that iteration's window.
+        for (results, _traces, tokens), windows in zip(runs, checked):
+            first_tokens = sum(1 for result in results if result[7])
+            assert tokens == first_tokens + sum(
+                extent[0] for _phases, extent in windows.values())
+
+
+def test_retained_trace_pins_only_the_log_segments_its_runs_index():
+    """A short traced request beside a long one, stepped per token: the engine
+    logs over a thousand windows, the short trace's rows hold two segments at
+    most — a dropped trace holds none, a kept one not the whole run."""
+    from repro.serving.engine import _LOG_SEGMENT
+
+    env = Environment()
+    engine = make_engine(env, macro=False)
+    traces = []
+    for request in fresh_requests([(100, 1200), (100, 150)]):
+        traces.append(TraceContext(request.request_id, env, sampled=True,
+                                   max_spans=1 << 30))
+        request.metadata[TRACE_KEY] = traces[-1]
+        engine.submit(request)
+    env.run()
+    for trace, windows in zip(traces, (1199, 149)):
+        runs = [row for row in trace._rows if type(row) is tuple]
+        segments = {id(row[2]): row[2] for row in runs}
+        assert all(len(segment) <= _LOG_SEGMENT for segment in segments.values())
+        assert len(segments) <= windows // _LOG_SEGMENT + 2
+        assert sum(hi - lo for _parent, _number, _log, lo, hi in runs) == windows
+        assert len(trace.find_spans("engine.decode_window")) == windows
+        assert not any(type(row) is tuple for row in trace._rows)  # expanded once
