@@ -8,7 +8,7 @@ worker counts and reports:
   (``workers=1``) fallback, plus the window/sync-overhead breakdown
   (windows planned, micro-windows, boundary messages, advance vs sync wall);
 * the merged run fingerprint, which must be **bit-identical for every
-  worker count** (and, in quick mode, across kernel queue backends);
+  worker count**;
 * the zero-lookahead ping-ring null-message exercise — the conservative
   scheme's deadlock worst case — which must terminate with identical logs
   serial and parallel.
@@ -61,8 +61,6 @@ FULL_WORKERS = [1, 2, 4]
 QUICK = {"clusters": 2, "num_requests": 1000, "rate": 8.0}
 QUICK_WORKERS = [1, 2]
 
-QUEUE_BACKENDS = ["heap", "calendar", "packed"]
-
 #: Fraction of the committed baseline speedup a --check run must retain.
 REGRESSION_TOLERANCE = 0.8
 #: Absolute speedup floors, armed only for the *full* scenario and only
@@ -82,12 +80,12 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def build_scenario(config: dict, kernel_queue: str = "heap") -> FederatedScenario:
+def build_scenario(config: dict) -> FederatedScenario:
     shards = [ClusterShardSpec(name=f"cluster{i}")
               for i in range(config["clusters"])]
     return FederatedScenario(clusters=shards,
                              num_requests=config["num_requests"],
-                             rate=config["rate"], kernel_queue=kernel_queue)
+                             rate=config["rate"])
 
 
 def run_scenario(name: str, config: dict, workers_list) -> dict:
@@ -135,18 +133,6 @@ def run_scenario(name: str, config: dict, workers_list) -> dict:
     }
 
 
-def run_backend_identity(config: dict) -> dict:
-    """Every kernel queue backend must produce the same simulated results."""
-    fingerprints = {
-        backend: PartitionedDeployment(
-            build_scenario(config, kernel_queue=backend)).run().fingerprint
-        for backend in QUEUE_BACKENDS
-    }
-    identical = len(set(fingerprints.values())) == 1
-    print(f"  queue backends {QUEUE_BACKENDS} identical: {identical}")
-    return {"fingerprints": fingerprints, "identical": identical}
-
-
 def run_ping_check(partitions: int = 3, hops: int = 30) -> dict:
     """Zero-lookahead null-message exercise: must terminate, identically."""
     start = time.perf_counter()
@@ -171,9 +157,6 @@ def correctness_failures(entry: dict) -> list:
     failures = []
     if not entry["fingerprints_identical"]:
         failures.append("fingerprints differ across worker counts")
-    backend = entry.get("backend_identity")
-    if backend is not None and not backend["identical"]:
-        failures.append("kernel queue backends diverge")
     if not entry["ping"]["ok"]:
         failures.append("zero-lookahead ping ring diverged or deadlocked")
     return failures
@@ -215,13 +198,9 @@ def speedup_failures(entry: dict, cpus: int, baseline_entry: dict = None,
     return failures
 
 
-def run_entry(name: str, config: dict, workers_list, cpus: int,
-              with_backends: bool) -> dict:
+def run_entry(name: str, config: dict, workers_list, cpus: int) -> dict:
     entry = run_scenario(name, config, workers_list)
     entry["cpu_count"] = cpus
-    if with_backends:
-        entry["backend_identity"] = run_backend_identity(
-            {**config, "num_requests": min(config["num_requests"], 40)})
     entry["ping"] = run_ping_check()
     return entry
 
@@ -244,10 +223,8 @@ def main(argv=None) -> int:
     if args.write:
         baseline = {
             "cpu_count": cpus,
-            "full": run_entry("federation-full", FULL, FULL_WORKERS, cpus,
-                              with_backends=False),
-            "quick": run_entry("federation-quick", QUICK, QUICK_WORKERS, cpus,
-                               with_backends=True),
+            "full": run_entry("federation-full", FULL, FULL_WORKERS, cpus),
+            "quick": run_entry("federation-quick", QUICK, QUICK_WORKERS, cpus),
         }
         failures = (correctness_failures(baseline["full"])
                     + correctness_failures(baseline["quick"])
@@ -265,8 +242,7 @@ def main(argv=None) -> int:
     key = "quick" if args.quick else "full"
     config = QUICK if args.quick else FULL
     workers_list = QUICK_WORKERS if args.quick else FULL_WORKERS
-    entry = run_entry(f"federation-{key}", config, workers_list, cpus,
-                      with_backends=args.quick)
+    entry = run_entry(f"federation-{key}", config, workers_list, cpus)
 
     failures = correctness_failures(entry)
     baseline_entry = None

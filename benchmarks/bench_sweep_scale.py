@@ -1,7 +1,7 @@
 """Sweep-plane scale benchmark: a million-request grid, sharded across workers.
 
 Expands one declarative grid (:class:`repro.sweep.SweepSpec`) of engine-level
-cells — offered rates × kernel queue backends × workload seeds — into ≥1M
+cells — offered rates × workload seeds — into ≥1M
 simulated requests (full mode), runs it under :class:`repro.sweep.SweepRunner`
 at several worker counts, and reports:
 
@@ -9,10 +9,7 @@ at several worker counts, and reports:
 * one merged :class:`repro.metrics.MergeableSummary` over every shard
   (log-bucket quantiles, associative merge) — with its fingerprint, which
   must be **bit-identical for every worker count** (cells are merged in cell
-  order and cell RNG streams are keyed by cell key, never by scheduling);
-* per-(rate, seed) fingerprint identity between the ``heap`` and
-  ``calendar`` kernel queue backends — the kernel's bit-identical-trace
-  invariant, revalidated at million-request scale.
+  order and cell RNG streams are keyed by cell key, never by scheduling).
 
 Usage::
 
@@ -45,17 +42,15 @@ from repro.sweep import SweepRunner, SweepSpec  # noqa: E402
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_sweep.json"
 MODEL = "meta-llama/Llama-3.1-8B-Instruct"
 
-QUEUE_BACKENDS = ["heap", "calendar"]
-
 #: Full grid: 12 cells x 87,500 requests = 1,050,000 simulated requests.
-FULL_GRID = {"rates": [8.0, 32.0, 64.0], "seeds": [0, 1],
+FULL_GRID = {"rates": [8.0, 32.0, 64.0], "seeds": [0, 1, 2, 3],
              "requests_per_cell": 87_500}
 FULL_WORKERS = [1, 2, 4]
 
 #: CI smoke grid: 8 cells x 6,250 requests = 50,000 requests — big enough
 #: that two real CPUs beat the worker-pool spawn overhead, small enough for
 #: a PR gate.
-QUICK_GRID = {"rates": [8.0, 64.0], "seeds": [0, 1],
+QUICK_GRID = {"rates": [8.0, 64.0], "seeds": [0, 1, 2, 3],
               "requests_per_cell": 6_250}
 QUICK_WORKERS = [1, 2]
 
@@ -82,24 +77,8 @@ def build_grid(name: str, rates, seeds, requests_per_cell: int) -> SweepSpec:
         name,
         runner="engine",
         base={"model": MODEL, "num_requests": requests_per_cell},
-        axes={"rate": rates, "kernel_queue": QUEUE_BACKENDS, "seed": seeds},
+        axes={"rate": rates, "seed": seeds},
     )
-
-
-def queue_identity_failures(result) -> list:
-    """Heap and calendar cells of the same (rate, seed) must be bit-identical."""
-    failures = []
-    by_key = {r.key: r for r in result if r.ok}
-    for key, shard in by_key.items():
-        if "/kernel_queue=heap/" not in key:
-            continue
-        twin = by_key.get(key.replace("/kernel_queue=heap/", "/kernel_queue=calendar/"))
-        if twin is None:
-            continue
-        if (shard.payload["mergeable"].fingerprint()
-                != twin.payload["mergeable"].fingerprint()):
-            failures.append(f"{key}: heap and calendar shards diverge")
-    return failures
 
 
 def run_grid(name: str, grid: dict, workers_list, progress: bool = False) -> dict:
@@ -112,7 +91,6 @@ def run_grid(name: str, grid: dict, workers_list, progress: bool = False) -> dic
     runs = {}
     fingerprints = {}
     merged_summary = None
-    identity_failures: list = []
     for workers in workers_list:
         result = SweepRunner(workers=workers, progress=progress).run(cells)
         if not result.ok:
@@ -125,7 +103,6 @@ def run_grid(name: str, grid: dict, workers_list, progress: bool = False) -> dic
         runs[str(workers)] = {"wall_s": round(result.wall_s, 3)}
         if merged_summary is None:
             merged_summary = merged.to_benchmark_summary()
-            identity_failures = queue_identity_failures(result)
         print(f"  workers={workers}: wall={result.wall_s:7.2f}s "
               f"({total_requests / result.wall_s:,.0f} req/s-wall) "
               f"fingerprint={fingerprints[workers][:16]}")
@@ -136,22 +113,16 @@ def run_grid(name: str, grid: dict, workers_list, progress: bool = False) -> dic
     identical = len(set(fingerprints.values())) == 1
     print(f"  merged: {merged_summary.row()}")
     print(f"  merge fingerprints identical across worker counts: {identical}")
-    print(f"  heap/calendar shard identity: "
-          f"{'OK' if not identity_failures else 'FAIL'}")
-    for failure in identity_failures:
-        print(f"    {failure}")
     speedups = ", ".join(f"{w}w={runs[str(w)]['speedup']:.2f}x" for w in workers_list)
     print(f"  speedup vs 1 worker: {speedups}")
     return {
-        "grid": {"model": MODEL, "rates": grid["rates"],
-                 "kernel_queues": QUEUE_BACKENDS, "seeds": grid["seeds"],
+        "grid": {"model": MODEL, "rates": grid["rates"], "seeds": grid["seeds"],
                  "requests_per_cell": grid["requests_per_cell"]},
         "cells": len(cells),
         "total_requests": total_requests,
         "runs": runs,
         "fingerprint": fingerprints[workers_list[0]],
         "fingerprints_identical": identical,
-        "queue_identity_failures": identity_failures,
         "merged": {
             "num_requests": merged_summary.num_requests,
             "throughput_req_s": round(merged_summary.request_throughput, 3),
@@ -162,11 +133,9 @@ def run_grid(name: str, grid: dict, workers_list, progress: bool = False) -> dic
 
 
 def correctness_failures(entry: dict) -> list:
-    failures = []
     if not entry["fingerprints_identical"]:
-        failures.append("merged fingerprints differ across worker counts")
-    failures.extend(entry["queue_identity_failures"])
-    return failures
+        return ["merged fingerprints differ across worker counts"]
+    return []
 
 
 def speedup_failures(entry: dict, cpus: int, baseline_entry: dict = None) -> list:

@@ -20,12 +20,8 @@ def main() -> None:
     # 1. Deploy the service: a small 2-node cluster hosting two chat models
     #    and an embedding model behind the gateway.
     #
-    #    The whole deployment runs on the from-scratch DES kernel.  Its
-    #    pending-event structure is pluggable — `Environment(queue="heap")`
-    #    (default), `"calendar"`, `"packed"` or `"auto"`; at this layer
-    #    pass `DeploymentConfig(kernel_queue=...)`.  Results are
-    #    bit-identical either way, only wall-clock differs — §12 below
-    #    says which to pick.
+    #    The whole deployment runs on the from-scratch DES kernel
+    #    (`repro.sim.Environment`: a clock and one binary-heap event queue).
     deployment = FIRSTDeployment.quickstart()
     print("Deployed FIRST on cluster(s):", ", ".join(deployment.clusters))
 
@@ -151,44 +147,7 @@ def main() -> None:
     #    merges to the bit-identical summary (fingerprints are compared in
     #    benchmarks/bench_sweep_scale.py, which runs a 1M-request grid).
 
-    # 12. Choosing a kernel queue.  All four backends produce bit-identical
-    #    simulated results (golden traces + hypothesis laws pin this), so
-    #    the choice is purely about wall-clock on YOUR pending-set size:
-    #
-    #      * "heap"     — default.  C heapq; fastest for the small pending
-    #                     sets (tens to a few thousand timers) every
-    #                     scenario in this file produces.
-    #      * "packed"   — lazy-sorted calendar with packed overflow
-    #                     columns; ~1.6-1.8x the heap once ~100k events are
-    #                     pending (sharded sweeps, federation-scale runs),
-    #                     but roughly at (slightly below) heap parity at
-    #                     small sizes — pure-Python ops cannot beat C heapq
-    #                     there.  Honest numbers for both regimes are in
-    #                     benchmarks/BENCH_kernel.json (`queue_stress` vs
-    #                     `fig3_macro`), measured on a single CPU; your
-    #                     crossover will vary with interpreter and load.
-    #      * "auto"     — starts as a heap, migrates one-way to packed when
-    #                     pending exceeds ~4k: the right default when you
-    #                     do not know the scale in advance.
-    #      * "calendar" — tuple-based calendar queue (PR 5); superseded by
-    #                     "packed" but kept as a second reference backend.
-    #
-    #    Optional compiled stepper: `REPRO_COMPILED_STEPPER=1` makes the
-    #    packed queue compile its overflow binary-probe with cffi at first
-    #    use; `repro.sim.use_compiled_stepper()` opts in programmatically
-    #    and returns True only if the compiled probe is actually active
-    #    for queues built afterwards.  It is off by default — without
-    #    cffi or a C compiler the pure-Python probe runs bit-identically;
-    #    measured single-CPU wins are small because per-call FFI overhead
-    #    eats sub-microsecond savings (ROADMAP item 2 tracks batching many
-    #    events per C call as the follow-up).
-    from repro.sim.queues import QUEUE_KINDS, make_event_queue
-
-    fresh_auto = make_event_queue("auto")
-    print(f"\nKernel queue backends: {', '.join(QUEUE_KINDS)} "
-          f"(a fresh 'auto' starts as {type(fresh_auto).__name__})")
-
-    # 13. Observing a request.  `DeploymentConfig(observability=...)` adds an
+    # 12. Observing a request.  `DeploymentConfig(observability=...)` adds an
     #    observability stage to the gateway pipeline: every request gets a
     #    simulated-time distributed trace (gateway stages → relay transfer →
     #    endpoint queue → engine admission/prefill/decode windows → stream
@@ -238,7 +197,7 @@ def main() -> None:
     print(f"kernel profile: {kernel['events_total']} events, "
           f"{kernel['events_per_wall_s']:.0f} events/wall-s")
 
-    # 14. Sharding one federated deployment across processes.  The parallel
+    # 13. Sharding one federated deployment across processes.  The parallel
     #    plane splits a gateway + N compute clusters into per-cluster event
     #    kernels that advance in conservative synchronous windows (lookahead
     #    = relay wire latency) and exchange only boundary messages.  Results
@@ -256,9 +215,9 @@ def main() -> None:
           f"fingerprint {result.fingerprint[:16]} "
           f"(identical at any worker count)")
 
-    # 15. Guarding determinism.  Everything above is bit-identical across
-    #    queue backends, worker counts and PYTHONHASHSEED values — and two
-    #    guard layers keep it that way as the code grows:
+    # 14. Guarding determinism.  Everything above is bit-identical across
+    #    worker counts and PYTHONHASHSEED values — and two guard layers keep
+    #    it that way as the code grows:
     #
     #    * detlint (`PYTHONPATH=src python -m repro.analysis src`) — AST
     #      rules that flag wall-clock reads (DET001), global/np.random draws

@@ -1,9 +1,9 @@
 """Determinism guard plane: static analysis (detlint) + runtime sanitizer.
 
 The whole repository stakes correctness on one invariant — simulated-time
-results are bit-identical across macro-stepping, queue backends, sweep
-worker counts and partitioned federated runs.  This package enforces the
-*sources* of that invariant:
+results are bit-identical across macro-stepping, sweep worker counts and
+partitioned federated runs.  This package enforces the *sources* of that
+invariant:
 
 * **detlint** (:mod:`repro.analysis.engine` / :mod:`repro.analysis.rules`)
   is an AST rule engine that machine-checks the ROADMAP's conventions:

@@ -7,11 +7,11 @@ zero-overhead-unattached shadow-step pattern as ``attach_profiler`` — the
 plain kernel never pays a branch — and checks three invariants:
 
 * **no time travel** — every pushed event lands at ``time >= now`` and the
-  clock never moves backwards across a step (a queue-backend ordering bug
+  clock never moves backwards across a step (an event-queue ordering bug
   would surface here before it corrupts a fingerprint);
 * **unique event keys** — ``(time, priority, eid)`` must be unique; a
-  duplicate (e.g. a bad ``import_pending`` merge) makes pop order
-  backend-dependent;
+  duplicate (e.g. a bad ``import_pending`` merge) leaves pop order
+  undefined;
 * **observe-only layers stay observe-only** — a
   :class:`~repro.common.RandomSource` draw issued from ``repro/obs/``
   perturbs the sim's RNG streams, so results would differ with
@@ -178,7 +178,7 @@ class DetSan:
             if key in seen:
                 sanitizer._record(
                     f"duplicate event key (time={time!r}, priority={priority}, "
-                    f"eid={eid}); pop order would be backend-dependent")
+                    f"eid={eid}); pop order would be undefined")
             else:
                 seen.add(key)
                 if len(seen) > sanitizer._max_tracked:
@@ -196,9 +196,7 @@ class DetSan:
         env = self._env
         if env is None:
             return
-        # Restore the push binding from the live queue (the queue may have
-        # been swapped by import_pending since attach).
-        env._push = env._pending.push
+        env._push = self._orig_push
         if self._had_instance_step:
             env.__dict__["step"] = self._prev_instance_step
         else:

@@ -123,10 +123,6 @@ class DeploymentConfig:
     identity_domains: List[str] = field(default_factory=lambda: ["anl.gov", "university.edu"])
     generate_text: bool = False
     seed: int = 0
-    #: Kernel pending-event structure: "heap" | "calendar" | "auto" (see
-    #: :mod:`repro.sim.queues`).  Simulation results are bit-identical across
-    #: backends; only wall-clock differs.
-    kernel_queue: str = "heap"
     #: Distributed tracing + metrics registry (see :mod:`repro.obs`).  When
     #: set and ``gateway.middleware_factories`` is None, the gateway pipeline
     #: gains an observability stage; tracing is observe-only, so simulation
@@ -225,7 +221,7 @@ class FIRSTDeployment:
         self.config = config or DeploymentConfig()
         if not self.config.clusters:
             raise ConfigurationError("DeploymentConfig needs at least one cluster")
-        self.env = env or Environment(queue=self.config.kernel_queue)
+        self.env = env or Environment()
         self.catalog = catalog or default_catalog()
         self.ids = IdGenerator()
 

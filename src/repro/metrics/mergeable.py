@@ -340,7 +340,7 @@ class MergeableSummary:
         """SHA-256 over the full-precision canonical *measurement* state.
 
         The label is excluded — fingerprints compare what was measured, not
-        what it was called, so e.g. a heap-queue and a calendar-queue cell of
+        what it was called, so e.g. a macro-stepped and a per-token cell of
         the same scenario fingerprint equal iff their simulated results are
         bit-identical.  Floats serialise via their shortest round-trip form,
         so two summaries fingerprint equal iff bit-identical — the check the

@@ -1,9 +1,9 @@
 """Parallel federated simulation: event-horizon sharded clusters.
 
 One federated deployment is split into per-cluster partitions, each owning
-its own kernel :class:`~repro.sim.Environment` (any queue backend).  The
-only cross-partition edges are relay transfers, whose wire latencies become
-the conservative lookahead for synchronous-window PDES:
+its own kernel :class:`~repro.sim.Environment`.  The only cross-partition
+edges are relay transfers, whose wire latencies become the conservative
+lookahead for synchronous-window PDES:
 
 - :mod:`repro.parallel.boundary` — serialized boundary messages with
   deterministic ordering and causality validation;

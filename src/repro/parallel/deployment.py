@@ -19,8 +19,7 @@ barrier.
 ``workers=1`` runs the identical loop over in-process partitions — with
 messages and snapshots still pickle-round-tripped, so object identity can
 never leak between partitions and the serial run is the parallel run's
-golden reference by construction, for any worker count and any kernel queue
-backend.
+golden reference by construction, for any worker count.
 """
 
 from __future__ import annotations
@@ -339,7 +338,6 @@ class FederatedScenario:
     #: Optional :class:`~repro.sweep.spec.ArrivalSpec` (e.g. diurnal).
     arrival: Optional[object] = None
     seed: int = 0
-    kernel_queue: str = "heap"
     stream: bool = False
     #: :class:`~repro.faas.RelayConfig` field overrides (e.g. latencies).
     relay: Dict[str, float] = field(default_factory=dict)
@@ -379,8 +377,7 @@ class FederatedScenario:
 
         specs = [PartitionSpec(
             pid=0, name="gateway", kind="gateway",
-            lookahead_s=gateway_lookahead, kernel_queue=self.kernel_queue,
-            seed=self.seed,
+            lookahead_s=gateway_lookahead, seed=self.seed,
             params={
                 "clusters": [{"pid": index + 1, "name": shard.name}
                              for index, shard in enumerate(self.clusters)],
@@ -394,8 +391,7 @@ class FederatedScenario:
         for index, shard in enumerate(self.clusters):
             specs.append(PartitionSpec(
                 pid=index + 1, name=shard.name, kind="cluster",
-                lookahead_s=cluster_lookahead,
-                kernel_queue=self.kernel_queue, seed=self.seed,
+                lookahead_s=cluster_lookahead, seed=self.seed,
                 params={
                     "gateway_pid": 0,
                     "result_latency_s": cluster_lookahead,
@@ -460,8 +456,8 @@ class PartitionedDeployment:
 
     ``workers=1`` is the serial fallback (same code path, no processes);
     any larger count shards the partitions across spawn workers.  Merged
-    results are bit-identical for every worker count and kernel queue
-    backend — :attr:`FederatedRunResult.fingerprint` is the check.
+    results are bit-identical for every worker count —
+    :attr:`FederatedRunResult.fingerprint` is the check.
     """
 
     def __init__(self, scenario: FederatedScenario, workers: int = 1,
@@ -515,7 +511,6 @@ class PartitionedDeployment:
 
 def run_ping_ring(partitions: int = 3, hops: int = 30,
                   latency_s: float = 0.0, workers: int = 1,
-                  kernel_queue: str = "heap",
                   mp_context: str = "spawn") -> Dict[int, list]:
     """Null-message exercise: a token circulating ``partitions`` shards.
 
@@ -527,7 +522,6 @@ def run_ping_ring(partitions: int = 3, hops: int = 30,
     ring = list(range(partitions))
     specs = [PartitionSpec(
         pid=pid, name=f"ping{pid}", kind="ping", lookahead_s=latency_s,
-        kernel_queue=kernel_queue,
         params={"ring": ring, "hops": hops, "latency_s": latency_s,
                 "start": pid == 0},
     ) for pid in ring]

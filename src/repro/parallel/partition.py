@@ -10,12 +10,11 @@ A partitioned run splits the federated topology at its relay edges:
   :class:`~repro.faas.ComputeEndpoint` — scheduler, model pools, serving
   engines — and executes the tasks shipped across the boundary.
 
-Each partition owns a private :class:`~repro.sim.Environment` (any
-``queue=`` backend).  All partitions share one simulated clock by
-construction: the conservative window scheme (:mod:`repro.parallel.horizon`)
-only ever lets a partition run inside a window that no in-flight message can
-land in, so ``env.now`` values interleave exactly as one global event queue
-would have interleaved them.
+Each partition owns a private :class:`~repro.sim.Environment`.  All
+partitions share one simulated clock by construction: the conservative window
+scheme (:mod:`repro.parallel.horizon`) only ever lets a partition run inside a
+window that no in-flight message can land in, so ``env.now`` values interleave
+exactly as one global event queue would have interleaved them.
 
 Determinism notes (the bit-identical-across-worker-counts contract):
 
@@ -73,12 +72,10 @@ FUNCTION_ID = "fn-inference-chat"
 class PartitionSpec:
     """Pickle-safe description of one partition (shipped to spawn workers)."""
 
-    __slots__ = ("pid", "name", "kind", "lookahead_s", "kernel_queue", "seed",
-                 "params")
+    __slots__ = ("pid", "name", "kind", "lookahead_s", "seed", "params")
 
     def __init__(self, pid: int, name: str, kind: str, lookahead_s: float,
-                 kernel_queue: str = "heap", seed: int = 0,
-                 params: Optional[Dict[str, Any]] = None):
+                 seed: int = 0, params: Optional[Dict[str, Any]] = None):
         self.pid = pid
         self.name = name
         #: Key into :data:`PARTITION_KINDS`.
@@ -86,7 +83,6 @@ class PartitionSpec:
         #: Minimum transfer latency on this partition's *outgoing* edges —
         #: the conservative lookahead the window planner relies on.
         self.lookahead_s = lookahead_s
-        self.kernel_queue = kernel_queue
         self.seed = seed
         self.params = params or {}
 
@@ -109,7 +105,7 @@ class Partition:
         self.spec = spec
         self.pid = spec.pid
         self.name = spec.name
-        self.env = Environment(queue=spec.kernel_queue)
+        self.env = Environment()
         #: Partition-local random stream, keyed by name: a pure function of
         #: the scenario seed, independent of worker assignment or build
         #: order (numpy-backed; unused unless a partition draws from it).

@@ -20,11 +20,7 @@ iterations can pass before the simulation state can change and spends one
 kernel event on all of them.  Simulated-time results are reproduced exactly:
 iteration boundary times are accumulated with the same sequence of float
 additions the per-token loop performs, and absolute-time scheduling
-(``Environment.timeout_at``) replays them bit-for-bit.  The remaining kernel
-cost is the pending-event structure itself; it is pluggable
-(``Environment(queue="heap"|"calendar"|"packed"|"auto")``, see
-:mod:`repro.sim.queues`) and every backend pops the same total order, so
-engine results do not depend on the choice.
+(``Environment.timeout_at``) replays them bit-for-bit.
 
 * **Epoch.**  ``_epoch`` counts executed iterations.  A running sequence
   stores the epoch it joined at, so its token count is ``_epoch - join`` and

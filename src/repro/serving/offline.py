@@ -68,16 +68,8 @@ class OfflineBatchRunner:
         perf: PerformanceModel,
         engine_config: Optional[EngineConfig] = None,
         include_load_time: bool = True,
-        kernel_queue: str = "heap",
     ):
-        # ``env=None``: standalone batch runs own their environment and may
-        # opt into a different kernel queue backend (see repro.sim.queues).
-        if env is not None and kernel_queue != "heap":
-            raise ValueError(
-                "kernel_queue only applies when OfflineBatchRunner creates its "
-                "own environment; pass env=None or configure the queue on env"
-            )
-        self.env = env or Environment(queue=kernel_queue)
+        self.env = env or Environment()
         # Offline mode avoids streaming/serving overhead: apply the
         # calibrated offline throughput factor.
         cfg = perf.config

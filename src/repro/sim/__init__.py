@@ -2,7 +2,7 @@
 
 This is a small, deterministic, SimPy-style engine written from scratch:
 
-* :class:`Environment` — the simulated clock and event queue.
+* :class:`Environment` — the simulated clock and its one event queue (a binary heap).
 * :class:`Event`, :class:`Timeout`, :class:`Process` — the scheduling primitives.
 * :class:`Resource`, :class:`PriorityResource`, :class:`Container` — contended
   capacities (GPU slots, worker threads, relay channels, memory).
@@ -22,15 +22,6 @@ Example
 """
 
 from .environment import EmptySchedule, Environment, StopSimulation
-from .queues import (
-    AdaptiveEventQueue,
-    CalendarEventQueue,
-    EventQueue,
-    HeapEventQueue,
-    PackedCalendarEventQueue,
-    make_event_queue,
-    use_compiled_stepper,
-)
 from .events import (
     NORMAL,
     PENDING,
@@ -60,13 +51,6 @@ __all__ = [
     "Environment",
     "EmptySchedule",
     "StopSimulation",
-    "EventQueue",
-    "HeapEventQueue",
-    "CalendarEventQueue",
-    "PackedCalendarEventQueue",
-    "AdaptiveEventQueue",
-    "make_event_queue",
-    "use_compiled_stepper",
     "Event",
     "Timeout",
     "Process",

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import os as _os
 from collections import deque
+from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Deque, Generator, Iterable, Optional
+from typing import Any, Deque, Generator, Iterable, List, Optional, Tuple
 
 from .events import (
     NORMAL,
@@ -16,7 +17,6 @@ from .events import (
     Process,
     Timeout,
 )
-from .queues import EventQueue, make_event_queue
 
 __all__ = ["Environment", "EmptySchedule", "StopSimulation"]
 
@@ -42,20 +42,18 @@ class Environment:
     ``(time, priority, insertion order)`` which makes runs fully
     deterministic for a fixed seed.
 
-    ``queue`` selects the pending-event structure (see
-    :mod:`repro.sim.queues`): ``"heap"`` (default binary heap),
-    ``"calendar"`` (Brown-style calendar queue, amortised O(1) on
-    clustered schedules), ``"packed"`` (calendar geometry over packed
-    ``array`` columns — no per-entry tuples) or ``"auto"`` (heap that
-    migrates to packed at serving-scale pending counts).  All backends
-    share the same total order, so simulation results are bit-identical
-    regardless of the choice.
+    Pending events wait in one binary heap of ``(time, priority, eid,
+    event)`` entries; ``eid`` is the insertion counter, so no two entries
+    compare equal and the pop order is a strict total order.
     """
 
     def __init__(self, initial_time: float = 0.0, queue: str = "heap",
                  sanitize: bool = False):
+        if queue != "heap":
+            # Only benchmarks/layers/workloads.py:170 passes it; the next benchmark PR drops both.
+            raise ValueError(f"Unknown event queue kind {queue!r} (expected 'heap')")
         self._now = float(initial_time)
-        self._pending: EventQueue = make_event_queue(queue, self._now)
+        self._pending: List[Tuple[float, int, int, Event]] = []
         #: Fast lane for zero-delay URGENT events (process starts, interrupts).
         #: They always run before every same-time NORMAL event, and among
         #: themselves in insertion order, so a plain FIFO reproduces the
@@ -64,11 +62,6 @@ class Environment:
         self._urgent: Deque[Event] = deque()
         self._eid = count()
         self._active_proc: Optional[Process] = None
-        # Bound once: schedule/schedule_at/step are the kernel's hottest
-        # call sites and the extra attribute hop is measurable there.
-        self._push = self._pending.push
-        self._pop = self._pending.pop
-        self._pop2 = self._pending.pop2
         #: Optional :class:`repro.obs.KernelProfiler`.  ``None`` (the default)
         #: keeps the kernel entirely unobserved: ``step`` stays the plain
         #: class method and hot paths only ever pay an ``is None`` check.
@@ -129,6 +122,10 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------
+    def _push(self, time: float, priority: int, eid: int, event: Event) -> None:
+        # The one way into the heap: DetSan shadows this per instance.
+        heappush(self._pending, (time, priority, eid, event))
+
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Schedule ``event`` to be processed after ``delay`` seconds."""
         if priority == URGENT and delay == 0.0:
@@ -149,8 +146,7 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._urgent:
             return self._now
-        entry = self._pending.peek()
-        return entry[0] if entry is not None else float("inf")
+        return self._pending[0][0] if self._pending else float("inf")
 
     def step(self) -> None:
         """Process the next scheduled event.
@@ -161,9 +157,7 @@ class Environment:
             event = self._urgent.popleft()
         else:
             try:
-                # pop2 returns only (time, event) — packed backends skip
-                # materialising the full (time, priority, eid, event) tuple.
-                self._now, event = self._pop2()
+                self._now, _, _, event = heappop(self._pending)
             except IndexError:
                 raise EmptySchedule() from None
 
@@ -210,40 +204,29 @@ class Environment:
         entries, in exact pop order.
 
         Together with :meth:`import_pending` this is the kernel's
-        event-migration hook: a partition can be checkpointed, shipped to
-        another process, or moved onto a different queue backend without
-        perturbing the ``(time, priority, eid)`` total order.  Zero-delay
-        URGENT events never survive a barrier (they are consumed within the
-        step that scheduled them), so exporting with a non-empty urgent
-        lane is a caller bug and raises.
+        event-migration hook: a partition can be checkpointed or shipped to
+        another process without perturbing the ``(time, priority, eid)``
+        total order.  Zero-delay URGENT events never survive a barrier (they
+        are consumed within the step that scheduled them), so exporting with
+        a non-empty urgent lane is a caller bug and raises.
         """
         if self._urgent:
             raise RuntimeError(
                 "cannot export pending events while zero-delay URGENT events "
                 "are queued (export only at a window barrier)")
-        entries = []
-        pop = self._pending.pop
-        while True:
-            try:
-                entries.append(pop())
-            except IndexError:
-                return entries
+        # Keys are unique, so the sort never compares two events.
+        entries = sorted(self._pending)
+        self._pending.clear()
+        return entries
 
-    def import_pending(self, entries, queue: Optional[str] = None) -> None:
+    def import_pending(self, entries) -> None:
         """Re-insert entries from :meth:`export_pending`.
 
-        ``queue`` optionally rebuilds the pending structure on a different
-        backend first (all backends share the same total order, so the
-        migration is bit-exact).  Event ids are preserved and the id
-        counter resumes past the highest imported id, so events scheduled
-        after an import sort exactly as they would have in the exporting
-        environment.
+        Events already pending stay scheduled; the imported ones merge into
+        the same total order.  Event ids are preserved and the id counter
+        resumes past the highest imported id, so events scheduled after an
+        import sort exactly as they would have in the exporting environment.
         """
-        if queue is not None:
-            self._pending = make_event_queue(queue, self._now)
-            self._push = self._pending.push
-            self._pop = self._pending.pop
-            self._pop2 = self._pending.pop2
         push = self._push
         top = -1
         for time, priority, eid, event in entries:
@@ -283,7 +266,7 @@ class Environment:
             event = self._urgent.popleft()
         else:
             try:
-                self._now, event = self._pop2()
+                self._now, _, _, event = heappop(self._pending)
             except IndexError:
                 raise EmptySchedule() from None
 

@@ -14,9 +14,8 @@ Seeding: cells that vary a ``seed`` axis key their workload and arrival
 streams off ``(model, seed tag, rate)`` via :func:`repro.common.stable_seed`
 — a pure function of the cell description, never of worker assignment — so
 merged sweep metrics are bit-identical for any worker count, and cells that
-differ only in kernel/engine knobs (e.g. the ``heap`` vs ``calendar`` queue
-policy) replay the identical workload and must produce bit-identical
-simulated results.
+differ only in engine knobs (e.g. ``macro_stepping``) replay the identical
+workload and must produce bit-identical simulated results.
 """
 
 from __future__ import annotations
@@ -79,14 +78,13 @@ def run_engine_cell(spec: ScenarioSpec) -> dict:
 
     The fastest substrate (no gateway/relay/scheduler layers) — what the
     million-request scale sweeps run on.  Engine knobs come from
-    ``spec.engine`` (e.g. ``{"macro_stepping": False}``); the kernel queue
-    from ``spec.kernel_queue`` (the ``heap``/``calendar`` policy axis).
+    ``spec.engine`` (e.g. ``{"macro_stepping": False}``).
     """
     from ..cluster import A100_40GB, dgx_a100_spec
     from ..serving import ContinuousBatchingEngine, EngineConfig, PerformanceModel
     from ..serving import default_catalog
 
-    env = Environment(queue=spec.kernel_queue)
+    env = Environment()
     catalog_spec = default_catalog().get(spec.model)
     tensor_parallel = spec.params.get("tensor_parallel", 8)
     perf = PerformanceModel(catalog_spec, tensor_parallel, A100_40GB,
@@ -151,7 +149,6 @@ def run_first_cell(spec: ScenarioSpec) -> dict:
         max_instances=params.get("max_instances", 1),
         num_nodes=params.get("num_nodes", 8),
     )
-    config.kernel_queue = spec.kernel_queue
     deployment = FIRSTDeployment(config)
     deployment.warm_up(spec.model, instances=params.get("prewarm_instances", 1))
     client = deployment.client("benchmark@anl.gov")
@@ -184,7 +181,7 @@ def run_direct_cell(spec: ScenarioSpec) -> dict:
     from ..core import calibration
     from ..serving import EngineConfig, default_catalog
 
-    env = Environment(queue=spec.kernel_queue)
+    env = Environment()
     catalog = default_catalog()
     catalog_spec = catalog.get(spec.model)
     nodes = [Node(f"direct-{i}", dgx_a100_spec())
@@ -225,7 +222,6 @@ def run_autoscale_policy_cell(spec: ScenarioSpec) -> dict:
 
     params = spec.params
     config = params["deployment"]
-    config.kernel_queue = spec.kernel_queue
     policy = params["policy"]
     floor = params.get("floor", 1)
     quiet_tail_s = params.get("quiet_tail_s", 420.0)
@@ -323,7 +319,6 @@ def run_partitioned_cell(spec: ScenarioSpec) -> dict:
         num_requests=spec.num_requests,
         arrival=_arrival_spec(spec),
         seed=int(spec.tags.get("seed", params.get("seed", 0))),
-        kernel_queue=spec.kernel_queue,
         stream=bool(params.get("stream", False)),
         relay=dict(params.get("relay") or {}),
     )

@@ -107,7 +107,6 @@ class ScenarioSpec:
     arrival: Optional[ArrivalSpec] = None
     #: Root seed of the sweep; cell streams derive from (seed, key).
     seed: int = 0
-    kernel_queue: str = "heap"
     #: ``EngineConfig`` field overrides for engine-level cells.
     engine: Dict[str, Any] = field(default_factory=dict)
     #: Runner-specific parameters (pickle-safe values only).
@@ -153,8 +152,7 @@ def _format_axis_value(value: Any) -> str:
 
 #: ScenarioSpec fields an axis or base entry may set directly; anything else
 #: lands in ``params``.
-_SPEC_FIELDS = ("model", "num_requests", "arrival", "seed", "kernel_queue",
-                "engine", "label")
+_SPEC_FIELDS = ("model", "num_requests", "arrival", "seed", "engine", "label")
 
 
 @dataclass
@@ -168,8 +166,8 @@ class SweepSpec:
     worker count or scheduling.
 
     Axis names (and ``base`` keys) matching a :class:`ScenarioSpec` field
-    (``model``, ``num_requests``, ``arrival``, ``seed``, ``kernel_queue``,
-    ``engine``, ``label``) set that field; every other name lands in
+    (``model``, ``num_requests``, ``arrival``, ``seed``, ``engine``,
+    ``label``) set that field; every other name lands in
     ``ScenarioSpec.params`` for the runner.  Axis values are additionally
     recorded in ``ScenarioSpec.tags``.
     """

@@ -1,7 +1,7 @@
 """Shared pytest configuration.
 
 The simulator core is importable and testable without numpy (the CI matrix
-has a no-numpy/no-cffi job proving the pure-Python fallbacks).  When numpy
+has a no-numpy job proving the pure-Python fallbacks).  When numpy
 is absent:
 
 * test modules that import numpy at module scope are skipped at collection;

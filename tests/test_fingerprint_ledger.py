@@ -6,11 +6,12 @@ workloads of the layered benchmark (``benchmarks/layers/workloads.py``,
 imported by path and read-only) at a fraction of their size on seeds 0 and 1,
 plus two KV-starved engine scenarios that only the engine's exact
 KV-pressure path serves, and asserts every fingerprint, ``sim_*`` value and
-engine counter against the committed file.  Trace *content* is pinned the
-same way: the ``to_dict()`` of every trace ``first_traced`` retains, and
-three scenarios on the edges of span recording (a span cap hit between decode
-windows, ``stop()`` inside a macro window, a live-streamed traced request
-whose delivery span opens mid-decode).
+engine counter against the committed file — and, where the test holds the
+run's environment, the exact number of event ids the kernel issued.  Trace
+*content* is pinned the same way: the ``to_dict()`` of every trace
+``first_traced`` retains, and three scenarios on the edges of span recording
+(a span cap hit between decode windows, ``stop()`` inside a macro window, a
+live-streamed traced request whose delivery span opens mid-decode).
 
 The file is rewritten only by::
 
@@ -92,6 +93,9 @@ def layered_case(workload: str, seed: int) -> dict:
             "sim": outcome["sim"]}
     if "anchor_err_mean" in outcome:
         case["anchor_err_mean"] = outcome["anchor_err_mean"]
+    if hasattr(run, "env"):
+        # The run is over, so consuming one id to read the counter is free.
+        case["kernel_event_ids"] = next(run.env._eid)
     if hasattr(run, "engine"):
         case["engines"] = _engine_state([run.engine])
     elif hasattr(run, "deployment"):

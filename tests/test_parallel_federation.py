@@ -2,14 +2,13 @@
 
 The hard guarantee under test: merged results of a partitioned federated
 deployment are **bit-identical** for any worker count (serial fallback,
-2 and 4 spawn workers) and any kernel queue backend.  Fingerprints are
-SHA-256 over exact float reprs, so "close" is a failure.
+2 and 4 spawn workers).  Fingerprints are SHA-256 over exact float reprs, so
+"close" is a failure.
 
 Requires numpy (ShareGPT workload) — listed in conftest's no-numpy
 ``collect_ignore``.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,18 +42,9 @@ def test_serial_run_completes_every_request():
     assert relay["submitted"] == relay["completed"] + relay["failed"] == 12
 
 
-@pytest.mark.parametrize("backend", ["heap", "calendar", "packed"])
-def test_workers_bit_identical_across_backends(backend):
-    fingerprints = {
-        workers: _run(workers=workers, kernel_queue=backend).fingerprint
-        for workers in (1, 2, 4)
-    }
-    assert len(set(fingerprints.values())) == 1, fingerprints
-
-
-def test_queue_backends_simulate_identically():
-    fingerprints = {backend: _run(workers=1, kernel_queue=backend).fingerprint
-                    for backend in ("heap", "calendar", "packed")}
+def test_workers_bit_identical():
+    fingerprints = {workers: _run(workers=workers).fingerprint
+                    for workers in (1, 2, 4)}
     assert len(set(fingerprints.values())) == 1, fingerprints
 
 
@@ -161,10 +151,9 @@ def test_partitioned_sweep_cell_merges_registries():
     from repro.sweep.spec import ScenarioSpec
 
     cells = [
-        ScenarioSpec(key=f"part-{backend}", runner="partitioned",
-                     num_requests=6, kernel_queue=backend,
-                     params={"rate": 2.0})
-        for backend in ("heap", "calendar")
+        ScenarioSpec(key=f"part-{cell}", runner="partitioned",
+                     num_requests=6, params={"rate": 2.0})
+        for cell in range(2)
     ]
     result = SweepRunner(workers=1).run(cells)
     assert result.ok

@@ -23,8 +23,6 @@ from repro.parallel import (
 )
 from repro.sim import Environment
 
-BACKENDS = ["heap", "calendar", "packed"]
-
 INF = float("inf")
 
 
@@ -38,16 +36,14 @@ def _record_timeouts(env, delays, fired):
 
 
 # ------------------------------------------------------------- run_until_horizon
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=40, deadline=None)
 @given(
     delays=st.lists(st.floats(min_value=0.0, max_value=100.0),
                     min_size=1, max_size=30),
     horizon=st.floats(min_value=0.0, max_value=100.0),
 )
-def test_property_exclusive_horizon_never_commits_at_or_past(backend, delays,
-                                                             horizon):
-    env = Environment(queue=backend)
+def test_property_exclusive_horizon_never_commits_at_or_past(delays, horizon):
+    env = Environment()
     fired = []
     _record_timeouts(env, delays, fired)
     bound = env.run_until_horizon(horizon)
@@ -58,16 +54,14 @@ def test_property_exclusive_horizon_never_commits_at_or_past(backend, delays,
     assert fired == sorted(fired)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=40, deadline=None)
 @given(
     delays=st.lists(st.floats(min_value=0.0, max_value=50.0),
                     min_size=1, max_size=30),
     horizon=st.floats(min_value=0.0, max_value=50.0),
 )
-def test_property_inclusive_horizon_commits_boundary_events(backend, delays,
-                                                            horizon):
-    env = Environment(queue=backend)
+def test_property_inclusive_horizon_commits_boundary_events(delays, horizon):
+    env = Environment()
     fired = []
     _record_timeouts(env, delays, fired)
     bound = env.run_until_horizon(horizon, inclusive=True)
@@ -102,26 +96,43 @@ def test_export_refuses_urgent_backlog():
         env.export_pending()
 
 
-@pytest.mark.parametrize("source", BACKENDS)
-@pytest.mark.parametrize("target", BACKENDS)
 @settings(max_examples=15, deadline=None)
 @given(delays=st.lists(
     st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=25))
-def test_property_export_import_preserves_order(source, target, delays):
-    reference_env = Environment(queue=source)
+def test_property_export_import_preserves_order(delays):
+    reference_env = Environment()
     reference = []
     _record_timeouts(reference_env, delays, reference)
     reference_env.run()
 
-    env = Environment(queue=source)
+    env = Environment()
     fired = []
     _record_timeouts(env, delays, fired)
-    env.run_until_horizon(10.0)  # commit a prefix, then migrate the rest
+    env.run_until_horizon(10.0)  # commit a prefix, then round-trip the rest
     entries = env.export_pending()
     assert env.peek() == INF
-    env.import_pending(entries, queue=target)
+    env.import_pending(entries)
     env.run()
     assert fired == reference
+
+
+def test_import_into_nonempty_environment_keeps_both_sets_in_order():
+    """Regression: ``import_pending(entries, queue=...)`` used to rebind the
+    pending structure without draining it, dropping every event the
+    importing environment still had scheduled."""
+    source = Environment()
+    for eid, (time, priority) in enumerate([(4.0, 1), (2.0, 1), (2.0, 0)]):
+        source._push(time, priority, eid, f"imported-{eid}")
+    env = Environment()
+    for eid, (time, priority) in enumerate([(3.0, 1), (2.0, 1), (9.0, 0)], 10):
+        env._push(time, priority, eid, f"resident-{eid}")
+    env.import_pending(source.export_pending())
+    assert env.queue_size == 6
+    merged = env.export_pending()
+    assert [entry[:3] for entry in merged] == sorted(entry[:3] for entry in merged)
+    assert [entry[3] for entry in merged] == [
+        "imported-2", "imported-1", "resident-11", "resident-10", "imported-0",
+        "resident-12"]
 
 
 def test_import_keeps_event_ids_unique():

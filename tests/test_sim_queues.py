@@ -1,392 +1,157 @@
-"""Pluggable event-queue tests: contract, property equivalence, golden traces.
+"""The kernel's one event queue: a binary heap inside :class:`Environment`.
 
-The kernel's correctness claim for `repro.sim.queues` is that every backend
-pops the exact same ``(time, priority, eid)`` total order, which makes
-simulation results bit-identical regardless of ``Environment(queue=...)``.
-These tests pin that claim three ways:
+The contract is a strict total order over ``(time, priority, eid)`` — ``eid``
+is the environment's insertion counter, so no two entries compare equal.
+These tests pin it three ways:
 
-* unit tests of the :class:`CalendarEventQueue` /
-  :class:`PackedCalendarEventQueue` mechanics (overflow year rolls,
-  occupancy resize, tie ordering, lazy re-sort invalidation);
-* a hypothesis property test driving every backend with identical random
-  schedules — same-time ties, far-future outliers and mid-run insertions;
-* golden traces: a mixed kernel workload and a small engine scenario run
-  under all backends must produce identical traces (and the kernel trace
-  must match a committed literal, so the ordering semantics themselves
-  cannot drift);
-* compiled-stepper on/off equivalence for the packed overflow columns.
+* unit tests of the edges (empty queue, same-time ties, ``inf`` and
+  extreme-magnitude times, the ``queue=`` argument that now names one value);
+* a hypothesis law: under random interleavings of scheduling and stepping —
+  same-time ties, far-future outliers, mid-run insertions — every step
+  processes exactly the entry ``sorted()`` puts first;
+* a golden trace: a mixed kernel workload must match a committed literal, so
+  the ordering semantics themselves cannot drift.
 """
-
-import heapq
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (
-    AdaptiveEventQueue,
-    CalendarEventQueue,
-    Environment,
-    HeapEventQueue,
-    Interrupt,
-    PackedCalendarEventQueue,
-    Resource,
-    make_event_queue,
-    use_compiled_stepper,
-)
+from repro.sim import EmptySchedule, Environment, Interrupt, Resource
 
-QUEUES = ("heap", "calendar", "packed")
+INF = float("inf")
+
+
+def _schedule_labelled(env, time, priority, label, fired):
+    """Schedule a pre-triggered event at ``time`` that logs ``(now, label)``."""
+    event = env.event()
+    event._ok = True
+    event._value = label
+    event.callbacks.append(lambda ev: fired.append((env.now, ev._value)))
+    env.schedule_at(event, time, priority)
 
 
 # ---------------------------------------------------------------------------
 # contract unit tests
 # ---------------------------------------------------------------------------
 
-def test_make_event_queue_kinds():
-    assert isinstance(make_event_queue("heap"), HeapEventQueue)
-    assert isinstance(make_event_queue("calendar"), CalendarEventQueue)
-    assert isinstance(make_event_queue("packed"), PackedCalendarEventQueue)
-    auto = make_event_queue("auto")
-    assert isinstance(auto, AdaptiveEventQueue)
-    assert isinstance(auto.backend, HeapEventQueue)  # starts as the heap
+@pytest.mark.parametrize("name", ["calendar", "packed", "auto", "fibonacci"])
+def test_unknown_queue_name_raises_value_error(name):
     with pytest.raises(ValueError):
-        make_event_queue("fibonacci")
-    with pytest.raises(ValueError):
-        Environment(queue="fibonacci")
+        Environment(queue=name)
+    assert Environment(queue="heap").queue_size == 0  # the one legal value
 
 
-@pytest.mark.parametrize("kind", QUEUES)
-def test_empty_queue_pop_raises_and_peek_returns_none(kind):
-    q = make_event_queue(kind)
-    assert len(q) == 0
-    assert q.peek() is None
-    with pytest.raises(IndexError):
-        q.pop()
+def test_empty_queue_step_raises_and_peek_is_inf():
+    env = Environment()
+    assert env.queue_size == 0
+    assert env.peek() == INF
+    assert env.export_pending() == []
+    with pytest.raises(EmptySchedule):
+        env.step()
 
 
-@pytest.mark.parametrize("kind", QUEUES)
-def test_same_time_ties_break_on_priority_then_eid(kind):
-    q = make_event_queue(kind)
-    q.push(1.0, 1, 3, "n-late")
-    q.push(1.0, 0, 4, "u-late")
-    q.push(1.0, 1, 1, "n-early")
-    q.push(1.0, 0, 2, "u-early")
-    labels = [q.pop()[3] for _ in range(4)]
+def test_same_time_ties_break_on_priority_then_eid():
+    env = Environment()
+    env._push(1.0, 1, 3, "n-late")
+    env._push(1.0, 0, 4, "u-late")
+    env._push(1.0, 1, 1, "n-early")
+    env._push(1.0, 0, 2, "u-early")
+    labels = [entry[3] for entry in env.export_pending()]
     assert labels == ["u-early", "u-late", "n-early", "n-late"]
 
 
-def test_calendar_far_future_goes_to_overflow_and_comes_back():
-    q = CalendarEventQueue()
-    q.push(1e9, 1, 0, "far")
-    q.push(0.5, 1, 1, "near")
-    assert len(q._overflow) == 1  # the outlier waits outside the calendar
-    assert q.pop()[3] == "near"
-    assert q.peek()[3] == "far"  # year rolled forward to reach it
-    assert q.pop()[3] == "far"
-    assert len(q) == 0
-
-
-def test_calendar_resizes_on_occupancy():
-    q = CalendarEventQueue()
-    start_days = q._num_days
-    for eid in range(10 * start_days):
-        q.push(eid * 0.1, 1, eid, eid)
-    assert q._num_days > start_days  # grew with occupancy
-    prev_time = -1.0
-    while len(q):
-        time, _, _, _ = q.pop()
-        assert time >= prev_time
-        prev_time = time
-    assert q._num_days == CalendarEventQueue.MIN_DAYS  # shrank back when drained
-
-
-def test_calendar_extreme_magnitude_times_do_not_hang():
-    """At 1e18 the whole year (16 days x width 1.0) is below one ulp of the
-    event time, so the year roll must force a minimal strict advance instead
-    of spinning forever (regression: _advance_year infinite loop)."""
-    q = CalendarEventQueue()
-    q.push(1e18, 1, 0, "huge")
-    q.push(1e18, 0, 1, "huge-urgent")
-    assert q.peek()[3] == "huge-urgent"
-    assert [q.pop()[3] for _ in range(2)] == ["huge-urgent", "huge"]
-
-    env = Environment(queue="calendar")
+def test_infinite_times_are_ordered_last():
+    """Nothing can fire after ``inf``: later finite pushes still pop first,
+    and ``inf`` ties break on priority then eid like any other tie."""
+    env = Environment()
     fired = []
-
-    def proc(env):
-        yield env.timeout_at(1e18)
-        fired.append(env.now)
-
-    env.process(proc(env))
-    env.run()
-    assert fired == [1e18]
-
-
-def test_calendar_infinite_times_are_ordered_last():
-    """inf has no nextafter successor, so the year can never advance past it:
-    inf ties are served straight from the sorted overflow list, and later
-    finite pushes still pop before them."""
-    q = CalendarEventQueue()
-    q.push(float("inf"), 1, 0, "inf-a")
-    q.push(float("inf"), 1, 1, "inf-b")
-    assert q.peek()[3] == "inf-a"
-    q.push(3.0, 1, 2, "finite")
+    _schedule_labelled(env, INF, 1, "inf-a", fired)
+    _schedule_labelled(env, INF, 1, "inf-b", fired)
+    assert env.peek() == INF and env.queue_size == 2
+    _schedule_labelled(env, 3.0, 1, "finite", fired)
     # A higher-priority inf tie arriving *after* the peek must still outrank
     # the older NORMAL-priority inf entries.
-    q.push(float("inf"), 0, 3, "inf-urgent")
-    labels = [q.pop()[3] for _ in range(4)]
-    assert labels == ["finite", "inf-urgent", "inf-a", "inf-b"]
-    with pytest.raises(IndexError):
-        q.pop()
+    _schedule_labelled(env, INF, 0, "inf-urgent", fired)
+    assert env.peek() == 3.0
+    env.run()
+    assert fired == [(3.0, "finite"), (INF, "inf-urgent"), (INF, "inf-a"), (INF, "inf-b")]
+    with pytest.raises(EmptySchedule):
+        env.step()
 
 
-def test_calendar_rebuild_with_only_infinite_times():
-    """A growth rebuild while every pending entry is inf must not anchor the
-    year at inf (finite pushes afterwards would overflow day arithmetic)."""
-    q = CalendarEventQueue()
-    for eid in range(3 * CalendarEventQueue.MIN_DAYS):  # trigger growth rebuilds
-        q.push(float("inf"), 1, eid, eid)
-    q.push(1.5, 1, 999, "finite")
-    assert q.pop()[3] == "finite"
-    drained = [q.pop()[2] for _ in range(3 * CalendarEventQueue.MIN_DAYS)]
-    assert drained == sorted(drained)  # inf ties pop in eid order
-
-
-def test_calendar_push_before_rebuilt_year_start():
-    """After a rebuild anchors the year at the next pending event, a push
-    that fires *earlier* (but after `now`) must still pop first."""
-    q = CalendarEventQueue()
-    for eid in range(64):  # force a growth rebuild anchored at t=100
-        q.push(100.0 + eid, 1, eid, eid)
-    assert q._year_start >= 99.0
-    q.push(5.0, 1, 999, "early")
-    assert q.pop()[3] == "early"
-
-
-# ---------------------------------------------------------------------------
-# packed calendar mechanics
-# ---------------------------------------------------------------------------
-
-def test_packed_far_future_goes_to_overflow_and_comes_back():
-    q = PackedCalendarEventQueue()
-    q.push(1e9, 1, 0, "far")
-    q.push(0.5, 1, 1, "near")
-    assert len(q._ovf_times) == 1  # the outlier waits in the packed columns
-    assert q.pop()[3] == "near"
-    assert q.peek()[3] == "far"  # year rolled forward to reach it
-    assert q.pop()[3] == "far"
-    assert len(q) == 0
-
-
-def test_packed_resizes_on_occupancy():
-    q = PackedCalendarEventQueue()
-    start_days = q._num_days
-    for eid in range(10 * PackedCalendarEventQueue.GROWTH * start_days):
-        q.push(eid * 0.1, 1, eid, eid)
-    assert q._num_days > start_days  # grew with occupancy
-    prev = (-1.0, -1, -1)
-    while len(q):
-        time, priority, eid, _ = q.pop()
-        assert (time, priority, eid) > prev
-        prev = (time, priority, eid)
-    assert q._num_days == PackedCalendarEventQueue.MIN_DAYS  # shrank when drained
-
-
-def test_packed_extreme_magnitude_times_do_not_hang():
-    """Same ulp-scale year-roll regression as the tuple calendar."""
-    q = PackedCalendarEventQueue()
-    q.push(1e18, 1, 0, "huge")
-    q.push(1e18, 0, 1, "huge-urgent")
-    assert q.peek()[3] == "huge-urgent"
-    assert [q.pop()[3] for _ in range(2)] == ["huge-urgent", "huge"]
-
-    env = Environment(queue="packed")
+def test_extreme_magnitude_times_terminate():
+    """At 1e18 one second is far below an ulp of the event time; ties there
+    still order and the run still ends at exactly that time."""
+    env = Environment()
     fired = []
+    _schedule_labelled(env, 1e18, 1, "huge", fired)
+    _schedule_labelled(env, 1e18, 0, "huge-urgent", fired)
 
     def proc(env):
         yield env.timeout_at(1e18)
-        fired.append(env.now)
+        fired.append((env.now, "proc"))
 
     env.process(proc(env))
+    assert env.run_until_horizon(1e18) == 1e18  # exclusive: nothing at 1e18 ran
+    assert fired == []
     env.run()
-    assert fired == [1e18]
-
-
-def test_packed_infinite_times_are_ordered_last():
-    q = PackedCalendarEventQueue()
-    q.push(float("inf"), 1, 0, "inf-a")
-    q.push(float("inf"), 1, 1, "inf-b")
-    assert q.peek()[3] == "inf-a"
-    q.push(3.0, 1, 2, "finite")
-    q.push(float("inf"), 0, 3, "inf-urgent")
-    labels = [q.pop()[3] for _ in range(4)]
-    assert labels == ["finite", "inf-urgent", "inf-a", "inf-b"]
-    with pytest.raises(IndexError):
-        q.pop()
-
-
-def test_packed_rebuild_with_only_infinite_times():
-    n = 2 * PackedCalendarEventQueue.GROWTH * PackedCalendarEventQueue.MIN_DAYS
-    q = PackedCalendarEventQueue()
-    for eid in range(n):  # trigger growth rebuilds
-        q.push(float("inf"), 1, eid, eid)
-    q.push(1.5, 1, 999, "finite")
-    assert q.pop()[3] == "finite"
-    drained = [q.pop()[2] for _ in range(n)]
-    assert drained == sorted(drained)  # inf ties pop in eid order
-
-
-def test_packed_push_before_rebuilt_year_start():
-    q = PackedCalendarEventQueue()
-    n = PackedCalendarEventQueue.GROWTH * PackedCalendarEventQueue.MIN_DAYS + 16
-    for eid in range(n):  # force a growth rebuild anchored at t=100
-        q.push(100.0 + eid, 1, eid, eid)
-    assert q._year_start >= 99.0
-    q.push(5.0, 1, 999, "early")
-    assert q.pop()[3] == "early"
-
-
-def test_packed_push_into_sorted_day_invalidates_lazy_order():
-    """A day bucket is bulk-sorted the first time it is served; a later push
-    into that same day must force a re-sort, or the new entry would pop in
-    append order instead of time order."""
-    q = PackedCalendarEventQueue(day_width=100.0)  # everything in day 0
-    for eid, t in enumerate([4.0, 1.0, 3.0]):
-        q.push(t, 1, eid, eid)
-    assert q.pop()[0] == 1.0  # serving day 0 sorted it
-    q.push(2.0, 1, 10, "mid")  # lands in the already-sorted serving day
-    assert [q.pop()[0] for _ in range(3)] == [2.0, 3.0, 4.0]
-
-
-def test_packed_rejects_out_of_range_priority_and_eid():
-    q = PackedCalendarEventQueue()
-    for priority, eid in [(128, 0), (-1, 0), (1, 1 << 56), (1, -1)]:
-        with pytest.raises(ValueError):
-            q.push(1.0, priority, eid, None)
-    assert len(q) == 0
-
-
-def test_adaptive_queue_migrates_once_at_threshold():
-    q = AdaptiveEventQueue(threshold=32)
-    reference = []
-    for eid in range(64):
-        entry = (eid * 0.37 % 7.0, 1, eid, eid)
-        q.push(*entry)
-        heapq.heappush(reference, entry)
-    assert isinstance(q.backend, PackedCalendarEventQueue)  # migrated
-    popped = [q.pop() for _ in range(len(q))]
-    assert popped == [heapq.heappop(reference) for _ in range(len(reference))]
-
-
-def test_estimate_width_touches_only_the_head_sample():
-    """The resize estimator must be O(sample) regardless of queue size: it
-    reads the head off the leading buckets instead of flattening all N
-    entries (regression: _estimate_width re-sorted the full pending set)."""
-
-    class CountingList(list):
-        touched = 0
-
-        def __iter__(self):
-            for item in super().__iter__():
-                CountingList.touched += 1
-                yield item
-
-    for cls in (CalendarEventQueue, PackedCalendarEventQueue):
-        q = cls()
-        for eid in range(20_000):
-            q.push(eid * 0.01, 1, eid, eid)
-        q._buckets = [CountingList(bucket) for bucket in q._buckets]
-        CountingList.touched = 0
-        q._estimate_width(sample=64)
-        # The tuple calendar stops exactly at the sample; the packed variant
-        # may finish consuming the bucket the sample boundary lands in.
-        slack = max(len(bucket) for bucket in q._buckets)
-        assert CountingList.touched <= 64 + slack, cls.__name__
-
-
-def test_compiled_stepper_matches_pure_python():
-    """The cffi insert kernel (when buildable) must place overflow entries
-    exactly where the pure-Python bisect does."""
-    if not use_compiled_stepper(True):
-        pytest.skip("cffi or C toolchain unavailable")
-    try:
-        compiled = PackedCalendarEventQueue()
-        use_compiled_stepper(False)
-        pure = PackedCalendarEventQueue()
-        now = 0.0
-        for eid in range(400):
-            # Overflow-heavy: far-future pushes interleaved with near-term
-            # ones, including exact ties on the far-future time.
-            t = now + (1e6 if eid % 3 else 0.5) + (eid % 7) * 0.125
-            for q in (compiled, pure):
-                q.push(t, eid % 2, eid, eid)
-            if eid % 5 == 0:
-                a, b = compiled.pop(), pure.pop()
-                assert a == b
-                now = a[0]
-        while len(pure):
-            assert compiled.pop() == pure.pop()
-    finally:
-        use_compiled_stepper(False)
+    assert fired == [(1e18, "huge-urgent"), (1e18, "huge"), (1e18, "proc")]
 
 
 # ---------------------------------------------------------------------------
-# hypothesis: identical pop sequences under identical schedules
+# hypothesis: every step processes what sorted() puts first
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_queues_pop_identical_sequences(data):
-    heap = HeapEventQueue()
-    others = [CalendarEventQueue(), PackedCalendarEventQueue()]
-    now = 0.0
-    eid = 0
-    size = 0
+def test_steps_pop_in_sorted_order(data):
+    env = Environment()
+    fired = []
+    reference = []  # (time, priority, eid, label) of everything still pending
     n_ops = data.draw(st.integers(min_value=1, max_value=120), label="n_ops")
-    for _ in range(n_ops):
-        do_pop = size > 0 and data.draw(st.booleans(), label="pop?")
-        if do_pop:
-            a = heap.pop()
-            for q in others:
-                assert q.pop() == a
-            now = a[0]  # the simulated clock only moves forward
-            size -= 1
+    for eid in range(n_ops):
+        if reference and data.draw(st.booleans(), label="pop?"):
+            reference.sort()
+            time, _priority, _eid, label = reference.pop(0)
+            assert env.peek() == time
+            env.step()
+            assert fired[-1] == (time, label)
         else:
             # Mid-run insertion at or after `now` — ties (dt=0), clustered
-            # near-term deltas, and far-future outliers.
+            # near-term deltas, far-future outliers and extreme magnitudes.
             dt = data.draw(
                 st.one_of(
                     st.sampled_from([0.0, 0.0, 0.1, 0.25, 1.0, 3.7]),
                     st.floats(min_value=0.0, max_value=1e7,
                               allow_nan=False, allow_infinity=False),
-                    # Extreme magnitudes: year spans below one ulp of the
-                    # event time (the _advance_year hang regression regime).
-                    st.sampled_from([1e12, 1e16, 1e18, float("inf")]),
+                    st.sampled_from([1e12, 1e16, 1e18, INF]),
                 ),
                 label="dt",
             )
             priority = data.draw(st.sampled_from([0, 1]), label="priority")
-            heap.push(now + dt, priority, eid, eid)
-            for q in others:
-                q.push(now + dt, priority, eid, eid)
-            eid += 1
-            size += 1
-    while len(heap):
-        a = heap.pop()
-        for q in others:
-            assert q.pop() == a
-    for q in others:
-        assert len(q) == 0
+            _schedule_labelled(env, env.now + dt, priority, eid, fired)
+            # eids are issued in scheduling order, so the loop index sorts
+            # exactly as the kernel's own counter does.
+            reference.append((env.now + dt, priority, eid, eid))
+    assert env.queue_size == len(reference)
+    exported = env.export_pending()
+    assert [(t, p, ev._value) for t, p, _eid, ev in exported] == \
+        [(t, p, label) for t, p, _eid, label in sorted(reference)]
+    env.import_pending(exported)
+    del fired[:]
+    env.run()
+    assert fired == [(t, label) for t, _p, _eid, label in sorted(reference)]
 
 
 # ---------------------------------------------------------------------------
-# golden traces
+# golden trace
 # ---------------------------------------------------------------------------
 
-def _run_mixed_workload(queue):
+def _run_mixed_workload():
     """A deterministic kernel workload touching ties, interrupts, absolute
     timeouts, resource contention and a far-future timer."""
-    env = Environment(queue=queue)
+    env = Environment()
     trace = []
     resource = Resource(env, capacity=1)
 
@@ -437,9 +202,9 @@ def _run_mixed_workload(queue):
     return trace
 
 
-#: Committed expectation for the first events of the mixed workload under
-#: *any* backend — pins tie-breaking and interrupt ordering semantics.
-GOLDEN_PREFIX = [
+#: Committed expectation for the mixed workload — pins tie-breaking and
+#: interrupt ordering semantics.
+GOLDEN_TRACE = [
     (0.2, "held-acquired"),
     (0.5, "abs"),
     (1.0, "tick-a"),
@@ -461,49 +226,5 @@ GOLDEN_PREFIX = [
 ]
 
 
-def test_golden_trace_identical_across_queues():
-    traces = {queue: _run_mixed_workload(queue) for queue in (*QUEUES, "auto")}
-    for queue, trace in traces.items():
-        assert trace == GOLDEN_PREFIX, queue
-
-
-def test_engine_scenario_identical_across_queues():
-    """A small fig3-style engine run is bit-identical under both backends."""
-    from repro.cluster import A100_40GB, dgx_a100_spec
-    from repro.serving import (
-        ContinuousBatchingEngine,
-        EngineConfig,
-        PerformanceModel,
-        default_catalog,
-    )
-    from repro.workload import PoissonArrival, ShareGPTWorkload
-
-    spec = default_catalog().get("Llama-3.3-70B")
-    requests = ShareGPTWorkload().generate(spec.name, num_requests=60)
-    offsets = PoissonArrival(rate=2.0, seed=11).offsets(60)
-
-    def run(queue):
-        env = Environment(queue=queue)
-        perf = PerformanceModel(spec, 8, A100_40GB, node_spec=dgx_a100_spec())
-        engine = ContinuousBatchingEngine(env, perf, EngineConfig(generate_text=False))
-        events = []
-
-        def driver(env):
-            last = 0.0
-            for request, offset in zip(requests, offsets):
-                if offset > last:
-                    yield env.timeout(offset - last)
-                    last = offset
-                events.append(engine.submit(request))
-            yield env.all_of(events)
-
-        env.run(until=env.process(driver(env)))
-        return [
-            (r.request_id, r.success, r.output_tokens, r.prefill_start_time,
-             r.first_token_time, r.completion_time)
-            for r in (ev.value for ev in events)
-        ], sorted(engine.stats.snapshot().items())
-
-    reference = run("heap")
-    for queue in QUEUES[1:]:
-        assert run(queue) == reference, queue
+def test_golden_trace_of_mixed_kernel_workload():
+    assert _run_mixed_workload() == GOLDEN_TRACE

@@ -63,7 +63,7 @@ class TestConfigPickleSafety:
         spec = ScenarioSpec(
             key="grid/rate=4/seed=1", runner="engine", model=MODEL_8B,
             num_requests=100, arrival=ArrivalSpec.for_rate(4.0), seed=1,
-            kernel_queue="calendar", engine={"macro_stepping": True},
+            engine={"macro_stepping": True},
             params={"deployment": sophia_benchmark_config(MODEL_8B)},
             tags={"rate": 4.0, "seed": 1},
         )
