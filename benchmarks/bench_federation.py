@@ -18,7 +18,7 @@ from repro.core import (
     FIRSTDeployment,
     ModelDeploymentSpec,
 )
-from repro.federation import FirstConfiguredRouter, PriorityRouter, RandomRouter
+from repro.placement import FirstConfiguredRouter, PriorityRouter, RandomRouter
 from repro.workload import BenchmarkClient, ShareGPTWorkload, UniformArrival
 
 MODEL_8B = "meta-llama/Llama-3.1-8B-Instruct"
@@ -42,7 +42,7 @@ def build_deployment(router_cls):
     )
     deployment = FIRSTDeployment(config)
     # Swap in the requested routing policy.
-    deployment.gateway.router = router_cls(deployment.registry)
+    deployment.gateway.router = router_cls(deployment.topology)
     # The model is already hot on Polaris (the second-priority endpoint)...
     deployment.warm_up(MODEL_8B, endpoint_id="ep-polaris")
     # ...while Sophia (the first-priority endpoint) is fully occupied by

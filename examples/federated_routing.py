@@ -4,7 +4,10 @@
 A Sophia-like and a Polaris-like cluster both host the same model behind a
 single cluster-agnostic API URL.  The gateway's priority router sends each
 request to (1) an endpoint where the model is already active, else (2) a
-cluster with free nodes, else (3) the first configured endpoint.
+cluster with free nodes, else (3) the first configured endpoint.  The
+router is a :class:`~repro.placement.PlacementPolicy` over
+``deployment.topology``, which lists the endpoints in configuration order —
+that order is the priority.
 
 Run:  python examples/federated_routing.py
 """

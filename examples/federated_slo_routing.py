@@ -2,7 +2,8 @@
 """Federation v2 demo: SLO-aware routing over two clusters.
 
 Two clusters host the same model: "east" (the primary — first in the
-federation registry) and "west" (a spill cluster with no warm floor).
+deployment's :class:`~repro.placement.TopologyView`, the federation's
+ordered endpoint list) and "west" (a spill cluster with no warm floor).
 Traffic follows a diurnal cycle with a flash crowd on top, deliberately
 exceeding east's instance ceiling at the peak.
 

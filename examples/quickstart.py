@@ -93,10 +93,11 @@ def main() -> None:
         print(f"  {job['model']:<40s} {job['state']}")
 
     # 9. Federation v2: every routing decision reads the placement plane's
-    #    shared TopologyView — one event-refreshed aggregate of pool state,
-    #    cluster free-nodes/GPU-seconds and gateway-observed latency medians
-    #    per (model, endpoint).  The dashboard's routing block summarises
-    #    where decisions went and which rule placed them.
+    #    shared TopologyView — the federation's ordered endpoint list plus
+    #    one event-refreshed aggregate of pool state, cluster
+    #    free-nodes/GPU-seconds and gateway-observed latency medians per
+    #    (model, endpoint).  The dashboard's routing block summarises where
+    #    decisions went and which rule placed them.
     signal = deployment.topology.pool_signal("ep-devcluster", CHAT_MODEL)
     print(f"\nPlacement signal for {CHAT_MODEL} on ep-devcluster:")
     print(f"  state={signal.state} ready={signal.ready_instances} "

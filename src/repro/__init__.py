@@ -2,7 +2,7 @@
 
 The package is organised as a set of substrates (``sim``, ``cluster``,
 ``serving``, ``faas``, ``auth``) with the paper's contribution layered on top
-(``gateway``, ``federation``, ``core``) plus the workload/metrics/baseline
+(``gateway``, ``placement``, ``core``) plus the workload/metrics/baseline
 machinery needed to regenerate every figure and table in the paper's
 evaluation (``workload``, ``metrics``, ``baselines``, ``webui``, ``rag``).
 
@@ -39,9 +39,9 @@ from . import (
     common,
     core,
     faas,
-    federation,
     gateway,
     metrics,
+    placement,
     rag,
     serving,
     sim,
@@ -60,7 +60,7 @@ __all__ = [
     "faas",
     "auth",
     "gateway",
-    "federation",
+    "placement",
     "workload",
     "metrics",
     "baselines",

@@ -82,11 +82,8 @@ def _patch_draws() -> None:
     global _SAVED_DRAWS
     if _SAVED_DRAWS is not None:
         return
-    try:
-        from ..common.randomness import RandomSource
-    except Exception:  # pragma: no cover - no-numpy environments
-        _SAVED_DRAWS = {}
-        return
+    from ..common.randomness import RandomSource
+
     saved = {}
     for name in _DRAW_METHODS:
         original = getattr(RandomSource, name)

@@ -11,10 +11,7 @@ from __future__ import annotations
 import hashlib
 from typing import Optional, Sequence, Union
 
-try:  # The sim kernel has no numpy dependency; only stochastic draws do.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
+import numpy as np
 
 __all__ = ["RandomSource", "stable_seed"]
 
@@ -34,8 +31,6 @@ class RandomSource:
     """Thin wrapper over :class:`numpy.random.Generator` with spawnable streams."""
 
     def __init__(self, seed: Optional[int] = 0):
-        if np is None:
-            raise RuntimeError("RandomSource requires numpy")
         self._seed_seq = np.random.SeedSequence(seed)
         self._rng = np.random.default_rng(self._seed_seq)
 

@@ -9,7 +9,8 @@ environment:
 * one cluster + batch scheduler + compute endpoint per configured facility;
 * the cloud relay with the admin confidential client and the pre-registered
   inference functions;
-* the federation registry/router;
+* the federation: a placement :class:`~repro.placement.TopologyView` and its
+  router;
 * the Inference Gateway.
 
 Convenience constructors cover the paper's scenarios (quickstart on a small
@@ -44,10 +45,9 @@ from ..faas import (
     ModelHostingConfig,
     RelayService,
 )
-from ..federation import FederationRegistry, FederationRouter, PriorityRouter
 from ..gateway import GatewayConfig, GatewayDatabase, InferenceGatewayAPI
 from ..obs.middleware import ObservabilityConfig, observability_middleware_factories
-from ..placement import TopologyView
+from ..placement import PlacementPolicy, PriorityRouter, TopologyView
 from ..serving import ModelCatalog, default_catalog
 from ..sim import Environment
 from . import calibration
@@ -274,7 +274,11 @@ class FIRSTDeployment:
         raise ConfigurationError(f"Unknown cluster kind {spec.kind!r}")
 
     def _build_clusters(self) -> None:
-        self.registry = FederationRegistry()
+        # The placement plane's shared fleet view: the federation's ordered
+        # membership plus one event-refreshed aggregate of pool/cluster/
+        # latency signals that the router, the federation-aware scaling
+        # policies and the reservation stage share.
+        self.topology = TopologyView(self.env)
         self.clusters: Dict[str, Cluster] = {}
         self.schedulers: Dict[str, object] = {}
         self.endpoints: Dict[str, ComputeEndpoint] = {}
@@ -317,17 +321,13 @@ class FIRSTDeployment:
             )
             self.relay.register_endpoint(endpoint)
             provider = FacilityStatusProvider(self.env, scheduler)
-            self.registry.register(endpoint, provider)
+            self.topology.register(endpoint, provider)
             self.clusters[spec.name] = cluster
             self.schedulers[spec.name] = scheduler
             self.endpoints[endpoint.endpoint_id] = endpoint
 
     def _build_gateway(self) -> None:
-        # The placement plane's shared fleet view: one event-refreshed
-        # aggregate of pool/cluster/latency signals that the router, the
-        # federation-aware scaling policies and the reservation stage share.
-        self.topology = TopologyView(self.env, self.registry)
-        self.router: FederationRouter = PriorityRouter(self.topology)
+        self.router: PlacementPolicy = PriorityRouter(self.topology)
         self.compute_client = ComputeClient(
             self.env,
             self.relay,
@@ -357,7 +357,6 @@ class FIRSTDeployment:
             config=gateway_config,
             database=self.database,
             ids=self.ids,
-            topology=self.topology,
         )
         # Close the control loop: the gateway's recent TTFT/ITL/latency
         # medians become visible to every endpoint's autoscaling policies
@@ -389,7 +388,7 @@ class FIRSTDeployment:
         if endpoint_id is not None:
             endpoints = [self.endpoints[endpoint_id]]
         else:
-            endpoints = [e.endpoint for e in self.registry.endpoints_for_model(model)][:1]
+            endpoints = self.topology.endpoints_for_model(model)[:1]
         if not endpoints:
             raise ConfigurationError(f"No endpoint hosts model {model}")
         events = []

@@ -36,7 +36,7 @@ from ..common import (
     ValidationError,
 )
 from ..faas import HANDLER_BATCH, ComputeClient
-from ..federation import FederationRouter
+from ..placement import PlacementPolicy
 from ..serving import (
     InferenceRequest,
     ModelCatalog,
@@ -72,13 +72,12 @@ class InferenceGatewayAPI:
         env: Environment,
         auth: GlobusAuthLikeService,
         compute_client: ComputeClient,
-        router: FederationRouter,
+        router: PlacementPolicy,
         catalog: ModelCatalog,
         function_ids: Dict[str, str],
         config: Optional[GatewayConfig] = None,
         database: Optional[GatewayDatabase] = None,
         ids: Optional[IdGenerator] = None,
-        topology=None,
     ):
         self.env = env
         self.config = config or GatewayConfig()
@@ -86,9 +85,6 @@ class InferenceGatewayAPI:
         self.compute_client = compute_client
         self.router = router
         self.catalog = catalog
-        #: Placement-plane view, when the deployment wires one; middleware
-        #: factories (e.g. the reservation stage) resolve it from here.
-        self.topology = topology if topology is not None else getattr(router, "view", None)
         self.function_ids = dict(function_ids)
         self.db = database or GatewayDatabase()
         self._ids = ids or IdGenerator()
@@ -150,7 +146,7 @@ class InferenceGatewayAPI:
         now = self.env.now
         if cached is not None and now - cached.cached_at < self.config.routing_cache_ttl_s:
             try:
-                return self.router.registry.get(cached.endpoint_id).endpoint
+                return self.router.view.get(cached.endpoint_id)
             except NotFoundError:
                 self._routing_cache.pop(key, None)
         endpoint = yield from self.router.select(model, tenant=tenant)
@@ -318,7 +314,7 @@ class InferenceGatewayAPI:
         if endpoint_id is None:
             endpoint = yield from self.route(model, tenant=info.username)
         else:
-            endpoint = self.router.registry.get(endpoint_id).endpoint
+            endpoint = self.router.view.get(endpoint_id)
 
         return self._launch_batch(info.username, model, endpoint, requests)
 
@@ -445,7 +441,7 @@ class InferenceGatewayAPI:
     # ------------------------------------------------------------- informational endpoints
     def list_models(self) -> dict:
         """``GET /v1/models`` — models hosted anywhere in the federation."""
-        models = self.router.registry.hosted_models()
+        models = self.router.view.hosted_models()
         return {
             "object": "list",
             "data": [{"id": m, "object": "model"} for m in sorted(models)],
@@ -454,8 +450,8 @@ class InferenceGatewayAPI:
     def jobs(self) -> List[dict]:
         """``GET /jobs`` — model/instance states across the federation (§4.3)."""
         statuses = []
-        for entry in self.router.registry.entries:
-            for status in entry.endpoint.model_status():
+        for endpoint in self.router.view.endpoints:
+            for status in endpoint.model_status():
                 statuses.append(status.to_dict())
         return statuses
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Deque, Dict, List, Optional
 
-from ..metrics.summary import percentile
 from ..sim import Environment
 
 __all__ = ["ModelUsage", "GatewayMetrics"]
@@ -144,20 +143,11 @@ class GatewayMetrics:
         timings = self._recent.get((model, endpoint))
         if timings is None:
             return None
-        out = {
+        return {
             "latency_p50_s": median(timings.latencies) if timings.latencies else None,
             "ttft_p50_s": median(timings.ttfts) if timings.ttfts else None,
             "itl_p50_s": median(timings.itls) if timings.itls else None,
         }
-        # Tail percentiles over the same rolling windows.  p50 stays the
-        # exact median (the autoscale feed's existing sensor contract); the
-        # tails use the shared linear-interpolation percentile.
-        for key, window in (("latency", timings.latencies),
-                            ("ttft", timings.ttfts), ("itl", timings.itls)):
-            values = list(window)
-            for q in (95, 99):
-                out[f"{key}_p{q}_s"] = percentile(values, q) if values else None
-        return out
 
     # -- batch lifecycle hooks -----------------------------------------------------
     # Batches are accounted separately from the interactive per-model

@@ -13,10 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-try:  # Summaries fall back to pure-Python percentile math without numpy.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
+import numpy as np
 
 from .collector import MetricsCollector, RequestRecord
 
@@ -24,20 +21,11 @@ __all__ = ["percentile", "BenchmarkSummary", "summarize"]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
-    """Percentile helper that tolerates empty input (returns 0.0).
-
-    Matches ``np.percentile``'s default linear interpolation; the pure-Python
-    branch exists for numpy-free deployments of the sim core.
-    """
+    """``np.percentile`` (linear interpolation) that tolerates empty input
+    (returns 0.0)."""
     if not values:
         return 0.0
-    if np is not None:
-        return float(np.percentile(np.asarray(values, dtype=float), q))
-    data = sorted(float(v) for v in values)
-    rank = (len(data) - 1) * (q / 100.0)
-    lo = int(rank)
-    hi = min(lo + 1, len(data) - 1)
-    return data[lo] + (data[hi] - data[lo]) * (rank - lo)
+    return float(np.percentile(np.asarray(values, dtype=float), q))
 
 
 @dataclass

@@ -3,8 +3,7 @@
 Histograms are backed by :class:`repro.metrics.mergeable.LogBucketHistogram`
 so sweep shards merge *exactly*: the merged registry of N shards is
 bit-identical to the registry of a single run over the union of samples
-(pinned by tests).  Everything is pure Python — the registry works
-unchanged on the no-numpy CI job.
+(pinned by tests).
 
 Exposition follows the Prometheus text format (``# HELP`` / ``# TYPE``
 headers, cumulative ``_bucket{le=...}`` lines ending in ``+Inf``, ``_sum``

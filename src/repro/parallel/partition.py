@@ -45,7 +45,6 @@ from ..faas import (
 )
 from ..faas.functions import FunctionRegistry
 from ..faas.task import TaskRecord, TaskStatus
-from ..federation import FederationRegistry
 from ..metrics import RequestRecord
 from ..obs import MetricsRegistry
 from ..placement import TopologyView
@@ -199,9 +198,9 @@ class GatewayPartition(Partition):
         self.relay.functions.register(FUNCTION_ID, name=HANDLER_CHAT,
                                       handler=HANDLER_CHAT, owner="parallel")
 
-        # Placement plane over an (empty) federation registry: every remote
-        # cluster's signals arrive as barrier snapshots, not observer hooks.
-        self.view = TopologyView(self.env, FederationRegistry())
+        # Placement plane with no local members: every remote cluster's
+        # signals arrive as barrier snapshots, not observer hooks.
+        self.view = TopologyView(self.env)
         self._proxy_by_pid: Dict[int, RelayBoundaryProxy] = {}
         self._candidates: List[str] = []
         for cluster in params["clusters"]:

@@ -1,17 +1,27 @@
-"""Placement plane (Federation v2).
+"""Placement plane (Federation v2): the federation and its routing.
 
-One shared, event-refreshed view of the fleet (:class:`TopologyView`)
+One shared, event-refreshed view of the fleet (:class:`TopologyView`) — the
+ordered endpoint membership itself plus the signals derived from it —
 feeding three consumers that previously kept private state:
 
-* routing — :class:`PriorityRouter` (the paper's §4.5 rule, verbatim),
-  :class:`LeastLoadedRouter` and the SLO-aware :class:`SLORouter`;
+* routing — :class:`PlacementPolicy` subclasses: :class:`PriorityRouter`
+  (the paper's §4.5 rule, verbatim), :class:`LeastLoadedRouter`, the
+  SLO-aware :class:`SLORouter` and the :class:`RandomRouter` /
+  :class:`FirstConfiguredRouter` ablations;
 * cross-cluster autoscaling — :class:`repro.autoscale.FederationScalingPolicy`
   binds to the view through ``bind_topology``;
 * per-tenant capacity reservations — :class:`ReservationMiddleware`
   admits requests against reserved capacity tracked in the view.
 """
 
-from .policies import LeastLoadedRouter, PlacementPolicy, PriorityRouter, SLORouter
+from .policies import (
+    FirstConfiguredRouter,
+    LeastLoadedRouter,
+    PlacementPolicy,
+    PriorityRouter,
+    RandomRouter,
+    SLORouter,
+)
 from .reservations import ReservationMiddleware, ReservationMiddlewareFactory
 from .view import ClusterSignal, PoolSignal, TopologyView
 
@@ -23,6 +33,8 @@ __all__ = [
     "PriorityRouter",
     "LeastLoadedRouter",
     "SLORouter",
+    "RandomRouter",
+    "FirstConfiguredRouter",
     "ReservationMiddleware",
     "ReservationMiddlewareFactory",
 ]

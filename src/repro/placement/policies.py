@@ -1,9 +1,9 @@
 """Placement policies: federation routing over the shared TopologyView.
 
-Federation v2 rebuilds the router hierarchy on the placement plane: a
-:class:`PlacementPolicy` is a :class:`~repro.federation.FederationRouter`
-whose ``_choose`` reads event-refreshed :class:`~repro.placement.PoolSignal`
-snapshots instead of probing endpoint/scheduler state privately.
+A :class:`PlacementPolicy` picks one of the view's endpoints for a model and
+keeps the decision log; subclasses implement ``_choose`` over event-refreshed
+:class:`~repro.placement.PoolSignal` snapshots instead of probing endpoint or
+scheduler state privately.
 
 * :class:`PriorityRouter` — the paper's §4.5 three-rule algorithm, verbatim:
   rule 1 now reads the view's pool signals (equivalent to the old per-request
@@ -17,47 +17,105 @@ snapshots instead of probing endpoint/scheduler state privately.
   per-tenant latency SLO and sheds to a secondary cluster while the
   primary's observed p50 breaches it, with hold-based hysteresis so the
   shed/recover transitions cannot flap.
+* :class:`RandomRouter` / :class:`FirstConfiguredRouter` — the stateless
+  ablations of ``benchmarks/bench_federation.py``.
+
+Routing decisions are kept in a *bounded* deque (long sweeps used to grow
+the log without limit); cumulative per-endpoint/per-rule counters survive
+the eviction and are surfaced on the gateway dashboard via
+:meth:`PlacementPolicy.summary`.
 """
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
-from ..federation.registry import FederationRegistry
-from ..federation.router import FederationRouter
+from ..common import NotFoundError, RandomSource
 from .view import PoolSignal, TopologyView
 
-__all__ = ["PlacementPolicy", "PriorityRouter", "LeastLoadedRouter", "SLORouter"]
+__all__ = ["RoutingDecision", "PlacementPolicy", "PriorityRouter",
+           "LeastLoadedRouter", "SLORouter", "RandomRouter",
+           "FirstConfiguredRouter"]
+
+#: Length of the recent-decisions log (the cumulative counters never evict).
+MAX_DECISIONS = 512
 
 
-class PlacementPolicy(FederationRouter):
-    """Router over the shared view instead of private state probes.
+@dataclass
+class RoutingDecision:
+    """Outcome of a routing query (kept for observability/logging)."""
 
-    Accepts either a :class:`TopologyView` (the deployment wires one) or a
-    bare :class:`FederationRegistry` — legacy ``Router(registry)`` call
-    sites get a view built over the registry transparently.
-    """
+    model: str
+    endpoint_id: str
+    cluster: str
+    rule: str
+    candidates: int
+    tenant: Optional[str] = None
+
+
+class PlacementPolicy:
+    """Router over the shared view: subclasses implement :meth:`_choose`."""
 
     policy_name = "placement"
 
-    def __init__(self, view, max_decisions: int = 512):
-        if isinstance(view, FederationRegistry):
-            view = TopologyView.over(view)
-        self.view: TopologyView = view
-        super().__init__(view.registry, max_decisions=max_decisions)
+    def __init__(self, view: TopologyView):
+        self.view = view
+        self.decisions: Deque[RoutingDecision] = deque(maxlen=MAX_DECISIONS)
+        self.decisions_total = 0
+        self.decisions_by_endpoint: Counter = Counter()
+        self.decisions_by_rule: Counter = Counter()
+
+    def select(self, model: str, tenant: Optional[str] = None):
+        """Simulation process: choose an endpoint for ``model``.
+
+        ``tenant`` is the authenticated caller; tenant-aware policies (the
+        SLO router) use it to pick the applicable SLO, everything else may
+        ignore it.
+        """
+        candidates = self.view.endpoints_for_model(model)
+        if not candidates:
+            raise NotFoundError(f"No federated endpoint hosts model {model}")
+        chosen, rule = yield from self._choose(model, candidates, tenant)
+        self.decisions.append(RoutingDecision(
+            model=model,
+            endpoint_id=chosen.endpoint_id,
+            cluster=chosen.cluster_name,
+            rule=rule,
+            candidates=len(candidates),
+            tenant=tenant,
+        ))
+        self.decisions_total += 1
+        self.decisions_by_endpoint[chosen.endpoint_id] += 1
+        self.decisions_by_rule[rule] += 1
+        return chosen
+
+    def _choose(self, model: str, candidates, tenant: Optional[str] = None):
+        raise NotImplementedError
+        yield  # pragma: no cover
+
+    def summary(self) -> dict:
+        """Cumulative decision counters (dashboard's ``routing`` block)."""
+        return {
+            "policy": self.policy_name,
+            "total": self.decisions_total,
+            "recent": len(self.decisions),
+            "by_endpoint": dict(self.decisions_by_endpoint),
+            "by_rule": dict(self.decisions_by_rule),
+        }
 
     def _cold_fallback(self, candidates, signals):
         """No pool is ready anywhere: prefer one already coming up, then a
         cluster with free nodes (event-fresh signal, no query latency),
         then the first configured endpoint."""
-        for entry, sig in signals:
+        for endpoint, sig in signals:
             if sig is not None and sig.active:
-                return entry, "active-instance"
-        for entry, _sig in signals:
-            cluster = self.view.cluster_signal(entry.endpoint_id)
+                return endpoint, "active-instance"
+        for endpoint, _sig in signals:
+            cluster = self.view.cluster_signal(endpoint.endpoint_id)
             if cluster is not None and cluster.free_nodes > 0:
-                return entry, "free-nodes"
+                return endpoint, "free-nodes"
         return candidates[0], "first-configured"
 
 
@@ -69,16 +127,20 @@ class PriorityRouter(PlacementPolicy):
     def _choose(self, model: str, candidates, tenant: Optional[str] = None):
         # Rule 1: model already running or queued somewhere — the pool
         # signals are event-fresh, no per-request endpoint probe needed.
-        for entry in candidates:
-            signal = self.view.pool_signal(entry.endpoint_id, model)
+        for endpoint in candidates:
+            signal = self.view.pool_signal(endpoint.endpoint_id, model)
             if signal is not None and signal.active:
-                return entry, "active-instance"
+                return endpoint, "active-instance"
         # Rule 2: a cluster with available nodes, via the *public* status
-        # query (latency + staleness preserved for ablation parity).
-        for entry in candidates:
-            status = yield from self.view.query_cluster(entry)
+        # query (latency + staleness preserved for ablation parity).  Every
+        # query is bound before the first is awaited: the candidate list was
+        # fixed at selection time, so an endpoint that leaves meanwhile is
+        # still asked.
+        queries = [self.view.query_cluster(e.endpoint_id) for e in candidates]
+        for endpoint, query in zip(candidates, queries):
+            status = yield from query
             if status.free_nodes > 0:
-                return entry, "free-nodes"
+                return endpoint, "free-nodes"
         # Rule 3: the first endpoint configured for the model.
         return candidates[0], "first-configured"
 
@@ -92,15 +154,15 @@ class LeastLoadedRouter(PlacementPolicy):
         if False:  # pragma: no cover - keep generator form
             yield None
         signals = [
-            (entry, self.view.pool_signal(entry.endpoint_id, model))
-            for entry in candidates
+            (endpoint, self.view.pool_signal(endpoint.endpoint_id, model))
+            for endpoint in candidates
         ]
         ready = [(e, s) for e, s in signals if s is not None and s.ready_instances > 0]
         if ready:
-            entry, _sig = min(
+            endpoint, _sig = min(
                 ready, key=lambda pair: (pair[1].busy_fraction, pair[1].queue_per_ready)
             )
-            return entry, "least-loaded"
+            return endpoint, "least-loaded"
         return self._cold_fallback(candidates, signals)
 
 
@@ -133,9 +195,8 @@ class SLORouter(PlacementPolicy):
                  tenant_slos: Optional[Dict[str, float]] = None,
                  breach_hold_s: float = 20.0,
                  recover_ratio: float = 0.6,
-                 recover_hold_s: float = 60.0,
-                 max_decisions: int = 512):
-        super().__init__(view, max_decisions=max_decisions)
+                 recover_hold_s: float = 60.0):
+        super().__init__(view)
         if default_slo_s <= 0:
             raise ValueError("default_slo_s must be > 0")
         if not 0.0 < recover_ratio <= 1.0:
@@ -215,8 +276,8 @@ class SLORouter(PlacementPolicy):
         if False:  # pragma: no cover - keep generator form
             yield None
         signals = [
-            (entry, self.view.pool_signal(entry.endpoint_id, model))
-            for entry in candidates
+            (endpoint, self.view.pool_signal(endpoint.endpoint_id, model))
+            for endpoint in candidates
         ]
         primary, primary_sig = signals[0]
         state = self._state(model, tenant)
@@ -233,17 +294,43 @@ class SLORouter(PlacementPolicy):
             # scale-up bootstrap an instance, and their prediction already
             # charges the cold start plus queued backlog.
             scored = [(e, s) for e, s in signals if s is not None]
-            entry, _sig = min(scored, key=lambda pair: self.predicted_ttft(pair[1]))
-            if entry is primary:
+            endpoint, _sig = min(scored, key=lambda pair: self.predicted_ttft(pair[1]))
+            if endpoint is primary:
                 return primary, "slo-primary"
-            return entry, "slo-shed"
+            return endpoint, "slo-shed"
         if primary_sig is not None and primary_sig.ready_instances > 0:
             return primary, "slo-primary"
         # Primary not ready (cold/draining): take the best predicted TTFT.
-        entry, _sig = min(ready, key=lambda pair: self.predicted_ttft(pair[1]))
-        return entry, "slo-best"
+        endpoint, _sig = min(ready, key=lambda pair: self.predicted_ttft(pair[1]))
+        return endpoint, "slo-best"
 
     def shed_transitions(self, model: str,
                          tenant: Optional[str] = None) -> List[Tuple[float, bool]]:
         """(time, shedding) transition log for flap analysis in tests."""
         return list(self._state(model, tenant).transitions)
+
+
+class RandomRouter(PlacementPolicy):
+    """Ablation: uniformly random choice among configured endpoints."""
+
+    policy_name = "random"
+
+    def __init__(self, view: TopologyView, seed: int = 11):
+        super().__init__(view)
+        self._random = RandomSource(seed=seed)
+
+    def _choose(self, model: str, candidates, tenant: Optional[str] = None):
+        if False:  # pragma: no cover - keep generator form
+            yield None
+        return self._random.choice(candidates), "random"
+
+
+class FirstConfiguredRouter(PlacementPolicy):
+    """Ablation: always the first configured endpoint (no status awareness)."""
+
+    policy_name = "first-configured"
+
+    def _choose(self, model: str, candidates, tenant: Optional[str] = None):
+        if False:  # pragma: no cover - keep generator form
+            yield None
+        return candidates[0], "first-configured"

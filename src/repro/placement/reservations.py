@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..common import CapacityError, ConfigurationError
+from ..common import CapacityError
 from .view import TopologyView
 
 __all__ = ["ReservationMiddleware", "ReservationMiddlewareFactory"]
@@ -51,8 +51,8 @@ class ReservationMiddleware:
     def factory(cls, view: Optional[TopologyView] = None) -> "ReservationMiddlewareFactory":
         """Factory for ``GatewayConfig.middleware_factories``.
 
-        Without an explicit view the stage binds to the gateway's own
-        placement view (``api.topology``, wired by the deployment) at
+        Without an explicit view the stage binds to the gateway router's
+        placement view (``api.router.view``) at
         pipeline-assembly time — and the factory is then a plain picklable
         value, so configs carrying it survive a pickle round-trip (sweep
         cells ship their deployment config to worker processes).
@@ -81,18 +81,13 @@ class ReservationMiddleware:
 class ReservationMiddlewareFactory:
     """Module-level, picklable ``middleware_factories`` entry.
 
-    ``view=None`` (the picklable form) resolves the gateway's own placement
-    view at pipeline-assembly time; an explicit view pins the stage to that
-    view but ties the factory to live simulation state.
+    ``view=None`` (the picklable form) resolves the gateway router's
+    placement view at pipeline-assembly time; an explicit view pins the
+    stage to that view but ties the factory to live simulation state.
     """
 
     view: Optional[TopologyView] = None
 
     def __call__(self, api) -> ReservationMiddleware:
-        resolved = self.view if self.view is not None else getattr(api, "topology", None)
-        if resolved is None:
-            raise ConfigurationError(
-                "ReservationMiddleware needs a TopologyView: pass one to "
-                "factory(view) or deploy with a placement plane"
-            )
-        return ReservationMiddleware(api, resolved)
+        return ReservationMiddleware(
+            api, self.view if self.view is not None else api.router.view)

@@ -1,15 +1,18 @@
 """The placement plane's shared fleet view.
 
 Before Federation v2, every consumer of fleet state kept a private one:
-the federation router probed ``FacilityStatusProvider`` generators per
-request, the autoscaler sampled its own ``MetricsFeed``, the gateway kept
-rolling latency windows, and the cluster scheduler accounted GPU-seconds —
-four views of the same fleet that could not see one another.
+the routers probed ``FacilityStatusProvider`` generators per request, the
+autoscaler sampled its own ``MetricsFeed``, the gateway kept rolling latency
+windows, and the cluster scheduler accounted GPU-seconds — four views of the
+same fleet that could not see one another.
 
-:class:`TopologyView` aggregates all of those signals per
-(model, endpoint, cluster) into :class:`PoolSignal` / :class:`ClusterSignal`
-snapshots that routing policies, the federation-aware scaling policy and the
-reservation admission stage all read.  Signals are refreshed *incrementally
+:class:`TopologyView` is the federation's one membership record — the
+ordered endpoint list the development API URL "queries ... to see which
+clusters can host the inference" (§4.5) — and aggregates all of those
+signals per (model, endpoint, cluster) into :class:`PoolSignal` /
+:class:`ClusterSignal` snapshots that routing policies, the
+federation-aware scaling policy and the reservation admission stage all
+read.  Signals are refreshed *incrementally
 on events*: every endpoint pool notifies the view when its state changes
 (task arrival/completion, instance ready/retired, drain start/end), the
 affected signal is marked dirty, and the next read recomputes just that one
@@ -33,6 +36,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..cluster import FacilityStatusProvider
+from ..common import NotFoundError
+from ..faas import ComputeEndpoint
 from ..serving import InstanceState
 from ..sim import Environment
 
@@ -119,30 +125,31 @@ class ClusterSignal:
     computed_at: float = 0.0
 
 
-class TopologyView:
-    """Event-refreshed aggregate of routing/scaling/reservation signals.
+#: Staleness bound (simulated seconds) for signals whose drift has no event:
+#: the gateway medians move with every completed request.
+REFRESH_INTERVAL_S = 5.0
 
-    The view subscribes to a :class:`~repro.federation.FederationRegistry`:
-    every registered endpoint's pools are hooked as observers (and unhooked
-    on deregistration), and any pool policy exposing ``bind_topology`` —
-    e.g. :class:`repro.autoscale.FederationScalingPolicy` — is bound to the
-    shared view so cross-cluster scaling and routing read the same state.
+
+class TopologyView:
+    """The federation's membership and its event-refreshed signals.
+
+    Endpoints :meth:`register` in configuration order, which is the paper's
+    routing priority (§4.5: "the order in which endpoints are listed in the
+    configuration registry").  Registering hooks every pool of the endpoint
+    as an observer and binds any pool policy exposing ``bind_topology`` —
+    e.g. :class:`repro.autoscale.FederationScalingPolicy` — so cross-cluster
+    scaling and routing read the same state; :meth:`deregister` undoes all
+    of it.
     """
 
-    def __init__(self, env: Optional[Environment], registry, gateway_metrics=None,
-                 refresh_interval_s: float = 5.0):
-        #: May start ``None`` for a view over an empty registry (legacy
-        #: ``Router(registry)`` construction order); captured from the first
-        #: registered endpoint.
+    def __init__(self, env: Environment):
         self.env = env
-        self.registry = registry
         #: Set post-assembly by the deployment (the gateway is built after
         #: the view); signals work without it, just without latency medians.
-        self.gateway_metrics = gateway_metrics
-        #: Staleness bound for signals whose drift has no event (the gateway
-        #: medians move with every completed request).
-        self.refresh_interval_s = refresh_interval_s
+        self.gateway_metrics = None
 
+        #: Membership, in registration (= priority) order.
+        self._endpoints: Dict[str, ComputeEndpoint] = {}
         self._pools: Dict[Tuple[str, str], object] = {}
         self._signals: Dict[Tuple[str, str], PoolSignal] = {}
         #: Signals for pools living in *other partitions* (see
@@ -151,7 +158,7 @@ class TopologyView:
         self._remote_signals: Dict[Tuple[str, str], PoolSignal] = {}
         self._dirty: set = set()
         self._cluster_cache: Dict[str, ClusterSignal] = {}
-        self._providers: Dict[str, object] = {}
+        self._providers: Dict[str, FacilityStatusProvider] = {}
 
         # -- reservations: model -> tenant -> slots / admitted in flight ----
         self._reservations: Dict[str, Dict[str, int]] = {}
@@ -164,32 +171,17 @@ class TopologyView:
         self.rebuilds = 0
         self.reads = 0
 
-        registry.subscribe(self)
-        for entry in registry.entries:
-            self.on_register(entry)
-
-    # ------------------------------------------------------------- registry hooks
-    @classmethod
-    def over(cls, registry) -> "TopologyView":
-        """Build a view over a registry (compat shim for legacy
-        ``Router(registry)`` call sites; the deployment wires one properly).
-
-        An empty registry is fine — the simulation environment is captured
-        from the first endpoint that registers.
-        """
-        env = registry.entries[0].endpoint.env if registry.entries else None
-        return cls(env, registry)
-
-    def on_register(self, entry) -> None:
-        """Registry hook: start observing a newly federated endpoint."""
-        endpoint = entry.endpoint
-        if self.env is None:
-            self.env = endpoint.env
-        self._providers[endpoint.endpoint_id] = entry.status_provider
+    # ------------------------------------------------------------- membership
+    def register(self, endpoint: ComputeEndpoint,
+                 status_provider: FacilityStatusProvider) -> None:
+        """Federate ``endpoint`` behind every endpoint already registered."""
+        endpoint_id = endpoint.endpoint_id
+        if endpoint_id in self._endpoints:
+            raise ValueError(f"Endpoint {endpoint_id} already registered")
+        self._endpoints[endpoint_id] = endpoint
+        self._providers[endpoint_id] = status_provider
         for pool in endpoint.pools.values():
-            key = (endpoint.endpoint_id, pool.model)
-            if key in self._pools:
-                continue
+            key = (endpoint_id, pool.model)
             self._pools[key] = pool
             self._dirty.add(key)
             pool.add_observer(self._on_pool_event)
@@ -197,15 +189,20 @@ class TopologyView:
             if policy is not None and hasattr(policy, "bind_topology"):
                 policy.bind_topology(
                     self,
-                    endpoint_id=endpoint.endpoint_id,
+                    endpoint_id=endpoint_id,
                     cluster=endpoint.cluster_name,
                     model=pool.model,
                 )
 
-    def on_deregister(self, entry) -> None:
-        """Registry hook: drop an endpoint's signals (facility going dark)."""
-        endpoint_id = entry.endpoint.endpoint_id
-        self._providers.pop(endpoint_id, None)
+    def deregister(self, endpoint_id: str) -> None:
+        """Remove an endpoint from the federation (a facility going dark).
+
+        Its signals go with it; the gateway's routing cache finds the
+        resulting :class:`NotFoundError` from :meth:`get` and re-routes.
+        """
+        self.get(endpoint_id)  # NotFoundError for an unknown id
+        del self._endpoints[endpoint_id]
+        del self._providers[endpoint_id]
         for key in [k for k in self._pools if k[0] == endpoint_id]:
             pool = self._pools.pop(key)
             pool.remove_observer(self._on_pool_event)
@@ -216,6 +213,29 @@ class TopologyView:
             policy = getattr(pool.replicas, "policy", None)
             if policy is not None and hasattr(policy, "unbind_topology"):
                 policy.unbind_topology()
+
+    def get(self, endpoint_id: str) -> ComputeEndpoint:
+        try:
+            return self._endpoints[endpoint_id]
+        except KeyError:
+            raise NotFoundError(f"Unknown federated endpoint: {endpoint_id}") from None
+
+    @property
+    def endpoints(self) -> List[ComputeEndpoint]:
+        """Every federated endpoint, in priority order."""
+        return list(self._endpoints.values())
+
+    def endpoints_for_model(self, model: str) -> List[ComputeEndpoint]:
+        """Endpoints configured to host ``model``, in priority order."""
+        return [e for e in self._endpoints.values() if e.hosts_model(model)]
+
+    def hosted_models(self) -> List[str]:
+        models = []
+        for endpoint in self._endpoints.values():
+            for hosting in endpoint.config.models:
+                if hosting.model not in models:
+                    models.append(hosting.model)
+        return models
 
     def _on_pool_event(self, pool) -> None:
         self._dirty.add((pool.endpoint.endpoint_id, pool.model))
@@ -233,7 +253,7 @@ class TopologyView:
         if (
             cached is not None
             and key not in self._dirty
-            and self.env.now - cached.computed_at < self.refresh_interval_s
+            and self.env.now - cached.computed_at < REFRESH_INTERVAL_S
         ):
             return cached
         signal = self._compute(pool)
@@ -299,17 +319,17 @@ class TopologyView:
         deterministic (endpoint, model) order."""
         return [self._remote_signals[k] for k in sorted(self._remote_signals)]
 
-    def candidates(self, model: str) -> List[Tuple[object, Optional[PoolSignal]]]:
-        """(entry, signal) pairs for every endpoint hosting ``model``, in the
-        registry's priority order."""
+    def candidates(self, model: str) -> List[Tuple[ComputeEndpoint, Optional[PoolSignal]]]:
+        """(endpoint, signal) pairs for every endpoint hosting ``model``, in
+        priority order."""
         return [
-            (entry, self.pool_signal(entry.endpoint_id, model))
-            for entry in self.registry.endpoints_for_model(model)
+            (endpoint, self.pool_signal(endpoint.endpoint_id, model))
+            for endpoint in self.endpoints_for_model(model)
         ]
 
     def signals_for_model(self, model: str) -> List[PoolSignal]:
-        signals = [sig for _entry, sig in self.candidates(model) if sig is not None]
-        # Remote pools are not federation-registry entries; append their
+        signals = [sig for _endpoint, sig in self.candidates(model) if sig is not None]
+        # Remote pools are not federation members; append their
         # snapshot signals in deterministic key order.
         signals.extend(
             self._remote_signals[key]
@@ -345,17 +365,16 @@ class TopologyView:
         self._cluster_cache[name] = signal
         return signal
 
-    def query_cluster(self, entry):
-        """Simulation process: the federation's *public* status query.
+    def query_cluster(self, endpoint_id: str):
+        """The federation's *public* status query, as a simulation process.
 
-        Delegates to the endpoint's :class:`FacilityStatusProvider`, keeping
+        Returns the endpoint's :meth:`FacilityStatusProvider.query`, keeping
         the paper's query latency and staleness window — the verbatim
         priority rule routes through here so its ablation numbers stay
-        bit-identical.
+        bit-identical.  The provider is resolved now, so a query taken
+        before its endpoint leaves the federation still runs.
         """
-        provider = self._providers.get(entry.endpoint_id, entry.status_provider)
-        status = yield from provider.query()
-        return status
+        return self._providers[endpoint_id].query()
 
     # ------------------------------------------------------------- reservations
     def reserve(self, tenant: str, model: str, slots: int) -> None:
@@ -377,8 +396,8 @@ class TopologyView:
         """Slot capacity the federation can provision for ``model`` (sum of
         every hosting pool's instance ceiling x slots per instance)."""
         total = 0
-        for entry in self.registry.endpoints_for_model(model):
-            signal = self.pool_signal(entry.endpoint_id, model)
+        for endpoint in self.endpoints_for_model(model):
+            signal = self.pool_signal(endpoint.endpoint_id, model)
             if signal is not None:
                 total += signal.provisionable_slots
         return total

@@ -15,12 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
-from ..common.randomness import RandomSource
+import numpy as np
 
-try:  # Vector search is numpy-only; the module stays importable without it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
+from ..common.randomness import RandomSource
 
 __all__ = ["SearchHit", "FlatIndex", "IVFIndex"]
 
@@ -51,8 +48,6 @@ class FlatIndex:
     """Exact cosine-similarity search."""
 
     def __init__(self, dim: int):
-        if np is None:
-            raise RuntimeError("FlatIndex requires numpy")
         if dim <= 0:
             raise ValueError("dim must be > 0")
         self.dim = dim
@@ -87,8 +82,6 @@ class IVFIndex:
 
     def __init__(self, dim: int, n_lists: int = 8, nprobe: int = 2, seed: int = 0,
                  kmeans_iters: int = 10):
-        if np is None:
-            raise RuntimeError("IVFIndex requires numpy")
         if dim <= 0 or n_lists <= 0 or nprobe <= 0:
             raise ValueError("dim, n_lists and nprobe must be > 0")
         self.dim = dim

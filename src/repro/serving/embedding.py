@@ -21,10 +21,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-try:  # The simulator core stays importable without numpy; only the
-    import numpy as np  # featurizer below actually needs it.
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
+import numpy as np
 
 from ..sim import Environment, Event
 from .models import ModelSpec
@@ -40,8 +37,6 @@ def hash_embedding(text: str, dim: int = 384) -> np.ndarray:
     hashing trick; texts sharing vocabulary therefore land near each other
     in cosine space, which is all the RAG case study requires.
     """
-    if np is None:
-        raise RuntimeError("hash_embedding requires numpy")
     vec = np.zeros(dim, dtype=np.float64)
     words = text.lower().split()
     grams = words + [" ".join(p) for p in zip(words, words[1:])]

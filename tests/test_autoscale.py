@@ -322,7 +322,7 @@ def test_scaled_down_endpoint_deregisters_cleanly_and_routes_move_on():
 
     # The drained endpoint deregisters from the federation; the gateway's
     # cached route must not point at it afterwards.
-    deployment.registry.deregister("ep-alpha")
+    deployment.topology.deregister("ep-alpha")
     second = client.chat_completion(
         MODEL_8B, [{"role": "user", "content": "hello beta"}], max_tokens=16
     )

@@ -22,14 +22,6 @@ from hypothesis import strategies as st
 from repro.analysis import DetSan, DetSanError, compare_hashseeds
 from repro.sim import Environment
 
-try:
-    import numpy  # noqa: F401
-    HAS_NUMPY = True
-except ImportError:
-    HAS_NUMPY = False
-
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
-
 TESTS_DIR = Path(__file__).resolve().parent
 
 
@@ -119,7 +111,6 @@ class TestBitIdentity:
         assert sanitized == plain
         assert sanitized_env.sanitizer.violations == []
 
-    @needs_numpy
     def test_engine_cell_fingerprint_identical_under_detsan(self, monkeypatch):
         """A real macro-stepped engine scenario, sanitized end to end: the
         sanitizer stays silent and the merged fingerprint is bit-identical."""
@@ -183,7 +174,6 @@ class TestDetection:
 
 
 # ---------------------------------------------------------------- obs RNG draws
-@needs_numpy
 class TestObsDrawAttribution:
     def obs_draw(self, rng):
         """Execute a draw whose calling frame claims to be in repro/obs/."""
@@ -235,7 +225,6 @@ class TestObsDrawAttribution:
 
 
 # ---------------------------------------------------------------- hash seeds
-@needs_numpy
 class TestCompareHashseeds:
     def test_quickstart_config_is_hashseed_independent(self):
         report = compare_hashseeds(

@@ -1,7 +1,8 @@
-"""Tests for the federation layer and the FIRSTDeployment assembly."""
+"""Tests for federation membership, routing and the FIRSTDeployment assembly."""
 
 import pytest
 
+from repro.cluster import FacilityStatusProvider
 from repro.common import ConfigurationError, NotFoundError
 from repro.core import (
     ClusterDeploymentSpec,
@@ -10,7 +11,7 @@ from repro.core import (
     ModelDeploymentSpec,
     calibration,
 )
-from repro.federation import FirstConfiguredRouter, PriorityRouter, RandomRouter
+from repro.placement import FirstConfiguredRouter, PriorityRouter, RandomRouter
 from repro.serving import InferenceRequest
 
 MODEL_8B = "meta-llama/Llama-3.1-8B-Instruct"
@@ -36,18 +37,35 @@ def federated_deployment(sophia_nodes=2, polaris_nodes=2):
     return FIRSTDeployment(config)
 
 
-# -- registry ------------------------------------------------------------------------
+# -- membership ----------------------------------------------------------------------
 
-def test_registry_orders_endpoints_by_registration():
-    deployment = federated_deployment()
-    entries = deployment.registry.endpoints_for_model(MODEL_8B)
-    assert [e.cluster for e in entries] == ["sophia", "polaris"]
+def test_view_orders_endpoints_by_registration():
+    view = federated_deployment().topology
+    entries = view.endpoints_for_model(MODEL_8B)
+    assert [e.cluster_name for e in entries] == ["sophia", "polaris"]
     # 7B is only hosted on polaris.
-    assert [e.cluster for e in deployment.registry.endpoints_for_model(MODEL_7B)] == ["polaris"]
-    assert deployment.registry.endpoints_for_model("unhosted-model") == []
-    assert set(deployment.registry.hosted_models()) == {MODEL_8B, MODEL_7B}
+    assert [e.cluster_name for e in view.endpoints_for_model(MODEL_7B)] == ["polaris"]
+    assert view.endpoints_for_model("unhosted-model") == []
+    assert set(view.hosted_models()) == {MODEL_8B, MODEL_7B}
     with pytest.raises(NotFoundError):
-        deployment.registry.get("ep-missing")
+        view.get("ep-missing")
+    with pytest.raises(NotFoundError):
+        view.deregister("ep-missing")
+
+
+def test_duplicate_registration_is_rejected():
+    """A second registration under a known id used to be accepted: after one
+    ``deregister`` the endpoint stayed a routing candidate while its pools
+    were already dropped and its scaling policy unbound."""
+    deployment = FIRSTDeployment.federated(sophia_nodes=2, polaris_nodes=2)
+    view = deployment.topology
+    sophia = deployment.endpoints["ep-sophia"]
+    with pytest.raises(ValueError, match="ep-sophia already registered"):
+        view.register(sophia, FacilityStatusProvider(deployment.env,
+                                                     deployment.schedulers["sophia"]))
+    assert [e.endpoint_id for e in view.endpoints] == ["ep-sophia", "ep-polaris"]
+    view.deregister("ep-sophia")
+    assert [e.endpoint_id for e in view.endpoints_for_model(MODEL_8B)] == ["ep-polaris"]
 
 
 # -- routing policies -------------------------------------------------------------------
@@ -56,7 +74,7 @@ def test_priority_router_prefers_active_instance():
     deployment = federated_deployment()
     # Warm the model on polaris (the *second* priority endpoint).
     deployment.warm_up(MODEL_8B, endpoint_id="ep-polaris")
-    router = PriorityRouter(deployment.registry)
+    router = PriorityRouter(deployment.topology)
     proc = deployment.env.process(router.select(MODEL_8B))
     endpoint = deployment.env.run(until=proc)
     assert endpoint.endpoint_id == "ep-polaris"
@@ -66,7 +84,7 @@ def test_priority_router_prefers_active_instance():
 def test_priority_router_falls_back_to_free_nodes():
     deployment = federated_deployment()
     # Nothing is warm; sophia (priority 0) has free nodes, so rule 2 picks it.
-    router = PriorityRouter(deployment.registry)
+    router = PriorityRouter(deployment.topology)
     proc = deployment.env.process(router.select(MODEL_8B))
     endpoint = deployment.env.run(until=proc)
     assert endpoint.endpoint_id == "ep-sophia"
@@ -79,7 +97,7 @@ def test_priority_router_falls_back_to_first_configured_when_everything_busy():
     for cluster in deployment.clusters.values():
         for node in cluster.nodes:
             node.allocate("background-job")
-    router = PriorityRouter(deployment.registry)
+    router = PriorityRouter(deployment.topology)
     proc = deployment.env.process(router.select(MODEL_8B))
     endpoint = deployment.env.run(until=proc)
     assert endpoint.endpoint_id == "ep-sophia"
@@ -88,7 +106,7 @@ def test_priority_router_falls_back_to_first_configured_when_everything_busy():
 
 def test_priority_router_unknown_model():
     deployment = federated_deployment()
-    router = PriorityRouter(deployment.registry)
+    router = PriorityRouter(deployment.topology)
     with pytest.raises(NotFoundError):
         deployment.env.process(router.select("model-nobody-hosts"))
         deployment.run_for(1.0)
@@ -96,8 +114,8 @@ def test_priority_router_unknown_model():
 
 def test_random_and_first_configured_routers():
     deployment = federated_deployment()
-    rand = RandomRouter(deployment.registry, seed=3)
-    first = FirstConfiguredRouter(deployment.registry)
+    rand = RandomRouter(deployment.topology, seed=3)
+    first = FirstConfiguredRouter(deployment.topology)
     chosen = set()
     for _ in range(20):
         proc = deployment.env.process(rand.select(MODEL_8B))
@@ -155,7 +173,7 @@ def test_sophia_benchmark_deployment_shape():
 def test_federated_constructor_two_clusters():
     deployment = FIRSTDeployment.federated(sophia_nodes=2, polaris_nodes=2)
     assert set(deployment.clusters) == {"sophia", "polaris"}
-    assert len(deployment.registry.entries) == 2
+    assert len(deployment.topology.endpoints) == 2
 
 
 def test_prewarm_unknown_model_rejected():

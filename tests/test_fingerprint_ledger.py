@@ -11,7 +11,10 @@ run's environment, the exact number of event ids the kernel issued.  Trace
 *content* is pinned the same way: the ``to_dict()`` of every trace
 ``first_traced`` retains, and three scenarios on the edges of span recording
 (a span cap hit between decode windows, ``stop()`` inside a macro window, a
-live-streamed traced request whose delivery span opens mid-decode).
+live-streamed traced request whose delivery span opens mid-decode).  Four
+federation cells run placement policies over two clusters (routing summary,
+capacity shifts, GPU-seconds per scheduler, view rebuilds), one of them with
+an endpoint deregistered mid-traffic.
 
 The file is rewritten only by::
 
@@ -65,15 +68,17 @@ DIVISORS = {
 }
 
 
-def _layered_workloads():
-    name = "layers_workloads"
+def _by_path(name: str, relative: str):
     if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(
-            name, ROOT / "benchmarks" / "layers" / "workloads.py")
+        spec = importlib.util.spec_from_file_location(name, ROOT / relative)
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)
     return sys.modules[name]
+
+
+def _layered_workloads():
+    return _by_path("layers_workloads", "benchmarks/layers/workloads.py")
 
 
 def _engine_state(engines) -> list:
@@ -312,6 +317,51 @@ def gateway_live_trace_case() -> dict:
             "windows_after_delivery": names[delivery:].count("engine.decode_window")}
 
 
+#: Placement policies routing across two clusters (``bench_federation_v2.py``'s
+#: quick diurnal scenario): router + scaling policy, and the simulated second
+#: of traffic at which ``ep-west`` leaves the federation (``None``: never).
+FEDERATION_CELLS = {
+    "priority+queue_depth": ("priority+queue_depth", None),
+    "least_loaded+federated": ("least_loaded+federated", None),
+    "slo+federated": ("slo+federated", None),
+    "slo+federated/west_deregistered": ("slo+federated", 400.0),
+}
+
+
+def federation_case(cell: str) -> dict:
+    from repro.parallel import trace_fingerprint
+    from repro.workload import BenchmarkClient, ShareGPTWorkload
+
+    bench = _by_path("bench_federation_v2", "benchmarks/bench_federation_v2.py")
+    combo, deregister_at = FEDERATION_CELLS[cell]
+    router_name, scaling = combo.split("+")
+    arrival, count = bench.make_arrival_and_count("diurnal",
+                                                  bench.QUICK_SCENARIOS["diurnal"])
+    deployment = bench.build_deployment(scaling)
+    router = deployment.gateway.router = bench.make_router(router_name, deployment)
+    deployment.warm_up(bench.MODEL, instances=1, endpoint_id="ep-east")
+    traffic = BenchmarkClient(deployment.env, deployment.client("benchmark@anl.gov"))
+    done = deployment.env.process(traffic.run(
+        ShareGPTWorkload().generate(bench.MODEL, num_requests=count), arrival=arrival))
+    if deregister_at is not None:
+        deployment.run_for(deregister_at)
+        deployment.topology.deregister("ep-west")
+    deployment.env.run(until=done)
+    deployment.run_for(bench.QUIET_TAIL_S)
+    policies = [pool.replicas.policy for endpoint in deployment.endpoints.values()
+                for pool in endpoint.pools.values()]
+    records = traffic.collector.records
+    return {"requests": len(records),
+            "fingerprint": trace_fingerprint(records),
+            "failed": sum(1 for r in records if not r.success),
+            "routing": router.summary(),
+            "shifts_out": sum(getattr(p, "shifts_out", 0) for p in policies),
+            "shifts_in": sum(getattr(p, "shifts_in", 0) for p in policies),
+            "gpu_seconds": {name: scheduler.gpu_seconds()
+                            for name, scheduler in deployment.schedulers.items()},
+            "rebuilds": deployment.topology.rebuilds}
+
+
 def build_ledger() -> dict:
     import numpy
 
@@ -327,6 +377,8 @@ def build_ledger() -> dict:
         cases[f"retained_traces/seed{seed}"] = retained_traces_case(seed)
         cases[f"tail_sampled/seed{seed}"] = tail_sampled_case(seed)
     cases["trace_gateway_live"] = gateway_live_trace_case()
+    for cell in FEDERATION_CELLS:
+        cases[f"federation/{cell}"] = federation_case(cell)
     return {"header": {"python": platform.python_version(),
                        "numpy": numpy.__version__,
                        "divisors": DIVISORS,
@@ -341,7 +393,6 @@ def recorded(case: str) -> dict:
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("workload", list(DIVISORS))
 def test_layered_workload_matches_the_ledger(workload, seed):
-    pytest.importorskip("numpy")  # the request generators need it
     # Through JSON, as the file was written: floats round-trip exactly.
     observed = json.loads(json.dumps(layered_case(workload, seed)))
     assert observed == recorded(f"{workload}/seed{seed}")
@@ -360,7 +411,6 @@ def test_traced_run_advances_the_engine_exactly_as_the_untraced_one(monkeypatch)
     """Inside the engine a traced request costs what an untraced one does:
     ``first_traced`` makes ``first_chat``'s ``_advance_epoch`` calls, none of
     which finds a sequence to visit — windows go to the shared log, once."""
-    pytest.importorskip("numpy")
     advance = ContinuousBatchingEngine._advance_epoch
     calls = {}
 
@@ -402,7 +452,6 @@ def test_span_recording_edges_match_the_ledger(name, macro):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_retained_trace_content_matches_the_ledger(seed):
-    pytest.importorskip("numpy")
     observed = json.loads(json.dumps(retained_traces_case(seed)))
     assert observed == recorded(f"retained_traces/seed{seed}")
     assert observed["tracer"]["retained"] < observed["tracer"]["finished"]
@@ -413,7 +462,6 @@ def test_tail_sampling_decides_from_rows(seed, monkeypatch):
     """A tail predicate sees the shapes eager recording produced, and
     computing them builds no decode-window ``Span`` — kept or dropped, no
     run is expanded for the retention decision."""
-    pytest.importorskip("numpy")
     init = Span.__init__
     windows_built = []
 
@@ -434,6 +482,13 @@ def test_live_streamed_traced_request_matches_the_ledger():
     assert observed == recorded("trace_gateway_live")
     # The delivery span really does open in the middle of the decode run.
     assert observed["windows_before_delivery"] > 0 < observed["windows_after_delivery"]
+
+
+@pytest.mark.parametrize("cell", list(FEDERATION_CELLS))
+def test_federated_placement_matches_the_ledger(cell):
+    observed = json.loads(json.dumps(federation_case(cell)))
+    assert observed == recorded(f"federation/{cell}")
+    assert observed["failed"] == 0
 
 
 if __name__ == "__main__":

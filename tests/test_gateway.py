@@ -517,7 +517,7 @@ def test_stale_routing_cache_falls_back_to_fresh_selection():
     cached_id = deployment.gateway._routing_cache[cache_key].endpoint_id
     assert cached_id == "ep-c1"
 
-    deployment.registry.deregister("ep-c1")
+    deployment.topology.deregister("ep-c1")
     # Well inside the routing-cache TTL: the stale entry must be evicted and
     # the request re-routed to the surviving endpoint instead of crashing.
     response = client.chat_completion(MODEL_7B, [{"role": "user", "content": "b"}],

@@ -4,9 +4,6 @@ The hard guarantee under test: merged results of a partitioned federated
 deployment are **bit-identical** for any worker count (serial fallback,
 2 and 4 spawn workers).  Fingerprints are SHA-256 over exact float reprs, so
 "close" is a failure.
-
-Requires numpy (ShareGPT workload) — listed in conftest's no-numpy
-``collect_ignore``.
 """
 
 from hypothesis import given, settings
@@ -116,10 +113,9 @@ def test_trace_fingerprint_is_order_insensitive_but_value_sensitive():
 # ------------------------------------------------------------- boundary proxy
 def test_boundary_proxy_routes_and_snapshot_refreshes_view():
     from repro.core import calibration
-    from repro.federation import FederationRegistry
 
     env = Environment()
-    view = TopologyView(env, FederationRegistry())
+    view = TopologyView(env)
     relay = RelayService(env, calibration.default_relay_config())
     proxy = RelayBoundaryProxy(env, "ep-remote", "remote", ["model-a"],
                                view=view)

@@ -2,7 +2,8 @@
 
 Covers the shared :class:`TopologyView` (signal correctness, event-driven
 refresh), the view-backed routing policies under churn (deregistration
-mid-flight, a model left with zero endpoints after a drain), the SLO
+mid-flight and everything it detaches, a model left with zero endpoints
+after a drain), the SLO
 router's shed/recover hysteresis (no flapping), the cross-cluster
 :class:`FederationScalingPolicy`, per-tenant capacity reservations and the
 bounded routing-decision log.
@@ -18,16 +19,16 @@ from repro.core import (
     FIRSTDeployment,
     ModelDeploymentSpec,
 )
-from repro.federation import FirstConfiguredRouter
 from repro.gateway import default_middleware_factories
 from repro.placement import (
+    FirstConfiguredRouter,
     LeastLoadedRouter,
     PoolSignal,
     PriorityRouter,
     ReservationMiddleware,
     SLORouter,
-    TopologyView,
 )
+from repro.placement.policies import MAX_DECISIONS
 from repro.serving import InferenceRequest
 
 MODEL_8B = "meta-llama/Llama-3.1-8B-Instruct"
@@ -157,7 +158,7 @@ def test_deregistration_mid_flight_reroutes_and_completes():
     in_flight = client.submit(InferenceRequest(
         "churn-0", MODEL_8B, prompt_tokens=128, max_output_tokens=256))
     deployment.run_for(5.0)
-    deployment.registry.deregister("ep-c1")
+    deployment.topology.deregister("ep-c1")
 
     # The view detached the endpoint's pools...
     assert deployment.topology.pool_signal("ep-c1", MODEL_8B) is None
@@ -180,8 +181,8 @@ def test_model_on_zero_endpoints_after_drain_is_typed_not_found():
         pool = deployment.endpoints[name].pools[MODEL_8B]
         pool.replicas.scale_to(0, reason="maintenance")
     deployment.run_for(30.0)
-    deployment.registry.deregister("ep-c1")
-    deployment.registry.deregister("ep-c2")
+    deployment.topology.deregister("ep-c1")
+    deployment.topology.deregister("ep-c2")
 
     # select() raises synchronously, before its first yield.
     router = deployment.gateway.router
@@ -192,6 +193,44 @@ def test_model_on_zero_endpoints_after_drain_is_typed_not_found():
     response = envelope_client.chat_completion(
         MODEL_8B, [{"role": "user", "content": "anyone home?"}], max_tokens=8)
     assert response["error"]["type"] == "not_found_error"
+
+
+def test_deregistration_detaches_everything_through_the_view():
+    """One ``view.deregister`` is the whole departure: the gateway's cached
+    route to the endpoint is evicted on its next use, the pool and cluster
+    signals are gone, the pool no longer notifies the view and the
+    federation-aware scaling policy is unbound."""
+    from repro.autoscale import AutoscaleConfig
+
+    federated = ModelDeploymentSpec(
+        MODEL_8B, max_instances=2, max_parallel_tasks=16,
+        autoscale=AutoscaleConfig(policy="federated", min_instances=0))
+    deployment = FIRSTDeployment(DeploymentConfig(
+        clusters=[ClusterDeploymentSpec(name=name, kind="small", num_nodes=2,
+                                        scheduler="local", models=[federated])
+                  for name in ("c1", "c2")],
+        users=["researcher@anl.gov"], generate_text=False))
+    deployment.warm_up(MODEL_8B, endpoint_id="ep-c1")
+    deployment.warm_up(MODEL_8B, endpoint_id="ep-c2")
+    client = deployment.client("researcher@anl.gov")
+    cache = deployment.gateway._routing_cache
+    key = (MODEL_8B, "researcher@anl.gov")
+    client.chat_completion(MODEL_8B, [{"role": "user", "content": "x"}], max_tokens=8)
+    assert cache[key].endpoint_id == "ep-c1"
+    pool = deployment.endpoints["ep-c1"].pools[MODEL_8B]
+    policy = pool.replicas.policy
+    view = deployment.topology
+    assert policy.view is view and view._on_pool_event in pool._observers
+
+    view.deregister("ep-c1")
+    assert view.pool_signal("ep-c1", MODEL_8B) is None
+    assert view.cluster_signal("ep-c1") is None
+    assert view._on_pool_event not in pool._observers
+    assert policy.view is None and policy.endpoint_id is None
+    # The cached route is still fresh, yet the next request re-routes.
+    client.chat_completion(MODEL_8B, [{"role": "user", "content": "y"}], max_tokens=8)
+    assert cache[key].endpoint_id == "ep-c2"
+    assert deployment.gateway.router.decisions_total == 2
 
 
 # -- SLO routing -----------------------------------------------------------------------
@@ -255,7 +294,7 @@ def test_slo_router_per_tenant_slos():
 
 # -- cross-cluster scaling --------------------------------------------------------------
 
-class _Entry:
+class _Endpoint:
     def __init__(self, endpoint_id):
         self.endpoint_id = endpoint_id
 
@@ -267,7 +306,7 @@ class _StubView:
         self.signals = signals
 
     def candidates(self, model):
-        return [(_Entry(sig.endpoint_id), sig) for sig in self.signals]
+        return [(_Endpoint(sig.endpoint_id), sig) for sig in self.signals]
 
 
 def sample(time, ready=2, waiting=0, in_flight=0, slots=8, total=None):
@@ -394,7 +433,7 @@ def test_deployment_binds_federated_policy_to_topology():
     assert policy.endpoint_id == "ep-c1"
     # Leaving the federation unbinds the policy: a dark endpoint must not
     # keep pre-warming replicas for siblings it can no longer serve.
-    deployment.registry.deregister("ep-c1")
+    deployment.topology.deregister("ep-c1")
     assert policy.view is None
 
 
@@ -470,15 +509,16 @@ def test_unreserved_model_is_untouched_by_reservation_stage():
 
 def test_decision_log_is_bounded_but_counters_cumulative():
     deployment = two_cluster_deployment()
-    router = FirstConfiguredRouter(deployment.registry, max_decisions=5)
-    for _ in range(12):
+    router = FirstConfiguredRouter(deployment.topology)
+    total = MAX_DECISIONS + 7
+    for _ in range(total):
         run_select(deployment, router)
-    assert len(router.decisions) == 5
+    assert len(router.decisions) == MAX_DECISIONS == 512
     summary = router.summary()
-    assert summary["total"] == 12
-    assert summary["recent"] == 5
-    assert summary["by_endpoint"] == {"ep-c1": 12}
-    assert summary["by_rule"] == {"first-configured": 12}
+    assert summary["total"] == total
+    assert summary["recent"] == MAX_DECISIONS
+    assert summary["by_endpoint"] == {"ep-c1": total}
+    assert summary["by_rule"] == {"first-configured": total}
 
 
 def test_dashboard_surfaces_routing_summary():
@@ -490,10 +530,3 @@ def test_dashboard_surfaces_routing_summary():
     assert routing["policy"] == "priority"
     assert routing["total"] >= 1
     assert sum(routing["by_endpoint"].values()) == routing["total"]
-
-
-def test_topology_view_over_registry_compat_shim():
-    deployment = two_cluster_deployment()
-    router = PriorityRouter(deployment.registry)  # legacy call-site signature
-    assert isinstance(router.view, TopologyView)
-    assert router.registry is deployment.registry
