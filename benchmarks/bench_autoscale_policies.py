@@ -6,7 +6,7 @@ between 1 and 3 instances under three shifting workloads, once per scaling
 policy:
 
 * ``queue_depth``          — the legacy reactive heuristic (never scales down)
-* ``target_utilization``   — PID-style busy-fraction control with hysteresis
+* ``target_utilization``   — proportional busy-fraction control with hysteresis
 * ``scheduled``            — a cron-like capacity plan tuned per scenario
 * ``predictive``           — EWMA/Holt arrival forecast, pre-warms one
                              cold start ahead of ramps, drains troughs

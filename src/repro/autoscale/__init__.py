@@ -8,7 +8,7 @@ per-model replica counts:
   gateway's recent TTFT/ITL/latency medians;
 * :class:`ScalingPolicy` implementations map samples to replica targets —
   :class:`QueueDepthPolicy` (the legacy endpoint heuristic, extracted),
-  :class:`TargetUtilizationPolicy` (PID-style with cooldown/hysteresis),
+  :class:`TargetUtilizationPolicy` (proportional, with cooldown/hysteresis),
   :class:`ScheduledPolicy` (cron-like capacity plans),
   :class:`PredictivePolicy` (EWMA/Holt arrival forecast that pre-warms one
   cold start ahead of ramps) and :class:`FederationScalingPolicy`

@@ -2,7 +2,10 @@
 
 ``AutoscaleConfig`` is the single knob surface users touch: it selects a
 :mod:`~repro.autoscale.policy` by name, bounds the replica count, and
-carries every policy's tunables.  Deployments attach it per model through
+carries every built-in policy's tunables — queue-depth thresholds, a
+proportional utilization target with cooldowns, a periodic capacity plan,
+cross-cluster shifting, and a Holt (level + trend) arrival forecast.
+Deployments attach it per model through
 ``ModelDeploymentSpec.autoscale`` / ``ModelHostingConfig.autoscale``; when
 it is ``None`` the endpoint falls back to the legacy demand-driven
 queue-depth behaviour (reactive scale-up only, no periodic controller), so
@@ -12,7 +15,7 @@ existing deployments are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 __all__ = ["AutoscaleConfig"]
 
@@ -46,13 +49,11 @@ class AutoscaleConfig:
     #: How long the scale-down condition must hold before an instance drains.
     scale_down_hold_s: float = 60.0
 
-    # -- target-utilization (PID-style) policy -------------------------------
+    # -- target-utilization (proportional) policy ----------------------------
     #: Desired busy fraction (in-flight + waiting over ready slot capacity).
     target_utilization: float = 0.7
     #: Hysteresis band around the target inside which no action is taken.
     deadband: float = 0.15
-    #: Integral gain (PI control); 0 disables the integral term.
-    ki: float = 0.0
     #: Minimum time between consecutive scale-ups / scale-downs.
     cooldown_up_s: float = 30.0
     cooldown_down_s: float = 120.0
@@ -61,10 +62,9 @@ class AutoscaleConfig:
     #: Capacity plan: ``(offset_into_period_s, replicas)`` entries; the entry
     #: with the largest offset <= (now mod period) wins.
     schedule: List[Tuple[float, int]] = field(default_factory=list)
-    #: Plan period (one simulated "day" by default).
+    #: Plan period (one simulated "day" by default); the plan's t=0 is
+    #: ``ScheduledPolicy.epoch_s``.
     schedule_period_s: float = 86400.0
-    #: Anchor of the plan's t=0 (e.g. local midnight, or when traffic opens).
-    schedule_epoch_s: float = 0.0
 
     # -- federated (cross-cluster shifting) policy ---------------------------
     #: How much hotter (queue per ready instance) a sibling cluster must be
@@ -86,15 +86,6 @@ class AutoscaleConfig:
     instance_rps: Optional[float] = None
     #: Fractional capacity headroom provisioned above the forecast.
     headroom: float = 0.15
-    #: Seasonal cycle lengths in seconds (e.g. ``(86400, 604800)`` for
-    #: daily + weekly terms); ``None``/empty keeps the plain Holt forecast.
-    seasonal_periods: Optional[Tuple[float, ...]] = None
-    #: Smoothing factor for the additive seasonal indices.
-    seasonal_gamma: float = 0.3
-    #: Buckets per seasonal period: an int broadcasts to every period
-    #: (24 ≈ hourly resolution for a day); a tuple gives each period its own
-    #: resolution (e.g. ``(24, 168)`` for hourly daily *and* weekly terms).
-    seasonal_buckets: Union[int, Tuple[int, ...]] = 24
 
     def __post_init__(self):
         if self.min_instances < 0:
@@ -107,16 +98,3 @@ class AutoscaleConfig:
             raise ValueError("target_utilization must be in (0, 1]")
         if self.schedule:
             self.schedule = sorted(self.schedule)
-        if self.seasonal_periods:
-            if any(period <= 0 for period in self.seasonal_periods):
-                raise ValueError("seasonal_periods must be > 0")
-            if not 0.0 <= self.seasonal_gamma <= 1.0:
-                raise ValueError("seasonal_gamma must be in [0, 1]")
-            buckets = self.seasonal_buckets
-            if isinstance(buckets, int):
-                buckets = (buckets,) * len(self.seasonal_periods)
-            elif len(buckets) != len(self.seasonal_periods):
-                raise ValueError(
-                    "seasonal_buckets must match seasonal_periods in length")
-            if any(count < 1 for count in buckets):
-                raise ValueError("seasonal_buckets must be >= 1")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 from ..common import ConfigurationError
 from .config import AutoscaleConfig
@@ -134,54 +134,42 @@ class QueueDepthPolicy(ScalingPolicy):
 
 
 class TargetUtilizationPolicy(ScalingPolicy):
-    """PID-style control towards a busy-fraction setpoint.
+    """Proportional control towards a busy-fraction setpoint.
 
     Proportional control is ratio-based (desired ≈ ready * busy / target,
-    the Kubernetes-HPA form) with an optional integral term; a deadband
-    around the setpoint plus independent up/down cooldowns provide the
-    hysteresis that keeps the loop from flapping on noisy workloads.
+    the Kubernetes-HPA form); a deadband around the setpoint plus
+    independent up/down cooldowns provide the hysteresis that keeps the loop
+    from flapping on noisy workloads.
     """
 
     name = "target_utilization"
 
     def __init__(self, target: float = 0.7, deadband: float = 0.15,
-                 ki: float = 0.0, cooldown_up_s: float = 30.0,
-                 cooldown_down_s: float = 120.0):
+                 cooldown_up_s: float = 30.0, cooldown_down_s: float = 120.0):
         if not 0.0 < target <= 1.0:
             raise ValueError("target must be in (0, 1]")
         self.target = target
         self.deadband = deadband
-        self.ki = ki
         self.cooldown_up_s = cooldown_up_s
         self.cooldown_down_s = cooldown_down_s
-        self._integral = 0.0
-        self._last_time: Optional[float] = None
         self._last_action_time = -float("inf")
 
     def decide(self, sample: MetricsSample) -> ScalingDecision:
         total = sample.total_instances
         ready = sample.ready_instances
         now = sample.time
-        dt = 0.0 if self._last_time is None else now - self._last_time
-        self._last_time = now
 
         if ready == 0:
             # Nothing observable yet: bootstrap on demand, otherwise hold.
             return ScalingDecision(max(total, self.reactive(sample)))
 
         busy = sample.busy_fraction
-        if self.ki > 0.0 and dt > 0.0:
-            # Anti-windup clamp: the integral may nudge by at most one
-            # instance's worth of utilisation in either direction.
-            self._integral += self.ki * (busy - self.target) * dt
-            self._integral = max(-1.0, min(1.0, self._integral))
-        desired_f = ready * (busy / self.target) + self._integral
+        desired_f = ready * (busy / self.target)
 
         low = ready * (1.0 - self.deadband)
         high = ready * (1.0 + self.deadband)
         if desired_f > high and now - self._last_action_time >= self.cooldown_up_s:
             self._last_action_time = now
-            self._integral = 0.0
             return ScalingDecision(
                 max(total + 1, math.ceil(desired_f)),
                 f"busy {busy:.2f} above target {self.target:.2f}",
@@ -189,7 +177,6 @@ class TargetUtilizationPolicy(ScalingPolicy):
         if (desired_f < low and total > 1
                 and now - self._last_action_time >= self.cooldown_down_s):
             self._last_action_time = now
-            self._integral = 0.0
             return ScalingDecision(
                 max(1, min(total - 1, math.ceil(desired_f))),
                 f"busy {busy:.2f} below target {self.target:.2f}",
@@ -200,13 +187,14 @@ class TargetUtilizationPolicy(ScalingPolicy):
 class ScheduledPolicy(ScalingPolicy):
     """Cron-like capacity plan: replicas follow a periodic schedule.
 
-    ``epoch_s`` anchors the plan's t=0 (e.g. the moment traffic starts or
-    local midnight); offsets are taken modulo ``period_s`` from there.
+    Offsets are taken modulo ``period_s`` from :attr:`epoch_s`, the plan's
+    t=0: simulated time zero unless the owner re-anchors it (the autoscale
+    cell runner sets it to the moment traffic opens).
     """
 
     name = "scheduled"
 
-    def __init__(self, schedule, period_s: float = 86400.0, epoch_s: float = 0.0):
+    def __init__(self, schedule, period_s: float = 86400.0):
         if not schedule:
             raise ValueError("ScheduledPolicy needs a non-empty schedule")
         if period_s <= 0:
@@ -216,7 +204,7 @@ class ScheduledPolicy(ScalingPolicy):
             # Before the first entry the plan wraps from the last one.
             self.schedule.insert(0, (0.0, self.schedule[-1][1]))
         self.period_s = period_s
-        self.epoch_s = epoch_s
+        self.epoch_s = 0.0
 
     def planned_at(self, time: float) -> int:
         offset = (time - self.epoch_s) % self.period_s
@@ -244,13 +232,10 @@ class PredictivePolicy(ScalingPolicy):
     Scale-down follows the same forecast but only after the lower estimate
     has held for ``scale_down_hold_s``.
 
-    Optional **seasonality**: ``seasonal_periods`` adds bucketed additive
-    seasonal indices (Holt-Winters style) per cycle — e.g. ``(86400,
-    604800)`` models a daily *and* a weekly rhythm.  The Holt level/trend
-    then track the *deseasonalized* rate, and forecasts add back the
-    seasonal component **at the forecast target time** — so the policy
-    pre-warms ahead of a recurring peak even when the instantaneous trend
-    is still flat.
+    The forecast is Holt's linear method on the sampled arrival rate:
+    ``alpha`` smooths the level, ``beta`` the per-sample trend (0 = plain
+    EWMA), and a rate ``lead_s`` ahead is the level plus the trend times the
+    samples in the lead, floored at zero.
     """
 
     name = "predictive"
@@ -260,18 +245,11 @@ class PredictivePolicy(ScalingPolicy):
                  instance_rps: Optional[float] = None,
                  headroom: float = 0.15,
                  queue_per_instance: int = 8,
-                 scale_down_hold_s: float = 60.0,
-                 seasonal_periods: Optional[Sequence[float]] = None,
-                 seasonal_gamma: float = 0.3,
-                 seasonal_buckets=24):
+                 scale_down_hold_s: float = 60.0):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         if not 0.0 <= beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
-        if seasonal_periods and any(p <= 0 for p in seasonal_periods):
-            raise ValueError("seasonal_periods must be > 0")
-        if not 0.0 <= seasonal_gamma <= 1.0:
-            raise ValueError("seasonal_gamma must be in [0, 1]")
         self.alpha = alpha
         self.beta = beta
         self.lead_s = lead_s
@@ -279,25 +257,6 @@ class PredictivePolicy(ScalingPolicy):
         self.headroom = headroom
         self.queue_per_instance = queue_per_instance
         self.scale_down_hold_s = scale_down_hold_s
-        self.seasonal_periods = tuple(seasonal_periods or ())
-        self.seasonal_gamma = seasonal_gamma
-        # An int broadcasts to every period; a sequence gives each period
-        # its own resolution (a weekly term usually needs finer buckets
-        # than 24, or whole days of pattern share one index).
-        if isinstance(seasonal_buckets, int):
-            buckets = (seasonal_buckets,) * len(self.seasonal_periods)
-        else:
-            buckets = tuple(seasonal_buckets)
-            if len(buckets) != len(self.seasonal_periods):
-                raise ValueError(
-                    "seasonal_buckets must match seasonal_periods in length")
-        if (isinstance(seasonal_buckets, int) and seasonal_buckets < 1) \
-                or any(b < 1 for b in buckets):
-            raise ValueError("seasonal_buckets must be >= 1")
-        #: Normalized per-period bucket counts.
-        self.seasonal_buckets = buckets
-        #: Additive seasonal indices: one bucket array per period.
-        self._seasonal = [[0.0] * count for count in buckets]
         self._level: Optional[float] = None
         self._trend = 0.0
         self._last_time: Optional[float] = None
@@ -305,20 +264,9 @@ class PredictivePolicy(ScalingPolicy):
         self._low_since: Optional[float] = None
 
     # -- forecasting ---------------------------------------------------------
-    def _bucket(self, index: int, t: float) -> int:
-        period = self.seasonal_periods[index]
-        count = self.seasonal_buckets[index]
-        return int((t % period) / period * count) % count
-
-    def seasonal_at(self, t: float) -> float:
-        """Total additive seasonal component at absolute time ``t``."""
-        return sum(self._seasonal[index][self._bucket(index, t)]
-                   for index in range(len(self.seasonal_periods)))
-
     def _observe(self, sample: MetricsSample) -> float:
-        """Holt update with the (deseasonalized) arrival rate; returns dt."""
-        seasonal = self.seasonal_at(sample.time)
-        rate = sample.arrival_rate_rps - seasonal
+        """Holt update with the sampled arrival rate; returns dt."""
+        rate = sample.arrival_rate_rps
         dt = 0.0 if self._last_time is None else sample.time - self._last_time
         self._last_time = sample.time
         if self._level is None:
@@ -327,30 +275,14 @@ class PredictivePolicy(ScalingPolicy):
             previous = self._level
             self._level = self.alpha * rate + (1.0 - self.alpha) * (self._level + self._trend)
             self._trend = self.beta * (self._level - previous) + (1.0 - self.beta) * self._trend
-        # Each period's index absorbs the residual the level and the *other*
-        # periods leave unexplained (multi-seasonal Holt-Winters, additive).
-        for index in range(len(self.seasonal_periods)):
-            bucket = self._bucket(index, sample.time)
-            others = seasonal - self._seasonal[index][bucket]
-            residual = sample.arrival_rate_rps - self._level - others
-            self._seasonal[index][bucket] = (
-                (1.0 - self.seasonal_gamma) * self._seasonal[index][bucket]
-                + self.seasonal_gamma * residual)
         return dt
 
     def forecast_rate(self, lead_s: float, dt: float) -> float:
-        """Arrival-rate forecast ``lead_s`` ahead (per-sample trend units).
-
-        With seasonal periods configured, the seasonal component is
-        evaluated at the *target* time — this is what lets the policy see a
-        daily or weekly peak coming while the current trend is flat.
-        """
+        """Arrival-rate forecast ``lead_s`` ahead (per-sample trend units)."""
         if self._level is None:
             return 0.0
         steps = lead_s / dt if dt > 0 else 0.0
-        seasonal = self.seasonal_at((self._last_time or 0.0) + lead_s) \
-            if self.seasonal_periods else 0.0
-        return max(0.0, self._level + self._trend * steps + seasonal)
+        return max(0.0, self._level + self._trend * steps)
 
     def _per_instance_rps(self, sample: MetricsSample) -> float:
         if self.instance_rps is not None:
@@ -574,14 +506,12 @@ register_policy("queue_depth", lambda cfg, d: QueueDepthPolicy(
 register_policy("target_utilization", lambda cfg, d: TargetUtilizationPolicy(
     target=cfg.target_utilization,
     deadband=cfg.deadband,
-    ki=cfg.ki,
     cooldown_up_s=cfg.cooldown_up_s,
     cooldown_down_s=cfg.cooldown_down_s,
 ))
 register_policy("scheduled", lambda cfg, d: ScheduledPolicy(
     schedule=cfg.schedule,
     period_s=cfg.schedule_period_s,
-    epoch_s=cfg.schedule_epoch_s,
 ))
 register_policy("federated", lambda cfg, d: FederationScalingPolicy(
     queue_per_instance=cfg.queue_per_instance or d.get("queue_per_instance", 8),
@@ -597,9 +527,6 @@ register_policy("predictive", lambda cfg, d: PredictivePolicy(
     headroom=cfg.headroom,
     queue_per_instance=cfg.queue_per_instance or d.get("queue_per_instance", 8),
     scale_down_hold_s=cfg.scale_down_hold_s,
-    seasonal_periods=cfg.seasonal_periods,
-    seasonal_gamma=cfg.seasonal_gamma,
-    seasonal_buckets=cfg.seasonal_buckets,
 ))
 
 

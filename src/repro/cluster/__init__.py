@@ -6,7 +6,6 @@ waits, co-location and hot/cold starts behave as in the paper without any
 real hardware.
 """
 
-from .background import BackgroundLoadConfig, BackgroundLoadGenerator
 from .cluster import Cluster, ClusterStatus, Interconnect
 from .facilities import polaris_like, small_test_cluster, sophia_like
 from .gpu import A100_40GB, A100_80GB, GPU, GPUSpec, H100_80GB, MI250_64GB
@@ -52,6 +51,4 @@ __all__ = [
     "LocalScheduler",
     "make_scheduler",
     "FacilityStatusProvider",
-    "BackgroundLoadConfig",
-    "BackgroundLoadGenerator",
 ]

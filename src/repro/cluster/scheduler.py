@@ -299,9 +299,18 @@ class SchedulerBase:
         if not handle.started.triggered:
             handle.started.succeed(list(job.nodes))
         if self.config.enforce_walltime:
-            expiry = self.env.timeout(job.request.walltime_s)
-            result = yield expiry | handle.finished
-            if handle.finished not in result and not job.state.terminal:
+            # Resume at whichever is processed first, the walltime expiry or
+            # the job's end; a job that ended first is terminal by then.
+            first = self.env.event()
+
+            def wake(_event):
+                if not first.triggered:
+                    first.succeed()
+
+            self.env.timeout(job.request.walltime_s).callbacks.append(wake)
+            handle.finished.callbacks.append(wake)
+            yield first
+            if not job.state.terminal:
                 self._end_job(handle, JobState.TIMEOUT, "walltime exceeded")
 
     def _end_job(self, handle: JobHandle, state: JobState, reason: str) -> None:

@@ -2,7 +2,7 @@
 
 from .chunker import Chunk, chunk_corpus, chunk_document
 from .corpus import Document, hpc_documentation_corpus
-from .index import FlatIndex, IVFIndex, SearchHit
+from .index import FlatIndex, SearchHit
 from .pipeline import RAGAnswer, RAGPipeline
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "chunk_document",
     "chunk_corpus",
     "FlatIndex",
-    "IVFIndex",
     "SearchHit",
     "RAGPipeline",
     "RAGAnswer",

@@ -1,12 +1,13 @@
 """Discrete-event simulation kernel used by every substrate in the reproduction.
 
-This is a small, deterministic, SimPy-style engine written from scratch:
+This is a small, deterministic, SimPy-style engine written from scratch, with
+only what the modelled stack (gateway, relay, cluster scheduler, engine) uses:
 
 * :class:`Environment` — the simulated clock and its one event queue (a binary heap).
 * :class:`Event`, :class:`Timeout`, :class:`Process` — the scheduling primitives.
-* :class:`Resource`, :class:`PriorityResource`, :class:`Container` — contended
-  capacities (GPU slots, worker threads, relay channels, memory).
-* :class:`Store`, :class:`FilterStore`, :class:`PriorityStore` — message queues.
+* :class:`AllOf` (``env.all_of``) — wait for a set of events.
+* :class:`Resource` — a fixed-capacity, FIFO-queued capacity (worker slots,
+  API-server threads, the relay's result channel).
 
 Example
 -------
@@ -27,25 +28,13 @@ from .events import (
     PENDING,
     URGENT,
     AllOf,
-    AnyOf,
-    Condition,
     ConditionValue,
     Event,
     Interrupt,
     Process,
     Timeout,
 )
-from .resources import (
-    Container,
-    ContainerGet,
-    ContainerPut,
-    PriorityRequest,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-)
-from .stores import FilterStore, PriorityItem, PriorityStore, Store, StoreGet, StorePut
+from .resources import Release, Request, Resource
 
 __all__ = [
     "Environment",
@@ -55,25 +44,12 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
-    "Condition",
     "ConditionValue",
     "AllOf",
-    "AnyOf",
     "PENDING",
     "URGENT",
     "NORMAL",
     "Resource",
-    "PriorityResource",
     "Request",
-    "PriorityRequest",
     "Release",
-    "Container",
-    "ContainerPut",
-    "ContainerGet",
-    "Store",
-    "FilterStore",
-    "PriorityStore",
-    "PriorityItem",
-    "StoreGet",
-    "StorePut",
 ]

@@ -8,15 +8,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Deque, Generator, Iterable, List, Optional, Tuple
 
-from .events import (
-    NORMAL,
-    URGENT,
-    AllOf,
-    AnyOf,
-    Event,
-    Process,
-    Timeout,
-)
+from .events import NORMAL, URGENT, AllOf, Event, Process, Timeout
 
 __all__ = ["Environment", "EmptySchedule", "StopSimulation"]
 
@@ -116,10 +108,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that triggers when all ``events`` have triggered."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that triggers when any of ``events`` has triggered."""
-        return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------
     def _push(self, time: float, priority: int, eid: int, event: Event) -> None:

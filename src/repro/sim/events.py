@@ -19,9 +19,7 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
-    "Condition",
     "AllOf",
-    "AnyOf",
     "ConditionValue",
 ]
 
@@ -130,13 +128,6 @@ class Event:
         self._ok = event._ok
         self._value = event._value
         self.env.schedule(self)
-
-    # -- composition -----------------------------------------------------
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_event, [self, other])
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} object at {id(self):#x}>"
@@ -317,7 +308,7 @@ class Process(Event):
 
 
 class ConditionValue:
-    """Ordered mapping of events to values produced by a :class:`Condition`."""
+    """Ordered mapping of events to values produced by an :class:`AllOf`."""
 
     __slots__ = ("events",)
 
@@ -358,14 +349,18 @@ class ConditionValue:
         return {e: e._value for e in self.events}
 
 
-class Condition(Event):
-    """A composite event that triggers when an evaluation function says so."""
+class AllOf(Event):
+    """Composite event that triggers once all of its events have triggered.
 
-    __slots__ = ("_evaluate", "_events", "_count")
+    Its value is a :class:`ConditionValue` over the events, in the order
+    given; it fails as soon as one of them fails, with that failure.  An
+    empty list succeeds at once.
+    """
 
-    def __init__(self, env, evaluate, events: Iterable[Event]):
+    __slots__ = ("_events", "_count")
+
+    def __init__(self, env, events: Iterable[Event]):
         super().__init__(env)
-        self._evaluate = evaluate
         self._events = list(events)
         self._count = 0
 
@@ -379,20 +374,8 @@ class Condition(Event):
             else:
                 event.callbacks.append(self._check)
 
-        if not self._events and not self.triggered:
+        if not self._events:
             self.succeed(ConditionValue([]))
-
-    def _populate_value(self, value: ConditionValue) -> None:
-        for event in self._events:
-            if isinstance(event, Condition):
-                event._populate_value(value)
-            elif event.callbacks is None:
-                value.events.append(event)
-
-    def _build_value(self) -> ConditionValue:
-        value = ConditionValue([])
-        self._populate_value(value)
-        return value
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -401,31 +384,6 @@ class Condition(Event):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._build_value())
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_event(events: List[Event], count: int) -> bool:
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Condition that triggers once all of its events have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env, events: Iterable[Event]):
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Condition that triggers as soon as any of its events has triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env, events: Iterable[Event]):
-        super().__init__(env, Condition.any_event, events)
+        elif self._count == len(self._events):
+            # An event counts once it is processed, so all of them are now.
+            self.succeed(ConditionValue(self._events))

@@ -1,28 +1,19 @@
-"""Shared-resource primitives: resources, priority resources and containers.
+"""Shared-resource primitive: a fixed-capacity resource with a FIFO queue.
 
-These model contended capacities in the FIRST reproduction: GPU slots on a
-node, gateway worker threads, the single-threaded vLLM API front-end, relay
-dispatch channels, and so on.
+It models every contended capacity in the FIRST reproduction: the gateway's
+worker slots, the relay's result channel, an endpoint's per-instance task
+slots, the vLLM API server's threads and the OpenAI baseline's concurrency
+limit.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from typing import Deque, List
 
 from .events import Event
 
-__all__ = [
-    "Request",
-    "Release",
-    "Resource",
-    "PriorityRequest",
-    "PriorityResource",
-    "Container",
-    "ContainerPut",
-    "ContainerGet",
-]
+__all__ = ["Request", "Release", "Resource"]
 
 
 class Request(Event):
@@ -110,13 +101,6 @@ class Resource:
             self.queue.remove(request)
         return Release(self, request)
 
-    def resize(self, capacity: int) -> None:
-        """Change the capacity (used for auto-scaling models)."""
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0")
-        self._capacity = int(capacity)
-        self._trigger_waiters()
-
     # -- internals -------------------------------------------------------
     def _do_request(self, request: Request) -> None:
         if len(self.users) < self._capacity:
@@ -130,113 +114,3 @@ class Resource:
             request = self.queue.popleft()
             self.users.append(request)
             request.succeed()
-
-
-class PriorityRequest(Request):
-    """Request with a priority (lower value = more important) and FIFO tie-break."""
-
-    def __init__(self, resource: "PriorityResource", priority: int = 0):
-        self.priority = priority
-        self.key = (priority, resource._env.now, next(resource._ticket))
-        super().__init__(resource)
-
-
-class PriorityResource(Resource):
-    """Resource whose wait queue is ordered by request priority.
-
-    The queue is a list kept sorted by insertion (``bisect.insort``), which
-    replaces the seed's full re-sort on every request and wake-up.
-    """
-
-    def __init__(self, env, capacity: int = 1):
-        super().__init__(env, capacity)
-        from itertools import count as _count
-
-        self._ticket = _count()
-        self.queue: List[Request] = []
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, request: Request) -> None:
-        if len(self.users) < self._capacity:
-            self.users.append(request)
-            request.succeed()
-        else:
-            insort(self.queue, request, key=lambda r: r.key)  # type: ignore[attr-defined]
-
-    def _trigger_waiters(self) -> None:
-        while self.queue and len(self.users) < self._capacity:
-            request = self.queue.pop(0)
-            self.users.append(request)
-            request.succeed()
-
-
-class ContainerPut(Event):
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be > 0")
-        super().__init__(container._env)
-        self.amount = amount
-        container._put_queue.append(self)
-        container._trigger()
-
-
-class ContainerGet(Event):
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be > 0")
-        super().__init__(container._env)
-        self.amount = amount
-        container._get_queue.append(self)
-        container._trigger()
-
-
-class Container:
-    """A continuous-quantity resource (e.g. GPU memory in GB, queue depth)."""
-
-    def __init__(self, env, capacity: float = float("inf"), init: float = 0.0):
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0")
-        if init < 0 or init > capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self._env = env
-        self._capacity = capacity
-        self._level = init
-        self._put_queue: Deque[ContainerPut] = deque()
-        self._get_queue: Deque[ContainerGet] = deque()
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        """Put ``amount`` into the container (waits if it would overflow)."""
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        """Take ``amount`` from the container (waits until available)."""
-        return ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_queue:
-                put = self._put_queue[0]
-                if self._level + put.amount <= self._capacity:
-                    self._put_queue.popleft()
-                    self._level += put.amount
-                    put.succeed()
-                    progressed = True
-            if self._get_queue:
-                get = self._get_queue[0]
-                if self._level >= get.amount:
-                    self._get_queue.popleft()
-                    self._level -= get.amount
-                    get.succeed()
-                    progressed = True

@@ -11,7 +11,9 @@ processes, ``pdb`` works).  Guarantees:
   :mod:`repro.sweep.spec`), so the simulated results themselves are too.
 * **Bounded retry** — a shard that raises *or crashes its worker* is retried
   up to ``max_retries`` times before being reported as a failure; one bad
-  cell cannot take down the sweep.
+  cell cannot take down the sweep, nor be blamed on a neighbour: a crash
+  breaks the whole pool, so the shards in flight in it are re-run, one per
+  pool, before any of them is charged an attempt for it.
 * **Structured progress** — per-shard wall time, worker pid and attempt
   count are recorded in the result timeline (and optionally printed live).
 """
@@ -23,6 +25,8 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -221,37 +225,52 @@ class SweepRunner:
                       timeline: List[dict]) -> Dict[str, ShardResult]:
         results: Dict[str, ShardResult] = {}
         attempts: Dict[str, int] = {c.key: 0 for c in cells}
-        pending = list(cells)
+        pending, shared = list(cells), True
         total = len(cells)
-        # Round-based: each round gets a fresh pool, so a worker hard-crash
-        # (which breaks a ProcessPoolExecutor) only costs the in-flight round
-        # and the crashed shards are retried on healthy workers.
+        ctx = multiprocessing.get_context(self.mp_context)
+        # Round-based: each round gets fresh pools, so a worker hard-crash
+        # (which breaks a ProcessPoolExecutor and fails every future in it)
+        # only costs the in-flight round.  A shard that breaks a pool shared
+        # with others cannot be told from its neighbours, so all of them are
+        # re-queued uncharged and the next round gives each its own pool,
+        # ``workers`` pools at a time.
         while pending:
-            round_cells, pending = pending, []
-            ctx = multiprocessing.get_context(self.mp_context)
-            with ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(round_cells)),
-                    mp_context=ctx) as pool:
-                futures = {pool.submit(_execute_cell, cell): cell
-                           for cell in round_cells}
-                for future in as_completed(futures):
-                    cell = futures[future]
-                    attempts[cell.key] += 1
-                    try:
-                        result = future.result()
-                    except Exception as exc:  # worker crash / pickling failure
-                        result = ShardResult(
-                            key=cell.key, ok=False, tags=dict(cell.tags),
-                            error=f"{type(exc).__name__}: {exc}")
-                    if not result.ok and attempts[cell.key] <= self.max_retries:
-                        pending.append(cell)
+            if shared:
+                waves = [[pending]]
+            else:
+                waves = [[[cell] for cell in pending[i:i + self.workers]]
+                         for i in range(0, len(pending), self.workers)]
+            pending, shared = [], True
+            for wave in waves:
+                with ExitStack() as stack:
+                    futures = {}
+                    for batch in wave:
+                        pool = stack.enter_context(ProcessPoolExecutor(
+                            max_workers=min(self.workers, len(batch)), mp_context=ctx))
+                        for cell in batch:
+                            futures[pool.submit(_execute_cell, cell)] = (cell, len(batch) == 1)
+                    for future in as_completed(futures):
+                        cell, alone = futures[future]
+                        try:
+                            result = future.result()
+                        except Exception as exc:  # worker crash / pickling failure
+                            if isinstance(exc, BrokenProcessPool) and not alone:
+                                pending.append(cell)
+                                shared = False
+                                continue
+                            result = ShardResult(
+                                key=cell.key, ok=False, tags=dict(cell.tags),
+                                error=f"{type(exc).__name__}: {exc}")
+                        attempts[cell.key] += 1
+                        if not result.ok and attempts[cell.key] <= self.max_retries:
+                            pending.append(cell)
+                            self._report(timeline, result, attempts[cell.key],
+                                         len(results), total, retrying=True)
+                            continue
+                        result.attempts = attempts[cell.key]
+                        results[cell.key] = result
                         self._report(timeline, result, attempts[cell.key],
-                                     len(results), total, retrying=True)
-                        continue
-                    result.attempts = attempts[cell.key]
-                    results[cell.key] = result
-                    self._report(timeline, result, attempts[cell.key],
-                                 len(results), total)
+                                     len(results), total)
         return results
 
     # -- progress ----------------------------------------------------------

@@ -145,6 +145,22 @@ def test_predictive_policy_scales_down_only_after_hold():
     assert policy.decide(sample(time=151.0, **quiet)).target == 1  # held long enough
 
 
+def test_predictive_forecast_is_plain_holt():
+    """Holt's linear method on the sampled rate, exactly: level
+    2 -> 3 -> 5.75, trend 0 -> 0.5 -> 1.625 per 60 s sample."""
+    policy = PredictivePolicy(alpha=0.5, beta=0.5)
+    assert policy.forecast_rate(600.0, 60.0) == 0.0  # nothing observed yet
+    dts = [policy._observe(sample(time=60.0 * i, arrival_rate_rps=rate))
+           for i, rate in enumerate([2.0, 4.0, 8.0])]
+    assert dts == [0.0, 60.0, 60.0]
+    assert policy.forecast_rate(0.0, 60.0) == 5.75
+    assert policy.forecast_rate(120.0, 60.0) == 5.75 + 2 * 1.625
+    # Three idle samples turn the trend negative; the forecast floors at zero.
+    for i in range(3, 6):
+        policy._observe(sample(time=60.0 * i))
+    assert policy.forecast_rate(3600.0, 60.0) == 0.0
+
+
 def test_make_policy_rejects_unknown_name():
     with pytest.raises(ConfigurationError):
         make_policy(AutoscaleConfig(policy="nope"))

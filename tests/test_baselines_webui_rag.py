@@ -14,7 +14,6 @@ from repro.core import (
 )
 from repro.rag import (
     FlatIndex,
-    IVFIndex,
     RAGPipeline,
     chunk_corpus,
     chunk_document,
@@ -176,25 +175,6 @@ def test_flat_index_exact_search():
         index.add(np.eye(8)[:1], ["bad-dim"])
     with pytest.raises(ValueError):
         index.add(np.eye(16)[:2], ["only-one-meta"])
-
-
-def test_ivf_index_approximates_flat():
-    rng = np.random.default_rng(0)
-    dim = 32
-    vectors = rng.normal(size=(200, dim))
-    metadata = [f"item-{i}" for i in range(200)]
-    flat = FlatIndex(dim)
-    flat.add(vectors, metadata)
-    ivf = IVFIndex(dim, n_lists=8, nprobe=4, seed=1)
-    ivf.add(vectors, metadata)
-    agree = 0
-    for i in range(20):
-        query = vectors[i] + rng.normal(scale=0.01, size=dim)
-        top_flat = flat.search(query, k=1)[0].metadata
-        top_ivf = ivf.search(query, k=1)[0].metadata
-        agree += int(top_flat == top_ivf)
-    assert agree >= 15  # high recall with 4 of 8 lists probed
-    assert len(ivf) == 200
 
 
 def test_rag_pipeline_local_embeddings_retrieves_relevant_docs():

@@ -4,8 +4,6 @@ import pytest
 
 from repro.common import NotFoundError
 from repro.cluster import (
-    BackgroundLoadConfig,
-    BackgroundLoadGenerator,
     FacilityStatusProvider,
     JobRequest,
     JobState,
@@ -286,20 +284,3 @@ def test_facility_status_provider_caching():
     assert free2 == 2  # stale snapshot
     assert free3 == 1  # refreshed after interval
     assert provider.query_count == 3
-
-
-def test_background_load_generator_occupies_nodes():
-    env = Environment()
-    cluster = small_test_cluster(num_nodes=4)
-    sched = PBSScheduler(env, cluster, SchedulerConfig(cycle_latency_s=1.0, prologue_s=0.0))
-    gen = BackgroundLoadGenerator(
-        env,
-        sched,
-        BackgroundLoadConfig(mean_interarrival_s=50.0, mean_duration_s=300.0, max_jobs=5),
-    )
-    gen.start()
-    env.run(until=2000.0)
-    assert len(gen.submitted) == 5
-    assert len(sched.all_jobs) == 5
-    # All background jobs eventually started.
-    assert all(j.start_time is not None for j in sched.all_jobs)

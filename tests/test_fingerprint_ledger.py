@@ -14,7 +14,9 @@ run's environment, the exact number of event ids the kernel issued.  Trace
 live-streamed traced request whose delivery span opens mid-decode).  Four
 federation cells run placement policies over two clusters (routing summary,
 capacity shifts, GPU-seconds per scheduler, view rebuilds), one of them with
-an endpoint deregistered mid-traffic.
+an endpoint deregistered mid-traffic.  Four autoscale cells run each
+single-cluster scaling policy on the autoscaling benchmark's diurnal
+scenario (report entry, replica launch/drain timeline, request records).
 
 The file is rewritten only by::
 
@@ -362,6 +364,43 @@ def federation_case(cell: str) -> dict:
             "rebuilds": deployment.topology.rebuilds}
 
 
+#: Single-cluster scaling policies on ``bench_autoscale_policies.py``'s quick
+#: diurnal scenario (2,100 requests, a 70B pool cycling between 1 and 3
+#: instances).
+AUTOSCALE_POLICIES = ("queue_depth", "target_utilization", "scheduled", "predictive")
+
+
+def autoscale_case(policy: str) -> dict:
+    """The benchmark's own cell, run through the sweep runner in-process:
+    its report entry, the replica launch/drain timeline and the records."""
+    from unittest import mock
+
+    from repro.parallel import trace_fingerprint
+    from repro.sweep import scenarios
+
+    bench = _by_path("bench_autoscale_policies", "benchmarks/bench_autoscale_policies.py")
+    clients = []
+
+    class Capturing(scenarios.BenchmarkClient):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            clients.append(self)
+
+    with mock.patch.object(scenarios, "BenchmarkClient", Capturing):
+        payload = scenarios.run_autoscale_policy_cell(
+            bench.build_cell(policy, "diurnal", bench.QUICK["diurnal"]))
+    traffic, = clients
+    deployment = traffic.target.deployment
+    replicas = deployment.endpoints["ep-autoscale"].pools[bench.MODEL].replicas
+    records = traffic.collector.records
+    return {"requests": len(records),
+            "fingerprint": trace_fingerprint(records),
+            "entry": payload["entry"],
+            "actions": replicas.actions,
+            "gpu_seconds": deployment.schedulers["autoscale"].gpu_seconds(),
+            "kernel_event_ids": next(deployment.env._eid)}
+
+
 def build_ledger() -> dict:
     import numpy
 
@@ -379,6 +418,8 @@ def build_ledger() -> dict:
     cases["trace_gateway_live"] = gateway_live_trace_case()
     for cell in FEDERATION_CELLS:
         cases[f"federation/{cell}"] = federation_case(cell)
+    for policy in AUTOSCALE_POLICIES:
+        cases[f"autoscale/{policy}"] = autoscale_case(policy)
     return {"header": {"python": platform.python_version(),
                        "numpy": numpy.__version__,
                        "divisors": DIVISORS,
@@ -489,6 +530,15 @@ def test_federated_placement_matches_the_ledger(cell):
     observed = json.loads(json.dumps(federation_case(cell)))
     assert observed == recorded(f"federation/{cell}")
     assert observed["failed"] == 0
+
+
+@pytest.mark.parametrize("policy", AUTOSCALE_POLICIES)
+def test_autoscale_policy_matches_the_ledger(policy):
+    observed = json.loads(json.dumps(autoscale_case(policy)))
+    assert observed == recorded(f"autoscale/{policy}")
+    entry = observed["entry"]
+    assert entry["num_successful"] == entry["num_requests"] == observed["requests"]
+    assert entry["launches"] == sum(max(0, a["to"] - a["from"]) for a in observed["actions"])
 
 
 if __name__ == "__main__":

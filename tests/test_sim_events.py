@@ -250,34 +250,6 @@ def test_all_of_condition_waits_for_everything():
     assert p.value == (5.0, "a", "b")
 
 
-def test_any_of_condition_returns_first():
-    env = Environment()
-
-    def proc(env):
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(5.0, value="slow")
-        result = yield env.any_of([t1, t2])
-        return (env.now, t1 in result, t2 in result)
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == (1.0, True, False)
-
-
-def test_condition_operators():
-    env = Environment()
-
-    def proc(env):
-        t1 = env.timeout(2.0, value=1)
-        t2 = env.timeout(3.0, value=2)
-        yield t1 & t2
-        return env.now
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == 3.0
-
-
 def test_empty_all_of_triggers_immediately():
     env = Environment()
 

@@ -1,15 +1,15 @@
 """Property-based tests for the simulation kernel.
 
 These exercise the invariants every higher-level substrate relies on:
-deterministic ordering, monotonic time, resource conservation and store
-conservation under arbitrary programs.
+deterministic ordering, monotonic time and resource conservation under
+arbitrary programs.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Container, Environment, PriorityStore, PriorityItem, Resource, Store
+from repro.sim import Environment, Resource
 
 
 @settings(max_examples=60, deadline=None)
@@ -73,82 +73,6 @@ def test_property_resource_never_exceeds_capacity(capacity, holds):
     assert max_observed["users"] <= capacity
     assert resource.count == 0
     assert resource.queued == 0
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    puts=st.lists(st.integers(min_value=1, max_value=100), min_size=1, max_size=40),
-)
-def test_property_store_conserves_items(puts):
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer(env, store):
-        for item in puts:
-            yield store.put(item)
-            yield env.timeout(0.1)
-
-    def consumer(env, store):
-        for _ in range(len(puts)):
-            item = yield store.get()
-            received.append(item)
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert received == puts
-    assert len(store) == 0
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    items=st.lists(st.tuples(st.integers(min_value=0, max_value=100),
-                             st.integers(min_value=0, max_value=10**6)),
-                   min_size=1, max_size=40),
-)
-def test_property_priority_store_always_pops_minimum(items):
-    env = Environment()
-    store = PriorityStore(env)
-    popped = []
-
-    def producer(env, store):
-        for priority, value in items:
-            yield store.put(PriorityItem(priority, value))
-
-    def consumer(env, store):
-        yield env.timeout(1.0)
-        for _ in range(len(items)):
-            got = yield store.get()
-            popped.append(got.priority)
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert popped == sorted(p for p, _ in items)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    amounts=st.lists(st.floats(min_value=0.5, max_value=50.0), min_size=1, max_size=30),
-)
-def test_property_container_levels_conserved(amounts):
-    env = Environment()
-    tank = Container(env, capacity=10**9, init=0.0)
-
-    def producer(env, tank):
-        for amount in amounts:
-            yield tank.put(amount)
-            yield env.timeout(0.01)
-
-    def consumer(env, tank):
-        for amount in amounts:
-            yield tank.get(amount)
-
-    env.process(producer(env, tank))
-    env.process(consumer(env, tank))
-    env.run()
-    assert tank.level == pytest.approx(0.0, abs=1e-9)
 
 
 @settings(max_examples=30, deadline=None)

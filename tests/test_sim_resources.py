@@ -1,8 +1,8 @@
-"""Unit tests for Resource, PriorityResource and Container."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityResource, Resource
+from repro.sim import Environment, Resource
 
 
 def test_resource_capacity_enforced():
@@ -84,104 +84,3 @@ def test_resource_release_of_queued_request_withdraws_it():
     env.run()
     assert ("second-gave-up", 2.0) in order
     assert ("third-start", 10.0) in order
-
-
-def test_resource_resize_grants_waiters():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    starts = []
-
-    def user(env, res, name):
-        with res.request() as req:
-            yield req
-            starts.append((name, env.now))
-            yield env.timeout(100.0)
-
-    def grower(env, res):
-        yield env.timeout(5.0)
-        res.resize(3)
-
-    for i in range(3):
-        env.process(user(env, res, i))
-    env.process(grower(env, res))
-    env.run(until=50.0)
-    assert dict(starts) == {0: 0.0, 1: 5.0, 2: 5.0}
-
-
-def test_priority_resource_orders_queue():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env, res):
-        with res.request(priority=0) as req:
-            yield req
-            yield env.timeout(10.0)
-
-    def user(env, res, name, priority, arrive):
-        yield env.timeout(arrive)
-        with res.request(priority=priority) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1.0)
-
-    env.process(holder(env, res))
-    env.process(user(env, res, "low", 5, 1.0))
-    env.process(user(env, res, "high", 1, 2.0))
-    env.process(user(env, res, "mid", 3, 3.0))
-    env.run()
-    assert order == ["high", "mid", "low"]
-
-
-def test_container_put_get():
-    env = Environment()
-    tank = Container(env, capacity=100.0, init=10.0)
-    log = []
-
-    def producer(env, tank):
-        for _ in range(5):
-            yield env.timeout(1.0)
-            yield tank.put(20.0)
-
-    def consumer(env, tank):
-        yield tank.get(50.0)
-        log.append(("got", env.now, tank.level))
-
-    env.process(producer(env, tank))
-    env.process(consumer(env, tank))
-    env.run()
-    assert log == [("got", 2.0, 0.0)]
-    assert tank.level == 60.0
-
-
-def test_container_put_blocks_when_full():
-    env = Environment()
-    tank = Container(env, capacity=10.0, init=10.0)
-    log = []
-
-    def producer(env, tank):
-        yield tank.put(5.0)
-        log.append(("put-done", env.now))
-
-    def consumer(env, tank):
-        yield env.timeout(4.0)
-        yield tank.get(7.0)
-
-    env.process(producer(env, tank))
-    env.process(consumer(env, tank))
-    env.run()
-    assert log == [("put-done", 4.0)]
-    assert tank.level == 8.0
-
-
-def test_container_invalid_arguments():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0.0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=5.0, init=6.0)
-    tank = Container(env, capacity=5.0)
-    with pytest.raises(ValueError):
-        tank.put(0.0)
-    with pytest.raises(ValueError):
-        tank.get(-1.0)

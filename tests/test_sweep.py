@@ -199,7 +199,8 @@ class TestBoundedRetry:
 
     def test_worker_crash_does_not_kill_sweep(self):
         """A hard worker crash (os._exit) breaks the pool; the runner must
-        rebuild it, retry the crashed shard, and keep the healthy results."""
+        rebuild it, retry the crashed shard, and keep the healthy results —
+        without charging the healthy shards that were in flight beside it."""
         cells = [ScenarioSpec(key="ok-1", runner=ok_runner),
                  ScenarioSpec(key="crash", runner=crashing_runner),
                  ScenarioSpec(key="ok-2", runner=ok_runner)]
@@ -208,6 +209,7 @@ class TestBoundedRetry:
         assert not result.ok
         assert [r.key for r in result.failures] == ["crash"]
         assert result.results[0].ok and result.results[2].ok
+        assert result.results[0].attempts == result.results[2].attempts == 1
         crash = result.results[1]
         assert crash.attempts == 2
 
