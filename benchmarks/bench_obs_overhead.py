@@ -5,8 +5,8 @@ relay → endpoint → engine) three times:
 
 * ``off``       — no observability middleware at all (the baseline);
 * ``sampling_off`` — observability enabled with ``sample_rate=0`` and no
-  slowest-K reservoir: RED metrics are recorded but no trace has a path to
-  retention, so the tracer takes its metrics-only fast path.  This is the
+  slowest-K reservoir: no trace has a path to retention, so the stage takes
+  its span-free fast path.  This is the
   production posture for high-rate sweeps, and the **gated** mode: its
   wall-clock overhead over ``off`` must stay under 5%;
 * ``full``      — every trace retained (``sample_rate=1``) plus the kernel

@@ -152,8 +152,9 @@ def main() -> None:
     #    observability stage to the gateway pipeline: every request gets a
     #    simulated-time distributed trace (gateway stages → relay transfer →
     #    endpoint queue → engine admission/prefill/decode windows → stream
-    #    delivery) and the gateway grows Prometheus-style RED metrics backed
-    #    by mergeable histograms.  Tracing is observe-only — simulated
+    #    delivery).  The gateway's Prometheus-style RED metrics (backed by
+    #    mergeable histograms) need no tracing: `metrics_text()` serves them
+    #    on every deployment.  Tracing is observe-only — simulated
     #    results are bit-identical with it on or off (BENCH_obs.json gates
     #    the wall-clock overhead too).  Head sampling plus an always-kept
     #    top-K-slowest reservoir bound retention; `profile_kernel=True` also

@@ -58,8 +58,8 @@ class DetSanError(RuntimeError):
 # RandomSource draw attribution (class-level patch, active only while at
 # least one sanitizer is attached)
 
-_DRAW_METHODS = ("uniform", "exponential", "lognormal", "integers", "choice",
-                 "normal", "jitter")
+_DRAW_METHODS = ("uniform", "exponential", "lognormal", "choice", "normal",
+                 "jitter")
 _OBS_MARKER = f"{os.sep}obs{os.sep}"
 _ACTIVE: List["DetSan"] = []
 _SAVED_DRAWS: Optional[dict] = None
@@ -296,16 +296,34 @@ def compare_hashseeds(target: str, seeds: Sequence[int] = (101, 202),
 
 
 def quickstart_fingerprint() -> str:
-    """Merged fingerprint of a small run over ``quickstart_config``."""
+    """Fingerprint of a small run over ``quickstart_config``: the merged
+    summary, the gateway's ``/v1/metrics`` text and the dashboard's per-model
+    rows (registry child order and dashboard model order included)."""
+    import hashlib
+
     from ..core import quickstart_config
+    from ..serving import InferenceRequest, RequestKind
     from ..sweep import ScenarioSpec
+    from ..sweep.scenarios import first_cell_deployment
 
     spec = ScenarioSpec(
         key="hashseed/quickstart", runner="first",
         model="Qwen/Qwen2.5-7B-Instruct", num_requests=16,
         params={"deployment": quickstart_config(generate_text=False),
                 "rate": 2.0})
-    return spec.run()["mergeable"].fingerprint()
+    deployment, result = first_cell_deployment(spec)
+    # One request to each other quickstart model: dashboard rows to order.
+    client = deployment.client("benchmark@anl.gov")
+    for request in (
+        InferenceRequest("hashseed-chat", "meta-llama/Llama-3.1-8B-Instruct",
+                         prompt_tokens=32, max_output_tokens=8),
+        InferenceRequest("hashseed-embed", "nvidia/NV-Embed-v2", prompt_tokens=32,
+                         max_output_tokens=0, kind=RequestKind.EMBEDDING),
+    ):
+        deployment.env.run(until=client.submit(request))
+    gateway = deployment.gateway
+    return hashlib.sha256(repr((result["mergeable"].fingerprint(), gateway.metrics_text(),
+                                gateway.dashboard()["models"])).encode()).hexdigest()
 
 
 def partitioned_fingerprint() -> str:

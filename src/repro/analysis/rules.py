@@ -338,8 +338,8 @@ _SCHEDULING_ATTRS = {"schedule", "schedule_at", "timeout", "timeout_at",
                      "process"}
 #: RandomSource draw methods: a draw from an observe-only layer perturbs
 #: the sim's RNG streams, so results would differ with observability on.
-_RNG_DRAW_ATTRS = {"uniform", "exponential", "lognormal", "integers",
-                   "normal", "jitter", "choice"}
+_RNG_DRAW_ATTRS = {"uniform", "exponential", "lognormal", "normal",
+                   "jitter", "choice"}
 
 
 @register

@@ -4,8 +4,7 @@ A standalone subsystem that closes the loop between observed demand and
 per-model replica counts:
 
 * :class:`MetricsFeed` samples a model's instance pool (queue depth, busy
-  fraction, KV pressure, cold-start estimate) and, when attached, the
-  gateway's recent TTFT/ITL/latency medians;
+  fraction, KV pressure, cold-start estimate, arrival/completion rates);
 * :class:`ScalingPolicy` implementations map samples to replica targets —
   :class:`QueueDepthPolicy` (the legacy endpoint heuristic, extracted),
   :class:`TargetUtilizationPolicy` (proportional, with cooldown/hysteresis),

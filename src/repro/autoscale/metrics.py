@@ -1,9 +1,9 @@
 """The control loop's sensor: periodic samples of one model's replica pool.
 
 A :class:`MetricsFeed` reads a duck-typed *source* (the endpoint's per-model
-instance pool) and, when attached, the gateway's metrics layer, and distils
-both into a :class:`MetricsSample` — the only input a
-:class:`~repro.autoscale.policy.ScalingPolicy` sees.  Keeping policies
+instance pool) and distils it into a :class:`MetricsSample` — the only input
+a :class:`~repro.autoscale.policy.ScalingPolicy` sees; gateway latency is
+the placement plane's signal, not the autoscaler's.  Keeping policies
 sample-driven makes them trivially testable (feed them handcrafted samples)
 and keeps the autoscale package free of dependencies on the FaaS layer.
 
@@ -36,7 +36,7 @@ __all__ = ["MetricsSample", "MetricsFeed"]
 
 @dataclass
 class MetricsSample:
-    """One observation of a model's pool, taken at ``time``."""
+    """One observation of a model's pool (counts, queues, rates, KV) at ``time``."""
 
     time: float
     model: str
@@ -50,12 +50,6 @@ class MetricsSample:
     completion_rate_rps: float
     kv_utilization: float
     cold_start_estimate_s: float
-    #: Gateway-observed medians over a recent window (streaming runs feed
-    #: TTFT/ITL; every run feeds latency).  ``None`` when no gateway metrics
-    #: layer is attached or nothing was recorded yet.
-    latency_p50_s: Optional[float] = None
-    ttft_p50_s: Optional[float] = None
-    itl_p50_s: Optional[float] = None
     #: Deduplicated instance count (ready + loading + launches without an
     #: instance object yet), draining excluded.  ``total_instances``
     #: deliberately double-counts a loading instance (legacy queue-depth
@@ -98,19 +92,16 @@ class MetricsSample:
 
 
 class MetricsFeed:
-    """Samples a pool source (and optionally the gateway metrics layer).
+    """Samples a pool source.
 
     Rates are measured between *advancing* samples: the periodic controller
     advances the window each tick, while reactive (demand-driven) checks
     sample without advancing so they do not shorten the measurement window.
     """
 
-    def __init__(self, env: Environment, source, gateway_metrics=None):
+    def __init__(self, env: Environment, source):
         self.env = env
         self.source = source
-        #: Set post-assembly by the deployment (the gateway is built after
-        #: the endpoints); feeds work without it, just without TTFT/ITL.
-        self.gateway_metrics = gateway_metrics
         self._window_start = env.now
         self._arrivals_at_start = source.arrivals_total
         self._completions_at_start = source.completions_total
@@ -140,17 +131,6 @@ class MetricsFeed:
         # instance loads.
         total = src.instance_count + src.launching_count - draining
 
-        # Gateway medians cost a sort over the rolling windows, so they are
-        # computed only for periodic (advancing) samples; the reactive path
-        # runs on every task arrival and its policies only read counts.
-        latency_p50 = ttft_p50 = itl_p50 = None
-        if advance and self.gateway_metrics is not None:
-            recent = self.gateway_metrics.recent_timings(src.model)
-            if recent:
-                latency_p50 = recent.get("latency_p50_s")
-                ttft_p50 = recent.get("ttft_p50_s")
-                itl_p50 = recent.get("itl_p50_s")
-
         return MetricsSample(
             time=now,
             model=src.model,
@@ -164,8 +144,5 @@ class MetricsFeed:
             completion_rate_rps=completion_rate,
             kv_utilization=src.kv_utilization,
             cold_start_estimate_s=src.cold_start_estimate_s,
-            latency_p50_s=latency_p50,
-            ttft_p50_s=ttft_p50,
-            itl_p50_s=itl_p50,
             provisioned_instances=src.provisioned_count,
         )

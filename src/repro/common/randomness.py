@@ -87,10 +87,6 @@ class RandomSource:
         mu = np.log(mean) - 0.5 * sigma**2
         return float(self._rng.lognormal(mu, sigma))
 
-    def integers(self, low: int, high: int) -> int:
-        """Uniform integer in ``[low, high]`` inclusive."""
-        return int(self._rng.integers(low, high + 1))
-
     def choice(self, options: Sequence) -> object:
         idx = int(self._rng.integers(0, len(options)))
         return options[idx]

@@ -191,7 +191,7 @@ class FIRSTClient:
         return self.gateway.dashboard()
 
     def metrics_text(self) -> str:
-        """``GET /v1/metrics`` — Prometheus text exposition (observability)."""
+        """``GET /v1/metrics`` — Prometheus text exposition of the gateway metrics."""
         return self.gateway.metrics_text()
 
     def get_trace(self, trace_id: str) -> dict:

@@ -358,12 +358,9 @@ class FIRSTDeployment:
             database=self.database,
             ids=self.ids,
         )
-        # Close the control loop: the gateway's recent TTFT/ITL/latency
-        # medians become visible to every endpoint's autoscaling policies
-        # and to the placement plane's pool signals.
+        # The gateway's per-endpoint latency/TTFT medians become the
+        # placement plane's pool signals (the SLO router judges on them).
         self.topology.gateway_metrics = self.gateway.metrics
-        for endpoint in self.endpoints.values():
-            endpoint.attach_gateway_metrics(self.gateway.metrics)
 
     # ------------------------------------------------------------------ operations
     def client(self, user: str, scopes: Optional[List[str]] = None,

@@ -624,12 +624,6 @@ class ComputeEndpoint:
         """Launch ``instances`` instances of ``model`` ahead of demand."""
         return self._pool(model).prewarm(instances)
 
-    def attach_gateway_metrics(self, metrics) -> None:
-        """Wire the gateway's metrics layer into every pool's control loop
-        (gateway-observed TTFT/ITL/latency medians reach the policies)."""
-        for pool in self.pools.values():
-            pool.feed.gateway_metrics = metrics
-
     def model_status(self, model: Optional[str] = None) -> List[ModelPoolStatus]:
         """Status of hosted models (backs the gateway's ``/jobs`` endpoint)."""
         pools = [self._pool(model)] if model else list(self.pools.values())

@@ -36,7 +36,7 @@ from .cache import ResponseCache
 from .config import GatewayConfig, RetrievalMode, ServerMode
 from .context import GatewayStream, RequestContext
 from .database import BatchRecord, GatewayDatabase, RequestLogEntry
-from .metrics import GatewayMetrics, ModelUsage
+from .metrics import GatewayMetrics
 from .pipeline import (
     AccountingMiddleware,
     AuthMiddleware,
@@ -62,7 +62,6 @@ __all__ = [
     "RequestLogEntry",
     "BatchRecord",
     "GatewayMetrics",
-    "ModelUsage",
     "SlidingWindowRateLimiter",
     "ResponseCache",
     # -- API v2 pipeline -------------------------------------------------------

@@ -480,10 +480,8 @@ class InferenceGatewayAPI:
 
     def metrics_text(self) -> str:
         """``GET /v1/metrics`` — Prometheus text exposition of the gateway's
-        metric registry (requires the observability middleware)."""
-        if self.observability is None:
-            raise NotFoundError("Observability is not enabled on this gateway")
-        return self.observability.metrics_text()
+        metric registry (:attr:`metrics`; no tracing needed)."""
+        return self.metrics.registry.prometheus_text()
 
     def get_trace(self, trace_id: str) -> dict:
         """``GET /v1/traces/{id}`` — one retained distributed trace."""

@@ -4,73 +4,90 @@
 and queue status. Performance and summary metrics are also exposed through a
 web dashboard."
 
-Besides the cumulative dashboard counters, the layer keeps *rolling* windows
-of recently observed per-model timings (end-to-end latency for every
-request; gateway-observed TTFT and inter-token latencies for streaming
-requests).  These medians feed the autoscaling control plane through
-:class:`repro.autoscale.MetricsFeed` — the gateway is the loop's
-latency sensor.
+:class:`GatewayMetrics` is the gateway's only per-request recorder.  Its
+hooks (response-cache, accounting and dispatch stages) write the RED metrics
+(rate, errors, duration) into one :class:`~repro.obs.MetricsRegistry`;
+``GET /v1/metrics`` renders that registry and the dashboard's per-model rows
+are read back out of it.  Besides the registry the layer keeps *rolling*
+windows of the latency and gateway-observed TTFT of the requests each
+(model, endpoint) served: their medians are the placement plane's per-pool
+latency signal (:meth:`~repro.placement.TopologyView.pool_signal`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from functools import partial
 from statistics import median
-from typing import Deque, Dict, List, Optional
+from typing import Dict, Optional
 
+from ..obs.registry import MetricsRegistry
 from ..sim import Environment
 
-__all__ = ["ModelUsage", "GatewayMetrics"]
+__all__ = ["GatewayMetrics"]
 
 
-@dataclass
-class ModelUsage:
-    """Aggregated per-model counters."""
+OUTCOMES = ("success", "cache_hit", "failure", "exception")
 
-    model: str
-    requests: int = 0
-    completed: int = 0
-    failed: int = 0
-    prompt_tokens: int = 0
-    output_tokens: int = 0
-    total_latency_s: float = 0.0
 
-    @property
-    def mean_latency_s(self) -> float:
-        return self.total_latency_s / self.completed if self.completed else 0.0
+class _ModelSeries:
+    """One model's registry children, resolved once so the per-request hooks
+    never call ``labels()``."""
+
+    __slots__ = ("model", "requests", "outcomes", "latency", "ttft",
+                 "prompt_tokens", "output_tokens")
+
+    def __init__(self, metrics: "GatewayMetrics", model: str):
+        self.model = model
+        #: Requests admitted, in-flight ones included (the dashboard's
+        #: ``requests`` column; the registry counts requests as they finish).
+        self.requests = 0
+        self.outcomes = {outcome: metrics.requests_total.labels(model=model, outcome=outcome)
+                         for outcome in OUTCOMES}
+        self.latency = metrics.request_latency.labels(model=model)
+        self.ttft = metrics.ttft.labels(model=model)
+        self.prompt_tokens = metrics.tokens_total.labels(model=model, kind="prompt")
+        self.output_tokens = metrics.tokens_total.labels(model=model, kind="output")
 
     def to_dict(self) -> dict:
+        completed = self.latency.count
+        failed = self.outcomes["failure"].value + self.outcomes["exception"].value
         return {
             "model": self.model,
             "requests": self.requests,
-            "completed": self.completed,
-            "failed": self.failed,
-            "prompt_tokens": self.prompt_tokens,
-            "output_tokens": self.output_tokens,
-            "mean_latency_s": round(self.mean_latency_s, 3),
+            "completed": completed,
+            "failed": int(failed),
+            "prompt_tokens": int(self.prompt_tokens.value),
+            "output_tokens": int(self.output_tokens.value),
+            # The histogram's exact running sum: completed requests only.
+            "mean_latency_s": round(self.latency.sum / completed if completed else 0.0, 3),
         }
 
 
-class _RecentTimings:
-    """Bounded windows of the most recent per-model timing observations."""
-
-    __slots__ = ("latencies", "ttfts", "itls")
-
-    def __init__(self, window: int):
-        self.latencies: Deque[float] = deque(maxlen=window)
-        self.ttfts: Deque[float] = deque(maxlen=window)
-        self.itls: Deque[float] = deque(maxlen=window)
-
-
 class GatewayMetrics:
-    """In-process counters surfaced by the gateway's dashboard endpoint."""
+    """Per-request RED metrics, batch counters and the dashboard view."""
 
     def __init__(self, env: Environment, recent_window: int = 256):
         self.env = env
         self.started_at = env.now
-        self.per_model: Dict[str, ModelUsage] = {}
-        self.in_flight = 0
+        self.registry = MetricsRegistry()
+        self.requests_total = self.registry.counter(
+            "gateway_requests_total", "Requests finished by the gateway",
+            labelnames=("model", "outcome"))
+        self.request_latency = self.registry.histogram(
+            "gateway_request_latency_seconds",
+            "Simulated request latency from the accounting stage",
+            labelnames=("model",))
+        self.ttft = self.registry.histogram(
+            "gateway_ttft_seconds",
+            "Gateway-observed time to first streamed token",
+            labelnames=("model",))
+        self.tokens_total = self.registry.counter(
+            "gateway_tokens_total", "Tokens through the gateway",
+            labelnames=("model", "kind"))
+        self._in_flight = self.registry.gauge(
+            "gateway_in_flight_requests",
+            "Requests currently in the pipeline").labels()
         self.peak_in_flight = 0
         self.auth_failures = 0
         self.validation_failures = 0
@@ -81,73 +98,64 @@ class GatewayMetrics:
         self.batch_requests_failed = 0
         #: Per-request batch failure reasons, bucketed for the dashboard.
         self.batch_failure_reasons: Dict[str, int] = defaultdict(int)
-        self._recent_window = recent_window
-        #: Rolling windows keyed by (model, endpoint); the ``None`` endpoint
-        #: is the fleet-wide window the autoscale feed samples, per-endpoint
-        #: windows feed the placement plane's pool signals.
-        self._recent: Dict[tuple, _RecentTimings] = {}
+        self._series: Dict[str, _ModelSeries] = {}
+        #: Rolling windows keyed by (model, endpoint).
+        window = partial(deque, maxlen=recent_window)
+        self._latencies: Dict[tuple, deque] = defaultdict(window)
+        self._ttfts: Dict[tuple, deque] = defaultdict(window)
 
-    def _usage(self, model: str) -> ModelUsage:
-        if model not in self.per_model:
-            self.per_model[model] = ModelUsage(model=model)
-        return self.per_model[model]
+    @property
+    def in_flight(self) -> int:
+        return int(self._in_flight.value)
 
-    def _timings(self, model: str, endpoint: Optional[str] = None) -> _RecentTimings:
-        key = (model, endpoint)
-        if key not in self._recent:
-            self._recent[key] = _RecentTimings(self._recent_window)
-        return self._recent[key]
+    def _model(self, model: str) -> _ModelSeries:
+        series = self._series.get(model)
+        if series is None:
+            series = self._series[model] = _ModelSeries(self, model)
+        return series
 
     # -- lifecycle hooks ---------------------------------------------------------
     def request_started(self, model: str, prompt_tokens: int) -> None:
-        usage = self._usage(model)
-        usage.requests += 1
-        usage.prompt_tokens += prompt_tokens
-        self.in_flight += 1
-        self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+        series = self._model(model)
+        series.requests += 1
+        series.prompt_tokens.value += prompt_tokens
+        gauge = self._in_flight
+        gauge.value += 1
+        if gauge.value > self.peak_in_flight:
+            self.peak_in_flight = int(gauge.value)
 
     def request_completed(self, model: str, output_tokens: int, latency_s: float,
-                          endpoint: Optional[str] = None) -> None:
-        usage = self._usage(model)
-        usage.completed += 1
-        usage.output_tokens += output_tokens
-        usage.total_latency_s += latency_s
-        self._timings(model).latencies.append(latency_s)
+                          endpoint: Optional[str] = None,
+                          outcome: str = "success") -> None:
+        series = self._model(model)
+        series.outcomes[outcome].value += 1
+        series.output_tokens.value += output_tokens
+        series.latency.observe(latency_s)
         if endpoint is not None:
-            self._timings(model, endpoint).latencies.append(latency_s)
-        self.in_flight = max(0, self.in_flight - 1)
+            self._latencies[model, endpoint].append(latency_s)
+        self._in_flight.value = max(0, self._in_flight.value - 1)
 
-    def request_failed(self, model: str) -> None:
-        self._usage(model).failed += 1
-        self.in_flight = max(0, self.in_flight - 1)
+    def request_failed(self, model: str, outcome: str = "failure") -> None:
+        self._model(model).outcomes[outcome].value += 1
+        self._in_flight.value = max(0, self._in_flight.value - 1)
 
     def record_stream_timing(self, model: str, ttft_s: float,
-                             itl_values: Optional[List[float]] = None,
                              endpoint: Optional[str] = None) -> None:
-        """Record gateway-observed streaming timings (dispatch stage hook)."""
-        for timings in ([self._timings(model)]
-                        + ([self._timings(model, endpoint)] if endpoint else [])):
-            timings.ttfts.append(ttft_s)
-            if itl_values:
-                timings.itls.extend(itl_values)
+        """Record a gateway-observed TTFT (dispatch stage hook)."""
+        self._model(model).ttft.observe(ttft_s)
+        if endpoint is not None:
+            self._ttfts[model, endpoint].append(ttft_s)
 
-    def recent_timings(self, model: str,
-                       endpoint: Optional[str] = None) -> Optional[dict]:
-        """Rolling medians for ``model`` (the autoscale feed's sensor read).
-
-        With ``endpoint`` the medians cover only requests served by that
-        endpoint — the placement plane's per-pool latency signal.  Returns
-        ``None`` when nothing has been observed yet; individual keys are
-        ``None`` until their signal exists (e.g. no streaming traffic).
-        """
-        timings = self._recent.get((model, endpoint))
-        if timings is None:
+    def recent_timings(self, model: str, endpoint: str) -> Optional[dict]:
+        """Rolling medians over the requests ``endpoint`` served for ``model``
+        (the placement plane's per-pool latency signal): ``None`` before any
+        observation, a key ``None`` until its signal exists."""
+        latencies = self._latencies.get((model, endpoint))
+        ttfts = self._ttfts.get((model, endpoint))
+        if latencies is None and ttfts is None:
             return None
-        return {
-            "latency_p50_s": median(timings.latencies) if timings.latencies else None,
-            "ttft_p50_s": median(timings.ttfts) if timings.ttfts else None,
-            "itl_p50_s": median(timings.itls) if timings.itls else None,
-        }
+        return {"latency_p50_s": median(latencies) if latencies else None,
+                "ttft_p50_s": median(ttfts) if ttfts else None}
 
     # -- batch lifecycle hooks -----------------------------------------------------
     # Batches are accounted separately from the interactive per-model
@@ -177,15 +185,15 @@ class GatewayMetrics:
     # -- aggregates --------------------------------------------------------------
     @property
     def total_requests(self) -> int:
-        return sum(u.requests for u in self.per_model.values())
+        return sum(s.requests for s in self._series.values())
 
     @property
     def total_completed(self) -> int:
-        return sum(u.completed for u in self.per_model.values())
+        return sum(s.latency.count for s in self._series.values())
 
     @property
     def total_output_tokens(self) -> int:
-        return sum(u.output_tokens for u in self.per_model.values())
+        return sum(int(s.output_tokens.value) for s in self._series.values())
 
     def dashboard(self, extra: Optional[dict] = None) -> dict:
         """Summary dict in the spirit of the paper's monitoring dashboard."""
@@ -205,8 +213,8 @@ class GatewayMetrics:
             "batch_requests_completed": self.batch_requests_completed,
             "batch_requests_failed": self.batch_requests_failed,
             "batch_failure_reasons": dict(self.batch_failure_reasons),
-            "models": [u.to_dict() for u in sorted(self.per_model.values(),
-                                                   key=lambda u: u.model)],
+            "models": [self._series[model].to_dict()
+                       for model in sorted(self._series)],
         }
         if extra:
             data.update(extra)

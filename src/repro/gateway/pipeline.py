@@ -200,7 +200,8 @@ class ResponseCacheMiddleware(Middleware):
             cached = cache.get(ctx.cache_key, api.env.now)
             if cached is not None:
                 api.metrics.request_started(ctx.model_name, request.prompt_tokens)
-                api.metrics.request_completed(ctx.model_name, cached.output_tokens, 0.0)
+                api.metrics.request_completed(ctx.model_name, cached.output_tokens,
+                                              0.0, outcome="cache_hit")
                 ctx.cache_hit = True
                 ctx.result = cached
                 return
@@ -239,7 +240,7 @@ class AccountingMiddleware(Middleware):
             # truthful, then let the edge map the exception to an envelope.
             api.db.complete_request(entry, 0, api.env.now, status="failed",
                                     error=str(exc) or type(exc).__name__)
-            api.metrics.request_failed(ctx.model_name)
+            api.metrics.request_failed(ctx.model_name, outcome="exception")
             raise
         result = ctx.result
         latency = api.env.now - entry.submitted_at
@@ -341,12 +342,9 @@ class DispatchMiddleware(Middleware):
             result.metadata["gateway_token_times"] = token_times
             if token_times:
                 result.metadata["gateway_first_token_time"] = token_times[0]
-                # Feed the metrics layer's rolling TTFT/ITL windows — the
-                # autoscaling control plane samples these medians.
                 api.metrics.record_stream_timing(
                     ctx.model_name,
                     token_times[0] - ctx.started_at,
-                    [b - a for a, b in zip(token_times, token_times[1:])],
                     endpoint=ctx.endpoint.endpoint_id if ctx.endpoint else None,
                 )
         ctx.result = result

@@ -5,10 +5,10 @@ Per ROADMAP conventions new gateway behavior lands as pipeline stages via
 ``InferenceGatewayAPI``.  :func:`observability_middleware_factories` returns
 the stock chain with an :class:`ObservabilityMiddleware` prepended: the
 stage begins a :class:`~repro.obs.trace.TraceContext` for every request,
-roots the span tree, stamps the request metadata so downstream layers
-(relay → endpoint → engine) join the same trace, and records the gateway's
-RED metrics (rate/errors/duration) into a mergeable
-:class:`~repro.obs.registry.MetricsRegistry`.
+roots the span tree and stamps the request metadata so downstream layers
+(relay → endpoint → engine) join the same trace.  It only traces: the
+gateway's RED metrics live in :class:`~repro.gateway.GatewayMetrics`,
+recorded whether or not this stage is installed.
 
 The factory is a plain picklable dataclass so deployments configured with
 it survive the sweep plane's spawn-based sharding.
@@ -21,7 +21,6 @@ from typing import List, Optional
 
 from ..gateway.pipeline import Middleware, default_middleware_factories
 from .kernel import KernelProfiler
-from .registry import MetricsRegistry
 from .trace import TRACE_KEY, Tracer, TracerConfig
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
 class ObservabilityConfig:
     """Deployment-level observability knobs (picklable)."""
 
-    #: Master switch — False builds the stage but records nothing.
-    enabled: bool = True
     #: Head-sampling probability for trace retention (see TracerConfig).
     sample_rate: float = 1.0
     #: Always-retained top-K-slowest reservoir size.
@@ -49,18 +46,15 @@ class ObservabilityConfig:
     max_spans_per_trace: int = 512
     #: Seed of the deterministic hash-based head-sampling decision.
     seed: int = 0
-    #: Relative error of the registry's log-bucket histograms.
-    rel_err: float = 0.01
     #: Attach a KernelProfiler to the deployment's Environment.
     profile_kernel: bool = False
 
 
 class ObservabilityLayer:
-    """Tracer + metrics registry + (optional) kernel profiler for one gateway."""
+    """Tracer + (optional) kernel profiler for one gateway."""
 
     def __init__(self, env, config: Optional[ObservabilityConfig] = None,
                  rng=None):
-        self.env = env
         self.config = config or ObservabilityConfig()
         self.tracer = Tracer(
             env,
@@ -73,34 +67,12 @@ class ObservabilityLayer:
             rng=rng,
             seed=self.config.seed,
         )
-        self.registry = MetricsRegistry()
-        rel_err = self.config.rel_err
-        self.requests_total = self.registry.counter(
-            "gateway_requests_total", "Requests finished by the gateway",
-            labelnames=("model", "outcome"))
-        self.request_latency = self.registry.histogram(
-            "gateway_request_latency_seconds",
-            "End-to-end simulated request latency", labelnames=("model",),
-            rel_err=rel_err)
-        self.ttft = self.registry.histogram(
-            "gateway_ttft_seconds",
-            "Gateway-observed time to first streamed token",
-            labelnames=("model",), rel_err=rel_err)
-        self.tokens_total = self.registry.counter(
-            "gateway_tokens_total", "Tokens through the gateway",
-            labelnames=("model", "kind"))
-        self.in_flight = self.registry.gauge(
-            "gateway_in_flight_requests", "Requests currently in the pipeline")
         self.kernel_profiler: Optional[KernelProfiler] = None
         if self.config.profile_kernel:
             self.kernel_profiler = KernelProfiler()
             env.attach_profiler(self.kernel_profiler)
 
     # -- exposition ---------------------------------------------------------
-    def metrics_text(self) -> str:
-        """Prometheus text exposition of the registry."""
-        return self.registry.prometheus_text()
-
     def trace(self, trace_id: str) -> Optional[dict]:
         ctx = self.tracer.get(trace_id)
         return ctx.to_dict() if ctx is not None else None
@@ -124,7 +96,7 @@ class ObservabilityLayer:
 
 
 class ObservabilityMiddleware(Middleware):
-    """First pipeline stage: root the trace, record RED metrics on unwind."""
+    """First pipeline stage: root the trace, stamp the request's outcome."""
 
     name = "observability"
 
@@ -133,17 +105,14 @@ class ObservabilityMiddleware(Middleware):
         self.layer = layer
 
     def process(self, ctx, call_next):
-        layer = self.layer
-        if not layer.config.enabled:
-            yield from call_next(ctx)
-            return
+        tracer = self.layer.tracer
         request = ctx.request
-        tctx = layer.tracer.begin(request.request_id)
+        tctx = tracer.begin(request.request_id)
         if not tctx.recording:
-            # The trace has no path to retention: record metrics only, keep
-            # the span machinery (and the downstream layers) untouched.
-            yield from self._metrics_only(ctx, call_next)
-            layer.tracer.finish(tctx)
+            # The trace has no path to retention: keep the span machinery
+            # (and the downstream layers) untouched.
+            yield from call_next(ctx)
+            tracer.finish(tctx)
             return
         ctx.trace_context = tctx
         # The trace rides the request's own metadata downstream (relay →
@@ -154,57 +123,23 @@ class ObservabilityMiddleware(Middleware):
             attrs={"model": request.model, "kind": request.kind.value,
                    "stream": ctx.streaming})
         tctx.current = root
-        layer.in_flight.inc()
         outcome = "exception"
         try:
             yield from call_next(ctx)
-            outcome = self._record_result(ctx)
+            result = ctx.result
+            outcome = ("failure" if result is None or not result.success
+                       else "cache_hit" if ctx.cache_hit else "success")
         except Exception as exc:
             root.status = f"error:{type(exc).__name__}"
             raise
         finally:
-            self._record_finish(ctx, outcome)
             root.attrs["outcome"] = outcome
             tctx.end_span(root)
             tctx.current = None
             # Drop our metadata entry if the request never reached the
             # engine (which pops it from result metadata itself).
             request.metadata.pop(TRACE_KEY, None)
-            layer.tracer.finish(tctx)
-
-    def _metrics_only(self, ctx, call_next):
-        """The unretained-trace fast path: RED metrics, no spans."""
-        self.layer.in_flight.inc()
-        outcome = "exception"
-        try:
-            yield from call_next(ctx)
-            outcome = self._record_result(ctx)
-        finally:
-            self._record_finish(ctx, outcome)
-
-    def _record_result(self, ctx) -> str:
-        """Classify the finished pipeline run; counts tokens on success."""
-        layer = self.layer
-        result = ctx.result
-        if result is None or not result.success:
-            return "failure"
-        model = ctx.model_name or ctx.request.model
-        layer.tokens_total.labels(model=model,
-                                  kind="prompt").inc(result.prompt_tokens)
-        layer.tokens_total.labels(model=model,
-                                  kind="output").inc(result.output_tokens)
-        return "cache_hit" if ctx.cache_hit else "success"
-
-    def _record_finish(self, ctx, outcome: str) -> None:
-        layer = self.layer
-        model = ctx.model_name or ctx.request.model
-        layer.in_flight.dec()
-        layer.requests_total.labels(model=model, outcome=outcome).inc()
-        layer.request_latency.labels(model=model).observe(
-            layer.env.now - ctx.started_at)
-        if ctx.gateway_token_times:
-            layer.ttft.labels(model=model).observe(
-                ctx.gateway_token_times[0] - ctx.started_at)
+            tracer.finish(tctx)
 
 
 @dataclass
@@ -212,8 +147,7 @@ class ObservabilityMiddlewareFactory:
     """Picklable factory: builds the layer once and publishes it on the api.
 
     The gateway application exposes the layer as ``api.observability`` so
-    the ``GET /v1/metrics`` and ``GET /v1/traces/{id}`` endpoints (and the
-    dashboard) can reach it.
+    the ``GET /v1/traces/{id}`` endpoint (and the dashboard) can reach it.
     """
 
     config: ObservabilityConfig = field(default_factory=ObservabilityConfig)

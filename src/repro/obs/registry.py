@@ -1,13 +1,15 @@
-"""Unified metrics registry: Counter / Gauge / Histogram + Prometheus text.
+"""Metrics registry: Counter / Gauge / Histogram + Prometheus text.
 
-Histograms are backed by :class:`repro.metrics.mergeable.LogBucketHistogram`
-so sweep shards merge *exactly*: the merged registry of N shards is
-bit-identical to the registry of a single run over the union of samples
-(pinned by tests).
+The gateway's :class:`~repro.gateway.GatewayMetrics` owns one (its RED
+metrics, rendered as ``GET /v1/metrics`` and read back by the dashboard);
+the partitioned runner's shards own one each.  Histograms are backed by
+:class:`repro.metrics.mergeable.LogBucketHistogram` so shards merge
+*exactly*: the merged registry of N shards is bit-identical to the registry
+of a single run over the union of samples (pinned by tests).
 
 Exposition follows the Prometheus text format (``# HELP`` / ``# TYPE``
 headers, cumulative ``_bucket{le=...}`` lines ending in ``+Inf``, ``_sum``
-and ``_count``), served by the gateway as ``GET /v1/metrics``.
+and ``_count``).
 """
 
 from __future__ import annotations

@@ -64,7 +64,6 @@ class PoolSignal:
     #: Gateway-observed rolling medians (None until traffic produced them).
     latency_p50_s: Optional[float] = None
     ttft_p50_s: Optional[float] = None
-    itl_p50_s: Optional[float] = None
     #: Simulation time this snapshot was computed.
     computed_at: float = 0.0
 
@@ -264,17 +263,13 @@ class TopologyView:
 
     def _compute(self, pool) -> PoolSignal:
         endpoint = pool.endpoint
-        latency_p50 = ttft_p50 = itl_p50 = None
+        recent = None
         if self.gateway_metrics is not None:
             # Per-endpoint windows: each pool is judged on the latency of
             # the requests *it* served, not the fleet-wide blend.
             recent = self.gateway_metrics.recent_timings(
                 pool.model, endpoint.endpoint_id
             )
-            if recent:
-                latency_p50 = recent.get("latency_p50_s")
-                ttft_p50 = recent.get("ttft_p50_s")
-                itl_p50 = recent.get("itl_p50_s")
         return PoolSignal(
             model=pool.model,
             endpoint_id=endpoint.endpoint_id,
@@ -290,10 +285,8 @@ class TopologyView:
             slots_per_instance=pool.slots_per_instance,
             max_instances=pool.replicas.max_instances,
             cold_start_estimate_s=pool.cold_start_estimate_s,
-            latency_p50_s=latency_p50,
-            ttft_p50_s=ttft_p50,
-            itl_p50_s=itl_p50,
             computed_at=self.env.now,
+            **(recent or {}),  # latency_p50_s / ttft_p50_s
         )
 
     # ------------------------------------------------------------- partition snapshots

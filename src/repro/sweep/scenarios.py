@@ -141,6 +141,11 @@ def run_first_cell(spec: ScenarioSpec) -> dict:
     Params: ``max_instances``, ``prewarm_instances``, ``num_nodes``,
     ``stream`` — the knobs of the paper's §5 scenarios.
     """
+    return first_cell_deployment(spec)[1]
+
+
+def first_cell_deployment(spec: ScenarioSpec):
+    """:func:`run_first_cell`, also returning the deployment it ran on."""
     from ..core import FIRSTDeployment, sophia_benchmark_config
 
     params = spec.params
@@ -171,7 +176,7 @@ def run_first_cell(spec: ScenarioSpec) -> dict:
     summary = deployment.env.run(until=proc)
     mergeable = MergeableSummary.from_records(bench.collector, label=label,
                                               duration_s=summary.duration_s)
-    return {"summary": summary, "mergeable": mergeable}
+    return deployment, {"summary": summary, "mergeable": mergeable}
 
 
 def run_direct_cell(spec: ScenarioSpec) -> dict:

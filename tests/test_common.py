@@ -64,12 +64,6 @@ def test_exponential_mean_validation():
         rs.lognormal(-1.0, 0.5)
 
 
-def test_integers_inclusive_bounds():
-    rs = RandomSource(seed=0)
-    draws = {rs.integers(1, 3) for _ in range(200)}
-    assert draws == {1, 2, 3}
-
-
 def test_jitter_stays_positive_and_close():
     rs = RandomSource(seed=0)
     for _ in range(100):

@@ -17,6 +17,8 @@ capacity shifts, GPU-seconds per scheduler, view rebuilds), one of them with
 an endpoint deregistered mid-traffic.  Four autoscale cells run each
 single-cluster scaling policy on the autoscaling benchmark's diurnal
 scenario (report entry, replica launch/drain timeline, request records).
+One quickstart cell pins the gateway dashboard's per-model rows and totals
+beside the request fingerprint.
 
 The file is rewritten only by::
 
@@ -401,6 +403,42 @@ def autoscale_case(policy: str) -> dict:
             "kernel_event_ids": next(deployment.env._eid)}
 
 
+#: Two chat models of ``quickstart_config``; every fourth request streams.
+QUICKSTART_MODELS = (("Qwen/Qwen2.5-7B-Instruct", 30),
+                     ("meta-llama/Llama-3.1-8B-Instruct", 10))
+
+
+def quickstart_case() -> dict:
+    """A small run over ``quickstart_config``: the request records, and what
+    the gateway dashboard reports about them."""
+    from repro.core import quickstart_config
+    from repro.parallel import trace_fingerprint
+    from repro.workload import BenchmarkClient, PoissonArrival, ShareGPTWorkload
+
+    deployment = FIRSTDeployment(quickstart_config(generate_text=False))
+    requests = []
+    for model, count in QUICKSTART_MODELS:
+        deployment.warm_up(model)
+        requests += ShareGPTWorkload().generate(model, num_requests=count,
+                                                id_prefix=model.split("/")[0])
+    requests.sort(key=lambda r: r.request_id)
+    for request in requests[::4]:
+        request.stream = True
+    bench = BenchmarkClient(deployment.env, deployment.client("benchmark@anl.gov"))
+    summary = deployment.env.run(until=deployment.env.process(
+        bench.run(requests, arrival=PoissonArrival(2.0))))
+    records = bench.collector.records
+    dashboard = deployment.gateway.metrics.dashboard()
+    return {"requests": len(records),
+            "fingerprint": trace_fingerprint(records),
+            "failed": sum(1 for r in records if not r.success),
+            "sim": _layered_workloads()._sim_metrics(summary),
+            "kernel_event_ids": next(deployment.env._eid),
+            "dashboard": {key: dashboard[key] for key in (
+                "models", "total_requests", "total_completed",
+                "total_output_tokens", "peak_in_flight")}}
+
+
 def build_ledger() -> dict:
     import numpy
 
@@ -420,6 +458,7 @@ def build_ledger() -> dict:
         cases[f"federation/{cell}"] = federation_case(cell)
     for policy in AUTOSCALE_POLICIES:
         cases[f"autoscale/{policy}"] = autoscale_case(policy)
+    cases["quickstart"] = quickstart_case()
     return {"header": {"python": platform.python_version(),
                        "numpy": numpy.__version__,
                        "divisors": DIVISORS,
@@ -539,6 +578,13 @@ def test_autoscale_policy_matches_the_ledger(policy):
     entry = observed["entry"]
     assert entry["num_successful"] == entry["num_requests"] == observed["requests"]
     assert entry["launches"] == sum(max(0, a["to"] - a["from"]) for a in observed["actions"])
+
+
+def test_quickstart_dashboard_matches_the_ledger():
+    observed = json.loads(json.dumps(quickstart_case()))
+    assert observed == recorded("quickstart")
+    assert observed["failed"] == 0
+    assert observed["dashboard"]["total_completed"] == observed["requests"]
 
 
 if __name__ == "__main__":

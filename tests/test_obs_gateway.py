@@ -4,10 +4,12 @@ and the bit-identity guarantee (tracing on == tracing off)."""
 
 import json
 import logging
+from dataclasses import replace
 
 import pytest
 
 from repro.common import NotFoundError, sim_logger
+from repro.core.calibration import default_gateway_config
 from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
@@ -21,7 +23,7 @@ from repro.sim import Environment
 MODEL = "Qwen/Qwen2.5-7B-Instruct"
 
 
-def obs_deployment(observability=None):
+def obs_deployment(observability=None, **config):
     return FIRSTDeployment(DeploymentConfig(
         clusters=[
             ClusterDeploymentSpec(
@@ -32,6 +34,7 @@ def obs_deployment(observability=None):
         users=["researcher@anl.gov"],
         generate_text=False,
         observability=observability,
+        **config,
     ))
 
 
@@ -97,8 +100,8 @@ def test_streamed_request_span_tree_covers_every_layer(traced_request):
 
 def test_unread_stream_is_traced_as_the_live_one_was():
     """A streamed request nobody reads live crosses the hop as one batch; its
-    delivery span, TTFT histogram sample and rolling TTFT/ITL inputs must be
-    the values recorded when every token was its own hop (commit 2d275b0)."""
+    delivery span, TTFT histogram sample and rolling TTFT input must be the
+    values recorded when every token was its own hop (commit 2d275b0)."""
     from repro.serving import InferenceRequest
 
     deployment = obs_deployment(ObservabilityConfig())
@@ -114,11 +117,10 @@ def test_unread_stream_is_traced_as_the_live_one_was():
     assert (delivery["start"], delivery["end"]) == (35.67370536896933, 35.95524242145696)
     assert (delivery["start"], delivery["end"]) == (token_times[0], token_times[-1])
     assert delivery["attrs"] == {"tokens": 12}
-    ttft = deployment.observability.ttft.labels(model=MODEL)
+    ttft = deployment.gateway.metrics.ttft.labels(model=MODEL)
     assert (ttft.count, ttft.sum) == (1, 6.17370536896933)
-    recent = deployment.gateway.metrics.recent_timings(MODEL)
+    recent = deployment.gateway.metrics.recent_timings(MODEL, "ep-devcluster")
     assert recent["ttft_p50_s"] == 6.17370536896933
-    assert recent["itl_p50_s"] == 0.02559427749887533
     assert deployment.env.now == 37.91655454266908
     # What did change: the engine macro-steps the request, so the eleven
     # post-prefill tokens are one decode window instead of eleven.
@@ -198,8 +200,6 @@ def test_disabled_observability_endpoints_raise(traced_request):
     deployment = obs_deployment()  # no observability configured
     assert deployment.observability is None
     with pytest.raises(NotFoundError):
-        deployment.gateway.metrics_text()
-    with pytest.raises(NotFoundError):
         deployment.gateway.get_trace("anything")
 
 
@@ -248,6 +248,54 @@ def test_results_bit_identical_with_tracing_on_or_off():
     sampled_off = _workload_signature(ObservabilityConfig(sample_rate=0.0))
     assert traced == baseline
     assert sampled_off == baseline
+
+
+# -- one metrics store ----------------------------------------------------------
+
+def _metrics_after_mixed_traffic(observability):
+    """A response-cache hit, a request the KV pool cannot hold, one for a
+    model no endpoint hosts, and a streamed request."""
+    from repro.serving import InferenceRequest
+
+    deployment = obs_deployment(observability, gateway=replace(
+        default_gateway_config(), enable_response_cache=True))
+    deployment.warm_up(MODEL)
+    client = deployment.client("researcher@anl.gov", raise_on_error=False)
+    messages = [{"role": "user", "content": "cached"}]
+    for _ in range(2):
+        client.chat_completion(MODEL, messages, max_tokens=6)
+    failed = deployment.env.run(until=client.submit(InferenceRequest(
+        "too-long", MODEL, prompt_tokens=5_000_000, max_output_tokens=4)))
+    assert failed.error == "KV cache exhausted"
+    unhosted = client.submit(InferenceRequest(
+        "unhosted", "meta-llama/Llama-3.1-8B-Instruct", prompt_tokens=5,
+        max_output_tokens=4))
+    with pytest.raises(NotFoundError):
+        deployment.env.run(until=unhosted)
+    list(client.chat_completion(MODEL, [{"role": "user", "content": "s"}],
+                                max_tokens=5, stream=True))
+    return deployment
+
+
+def test_gateway_metrics_are_one_store_with_or_without_tracing():
+    plain = _metrics_after_mixed_traffic(None)
+    traced = _metrics_after_mixed_traffic(ObservabilityConfig())
+    # Tracing changes nothing /v1/metrics reports.
+    assert traced.gateway.metrics_text() == plain.gateway.metrics_text()
+
+    metrics = plain.gateway.metrics
+    dashboard = plain.gateway.dashboard()
+    outcomes = metrics.requests_total.child_values()
+    assert {key: value for key, value in outcomes.items() if value} == {(MODEL, "success"): 2, (MODEL, "cache_hit"): 1,
+                        (MODEL, "failure"): 1,
+                        ("meta-llama/Llama-3.1-8B-Instruct", "exception"): 1}
+    assert sum(outcomes.values()) == dashboard["total_requests"] == 5
+    output = {key: value for key, value in metrics.tokens_total.child_values().items()
+              if key[1] == "output"}
+    assert sum(output.values()) == dashboard["total_output_tokens"] > 0
+    assert metrics.ttft.labels(model=MODEL).count == 1
+    assert "gateway_in_flight_requests 0\n" in plain.gateway.metrics_text()
+    assert dashboard["in_flight"] == 0
 
 
 # -- sim-time structured logging ------------------------------------------------
