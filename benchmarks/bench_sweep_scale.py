@@ -9,22 +9,22 @@ at several worker counts, and reports:
 * one merged :class:`repro.metrics.MergeableSummary` over every shard
   (log-bucket quantiles, associative merge) — with its fingerprint, which
   must be **bit-identical for every worker count** (cells are merged in cell
-  order and cell RNG streams are keyed by cell key, never by scheduling).
+  order and cell seeds are keyed by the cell's description, never by
+  scheduling).
 
 Usage::
 
     python benchmarks/bench_sweep_scale.py            # full grid, prints report
     python benchmarks/bench_sweep_scale.py --write    # full + quick, writes BENCH_sweep.json
     python benchmarks/bench_sweep_scale.py --quick --check
-        # CI smoke: small 2-worker grid; fail on fingerprint divergence, on
-        # merged-quantile drift vs the committed baseline, or on a >20%
-        # speedup-ratio regression
+        # CI smoke: small 2-worker grid; fail on fingerprint divergence or
+        # on merged-quantile drift vs the committed baseline
 
-Speedup gates are parallelism-aware: the absolute floors (3x at 4 workers,
-a modest gain at 2) only bind when the machine actually has that many CPUs
-— ``cpu_count`` is recorded in the baseline, so a baseline written on a
-small box never inflates expectations, and a many-core CI runner is still
-held to the absolute floor.
+Every run gates identical merged fingerprints across worker counts;
+``--check`` adds the merged p50/p99 drift against the committed baseline —
+simulated quantities, so they hold on any machine.  Speedups are printed
+and written to the baseline file, never gated: a wall-clock ratio recorded
+on one machine says nothing about another's cores.
 """
 
 from __future__ import annotations
@@ -54,11 +54,6 @@ QUICK_GRID = {"rates": [8.0, 64.0], "seeds": [0, 1, 2, 3],
               "requests_per_cell": 6_250}
 QUICK_WORKERS = [1, 2]
 
-#: Fraction of the committed baseline speedup a --check run must retain.
-REGRESSION_TOLERANCE = 0.8
-#: Absolute speedup floors, applied only when min(workers, cpus) allows them.
-PARALLEL_SPEEDUP_FLOOR_4W = 3.0
-PARALLEL_SPEEDUP_FLOOR_2W = 1.1
 #: --check tolerance on merged p50/p99 drift vs the committed baseline.
 #: Merged metrics are deterministic, so this only absorbs numeric drift
 #: across numpy/python versions.
@@ -138,32 +133,6 @@ def correctness_failures(entry: dict) -> list:
     return []
 
 
-def speedup_failures(entry: dict, cpus: int, baseline_entry: dict = None) -> list:
-    """Parallelism-aware speedup gates for one grid entry."""
-    failures = []
-    for workers_str, run in entry["runs"].items():
-        workers = int(workers_str)
-        if workers == 1:
-            continue
-        floors = []
-        if baseline_entry is not None:
-            ref = baseline_entry["runs"].get(workers_str)
-            if ref is not None and ref["speedup"] > 0:
-                floors.append(("baseline ratio",
-                               ref["speedup"] * REGRESSION_TOLERANCE))
-        effective = min(workers, cpus)
-        if effective >= 4:
-            floors.append(("4-worker floor", PARALLEL_SPEEDUP_FLOOR_4W))
-        elif effective >= 2:
-            floors.append(("2-worker floor", PARALLEL_SPEEDUP_FLOOR_2W))
-        for reason, floor in floors:
-            if run["speedup"] < floor:
-                failures.append(
-                    f"workers={workers}: speedup {run['speedup']:.2f}x below "
-                    f"{floor:.2f}x ({reason}, {cpus} CPUs)")
-    return failures
-
-
 def quantile_failures(entry: dict, baseline_entry: dict) -> list:
     failures = []
     for stat in ("p50_latency_s", "p99_latency_s"):
@@ -182,8 +151,8 @@ def main(argv=None) -> int:
     parser.add_argument("--write", action="store_true",
                         help="run full + quick grids and write the baseline JSON")
     parser.add_argument("--check", action="store_true",
-                        help="fail on fingerprint divergence, quantile drift or "
-                             "speedup regression vs the baseline")
+                        help="also fail on merged-quantile drift vs the "
+                             "baseline (speedups are never gated)")
     parser.add_argument("--progress", action="store_true",
                         help="print per-shard progress lines")
     parser.add_argument("--baseline", type=Path, default=BASELINE_PATH)
@@ -201,9 +170,7 @@ def main(argv=None) -> int:
                               progress=args.progress),
         }
         failures = (correctness_failures(baseline["full"])
-                    + correctness_failures(baseline["quick"])
-                    + speedup_failures(baseline["full"], cpus)
-                    + speedup_failures(baseline["quick"], cpus))
+                    + correctness_failures(baseline["quick"]))
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}")
@@ -218,13 +185,10 @@ def main(argv=None) -> int:
     entry = run_grid(f"sweep-{key}", grid, workers_list, progress=args.progress)
 
     failures = correctness_failures(entry)
-    baseline_entry = None
     if args.check and args.baseline.exists():
-        baseline = json.loads(args.baseline.read_text())
-        baseline_entry = baseline.get(key)
+        baseline_entry = json.loads(args.baseline.read_text()).get(key)
         if baseline_entry is not None:
             failures.extend(quantile_failures(entry, baseline_entry))
-    failures.extend(speedup_failures(entry, cpus, baseline_entry))
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")

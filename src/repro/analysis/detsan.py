@@ -58,8 +58,7 @@ class DetSanError(RuntimeError):
 # RandomSource draw attribution (class-level patch, active only while at
 # least one sanitizer is attached)
 
-_DRAW_METHODS = ("uniform", "exponential", "lognormal", "choice", "normal",
-                 "jitter")
+_DRAW_METHODS = ("uniform", "exponential", "lognormal", "choice")
 _OBS_MARKER = f"{os.sep}obs{os.sep}"
 _ACTIVE: List["DetSan"] = []
 _SAVED_DRAWS: Optional[dict] = None

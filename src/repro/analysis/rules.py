@@ -115,7 +115,7 @@ class GlobalRandomRule(Rule):
             if resolved is not None:
                 if resolved.startswith("numpy.random."):
                     self.add(node, f"{resolved}() bypasses RandomSource; use "
-                                   "RandomSource(seed) / spawn_named(key) from "
+                                   "RandomSource(stable_seed(*key)) from "
                                    "repro.common.randomness")
                 else:
                     module, _, fn = resolved.rpartition(".")

@@ -2,8 +2,8 @@
 
 Every stochastic component in the reproduction draws from a
 :class:`RandomSource` so that benchmarks and tests are reproducible for a
-fixed seed, while independent components can still use independent streams
-(via :meth:`RandomSource.spawn`).
+fixed seed.  Independent components get independent streams by seeding
+from distinct :func:`stable_seed` keys.
 """
 
 from __future__ import annotations
@@ -28,43 +28,15 @@ def stable_seed(*parts: Union[str, int, float]) -> int:
 
 
 class RandomSource:
-    """Thin wrapper over :class:`numpy.random.Generator` with spawnable streams."""
+    """Thin wrapper over :class:`numpy.random.Generator`."""
 
     def __init__(self, seed: Optional[int] = 0):
-        self._seed_seq = np.random.SeedSequence(seed)
-        self._rng = np.random.default_rng(self._seed_seq)
+        self._rng = np.random.default_rng(seed)
 
     @property
     def rng(self) -> np.random.Generator:
         """The underlying numpy generator."""
         return self._rng
-
-    def spawn(self) -> "RandomSource":
-        """Create an independent child stream (deterministic given the parent)."""
-        child = object.__new__(RandomSource)
-        child._seed_seq = self._seed_seq.spawn(1)[0]
-        child._rng = np.random.default_rng(child._seed_seq)
-        return child
-
-    def spawn_named(self, key: str) -> "RandomSource":
-        """Create an independent child stream keyed by ``key``.
-
-        Unlike :meth:`spawn` — which advances the parent's spawn counter, so
-        the stream a child receives depends on *how many* spawns happened
-        before it — the named stream is a pure function of the parent's seed
-        and the key string.  A sweep shard keyed by its cell key therefore
-        draws the same stream no matter which worker runs it, in what order,
-        or how many other shards were spawned first.
-        """
-        digest = hashlib.sha256(key.encode()).digest()
-        words = tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
-        child = object.__new__(RandomSource)
-        child._seed_seq = np.random.SeedSequence(
-            entropy=self._seed_seq.entropy,
-            spawn_key=tuple(self._seed_seq.spawn_key) + words,
-        )
-        child._rng = np.random.default_rng(child._seed_seq)
-        return child
 
     # -- convenience draws ------------------------------------------------
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
@@ -90,11 +62,3 @@ class RandomSource:
     def choice(self, options: Sequence) -> object:
         idx = int(self._rng.integers(0, len(options)))
         return options[idx]
-
-    def normal(self, mean: float, std: float) -> float:
-        return float(self._rng.normal(mean, std))
-
-    def jitter(self, value: float, fraction: float = 0.05) -> float:
-        """Multiplicative jitter of ±``fraction`` around ``value`` (never negative)."""
-        factor = 1.0 + self._rng.uniform(-fraction, fraction)
-        return max(0.0, value * factor)

@@ -55,20 +55,3 @@ class MetricsCollector:
 
     def record(self, record: RequestRecord) -> None:
         self.records.append(record)
-
-    def extend(self, records: List[RequestRecord]) -> None:
-        self.records.extend(records)
-
-    @property
-    def successful(self) -> List[RequestRecord]:
-        return [r for r in self.records if r.success]
-
-    @property
-    def failed(self) -> List[RequestRecord]:
-        return [r for r in self.records if not r.success]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def clear(self) -> None:
-        self.records.clear()

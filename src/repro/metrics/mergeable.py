@@ -24,13 +24,14 @@ independent of how the samples were sharded.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
-from .collector import MetricsCollector, RequestRecord
+from .collector import RequestRecord
 from .summary import BenchmarkSummary
 
 __all__ = ["LogBucketHistogram", "MergeableSummary", "DEFAULT_REL_ERR"]
@@ -196,14 +197,10 @@ class MergeableSummary:
 
     # -- construction ------------------------------------------------------
     @classmethod
-    def from_records(cls, collector_or_records, label: str = "",
+    def from_records(cls, records: Sequence[RequestRecord], label: str = "",
                      duration_s: Optional[float] = None,
                      rel_err: float = DEFAULT_REL_ERR) -> "MergeableSummary":
         """Build one shard's summary from request records (cf. ``summarize``)."""
-        if isinstance(collector_or_records, MetricsCollector):
-            records: List[RequestRecord] = list(collector_or_records.records)
-        else:
-            records = list(collector_or_records)
         successful = [r for r in records if r.success and r.completion_time is not None]
         if duration_s is None:
             if successful:
@@ -256,10 +253,11 @@ class MergeableSummary:
     @staticmethod
     def merge_all(summaries: Sequence["MergeableSummary"],
                   label: Optional[str] = None) -> "MergeableSummary":
-        """Left-fold ``summaries`` in the given (canonical) order."""
+        """Left-fold ``summaries`` in the given (canonical) order into a new
+        summary; the inputs are never modified."""
         if not summaries:
             return MergeableSummary(label=label or "")
-        merged = summaries[0]
+        merged = copy.deepcopy(summaries[0])
         for summary in summaries[1:]:
             merged = merged.merge(summary)
         if label is not None:

@@ -11,11 +11,11 @@ plus additional percentiles useful for analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .collector import MetricsCollector, RequestRecord
+from .collector import RequestRecord
 
 __all__ = ["percentile", "BenchmarkSummary", "summarize"]
 
@@ -76,7 +76,7 @@ class BenchmarkSummary:
 
 
 def summarize(
-    collector_or_records,
+    records: Sequence[RequestRecord],
     label: str = "",
     duration_s: Optional[float] = None,
 ) -> BenchmarkSummary:
@@ -86,11 +86,6 @@ def summarize(
     completion, which matches how the vLLM benchmark-serving script reports
     benchmark duration.
     """
-    if isinstance(collector_or_records, MetricsCollector):
-        records: List[RequestRecord] = list(collector_or_records.records)
-    else:
-        records = list(collector_or_records)
-
     successful = [r for r in records if r.success and r.completion_time is not None]
     latencies = [r.latency_s for r in successful]
     ttfts = [r.time_to_first_token_s for r in successful if r.time_to_first_token_s is not None]

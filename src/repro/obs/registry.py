@@ -1,11 +1,11 @@
 """Metrics registry: Counter / Gauge / Histogram + Prometheus text.
 
-The gateway's :class:`~repro.gateway.GatewayMetrics` owns one (its RED
-metrics, rendered as ``GET /v1/metrics`` and read back by the dashboard);
-the partitioned runner's shards own one each.  Histograms are backed by
-:class:`repro.metrics.mergeable.LogBucketHistogram` so shards merge
-*exactly*: the merged registry of N shards is bit-identical to the registry
-of a single run over the union of samples (pinned by tests).
+The gateway's :class:`~repro.gateway.GatewayMetrics` owns the only one (its
+RED metrics, rendered as ``GET /v1/metrics`` and read back by the
+dashboard).  Histograms are backed by
+:class:`repro.metrics.mergeable.LogBucketHistogram` (~1% relative quantile
+error).  Sharded runs reduce client request records through
+:class:`~repro.metrics.MergeableSummary`, never through registries.
 
 Exposition follows the Prometheus text format (``# HELP`` / ``# TYPE``
 headers, cumulative ``_bucket{le=...}`` lines ending in ``+Inf``, ``_sum``
@@ -107,13 +107,6 @@ class Counter(_Metric):
                 f"{_format_value(child.value)}"
                 for key, child in self._sorted_children()]
 
-    def merge(self, other: "Counter") -> None:
-        for key, child in other._children.items():
-            mine = self._children.get(key)
-            if mine is None:
-                mine = self._children[key] = self._new_child()
-            mine.value += child.value
-
     def child_values(self) -> Dict[Tuple[str, ...], float]:
         return {key: child.value for key, child in self._children.items()}
 
@@ -160,15 +153,6 @@ class Gauge(_Metric):
                 f"{_format_value(child.value)}"
                 for key, child in self._sorted_children()]
 
-    def merge(self, other: "Gauge") -> None:
-        # Gauges are point-in-time; summing shards is the only merge that
-        # makes sense for in-flight style gauges, and it is what sweeps need.
-        for key, child in other._children.items():
-            mine = self._children.get(key)
-            if mine is None:
-                mine = self._children[key] = self._new_child()
-            mine.value += child.value
-
 
 class _HistogramChild:
     __slots__ = ("hist", "sum")
@@ -190,7 +174,7 @@ class _HistogramChild:
 
 
 class Histogram(_Metric):
-    """Log-bucket histogram (mergeable, ~1% relative quantile error)."""
+    """Log-bucket histogram (~1% relative quantile error)."""
 
     kind = "histogram"
 
@@ -242,17 +226,9 @@ class Histogram(_Metric):
                          f"{child.count}")
         return lines
 
-    def merge(self, other: "Histogram") -> None:
-        for key, child in other._children.items():
-            mine = self._children.get(key)
-            if mine is None:
-                mine = self._children[key] = self._new_child()
-            mine.hist = mine.hist.merge(child.hist)
-            mine.sum += child.sum
-
 
 class MetricsRegistry:
-    """Named metrics with idempotent registration and exact shard merge."""
+    """Named metrics with idempotent registration."""
 
     def __init__(self):
         self._metrics: Dict[str, _Metric] = {}
@@ -289,59 +265,3 @@ class MetricsRegistry:
             lines.append(f"# TYPE {name} {metric.kind}")
             lines.extend(metric.expose())
         return "\n".join(lines) + "\n"
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry (exact for counters/histograms)."""
-        for name, metric in other._metrics.items():
-            mine = self._metrics.get(name)
-            if mine is None:
-                self._metrics[name] = metric
-                continue
-            if type(mine) is not type(metric) or mine.labelnames != metric.labelnames:
-                raise ValueError(f"cannot merge metric {name!r}: layout differs")
-            mine.merge(metric)
-
-    # -- (de)serialization for sweep shards --------------------------------
-    def to_dict(self) -> dict:
-        out: Dict[str, dict] = {}
-        for name, metric in self._metrics.items():
-            entry = {"kind": metric.kind, "help": metric.help,
-                     "labelnames": list(metric.labelnames)}
-            if isinstance(metric, Histogram):
-                entry["rel_err"] = metric.rel_err
-                entry["children"] = {
-                    "|".join(key): {"hist": child.hist.to_dict(), "sum": child.sum}
-                    for key, child in metric._children.items()}
-            else:
-                entry["children"] = {
-                    "|".join(key): child.value
-                    for key, child in metric._children.items()}
-            out[name] = entry
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsRegistry":
-        registry = cls()
-        kinds = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-        for name, entry in data.items():
-            labelnames = tuple(entry["labelnames"])
-            if entry["kind"] == "histogram":
-                metric = registry.histogram(name, entry["help"], labelnames,
-                                            rel_err=entry["rel_err"])
-                for joined, payload in entry["children"].items():
-                    key = tuple(joined.split("|")) if joined else ()
-                    child = metric._children.get(key)
-                    if child is None:
-                        child = metric._children[key] = metric._new_child()
-                    child.hist = LogBucketHistogram.from_dict(payload["hist"])
-                    child.sum = payload["sum"]
-            else:
-                metric = registry._register(kinds[entry["kind"]], name,
-                                            entry["help"], labelnames)
-                for joined, value in entry["children"].items():
-                    key = tuple(joined.split("|")) if joined else ()
-                    child = metric._children.get(key)
-                    if child is None:
-                        child = metric._children[key] = metric._new_child()
-                    child.value = value
-        return registry

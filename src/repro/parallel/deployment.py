@@ -25,14 +25,12 @@ golden reference by construction, for any worker count.
 from __future__ import annotations
 
 import hashlib
-import json
 import pickle
 import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..metrics import MergeableSummary, RequestRecord
-from ..obs import MetricsRegistry
 from .boundary import BoundaryMessage, sort_key
 from .horizon import WindowStats, plan_window
 from .partition import Partition, PartitionSpec, build_partition
@@ -191,14 +189,14 @@ class _ProcessHost:
 
 # --------------------------------------------------------------------------- orchestration
 def run_partitions(specs: List[PartitionSpec], workers: int = 1,
-                   mp_context: str = "spawn",
                    max_windows: Optional[int] = None,
                    ) -> Tuple[Dict[int, dict], WindowStats]:
     """Run a set of partitions to completion under conservative windows.
 
     Returns ``(payloads, stats)``: each partition's ``finalize()`` dict by
     pid, and the window/overhead breakdown.  ``max_windows`` is a livelock
-    guard (None derives a generous cap from the message count).
+    guard: planning one more window raises (``None``: no cap).  Workers are
+    spawned, never forked, so no parent state leaks into a partition.
     """
     specs = sorted(specs, key=lambda spec: spec.pid)
     if len({spec.pid for spec in specs}) != len(specs):
@@ -206,13 +204,12 @@ def run_partitions(specs: List[PartitionSpec], workers: int = 1,
     lookaheads = {spec.pid: spec.lookahead_s for spec in specs}
 
     workers = max(1, min(workers, len(specs)))
-    started = _time.perf_counter()
     if workers == 1:
         hosts: List = [_SerialHost(specs)]
     else:
         import multiprocessing
 
-        context = multiprocessing.get_context(mp_context)
+        context = multiprocessing.get_context("spawn")
         assigned: List[List[PartitionSpec]] = [[] for _ in range(workers)]
         for index, spec in enumerate(specs):
             assigned[index % workers].append(spec)
@@ -308,7 +305,6 @@ def run_partitions(specs: List[PartitionSpec], workers: int = 1,
     finally:
         for host in hosts:
             host.close()
-        _ = started  # wall-clock is the caller's to measure end to end
 
 
 # --------------------------------------------------------------------------- scenarios
@@ -433,21 +429,11 @@ class FederatedRunResult:
 
     records: List[RequestRecord]
     merged: MergeableSummary
-    registry: MetricsRegistry
     fingerprint: str
     stats: WindowStats
     workers: int
     wall_s: float
     per_partition: Dict[int, dict]
-
-    def to_summary_dict(self) -> dict:
-        return {
-            "workers": self.workers,
-            "wall_s": self.wall_s,
-            "requests": len(self.records),
-            "fingerprint": self.fingerprint,
-            **self.stats.to_dict(),
-        }
 
 
 class PartitionedDeployment:
@@ -460,23 +446,17 @@ class PartitionedDeployment:
     :attr:`FederatedRunResult.fingerprint` is the check.
     """
 
-    def __init__(self, scenario: FederatedScenario, workers: int = 1,
-                 mp_context: str = "spawn",
-                 max_windows: Optional[int] = None):
+    def __init__(self, scenario: FederatedScenario, workers: int = 1):
         self.scenario = scenario
         self.workers = workers
-        self.mp_context = mp_context
-        self.max_windows = max_windows
 
     def run(self) -> FederatedRunResult:
         started = _time.perf_counter()
-        payloads, stats = run_partitions(
-            self.scenario.partition_specs(), workers=self.workers,
-            mp_context=self.mp_context, max_windows=self.max_windows)
+        payloads, stats = run_partitions(self.scenario.partition_specs(),
+                                         workers=self.workers)
         wall_s = _time.perf_counter() - started
 
-        gateway = payloads[0]
-        records: List[RequestRecord] = gateway["records"]
+        records: List[RequestRecord] = payloads[0]["records"]
         if records:
             duration = max(r.completion_time for r in records) - min(
                 r.send_time for r in records)
@@ -486,21 +466,12 @@ class PartitionedDeployment:
             records, label=f"partitioned-{len(self.scenario.clusters)}c",
             duration_s=max(duration, 1e-9))
 
-        # One registry across the federation: gateway first, then every
-        # cluster shard in pid order (exact histogram merges).
-        registry = MetricsRegistry.from_dict(gateway["registry"])
-        for pid in sorted(payloads):
-            if pid == 0:
-                continue
-            registry.merge(MetricsRegistry.from_dict(payloads[pid]["registry"]))
-
         digest = hashlib.sha256()
         digest.update(merged.fingerprint().encode())
         digest.update(trace_fingerprint(records).encode())
         return FederatedRunResult(
             records=records,
             merged=merged,
-            registry=registry,
             fingerprint=digest.hexdigest(),
             stats=stats,
             workers=self.workers,
@@ -510,8 +481,7 @@ class PartitionedDeployment:
 
 
 def run_ping_ring(partitions: int = 3, hops: int = 30,
-                  latency_s: float = 0.0, workers: int = 1,
-                  mp_context: str = "spawn") -> Dict[int, list]:
+                  latency_s: float = 0.0, workers: int = 1) -> Dict[int, list]:
     """Null-message exercise: a token circulating ``partitions`` shards.
 
     With ``latency_s=0`` every edge has zero lookahead, so every window is
@@ -528,10 +498,5 @@ def run_ping_ring(partitions: int = 3, hops: int = 30,
     # Generous livelock guard: zero-latency rings need one window per hop
     # (plus setup); anything far beyond that is a planner bug.
     payloads, _stats = run_partitions(specs, workers=workers,
-                                      mp_context=mp_context,
                                       max_windows=10 * hops + 100)
     return {pid: payload["log"] for pid, payload in payloads.items()}
-
-
-def _compact_json(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))

@@ -18,11 +18,10 @@ exactly as one global event queue would have interleaved them.
 
 Determinism notes (the bit-identical-across-worker-counts contract):
 
-* randomness is keyed, never drawn from shared streams — the workload seed
-  is ``stable_seed(seed, "workload")`` and every partition gets its own
-  :meth:`~repro.common.RandomSource.spawn_named` stream keyed by partition
-  name, a pure function of the scenario seed regardless of which worker
-  builds it;
+* randomness is keyed, never drawn from shared streams — the gateway's
+  workload seed is ``stable_seed(seed, "workload")``, a pure function of the
+  scenario seed regardless of which worker builds it, and cluster partitions
+  draw nothing;
 * boundary messages are delivered in :func:`~repro.parallel.boundary.sort_key`
   order, so event ids assigned during delivery are reproducible;
 * barrier snapshots are applied in sorted source order before delivery, so
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..common import IdGenerator, RandomSource, stable_seed
+from ..common import IdGenerator, stable_seed
 from ..faas import (
     HANDLER_CHAT,
     ComputeEndpoint,
@@ -46,7 +45,6 @@ from ..faas import (
 from ..faas.functions import FunctionRegistry
 from ..faas.task import TaskRecord, TaskStatus
 from ..metrics import RequestRecord
-from ..obs import MetricsRegistry
 from ..placement import TopologyView
 from ..serving import InstanceState
 from ..serving.stream import STREAM_CHANNEL_KEY, StreamChannel
@@ -105,15 +103,8 @@ class Partition:
         self.pid = spec.pid
         self.name = spec.name
         self.env = Environment()
-        #: Partition-local random stream, keyed by name: a pure function of
-        #: the scenario seed, independent of worker assignment or build
-        #: order (numpy-backed; unused unless a partition draws from it).
-        self._rng_seed = stable_seed(spec.seed, "partition", spec.name)
         self._outbox: List[BoundaryMessage] = []
         self._seq = 0
-
-    def rng(self) -> RandomSource:
-        return RandomSource(self._rng_seed)
 
     # -- boundary plumbing -------------------------------------------------
     def send(self, kind: str, dst: int, arrival_time: float,
@@ -219,13 +210,6 @@ class GatewayPartition(Partition):
         arrival: ArrivalSpec = params["arrival"]
         self._offsets = arrival.build().offsets(self.num_requests)
 
-        self.registry = MetricsRegistry()
-        self._latency = self.registry.histogram(
-            "parallel_gateway_latency_s",
-            "End-to-end request latency observed by the gateway partition")
-        self._completed = self.registry.counter(
-            "parallel_requests_total",
-            "Requests completed, by outcome", labelnames=("outcome",))
         #: Engine-side token production times of streamed tasks whose result
         #: message has arrived, until the task's record is written.
         self._token_times: Dict[str, List[float]] = {}
@@ -263,9 +247,6 @@ class GatewayPartition(Partition):
             token_times=token_times,
         )
         self.records.append(record)
-        if success:
-            self._latency.observe(record.completion_time - record.send_time)
-        self._completed.labels(outcome="ok" if success else "error").inc()
 
     # -- boundary ----------------------------------------------------------
     def collect_outbox(self) -> List[BoundaryMessage]:
@@ -306,7 +287,6 @@ class GatewayPartition(Partition):
     def finalize(self) -> dict:
         return {
             "records": self.records,
-            "registry": self.registry.to_dict(),
             "relay": {
                 "submitted": self.relay.stats.submitted,
                 "completed": self.relay.stats.completed,
@@ -386,14 +366,6 @@ class ClusterPartition(Partition):
         if prewarm:
             self.endpoint.prewarm(params["model"], prewarm)
 
-        self.registry = MetricsRegistry()
-        self._service = self.registry.histogram(
-            "parallel_cluster_service_s",
-            "Dispatch-to-outcome task service time", labelnames=("cluster",))
-        self._tasks = self.registry.counter(
-            "parallel_cluster_tasks_total",
-            "Boundary tasks executed", labelnames=("cluster",))
-
     # -- boundary ----------------------------------------------------------
     def _deliver_one(self, message: BoundaryMessage) -> None:
         if message.kind != DISPATCH:
@@ -436,9 +408,6 @@ class ClusterPartition(Partition):
         if isinstance(metadata, dict):
             metadata.pop(STREAM_CHANNEL_KEY, None)
 
-        self._service.labels(cluster=self.name).observe(
-            self.env.now - record.dispatch_time)
-        self._tasks.labels(cluster=self.name).inc()
         self.send(RESULT, self.gateway_pid,
                   self.env.now + self.result_latency_s, {
                       "task_id": record.task_id,
@@ -479,7 +448,6 @@ class ClusterPartition(Partition):
 
     def finalize(self) -> dict:
         return {
-            "registry": self.registry.to_dict(),
             "tasks_executed": self.endpoint.tasks_executed,
             "tasks_failed": self.endpoint.tasks_failed,
             "gpu_seconds": self.scheduler.gpu_seconds(),

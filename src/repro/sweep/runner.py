@@ -7,7 +7,7 @@ processes, ``pdb`` works).  Guarantees:
 
 * **Determinism** — results are returned (and merged) in cell order, never
   completion order, so merged float accumulations are bit-identical across
-  worker counts; cell random streams are keyed by cell key (see
+  worker counts; cell seeds are keyed by the cell's description (see
   :mod:`repro.sweep.spec`), so the simulated results themselves are too.
 * **Bounded retry** — a shard that raises *or crashes its worker* is retried
   up to ``max_retries`` times before being reported as a failure; one bad
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..common import ConfigurationError
-from ..metrics import BenchmarkSummary, MergeableSummary
+from ..metrics import MergeableSummary
 from .spec import ScenarioSpec
 
 __all__ = ["ShardResult", "SweepResult", "SweepRunner"]
@@ -91,25 +91,13 @@ class SweepResult:
     def __iter__(self):
         return iter(self.results)
 
-    def payloads(self) -> List[Any]:
-        return [r.payload for r in self.results if r.ok]
-
     def payload_by_key(self) -> Dict[str, Any]:
         return {r.key: r.payload for r in self.results if r.ok}
 
     # -- reductions --------------------------------------------------------
     def mergeables(self) -> List[MergeableSummary]:
-        out = []
-        for result in self.results:
-            if not result.ok:
-                continue
-            payload = result.payload
-            if isinstance(payload, MergeableSummary):
-                out.append(payload)
-            elif isinstance(payload, dict) and isinstance(
-                    payload.get("mergeable"), MergeableSummary):
-                out.append(payload["mergeable"])
-        return out
+        return [r.payload["mergeable"] for r in self.results
+                if r.ok and isinstance(r.payload.get("mergeable"), MergeableSummary)]
 
     def merged(self, label: Optional[str] = None) -> MergeableSummary:
         """Reduce every shard's mergeable metrics, in cell order.
@@ -118,50 +106,6 @@ class SweepResult:
         order, so the reduction is bit-identical for any worker count.
         """
         return MergeableSummary.merge_all(self.mergeables(), label=label)
-
-    def summaries(self) -> List[BenchmarkSummary]:
-        out = []
-        for payload in self.payloads():
-            if isinstance(payload, dict) and isinstance(
-                    payload.get("summary"), BenchmarkSummary):
-                out.append(payload["summary"])
-        return out
-
-    def registries(self) -> List["MetricsRegistry"]:
-        """Per-cell observability registries, in cell order.
-
-        Cells whose payload carries a ``"registry"`` entry (a
-        :meth:`~repro.obs.MetricsRegistry.to_dict` snapshot — e.g. the
-        ``partitioned`` runner) are rehydrated; cells without one are
-        skipped.
-        """
-        from ..obs import MetricsRegistry
-
-        out = []
-        for result in self.results:
-            if not result.ok:
-                continue
-            payload = result.payload
-            if isinstance(payload, dict) and isinstance(
-                    payload.get("registry"), dict):
-                out.append(MetricsRegistry.from_dict(payload["registry"]))
-        return out
-
-    def merged_registry(self) -> Optional["MetricsRegistry"]:
-        """One registry across every shard, merged in cell order.
-
-        Counter sums and histogram bucket merges are exact, and the cell
-        ordering pins float-addition order — the merged registry is
-        bit-identical for any worker count.  Returns ``None`` when no cell
-        shipped a registry snapshot.
-        """
-        registries = self.registries()
-        if not registries:
-            return None
-        merged = registries[0]
-        for registry in registries[1:]:
-            merged.merge(registry)
-        return merged
 
 
 class SweepRunner:

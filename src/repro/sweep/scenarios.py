@@ -11,17 +11,18 @@ Payloads are dicts carrying at least:
   cross-shard reduction (log-bucket quantiles, associative merge).
 
 Seeding: cells that vary a ``seed`` axis key their workload and arrival
-streams off ``(model, seed tag, rate)`` via :func:`repro.common.stable_seed`
+seeds off ``(model, seed tag, rate)`` via :func:`repro.common.stable_seed`
 — a pure function of the cell description, never of worker assignment — so
 merged sweep metrics are bit-identical for any worker count, and cells that
 differ only in engine knobs (e.g. ``macro_stepping``) replay the identical
-workload and must produce bit-identical simulated results.
+workload and must produce bit-identical simulated results.  Cells without a
+``seed`` axis replay the paper's fixed request set.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List
+from typing import List
 
 from ..common import stable_seed
 from ..metrics import MergeableSummary, RequestRecord, summarize
@@ -35,7 +36,6 @@ __all__ = [
     "run_first_cell",
     "run_direct_cell",
     "run_autoscale_policy_cell",
-    "run_partitioned_cell",
 ]
 
 
@@ -59,17 +59,6 @@ def _arrival_spec(spec: ScenarioSpec) -> ArrivalSpec:
         arrival = replace(arrival, seed=stable_seed(
             "arrival", spec.tags["seed"], arrival.kind, arrival.rate or 0.0))
     return arrival
-
-
-def _payload(collector_or_records, label: str, duration_s: float,
-             extras: Dict = None) -> dict:
-    summary = summarize(collector_or_records, label=label, duration_s=duration_s)
-    mergeable = MergeableSummary.from_records(collector_or_records, label=label,
-                                              duration_s=duration_s)
-    payload = {"summary": summary, "mergeable": mergeable}
-    if extras:
-        payload.update(extras)
-    return payload
 
 
 # ------------------------------------------------------------------ engine
@@ -127,11 +116,14 @@ def run_engine_cell(spec: ScenarioSpec) -> dict:
     label = spec.label or spec.key
     duration = max(1e-9, env.now - (min(send_times) if send_times else 0.0))
     stats = engine.stats
-    return _payload(records, label, duration, extras={
+    return {
+        "summary": summarize(records, label=label, duration_s=duration),
+        "mergeable": MergeableSummary.from_records(records, label=label,
+                                                   duration_s=duration),
         "sim_duration_s": env.now,
         "output_tokens": stats.output_tokens,
         "peak_batch_size": stats.peak_batch_size,
-    })
+    }
 
 
 # ------------------------------------------------------------------ FIRST / direct
@@ -174,7 +166,7 @@ def first_cell_deployment(spec: ScenarioSpec):
     proc = deployment.env.process(
         bench.run(requests, arrival=arrival, summary_label=label))
     summary = deployment.env.run(until=proc)
-    mergeable = MergeableSummary.from_records(bench.collector, label=label,
+    mergeable = MergeableSummary.from_records(bench.collector.records, label=label,
                                               duration_s=summary.duration_s)
     return deployment, {"summary": summary, "mergeable": mergeable}
 
@@ -207,7 +199,7 @@ def run_direct_cell(spec: ScenarioSpec) -> dict:
     label = spec.label or f"vLLM Direct @ {arrival.label}"
     proc = env.process(bench.run(requests, arrival=arrival, summary_label=label))
     summary = env.run(until=proc)
-    mergeable = MergeableSummary.from_records(bench.collector, label=label,
+    mergeable = MergeableSummary.from_records(bench.collector.records, label=label,
                                               duration_s=summary.duration_s)
     return {"summary": summary, "mergeable": mergeable}
 
@@ -292,59 +284,11 @@ def run_autoscale_policy_cell(spec: ScenarioSpec) -> dict:
         "jobs_drained": scheduler.jobs_drained,
         "route_probe_ok": "error" not in probe,
     }
-    mergeable = MergeableSummary.from_records(bench.collector, label=summary.label,
+    mergeable = MergeableSummary.from_records(bench.collector.records,
+                                              label=summary.label,
                                               duration_s=summary.duration_s)
     mergeable.counters["gpu_hours"] = gpu_hours
     return {"summary": summary, "mergeable": mergeable, "entry": entry}
-
-
-# ------------------------------------------------------------------ partitioned federation
-def run_partitioned_cell(spec: ScenarioSpec) -> dict:
-    """One partitioned federated run under the conservative-window parallel
-    plane (:mod:`repro.parallel`).
-
-    Params: ``clusters`` — a list of :class:`~repro.parallel.ClusterShardSpec`
-    (or kwargs dicts for them); ``stream``; ``relay`` (RelayConfig field
-    overrides); ``partition_workers`` — worker processes *inside* the cell
-    (default 1: serial partitions, so sweep workers never nest process
-    pools).  The payload adds the run's bit-identity ``fingerprint``, the
-    window/overhead ``partition_stats``, and the federation-wide ``registry``
-    snapshot that :meth:`~repro.sweep.runner.SweepResult.merged_registry`
-    reduces across cells.
-    """
-    from ..parallel import ClusterShardSpec, FederatedScenario, PartitionedDeployment
-
-    params = spec.params
-    clusters = params.get("clusters") or [{"name": "cluster0"}, {"name": "cluster1"}]
-    shards = [shard if isinstance(shard, ClusterShardSpec)
-              else ClusterShardSpec(**shard) for shard in clusters]
-    scenario = FederatedScenario(
-        clusters=shards,
-        model=spec.model or FederatedScenario.model,
-        num_requests=spec.num_requests,
-        arrival=_arrival_spec(spec),
-        seed=int(spec.tags.get("seed", params.get("seed", 0))),
-        stream=bool(params.get("stream", False)),
-        relay=dict(params.get("relay") or {}),
-    )
-    result = PartitionedDeployment(
-        scenario,
-        workers=int(params.get("partition_workers", 1)),
-        mp_context=params.get("partition_mp_context", "spawn"),
-    ).run()
-
-    records = result.records
-    if records:
-        duration = (max(r.completion_time for r in records)
-                    - min(r.send_time for r in records))
-    else:
-        duration = 0.0
-    return _payload(records, spec.label or spec.key, max(duration, 1e-9), extras={
-        "registry": result.registry.to_dict(),
-        "fingerprint": result.fingerprint,
-        "partition_stats": result.stats.to_dict(),
-        "partition_workers": result.workers,
-    })
 
 
 #: Short runner names usable as ``ScenarioSpec.runner``.
@@ -353,5 +297,4 @@ RUNNERS = {
     "first": run_first_cell,
     "direct": run_direct_cell,
     "autoscale_policy": run_autoscale_policy_cell,
-    "partitioned": run_partitioned_cell,
 }

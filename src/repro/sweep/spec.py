@@ -1,27 +1,26 @@
 """Declarative, pickle-safe descriptions of simulation cells.
 
 A *cell* is one independent simulation: a deployment/engine configuration,
-a workload and arrival spec, and a seed namespace.  :class:`ScenarioSpec`
+a workload and an arrival spec.  :class:`ScenarioSpec`
 describes a cell declaratively — everything it embeds pickles, so the
 :class:`~repro.sweep.runner.SweepRunner` can ship cells to worker
 processes.  :class:`SweepSpec` describes a *grid* of cells (axes of rates,
 policies, seeds, ...) and expands it deterministically, so benchmarks say
 *what* to run, not *how*.
 
-Seeding discipline: a cell's random streams are keyed by its **cell key**
-(via :meth:`repro.common.RandomSource.spawn_named` /
-:func:`repro.common.stable_seed`), never by which worker ran it or in what
-order — a sweep's merged metrics are therefore independent of worker count
-and scheduling.
+Seeding discipline: a cell's workload and arrival seeds are
+:func:`repro.common.stable_seed` keys over its description (a ``seed`` grid
+axis, the model, the rate — see :mod:`repro.sweep.scenarios`), never over
+which worker ran it or in what order — a sweep's merged metrics are
+therefore independent of worker count and scheduling.
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from ..common import ConfigurationError, RandomSource, stable_seed
+from ..common import ConfigurationError
 from ..workload import (
     ArrivalProcess,
     DiurnalArrival,
@@ -74,28 +73,14 @@ class ArrivalSpec:
         raise ConfigurationError(f"unknown arrival kind {self.kind!r}")
 
 
-def _resolve_dotted(path: str) -> Callable:
-    """Resolve ``"package.module:callable"`` to the callable."""
-    module_name, _, attr = path.partition(":")
-    if not attr:
-        raise ConfigurationError(
-            f"runner path {path!r} must look like 'package.module:callable'")
-    module = importlib.import_module(module_name)
-    try:
-        return getattr(module, attr)
-    except AttributeError as exc:
-        raise ConfigurationError(f"{module_name} has no runner {attr!r}") from exc
-
-
 @dataclass
 class ScenarioSpec:
     """One simulation cell, described declaratively.
 
-    ``runner`` names the importable cell function: a short name registered
-    in :data:`repro.sweep.scenarios.RUNNERS`, a dotted
-    ``"package.module:callable"`` path, or a module-level callable (pickled
-    by reference).  The runner receives the spec and returns a pickle-safe
-    payload — by convention a dict with at least a ``"mergeable"``
+    ``runner`` names the cell function: a short name registered in
+    :data:`repro.sweep.scenarios.RUNNERS`, or a module-level callable
+    (pickled by reference).  The runner receives the spec and returns a
+    pickle-safe payload — by convention a dict with at least a ``"mergeable"``
     :class:`~repro.metrics.MergeableSummary` and an exact ``"summary"``
     :class:`~repro.metrics.BenchmarkSummary`.
     """
@@ -105,8 +90,6 @@ class ScenarioSpec:
     model: str = ""
     num_requests: int = 0
     arrival: Optional[ArrivalSpec] = None
-    #: Root seed of the sweep; cell streams derive from (seed, key).
-    seed: int = 0
     #: ``EngineConfig`` field overrides for engine-level cells.
     engine: Dict[str, Any] = field(default_factory=dict)
     #: Runner-specific parameters (pickle-safe values only).
@@ -115,21 +98,9 @@ class ScenarioSpec:
     tags: Dict[str, Any] = field(default_factory=dict)
     label: Optional[str] = None
 
-    # -- seeding -----------------------------------------------------------
-    def random_source(self) -> RandomSource:
-        """The cell's named random stream (independent of worker assignment)."""
-        return RandomSource(self.seed).spawn_named(self.key)
-
-    def cell_seed(self, *names: Union[str, int, float]) -> int:
-        """Stable integer seed for this cell, further namespaced by ``names``."""
-        return stable_seed(self.seed, self.key, *names)
-
-    # -- execution ---------------------------------------------------------
     def resolve_runner(self) -> Callable:
         if callable(self.runner):
             return self.runner
-        if ":" in self.runner:
-            return _resolve_dotted(self.runner)
         from . import scenarios  # local import: scenarios imports heavy substrates
 
         try:
@@ -152,7 +123,7 @@ def _format_axis_value(value: Any) -> str:
 
 #: ScenarioSpec fields an axis or base entry may set directly; anything else
 #: lands in ``params``.
-_SPEC_FIELDS = ("model", "num_requests", "arrival", "seed", "engine", "label")
+_SPEC_FIELDS = ("model", "num_requests", "arrival", "engine", "label")
 
 
 @dataclass
@@ -162,21 +133,19 @@ class SweepSpec:
     ``axes`` maps axis name to the values swept, in significance order; the
     expansion enumerates the cartesian product with the *last* axis varying
     fastest, and keys cells ``"{name}/{axis}={value}/..."`` — stable across
-    runs, so cell keys (and therefore cell seed streams) never depend on
-    worker count or scheduling.
+    runs, so cell keys never depend on worker count or scheduling.
 
     Axis names (and ``base`` keys) matching a :class:`ScenarioSpec` field
-    (``model``, ``num_requests``, ``arrival``, ``seed``, ``engine``,
-    ``label``) set that field; every other name lands in
-    ``ScenarioSpec.params`` for the runner.  Axis values are additionally
-    recorded in ``ScenarioSpec.tags``.
+    (``model``, ``num_requests``, ``arrival``, ``engine``, ``label``) set
+    that field; every other name lands in ``ScenarioSpec.params`` for the
+    runner.  Axis values are additionally recorded in ``ScenarioSpec.tags``
+    — a ``seed`` axis reseeds each cell's workload and arrivals from there.
     """
 
     name: str
     runner: Union[str, Callable]
     base: Dict[str, Any] = field(default_factory=dict)
     axes: Dict[str, List[Any]] = field(default_factory=dict)
-    seed: int = 0
 
     def expand(self) -> List[ScenarioSpec]:
         for axis, values in self.axes.items():
@@ -194,7 +163,6 @@ class SweepSpec:
                 f"/{axis}={_format_axis_value(value)}"
                 for axis, value in axis_values.items())
             fields = {name: merged.pop(name) for name in _SPEC_FIELDS if name in merged}
-            fields.setdefault("seed", self.seed)
             cells.append(ScenarioSpec(
                 key=key,
                 runner=self.runner,

@@ -49,7 +49,7 @@ class BenchmarkClient:
         yield self.env.all_of(done_events)
         duration = self.env.now - start
         label = summary_label or f"{self.label} @ {arrival.label}"
-        return summarize(self.collector, label=label, duration_s=duration)
+        return summarize(self.collector.records, label=label, duration_s=duration)
 
     def _send_one(self, request: InferenceRequest, send_at: float, done):
         if send_at > self.env.now:

@@ -18,7 +18,9 @@ an endpoint deregistered mid-traffic.  Four autoscale cells run each
 single-cluster scaling policy on the autoscaling benchmark's diurnal
 scenario (report entry, replica launch/drain timeline, request records).
 One quickstart cell pins the gateway dashboard's per-model rows and totals
-beside the request fingerprint.
+beside the request fingerprint.  One partitioned cell streams requests over
+two cluster shards (window and message counts, each shard's work) and checks
+that two spawn workers reproduce its fingerprint.
 
 The file is rewritten only by::
 
@@ -439,6 +441,29 @@ def quickstart_case() -> dict:
                 "total_output_tokens", "peak_in_flight")}}
 
 
+def partitioned_stream_case(workers: int = 1) -> dict:
+    """Streamed requests over two cluster shards under the conservative-window
+    plane: the merged fingerprint, the window counts and each shard's work."""
+    from repro.metrics import summarize
+    from repro.parallel import FederatedScenario, PartitionedDeployment
+
+    result = PartitionedDeployment(
+        FederatedScenario.demo(clusters=2, num_requests=60, stream=True),
+        workers=workers).run()
+    stats = result.stats
+    return {"requests": len(result.records),
+            "fingerprint": result.fingerprint,
+            "failed": sum(1 for r in result.records if not r.success),
+            "sim": _layered_workloads()._sim_metrics(summarize(result.records)),
+            "windows": {"windows": stats.windows, "micro_windows": stats.micro_windows,
+                        "messages": stats.messages,
+                        "message_kinds": dict(sorted(stats.message_kinds.items()))},
+            "relay": result.per_partition[0]["relay"],
+            "clusters": {str(pid): {key: payload[key] for key in (
+                "tasks_executed", "tasks_failed", "gpu_seconds")}
+                for pid, payload in sorted(result.per_partition.items()) if pid != 0}}
+
+
 def build_ledger() -> dict:
     import numpy
 
@@ -459,6 +484,7 @@ def build_ledger() -> dict:
     for policy in AUTOSCALE_POLICIES:
         cases[f"autoscale/{policy}"] = autoscale_case(policy)
     cases["quickstart"] = quickstart_case()
+    cases["partitioned/stream"] = partitioned_stream_case()
     return {"header": {"python": platform.python_version(),
                        "numpy": numpy.__version__,
                        "divisors": DIVISORS,
@@ -585,6 +611,14 @@ def test_quickstart_dashboard_matches_the_ledger():
     assert observed == recorded("quickstart")
     assert observed["failed"] == 0
     assert observed["dashboard"]["total_completed"] == observed["requests"]
+
+
+def test_partitioned_stream_matches_the_ledger():
+    observed = json.loads(json.dumps(partitioned_stream_case()))
+    assert observed == recorded("partitioned/stream")
+    assert observed["failed"] == 0 and observed["requests"] == 60
+    # Spawn workers reproduce the serial host bit for bit.
+    assert partitioned_stream_case(workers=2)["fingerprint"] == observed["fingerprint"]
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import ValidationError
-from repro.metrics import MetricsCollector, RequestRecord, percentile, summarize
+from repro.metrics import RequestRecord, percentile, summarize
 from repro.workload import (
     BATCH_GENERATION_CONFIG,
     InfiniteArrival,
@@ -79,17 +79,6 @@ def test_summarize_empty():
 def test_percentile_empty_and_basic():
     assert percentile([], 50) == 0.0
     assert percentile([1.0, 2.0, 3.0], 50) == 2.0
-
-
-def test_collector_partitions_success_and_failure():
-    collector = MetricsCollector()
-    collector.record(make_record(0, 0.0, 1.0))
-    collector.record(make_record(1, 0.0, 1.0, success=False))
-    assert len(collector) == 2
-    assert len(collector.successful) == 1
-    assert len(collector.failed) == 1
-    collector.clear()
-    assert len(collector) == 0
 
 
 # -- ShareGPT-like workload --------------------------------------------------------

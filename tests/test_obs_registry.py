@@ -1,7 +1,5 @@
-"""Tests for the observability metrics registry: Counter/Gauge/Histogram,
-Prometheus text exposition, and exact shard merging."""
-
-import json
+"""Tests for the observability metrics registry: Counter/Gauge/Histogram
+and Prometheus text exposition."""
 
 import pytest
 
@@ -114,53 +112,3 @@ def test_label_values_are_escaped():
     registry.counter("c_total", labelnames=("m",)).labels(m='a"b\\c\nd').inc()
     text = registry.prometheus_text()
     assert 'm="a\\"b\\\\c\\nd"' in text
-
-
-# -- exact shard merge ----------------------------------------------------------
-
-def _shard(values):
-    registry = MetricsRegistry()
-    registry.counter("reqs_total", "r", labelnames=("model",))
-    h = registry.histogram("lat_seconds", "l", labelnames=("model",))
-    for model, v in values:
-        registry.get("reqs_total").labels(model=model).inc()
-        h.labels(model=model).observe(v)
-    return registry
-
-
-def test_merge_is_exact_across_shards():
-    # Dyadic values: float sums are exact in any addition order, so the
-    # mergeable guarantee (identical buckets/counts) extends to _sum too.
-    shard_a = [("m", 0.125), ("m", 4.25), ("n", 0.75)]
-    shard_b = [("m", 2.5), ("n", 7.5), ("n", 0.0625)]
-
-    merged = _shard(shard_a)
-    merged.merge(_shard(shard_b))
-    single = _shard(shard_a + shard_b)
-
-    # Bit-identical exposition: merging shard registries equals one registry
-    # fed the union of samples.
-    assert merged.prometheus_text() == single.prometheus_text()
-    assert merged.to_dict() == single.to_dict()
-
-
-def test_merge_rejects_layout_mismatch():
-    a = MetricsRegistry()
-    a.counter("x_total", labelnames=("m",))
-    b = MetricsRegistry()
-    b.gauge("x_total")
-    with pytest.raises(ValueError):
-        a.merge(b)
-
-
-def test_registry_dict_round_trip_is_json_safe():
-    registry = _shard([("m", 0.25), ("n", 1.5)])
-    registry.gauge("g").set(3)
-    payload = json.loads(json.dumps(registry.to_dict()))
-    restored = MetricsRegistry.from_dict(payload)
-    assert restored.prometheus_text() == registry.prometheus_text()
-    # A restored shard keeps merging exactly.
-    restored.merge(_shard([("m", 9.0)]))
-    direct = _shard([("m", 0.25), ("n", 1.5), ("m", 9.0)])
-    assert (restored.get("lat_seconds").labels(model="m").count
-            == direct.get("lat_seconds").labels(model="m").count)

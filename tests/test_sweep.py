@@ -4,8 +4,8 @@ The contracts the million-request sweeps rely on:
 
 * every shipped deployment/gateway config pickle-round-trips (cells ship to
   spawned workers);
-* named random streams are pure functions of (root seed, key) — independent
-  of spawn order and worker assignment;
+* cell seeds are pure functions of their ``stable_seed`` key — independent
+  of worker assignment — and a ``seed`` axis really reseeds a cell;
 * a sweep's merged metrics are bit-identical whether run on 1 worker or 4;
 * histogram merges are exact and order-independent; merged quantiles stay
   within the documented relative-error bound of the pooled exact quantiles;
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import RandomSource, stable_seed
+from repro.common import stable_seed
 from repro.core import (
     federated_config,
     quickstart_config,
@@ -62,7 +62,7 @@ class TestConfigPickleSafety:
     def test_scenario_spec_round_trips(self):
         spec = ScenarioSpec(
             key="grid/rate=4/seed=1", runner="engine", model=MODEL_8B,
-            num_requests=100, arrival=ArrivalSpec.for_rate(4.0), seed=1,
+            num_requests=100, arrival=ArrivalSpec.for_rate(4.0),
             engine={"macro_stepping": True},
             params={"deployment": sophia_benchmark_config(MODEL_8B)},
             tags={"rate": 4.0, "seed": 1},
@@ -71,26 +71,9 @@ class TestConfigPickleSafety:
         assert clone == spec
 
 
-# ---------------------------------------------------------------- named streams
+# ---------------------------------------------------------------- cell seeds
 class TestSpawnNamed:
-    def test_same_key_same_stream(self):
-        a = RandomSource(42).spawn_named("grid/rate=4").uniform(0, 1)
-        b = RandomSource(42).spawn_named("grid/rate=4").uniform(0, 1)
-        assert a == b
-
-    def test_different_keys_differ(self):
-        a = RandomSource(42).spawn_named("grid/rate=4").uniform(0, 1)
-        b = RandomSource(42).spawn_named("grid/rate=8").uniform(0, 1)
-        assert a != b
-
-    def test_independent_of_spawn_order(self):
-        root1 = RandomSource(42)
-        first_then_second = (root1.spawn_named("a").uniform(0, 1),
-                             root1.spawn_named("b").uniform(0, 1))
-        root2 = RandomSource(42)
-        second_then_first = (root2.spawn_named("b").uniform(0, 1),
-                             root2.spawn_named("a").uniform(0, 1))
-        assert first_then_second == (second_then_first[1], second_then_first[0])
+    """Cell seeding: ``stable_seed`` keys are the one way a cell is seeded."""
 
     def test_stable_seed_is_pure(self):
         assert stable_seed(0, "grid/a", "workload") == stable_seed(0, "grid/a", "workload")
@@ -271,6 +254,19 @@ class TestMergeLaws:
         again = MergeableSummary.merge_all(shards, label="all")
         assert once.fingerprint() == again.fingerprint()
         assert once.num_requests == 300 and once.num_shards == 6
+
+    def test_merge_all_returns_a_new_summary(self):
+        """Merging one shard copies it: relabelling the result leaves the
+        caller's summary (e.g. a cell's payload) untouched."""
+        shard = MergeableSummary.from_records(
+            [RequestRecord(request_id="r", model="m", send_time=0.0,
+                           completion_time=1.0, success=True)], label="cell")
+        merged = MergeableSummary.merge_all([shard], label="grid")
+        assert merged is not shard and merged.label == "grid"
+        assert shard.label == "cell"
+        assert merged.fingerprint() == shard.fingerprint()
+        merged.counters["gpu_hours"] = 1.0
+        assert shard.counters == {}
 
     def test_layout_mismatch_rejected(self):
         with pytest.raises(ValueError, match="layout"):
