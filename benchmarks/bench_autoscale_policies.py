@@ -45,7 +45,7 @@ from repro.autoscale import AutoscaleConfig  # noqa: E402
 from repro.core import (  # noqa: E402
     ClusterDeploymentSpec,
     DeploymentConfig,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
 )
 from repro.sweep import ArrivalSpec, ScenarioSpec, SweepRunner  # noqa: E402
 from repro.workload import PoissonArrival  # noqa: E402
@@ -161,7 +161,7 @@ def build_cell(policy: str, scenario: str, params: dict) -> ScenarioSpec:
             ClusterDeploymentSpec(
                 name="autoscale", kind="sophia", num_nodes=MAX_INSTANCES + 1,
                 scheduler="pbs",
-                models=[ModelDeploymentSpec(
+                models=[ModelHostingConfig(
                     MODEL, max_instances=MAX_INSTANCES,
                     max_parallel_tasks=SLOTS,
                     autoscale=autoscale_config(policy, scenario, params),

@@ -27,7 +27,7 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
     calibration,
 )
 from repro.serving import EngineConfig, ServingInstance, default_catalog
@@ -55,7 +55,7 @@ def run_with_first():
         clusters=[
             ClusterDeploymentSpec(
                 name="sophia", kind="sophia", num_nodes=15, scheduler="pbs",
-                models=[ModelDeploymentSpec(m, max_parallel_tasks=48) for m in MODEL_SUITE],
+                models=[ModelHostingConfig(m, max_parallel_tasks=48) for m in MODEL_SUITE],
             )
         ],
         users=["evaluator@anl.gov"],

@@ -16,7 +16,7 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
 )
 from repro.serving import InferenceRequest
 
@@ -31,9 +31,9 @@ def build_deployment():
             ClusterDeploymentSpec(
                 name="sophia", kind="sophia", num_nodes=8, scheduler="pbs",
                 models=[
-                    ModelDeploymentSpec(MODEL_8B),
-                    ModelDeploymentSpec(MODEL_70B),
-                    ModelDeploymentSpec(MODEL_405B, tensor_parallel=32, nodes_per_instance=4),
+                    ModelHostingConfig(MODEL_8B),
+                    ModelHostingConfig(MODEL_70B),
+                    ModelHostingConfig(MODEL_405B, tensor_parallel=32, nodes_per_instance=4),
                 ],
             )
         ],

@@ -16,7 +16,7 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
 )
 from repro.placement import FirstConfiguredRouter, PriorityRouter, RandomRouter
 from repro.workload import BenchmarkClient, ShareGPTWorkload, UniformArrival
@@ -30,11 +30,11 @@ def build_deployment(router_cls):
         clusters=[
             ClusterDeploymentSpec(
                 name="sophia", kind="sophia", num_nodes=2, scheduler="pbs",
-                models=[ModelDeploymentSpec(MODEL_8B, max_parallel_tasks=64)],
+                models=[ModelHostingConfig(MODEL_8B, max_parallel_tasks=64)],
             ),
             ClusterDeploymentSpec(
                 name="polaris", kind="polaris", num_nodes=2, scheduler="pbs",
-                models=[ModelDeploymentSpec(MODEL_8B, max_parallel_tasks=64)],
+                models=[ModelHostingConfig(MODEL_8B, max_parallel_tasks=64)],
             ),
         ],
         users=["benchmark@anl.gov"],

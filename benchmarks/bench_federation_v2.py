@@ -51,7 +51,7 @@ from repro.core import (  # noqa: E402
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
 )
 from repro.placement import LeastLoadedRouter, PriorityRouter, SLORouter  # noqa: E402
 from repro.workload import (  # noqa: E402
@@ -140,7 +140,7 @@ def build_deployment(scaling: str) -> FIRSTDeployment:
             ClusterDeploymentSpec(
                 name="east", kind="sophia", num_nodes=MAX_INSTANCES + 1,
                 scheduler="pbs",
-                models=[ModelDeploymentSpec(
+                models=[ModelHostingConfig(
                     MODEL, max_instances=MAX_INSTANCES, max_parallel_tasks=SLOTS,
                     autoscale=autoscale_config(scaling, floor=1,
                                                ceiling=MAX_INSTANCES),
@@ -151,7 +151,7 @@ def build_deployment(scaling: str) -> FIRSTDeployment:
             ClusterDeploymentSpec(
                 name="west", kind="sophia", num_nodes=2,
                 scheduler="pbs",
-                models=[ModelDeploymentSpec(
+                models=[ModelHostingConfig(
                     MODEL, max_instances=1, max_parallel_tasks=SLOTS,
                     autoscale=autoscale_config(scaling, floor=0, ceiling=1),
                 )],

@@ -42,7 +42,7 @@ from repro.core import (  # noqa: E402
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
     ObservabilityConfig,
 )
 from repro.workload import PoissonArrival, ShareGPTWorkload  # noqa: E402
@@ -78,7 +78,7 @@ def run_mode(observability, num_requests: int, rate: float) -> dict:
         clusters=[
             ClusterDeploymentSpec(
                 name="bench", kind="small", num_nodes=2, scheduler="local",
-                models=[ModelDeploymentSpec(MODEL, max_parallel_tasks=32)],
+                models=[ModelHostingConfig(MODEL, max_parallel_tasks=32)],
             )
         ],
         users=["bench@anl.gov"],

@@ -15,17 +15,17 @@ import pytest
 
 from _harness import MODEL_8B
 
-from repro.core import FIRSTDeployment
+from repro.core import FIRSTDeployment, sophia_benchmark_config
 from repro.gateway import GatewayConfig, RetrievalMode, ServerMode
 from repro.serving import InferenceRequest
 from repro.workload import BenchmarkClient, ShareGPTWorkload, UniformArrival
 
 
 def build(gateway_config, max_parallel_tasks=200):
-    deployment = FIRSTDeployment.sophia_benchmark(
+    deployment = FIRSTDeployment(sophia_benchmark_config(
         model=MODEL_8B, max_instances=1, num_nodes=2,
         max_parallel_tasks=max_parallel_tasks, gateway_config=gateway_config,
-    )
+    ))
     deployment.warm_up(MODEL_8B)
     client = deployment.client("benchmark@anl.gov")
     # Warm the token cache so per-request measurements are steady-state.

@@ -26,7 +26,7 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
 )
 from repro.webui import WebUIConcurrencyBenchmark, WebUIServer
 
@@ -45,8 +45,8 @@ def build_webui(model):
         clusters=[
             ClusterDeploymentSpec(
                 name="sophia", kind="sophia", num_nodes=INSTANCES + 1, scheduler="pbs",
-                models=[ModelDeploymentSpec(model, max_instances=INSTANCES,
-                                            max_parallel_tasks=96)],
+                models=[ModelHostingConfig(model, max_instances=INSTANCES,
+                                           max_parallel_tasks=96)],
             )
         ],
         users=["benchmark@anl.gov"],

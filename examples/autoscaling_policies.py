@@ -19,7 +19,7 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
 )
 from repro.workload import BenchmarkClient, DiurnalArrival, ShareGPTWorkload
 
@@ -44,9 +44,9 @@ def run_policy(policy: str) -> dict:
         clusters=[
             ClusterDeploymentSpec(
                 name="hpc", kind="sophia", num_nodes=4, scheduler="pbs",
-                models=[ModelDeploymentSpec(MODEL, max_instances=3,
-                                            max_parallel_tasks=8,
-                                            autoscale=autoscale_config(policy))],
+                models=[ModelHostingConfig(MODEL, max_instances=3,
+                                           max_parallel_tasks=8,
+                                           autoscale=autoscale_config(policy))],
             )
         ],
         users=["ops@anl.gov"],

@@ -13,7 +13,7 @@ Run:  python examples/federated_routing.py
 """
 
 from repro.cluster import JobRequest
-from repro.core import FIRSTDeployment
+from repro.core import FIRSTDeployment, federated_config
 
 MODEL = "meta-llama/Llama-3.1-8B-Instruct"
 
@@ -24,7 +24,7 @@ def show_jobs(client) -> None:
 
 
 def main() -> None:
-    deployment = FIRSTDeployment.federated(model=MODEL, sophia_nodes=2, polaris_nodes=2)
+    deployment = FIRSTDeployment(federated_config(model=MODEL, sophia_nodes=2, polaris_nodes=2))
     client = deployment.client("benchmark@anl.gov")
     print("Federated deployment:", ", ".join(deployment.clusters))
 

@@ -27,7 +27,7 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
 )
 from repro.gateway import default_middleware_factories
 from repro.placement import ReservationMiddleware, SLORouter
@@ -52,14 +52,14 @@ def build_deployment() -> FIRSTDeployment:
         clusters=[
             ClusterDeploymentSpec(
                 name="east", kind="small", num_nodes=2, scheduler="pbs",
-                models=[ModelDeploymentSpec(
+                models=[ModelHostingConfig(
                     MODEL, max_instances=2, max_parallel_tasks=8,
                     autoscale=scaling(floor=1, ceiling=2),
                 )],
             ),
             ClusterDeploymentSpec(
                 name="west", kind="small", num_nodes=2, scheduler="pbs",
-                models=[ModelDeploymentSpec(
+                models=[ModelHostingConfig(
                     MODEL, max_instances=1, max_parallel_tasks=8,
                     autoscale=scaling(floor=0, ceiling=1),
                 )],

@@ -16,7 +16,7 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
 )
 from repro.workload import BenchmarkClient, ShareGPTWorkload
 
@@ -39,7 +39,7 @@ def main() -> None:
                     kind="sophia",
                     num_nodes=6,
                     scheduler="pbs",
-                    models=[ModelDeploymentSpec(m, max_parallel_tasks=48) for m in MODEL_SUITE],
+                    models=[ModelHostingConfig(m, max_parallel_tasks=48) for m in MODEL_SUITE],
                 )
             ],
             users=["evaluator@anl.gov"],

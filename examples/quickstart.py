@@ -10,7 +10,7 @@ a laptop with no GPUs and finishes in seconds.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import FIRSTDeployment
+from repro.core import FIRSTDeployment, quickstart_config
 
 CHAT_MODEL = "Qwen/Qwen2.5-7B-Instruct"
 EMBED_MODEL = "nvidia/NV-Embed-v2"
@@ -22,7 +22,7 @@ def main() -> None:
     #
     #    The whole deployment runs on the from-scratch DES kernel
     #    (`repro.sim.Environment`: a clock and one binary-heap event queue).
-    deployment = FIRSTDeployment.quickstart()
+    deployment = FIRSTDeployment(quickstart_config())
     print("Deployed FIRST on cluster(s):", ", ".join(deployment.clusters))
 
     # 2. Authenticate a user (institutional identity, 48-hour token).
@@ -159,7 +159,7 @@ def main() -> None:
     #    the wall-clock overhead too).  Head sampling plus an always-kept
     #    top-K-slowest reservoir bound retention; `profile_kernel=True` also
     #    attaches an event-loop profiler to the DES kernel.
-    from repro.core import ObservabilityConfig, quickstart_config
+    from repro.core import ObservabilityConfig
     from repro.obs import span_tree
 
     traced_config = quickstart_config(generate_text=False)

@@ -8,7 +8,7 @@ are retrieved and folded into the prompt sent to the LLM.
 Run:  python examples/rag_hpc_assistant.py
 """
 
-from repro.core import FIRSTDeployment
+from repro.core import FIRSTDeployment, quickstart_config
 from repro.rag import RAGPipeline, hpc_documentation_corpus
 
 CHAT_MODEL = "Qwen/Qwen2.5-7B-Instruct"
@@ -23,7 +23,7 @@ QUESTIONS = [
 
 
 def main() -> None:
-    deployment = FIRSTDeployment.quickstart()
+    deployment = FIRSTDeployment(quickstart_config())
     client = deployment.client("researcher@anl.gov")
 
     # Build the assistant: embed the documentation corpus through the

@@ -12,7 +12,7 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
 )
 from repro.workload import BATCH_GENERATION_CONFIG, ShareGPTWorkload, requests_to_jsonl
 
@@ -29,7 +29,7 @@ def main() -> None:
                     kind="sophia",
                     num_nodes=4,
                     scheduler="pbs",
-                    models=[ModelDeploymentSpec(MODEL)],
+                    models=[ModelHostingConfig(MODEL)],
                 )
             ],
             users=["datagen@anl.gov"],

@@ -9,7 +9,7 @@ Inference Gateway.
 Run:  python examples/webui_chat.py
 """
 
-from repro.core import FIRSTDeployment
+from repro.core import FIRSTDeployment, quickstart_config
 from repro.webui import WebUIServer
 
 MODEL_A = "Qwen/Qwen2.5-7B-Instruct"
@@ -17,7 +17,7 @@ MODEL_B = "meta-llama/Llama-3.1-8B-Instruct"
 
 
 def main() -> None:
-    deployment = FIRSTDeployment.quickstart()
+    deployment = FIRSTDeployment(quickstart_config())
     # Keep both chat models hot so they appear in the dropdown.
     deployment.warm_up(MODEL_A)
     deployment.warm_up(MODEL_B)

@@ -14,8 +14,8 @@ TTFT/ITL — see :mod:`repro.gateway` for the stage diagram.
 
 Most users should start from :mod:`repro.core`:
 
->>> from repro.core import FIRSTDeployment
->>> deployment = FIRSTDeployment.quickstart()
+>>> from repro.core import FIRSTDeployment, quickstart_config
+>>> deployment = FIRSTDeployment(quickstart_config())
 >>> client = deployment.client(user="alice@university.edu")
 >>> response = client.chat_completion(
 ...     "Qwen/Qwen2.5-7B-Instruct",

@@ -18,7 +18,7 @@ per-model replica counts:
 * :class:`AutoscaleController` runs the periodic control loops.
 
 Configured per model through :class:`AutoscaleConfig` on
-``ModelDeploymentSpec`` / ``ModelHostingConfig``.
+``ModelHostingConfig``.
 """
 
 from .config import AutoscaleConfig

@@ -5,8 +5,7 @@
 carries every built-in policy's tunables — queue-depth thresholds, a
 proportional utilization target with cooldowns, a periodic capacity plan,
 cross-cluster shifting, and a Holt (level + trend) arrival forecast.
-Deployments attach it per model through
-``ModelDeploymentSpec.autoscale`` / ``ModelHostingConfig.autoscale``; when
+Deployments attach it per model through ``ModelHostingConfig.autoscale``; when
 it is ``None`` the endpoint falls back to the legacy demand-driven
 queue-depth behaviour (reactive scale-up only, no periodic controller), so
 existing deployments are bit-identical.

@@ -7,7 +7,7 @@ from .deployment import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
     ObservabilityConfig,
     federated_config,
     quickstart_config,
@@ -18,7 +18,7 @@ __all__ = [
     "FIRSTDeployment",
     "DeploymentConfig",
     "ClusterDeploymentSpec",
-    "ModelDeploymentSpec",
+    "ModelHostingConfig",
     "AutoscaleConfig",
     "ObservabilityConfig",
     "FIRSTClient",

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from ..cluster import SchedulerConfig
 from ..faas import ComputeClientConfig, RelayConfig
 from ..gateway import GatewayConfig
 from ..serving import APIServerConfig, EngineConfig, PerfModelConfig
@@ -22,6 +23,7 @@ __all__ = [
     "default_perf_config",
     "default_engine_config",
     "default_api_server_config",
+    "default_scheduler_config",
     "default_relay_config",
     "default_gateway_config",
     "default_compute_client_config",
@@ -95,6 +97,12 @@ def default_engine_config(generate_text: bool = False) -> EngineConfig:
 
 def default_api_server_config() -> APIServerConfig:
     return APIServerConfig(threads=1, base_handling_s=0.08, degradation_connections=400.0)
+
+
+def default_scheduler_config() -> SchedulerConfig:
+    """PBS / Slurm timing of every deployed cluster: a 2 s scheduling cycle
+    and a 5 s node prologue before an instance job is running."""
+    return SchedulerConfig(cycle_latency_s=2.0, prologue_s=5.0)
 
 
 def default_relay_config() -> RelayConfig:

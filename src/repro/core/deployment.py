@@ -13,22 +13,29 @@ environment:
   router;
 * the Inference Gateway.
 
-Convenience constructors cover the paper's scenarios (quickstart on a small
-local cluster; a Sophia-like benchmark deployment; the Sophia+Polaris
-federation).
+A deployment is data: a :class:`DeploymentConfig` lists the facilities,
+each a :class:`ClusterDeploymentSpec` naming its cluster kind, scheduler and
+the :class:`~repro.faas.ModelHostingConfig` records of the models its
+endpoint hosts.  The paper's scenarios are module-level builders of that
+data (:func:`quickstart_config` on a small local cluster,
+:func:`sophia_benchmark_config` for the §5 deployment,
+:func:`federated_config` for the Sophia+Polaris federation), so one is
+built as ``FIRSTDeployment(quickstart_config())``.  :func:`build_cluster`
+is the one place a facility's cluster, scheduler and endpoint are made;
+the partitioned plane's cluster shards call it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..autoscale import AutoscaleConfig
 from ..auth import AccessPolicy, AuthServiceConfig, GlobusAuthLikeService, IdentityProvider
 from ..cluster import (
     Cluster,
     FacilityStatusProvider,
-    SchedulerConfig,
+    SchedulerBase,
     make_scheduler,
     polaris_like,
     small_test_cluster,
@@ -56,45 +63,15 @@ from .client import FIRSTClient
 __all__ = [
     "AutoscaleConfig",
     "ObservabilityConfig",
-    "ModelDeploymentSpec",
+    "ModelHostingConfig",
     "ClusterDeploymentSpec",
     "DeploymentConfig",
     "FIRSTDeployment",
     "quickstart_config",
     "sophia_benchmark_config",
     "federated_config",
+    "build_cluster",
 ]
-
-
-@dataclass
-class ModelDeploymentSpec:
-    """One model hosted on one cluster."""
-
-    model: str
-    backend: str = "vllm"
-    tensor_parallel: Optional[int] = None
-    nodes_per_instance: int = 1
-    max_instances: int = 1
-    max_parallel_tasks: int = calibration.DEFAULT_MAX_PARALLEL_TASKS
-    hot_idle_timeout_s: float = 2 * 3600.0
-    #: Waiting tasks per ready instance that trigger reactive scale-up.
-    scale_up_queue_per_instance: int = 8
-    #: Autoscaling control plane for this model (``None`` = legacy reactive
-    #: queue-depth scale-up only; see :class:`repro.autoscale.AutoscaleConfig`).
-    autoscale: Optional[AutoscaleConfig] = None
-
-    def to_hosting(self) -> ModelHostingConfig:
-        return ModelHostingConfig(
-            model=self.model,
-            backend=self.backend,
-            tensor_parallel=self.tensor_parallel,
-            nodes_per_instance=self.nodes_per_instance,
-            max_instances=self.max_instances,
-            max_parallel_tasks=self.max_parallel_tasks,
-            hot_idle_timeout_s=self.hot_idle_timeout_s,
-            scale_up_queue_per_instance=self.scale_up_queue_per_instance,
-            autoscale=self.autoscale,
-        )
 
 
 @dataclass
@@ -106,11 +83,7 @@ class ClusterDeploymentSpec:
     kind: str = "small"
     num_nodes: int = 2
     scheduler: str = "pbs"
-    scheduler_cycle_s: float = 2.0
-    scheduler_prologue_s: float = 5.0
-    models: List[ModelDeploymentSpec] = field(default_factory=list)
-    endpoint_poll_interval_s: float = 1.0
-    endpoint_monitor_interval_s: float = 30.0
+    models: List[ModelHostingConfig] = field(default_factory=list)
 
 
 @dataclass
@@ -122,7 +95,6 @@ class DeploymentConfig:
     users: List[str] = field(default_factory=lambda: ["researcher@anl.gov"])
     identity_domains: List[str] = field(default_factory=lambda: ["anl.gov", "university.edu"])
     generate_text: bool = False
-    seed: int = 0
     #: Distributed tracing + metrics registry (see :mod:`repro.obs`).  When
     #: set and ``gateway.middleware_factories`` is None, the gateway pipeline
     #: gains an observability stage; tracing is observe-only, so simulation
@@ -131,11 +103,11 @@ class DeploymentConfig:
 
 
 def quickstart_config(generate_text: bool = True) -> DeploymentConfig:
-    """Config of :meth:`FIRSTDeployment.quickstart` — a laptop-scale deployment.
+    """A laptop-scale deployment: one 2-node cluster hosting small chat models
+    plus the embedding model, with a local (no-queue) scheduler.
 
-    The shipped configs are module-level builders (rather than inline in the
-    classmethods) so sweep cells can embed them and pickle-round-trip them to
-    worker processes.
+    The shipped configs are module-level builders so sweep cells can embed
+    them and pickle-round-trip them to worker processes.
     """
     return DeploymentConfig(
         clusters=[
@@ -145,10 +117,10 @@ def quickstart_config(generate_text: bool = True) -> DeploymentConfig:
                 num_nodes=2,
                 scheduler="local",
                 models=[
-                    ModelDeploymentSpec("Qwen/Qwen2.5-7B-Instruct", max_parallel_tasks=32),
-                    ModelDeploymentSpec("meta-llama/Llama-3.1-8B-Instruct",
-                                        max_parallel_tasks=32),
-                    ModelDeploymentSpec("nvidia/NV-Embed-v2", backend="infinity"),
+                    ModelHostingConfig("Qwen/Qwen2.5-7B-Instruct", max_parallel_tasks=32),
+                    ModelHostingConfig("meta-llama/Llama-3.1-8B-Instruct",
+                                       max_parallel_tasks=32),
+                    ModelHostingConfig("nvidia/NV-Embed-v2", backend="infinity"),
                 ],
             )
         ],
@@ -164,7 +136,7 @@ def sophia_benchmark_config(
     max_parallel_tasks: int = calibration.DEFAULT_MAX_PARALLEL_TASKS,
     gateway_config: Optional[GatewayConfig] = None,
 ) -> DeploymentConfig:
-    """Config of :meth:`FIRSTDeployment.sophia_benchmark` (the §5 deployment)."""
+    """The §5 benchmark deployment: a Sophia-like cluster hosting one model."""
     return DeploymentConfig(
         clusters=[
             ClusterDeploymentSpec(
@@ -173,7 +145,7 @@ def sophia_benchmark_config(
                 num_nodes=num_nodes,
                 scheduler="pbs",
                 models=[
-                    ModelDeploymentSpec(
+                    ModelHostingConfig(
                         model,
                         max_instances=max_instances,
                         max_parallel_tasks=max_parallel_tasks,
@@ -192,21 +164,67 @@ def federated_config(
     sophia_nodes: int = 4,
     polaris_nodes: int = 4,
 ) -> DeploymentConfig:
-    """Config of :meth:`FIRSTDeployment.federated` (the §4.5 two-facility PoC)."""
+    """The §4.5 federation proof of concept: Sophia plus Polaris."""
     return DeploymentConfig(
         clusters=[
             ClusterDeploymentSpec(
                 name="sophia", kind="sophia", num_nodes=sophia_nodes, scheduler="pbs",
-                models=[ModelDeploymentSpec(model, max_instances=2)],
+                models=[ModelHostingConfig(model, max_instances=2)],
             ),
             ClusterDeploymentSpec(
                 name="polaris", kind="polaris", num_nodes=polaris_nodes, scheduler="pbs",
-                models=[ModelDeploymentSpec(model, max_instances=2)],
+                models=[ModelHostingConfig(model, max_instances=2)],
             ),
         ],
         users=["benchmark@anl.gov"],
         generate_text=False,
     )
+
+
+def build_cluster(env: Environment, spec: ClusterDeploymentSpec,
+                  catalog: ModelCatalog, ids: IdGenerator, *,
+                  generate_text: bool, required_client_id: Optional[str],
+                  ) -> Tuple[Cluster, SchedulerBase, ComputeEndpoint]:
+    """Build one facility's ``(cluster, scheduler, endpoint)`` from its spec.
+
+    The endpoint hosts a copy of each of ``spec.models``, so editing a
+    pool's ``hosting`` at runtime never reaches the caller's config.
+    ``required_client_id`` is the confidential client the endpoint trusts
+    (``None``: accept every task it is handed).
+    """
+    if spec.kind == "sophia":
+        cluster = sophia_like(num_nodes=spec.num_nodes)
+    elif spec.kind == "polaris":
+        cluster = polaris_like(num_nodes=spec.num_nodes)
+    elif spec.kind == "small":
+        cluster = small_test_cluster(name=spec.name, num_nodes=spec.num_nodes)
+    else:
+        raise ConfigurationError(f"Unknown cluster kind {spec.kind!r}")
+    # The spec name wins over the factory name so federation entries are
+    # unambiguous even with two "small" clusters.
+    cluster.name = spec.name
+    scheduler = make_scheduler(
+        spec.scheduler, env, cluster,
+        calibration.default_scheduler_config()
+        if spec.scheduler in ("pbs", "slurm") else None,
+        ids=ids,
+    )
+    endpoint = ComputeEndpoint(
+        env,
+        scheduler,
+        catalog,
+        EndpointConfig(
+            endpoint_id=f"ep-{spec.name}",
+            cluster=spec.name,
+            models=[replace(hosting) for hosting in spec.models],
+            required_client_id=required_client_id,
+        ),
+        perf_config=calibration.default_perf_config(),
+        engine_config=calibration.default_engine_config(generate_text),
+        api_config=calibration.default_api_server_config(),
+        ids=ids,
+    )
+    return cluster, scheduler, endpoint
 
 
 class FIRSTDeployment:
@@ -264,15 +282,6 @@ class FIRSTDeployment:
                 function_id, name=handler, handler=handler, owner="first-admins"
             )
 
-    def _make_cluster(self, spec: ClusterDeploymentSpec) -> Cluster:
-        if spec.kind == "sophia":
-            return sophia_like(num_nodes=spec.num_nodes)
-        if spec.kind == "polaris":
-            return polaris_like(num_nodes=spec.num_nodes)
-        if spec.kind == "small":
-            return small_test_cluster(name=spec.name, num_nodes=spec.num_nodes)
-        raise ConfigurationError(f"Unknown cluster kind {spec.kind!r}")
-
     def _build_clusters(self) -> None:
         # The placement plane's shared fleet view: the federation's ordered
         # membership plus one event-refreshed aggregate of pool/cluster/
@@ -280,48 +289,16 @@ class FIRSTDeployment:
         # policies and the reservation stage share.
         self.topology = TopologyView(self.env)
         self.clusters: Dict[str, Cluster] = {}
-        self.schedulers: Dict[str, object] = {}
+        self.schedulers: Dict[str, SchedulerBase] = {}
         self.endpoints: Dict[str, ComputeEndpoint] = {}
-
-        perf_config = calibration.default_perf_config()
-        engine_config = calibration.default_engine_config(self.config.generate_text)
-        api_config = calibration.default_api_server_config()
-
         for spec in self.config.clusters:
-            cluster = self._make_cluster(spec)
-            # The spec name wins over the factory name so federation entries
-            # are unambiguous even with two "small" clusters.
-            cluster.name = spec.name
-            scheduler = make_scheduler(
-                spec.scheduler,
-                self.env,
-                cluster,
-                SchedulerConfig(
-                    cycle_latency_s=spec.scheduler_cycle_s,
-                    prologue_s=spec.scheduler_prologue_s,
-                ) if spec.scheduler in ("pbs", "slurm") else None,
-                ids=self.ids,
-            )
-            endpoint = ComputeEndpoint(
-                self.env,
-                scheduler,
-                self.catalog,
-                EndpointConfig(
-                    endpoint_id=f"ep-{spec.name}",
-                    cluster=spec.name,
-                    models=[m.to_hosting() for m in spec.models],
-                    poll_interval_s=spec.endpoint_poll_interval_s,
-                    monitor_interval_s=spec.endpoint_monitor_interval_s,
-                    required_client_id=self.CLIENT_ID,
-                ),
-                perf_config=perf_config,
-                engine_config=engine_config,
-                api_config=api_config,
-                ids=self.ids,
+            cluster, scheduler, endpoint = build_cluster(
+                self.env, spec, self.catalog, self.ids,
+                generate_text=self.config.generate_text,
+                required_client_id=self.CLIENT_ID,
             )
             self.relay.register_endpoint(endpoint)
-            provider = FacilityStatusProvider(self.env, scheduler)
-            self.topology.register(endpoint, provider)
+            self.topology.register(endpoint, FacilityStatusProvider(self.env, scheduler))
             self.clusters[spec.name] = cluster
             self.schedulers[spec.name] = scheduler
             self.endpoints[endpoint.endpoint_id] = endpoint
@@ -376,9 +353,6 @@ class FIRSTDeployment:
         bundle = self.auth.issue_token(user, scopes)
         return FIRSTClient(self, bundle, raise_on_error=raise_on_error)
 
-    def add_user(self, user: str) -> None:
-        self.auth.register_user(user)
-
     def prewarm(self, model: str, instances: int = 1,
                 endpoint_id: Optional[str] = None) -> List:
         """Launch ``instances`` hot instances of ``model`` ahead of traffic."""
@@ -394,7 +368,7 @@ class FIRSTDeployment:
         return events
 
     def warm_up(self, model: str, instances: int = 1,
-                endpoint_id: Optional[str] = None, timeout_s: float = 3600.0) -> None:
+                endpoint_id: Optional[str] = None) -> None:
         """Prewarm and advance the simulation until the instances are ready."""
         events = self.prewarm(model, instances, endpoint_id)
         if events:
@@ -406,9 +380,6 @@ class FIRSTDeployment:
         """Advance the simulation clock by ``seconds``."""
         self.env.run(until=self.env.now + seconds)
 
-    def run_until(self, event) -> object:
-        return self.env.run(until=event)
-
     @property
     def now(self) -> float:
         return self.env.now
@@ -417,36 +388,3 @@ class FIRSTDeployment:
     def observability(self):
         """The gateway's :class:`~repro.obs.ObservabilityLayer` (or ``None``)."""
         return self.gateway.observability
-
-    # ------------------------------------------------------------------ ready-made deployments
-    @classmethod
-    def quickstart(cls, generate_text: bool = True) -> "FIRSTDeployment":
-        """A laptop-scale deployment: one 2-node cluster hosting small chat models
-        plus the embedding model, with a local (no-queue) scheduler."""
-        return cls(quickstart_config(generate_text))
-
-    @classmethod
-    def sophia_benchmark(
-        cls,
-        model: str = "meta-llama/Llama-3.3-70B-Instruct",
-        max_instances: int = 1,
-        num_nodes: int = 8,
-        max_parallel_tasks: int = calibration.DEFAULT_MAX_PARALLEL_TASKS,
-        gateway_config: Optional[GatewayConfig] = None,
-    ) -> "FIRSTDeployment":
-        """The §5 benchmark deployment: a Sophia-like cluster hosting one model."""
-        return cls(sophia_benchmark_config(
-            model, max_instances=max_instances, num_nodes=num_nodes,
-            max_parallel_tasks=max_parallel_tasks, gateway_config=gateway_config,
-        ))
-
-    @classmethod
-    def federated(
-        cls,
-        model: str = "meta-llama/Llama-3.1-8B-Instruct",
-        sophia_nodes: int = 4,
-        polaris_nodes: int = 4,
-    ) -> "FIRSTDeployment":
-        """The §4.5 federation proof of concept: Sophia plus Polaris."""
-        return cls(federated_config(model, sophia_nodes=sophia_nodes,
-                                    polaris_nodes=polaris_nodes))

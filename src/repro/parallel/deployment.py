@@ -30,7 +30,10 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..common import stable_seed
+from ..core import ClusterDeploymentSpec, ModelHostingConfig, calibration
 from ..metrics import MergeableSummary, RequestRecord
+from ..sweep.spec import ArrivalSpec
 from .boundary import BoundaryMessage, sort_key
 from .horizon import WindowStats, plan_window
 from .partition import Partition, PartitionSpec, build_partition
@@ -310,15 +313,11 @@ def run_partitions(specs: List[PartitionSpec], workers: int = 1,
 # --------------------------------------------------------------------------- scenarios
 @dataclass
 class ClusterShardSpec:
-    """One facility in a partitioned federated scenario."""
+    """One facility in a partitioned federated scenario: a two-node cluster
+    under a local scheduler hosting the scenario's model (see
+    :meth:`FederatedScenario.partition_specs`)."""
 
     name: str
-    cluster_kind: str = "small"
-    num_nodes: int = 2
-    scheduler: str = "local"
-    max_instances: int = 1
-    max_parallel_tasks: int = 32
-    prewarm: int = 1
 
 
 @dataclass
@@ -328,15 +327,10 @@ class FederatedScenario:
     clusters: List[ClusterShardSpec] = field(default_factory=list)
     model: str = "Qwen/Qwen2.5-7B-Instruct"
     num_requests: int = 100
-    #: Mean request rate for the default Poisson arrivals; ignored when an
-    #: explicit ``arrival`` spec is given.
+    #: Mean request rate of the Poisson arrivals.
     rate: float = 2.0
-    #: Optional :class:`~repro.sweep.spec.ArrivalSpec` (e.g. diurnal).
-    arrival: Optional[object] = None
     seed: int = 0
     stream: bool = False
-    #: :class:`~repro.faas.RelayConfig` field overrides (e.g. latencies).
-    relay: Dict[str, float] = field(default_factory=dict)
 
     @classmethod
     def demo(cls, clusters: int = 2, num_requests: int = 40,
@@ -345,20 +339,10 @@ class FederatedScenario:
         shards = [ClusterShardSpec(name=f"cluster{i}") for i in range(clusters)]
         return cls(clusters=shards, num_requests=num_requests, **overrides)
 
-    def relay_config(self):
-        from dataclasses import replace
-
-        from ..core import calibration
-        config = calibration.default_relay_config()
-        return replace(config, **self.relay) if self.relay else config
-
     def partition_specs(self) -> List[PartitionSpec]:
         if not self.clusters:
             raise ValueError("FederatedScenario needs at least one cluster")
-        from ..common import stable_seed
-        from ..sweep.spec import ArrivalSpec
-
-        relay_config = self.relay_config()
+        relay_config = calibration.default_relay_config()
         # Outgoing lookaheads: dispatches leave the gateway after
         # submit+dispatch wire time; results leave a cluster after the
         # result wire time.  These are exactly the arrival stamps the
@@ -367,9 +351,6 @@ class FederatedScenario:
         gateway_lookahead = (relay_config.submit_latency_s
                              + relay_config.dispatch_latency_s)
         cluster_lookahead = relay_config.result_latency_s
-        arrival = self.arrival or ArrivalSpec(
-            kind="poisson", rate=self.rate,
-            seed=stable_seed(self.seed, "arrival"))
 
         specs = [PartitionSpec(
             pid=0, name="gateway", kind="gateway",
@@ -379,9 +360,9 @@ class FederatedScenario:
                              for index, shard in enumerate(self.clusters)],
                 "model": self.model,
                 "num_requests": self.num_requests,
-                "arrival": arrival,
+                "arrival": ArrivalSpec(kind="poisson", rate=self.rate,
+                                       seed=stable_seed(self.seed, "arrival")),
                 "stream": self.stream,
-                "relay": dict(self.relay),
             },
         )]
         for index, shard in enumerate(self.clusters):
@@ -390,14 +371,9 @@ class FederatedScenario:
                 lookahead_s=cluster_lookahead, seed=self.seed,
                 params={
                     "gateway_pid": 0,
-                    "result_latency_s": cluster_lookahead,
-                    "cluster_kind": shard.cluster_kind,
-                    "num_nodes": shard.num_nodes,
-                    "scheduler": shard.scheduler,
-                    "model": self.model,
-                    "max_instances": shard.max_instances,
-                    "max_parallel_tasks": shard.max_parallel_tasks,
-                    "prewarm": shard.prewarm,
+                    "cluster": ClusterDeploymentSpec(
+                        shard.name, kind="small", num_nodes=2, scheduler="local",
+                        models=[ModelHostingConfig(self.model, max_parallel_tasks=32)]),
                 },
             ))
         return specs

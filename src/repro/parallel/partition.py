@@ -34,19 +34,14 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..common import IdGenerator, stable_seed
-from ..faas import (
-    HANDLER_CHAT,
-    ComputeEndpoint,
-    EndpointConfig,
-    ModelHostingConfig,
-    RelayBoundaryProxy,
-    RelayService,
-)
+from ..core import calibration
+from ..core.deployment import ClusterDeploymentSpec, build_cluster
+from ..faas import HANDLER_CHAT, RelayBoundaryProxy, RelayService
 from ..faas.functions import FunctionRegistry
 from ..faas.task import TaskRecord, TaskStatus
 from ..metrics import RequestRecord
 from ..placement import TopologyView
-from ..serving import InstanceState
+from ..serving import InstanceState, default_catalog
 from ..serving.stream import STREAM_CHANNEL_KEY, StreamChannel
 from ..sim import Environment
 from .boundary import DISPATCH, PING, RESULT, BoundaryMessage, sort_key, validate_arrival
@@ -164,15 +159,13 @@ class GatewayPartition(Partition):
 
     Params (all picklable): ``clusters`` — ``[{"pid", "name"}]`` in routing
     candidate order; ``model``; ``num_requests``; ``arrival`` — an
-    :class:`~repro.sweep.spec.ArrivalSpec`; ``stream``; ``relay`` —
-    :class:`~repro.faas.RelayConfig` field overrides.
+    :class:`~repro.sweep.spec.ArrivalSpec`; ``stream``.
     """
 
     def __init__(self, spec: PartitionSpec):
         super().__init__(spec)
         from dataclasses import replace
 
-        from ..core import calibration
         from ..sweep.spec import ArrivalSpec
         from ..workload import ShareGPTConfig, ShareGPTWorkload
 
@@ -181,11 +174,9 @@ class GatewayPartition(Partition):
         self.num_requests: int = params["num_requests"]
         self.stream: bool = bool(params.get("stream", False))
 
-        relay_config = calibration.default_relay_config()
-        if params.get("relay"):
-            relay_config = replace(relay_config, **params["relay"])
         self.ids = IdGenerator()
-        self.relay = RelayService(self.env, relay_config, ids=self.ids)
+        self.relay = RelayService(self.env, calibration.default_relay_config(),
+                                  ids=self.ids)
         self.relay.functions.register(FUNCTION_ID, name=HANDLER_CHAT,
                                       handler=HANDLER_CHAT, owner="parallel")
 
@@ -298,73 +289,28 @@ class GatewayPartition(Partition):
 class ClusterPartition(Partition):
     """One facility shard: scheduler + compute endpoint + serving engines.
 
-    Params: ``cluster_kind`` ("sophia" | "polaris" | "small"); ``num_nodes``;
-    ``scheduler``; ``model``; ``max_instances``; ``max_parallel_tasks``;
-    ``prewarm``; ``gateway_pid``; ``result_latency_s`` (this partition's
-    outgoing lookahead — must equal ``spec.lookahead_s``).
+    Params: ``gateway_pid``; ``cluster`` — the shard's
+    :class:`~repro.core.ClusterDeploymentSpec`, built like any deployment's
+    cluster with one instance of each hosted model prewarmed.  Results
+    leave after ``spec.lookahead_s``, the relay's result wire time.
     """
 
     def __init__(self, spec: PartitionSpec):
         super().__init__(spec)
-        from ..cluster import (
-            SchedulerConfig,
-            make_scheduler,
-            polaris_like,
-            small_test_cluster,
-            sophia_like,
-        )
-        from ..core import calibration
-        from ..serving import default_catalog
-
         params = spec.params
         self.gateway_pid: int = params["gateway_pid"]
-        self.result_latency_s: float = params["result_latency_s"]
-        kind = params.get("cluster_kind", "small")
-        num_nodes = params.get("num_nodes", 2)
-        if kind == "sophia":
-            cluster = sophia_like(num_nodes=num_nodes)
-        elif kind == "polaris":
-            cluster = polaris_like(num_nodes=num_nodes)
-        else:
-            cluster = small_test_cluster(name=spec.name, num_nodes=num_nodes)
-        cluster.name = spec.name
-
+        shard: ClusterDeploymentSpec = params["cluster"]
         self.ids = IdGenerator()
-        scheduler_kind = params.get("scheduler", "local")
-        scheduler = make_scheduler(
-            scheduler_kind, self.env, cluster,
-            SchedulerConfig() if scheduler_kind in ("pbs", "slurm") else None,
-            ids=self.ids,
-        )
-        self.scheduler = scheduler
-        hosting = ModelHostingConfig(
-            model=params["model"],
-            max_instances=params.get("max_instances", 1),
-            max_parallel_tasks=params.get("max_parallel_tasks", 32),
-        )
-        self.endpoint = ComputeEndpoint(
-            self.env,
-            scheduler,
-            default_catalog(),
-            EndpointConfig(
-                endpoint_id=f"ep-{spec.name}",
-                cluster=spec.name,
-                models=[hosting],
-                # Boundary tasks were already authenticated gateway-side;
-                # the partition's dispatch message is the trust boundary.
-                required_client_id=None,
-            ),
-            perf_config=calibration.default_perf_config(),
-            engine_config=calibration.default_engine_config(False),
-            api_config=calibration.default_api_server_config(),
-            ids=self.ids,
-        )
+        # Boundary tasks were already authenticated gateway-side; the
+        # partition's dispatch message is the trust boundary.
+        _cluster, self.scheduler, self.endpoint = build_cluster(
+            self.env, shard, default_catalog(), self.ids,
+            generate_text=False, required_client_id=None)
         functions = FunctionRegistry()
         self._function = functions.register(FUNCTION_ID, name=HANDLER_CHAT,
                                             handler=HANDLER_CHAT, owner="parallel")
-        prewarm = params.get("prewarm", 1)
-        if prewarm:
-            self.endpoint.prewarm(params["model"], prewarm)
+        for hosting in shard.models:
+            self.endpoint.prewarm(hosting.model, 1)
 
     # -- boundary ----------------------------------------------------------
     def _deliver_one(self, message: BoundaryMessage) -> None:
@@ -409,7 +355,7 @@ class ClusterPartition(Partition):
             metadata.pop(STREAM_CHANNEL_KEY, None)
 
         self.send(RESULT, self.gateway_pid,
-                  self.env.now + self.result_latency_s, {
+                  self.env.now + self.spec.lookahead_s, {
                       "task_id": record.task_id,
                       "outcome": outcome,
                       "stream_times": stream_times,

@@ -154,7 +154,7 @@ class TopologyView:
         #: Signals for pools living in *other partitions* (see
         #: :meth:`apply_partition_snapshot`): refreshed at window barriers
         #: from serialized snapshots instead of in-process observer hooks.
-        self._remote_signals: Dict[Tuple[str, str], PoolSignal] = {}
+        self._snapshot_signals: Dict[Tuple[str, str], PoolSignal] = {}
         self._dirty: set = set()
         self._cluster_cache: Dict[str, ClusterSignal] = {}
         self._providers: Dict[str, FacilityStatusProvider] = {}
@@ -246,7 +246,7 @@ class TopologyView:
         key = (endpoint_id, model)
         pool = self._pools.get(key)
         if pool is None:
-            return self._remote_signals.get(key)
+            return self._snapshot_signals.get(key)
         self.reads += 1
         cached = self._signals.get(key)
         if (
@@ -297,20 +297,15 @@ class TopologyView:
         pools live in another process, so the usual in-process observer
         hooks cannot mark signals dirty.  Instead each cluster partition
         serializes its pool state at every window barrier and the gateway
-        partition feeds the dicts through here.  The resulting signals are
-        served by :meth:`pool_signal` / :meth:`signals_for_model` exactly
-        like local ones — routing policies and the relay's boundary proxies
-        cannot tell the difference (beyond the window-granular staleness,
-        which the serial fallback reproduces identically).
+        partition feeds the dicts through here.  :meth:`pool_signal` serves
+        the resulting signals exactly like local ones — the relay's boundary
+        proxies read them there and cannot tell the difference (beyond the
+        window-granular staleness, which the serial fallback reproduces
+        identically).
         """
         signal = PoolSignal(**snapshot)
-        self._remote_signals[(signal.endpoint_id, signal.model)] = signal
+        self._snapshot_signals[(signal.endpoint_id, signal.model)] = signal
         return signal
-
-    def remote_signals(self) -> List[PoolSignal]:
-        """Signals applied via :meth:`apply_partition_snapshot`, in a
-        deterministic (endpoint, model) order."""
-        return [self._remote_signals[k] for k in sorted(self._remote_signals)]
 
     def candidates(self, model: str) -> List[Tuple[ComputeEndpoint, Optional[PoolSignal]]]:
         """(endpoint, signal) pairs for every endpoint hosting ``model``, in
@@ -319,17 +314,6 @@ class TopologyView:
             (endpoint, self.pool_signal(endpoint.endpoint_id, model))
             for endpoint in self.endpoints_for_model(model)
         ]
-
-    def signals_for_model(self, model: str) -> List[PoolSignal]:
-        signals = [sig for _endpoint, sig in self.candidates(model) if sig is not None]
-        # Remote pools are not federation members; append their
-        # snapshot signals in deterministic key order.
-        signals.extend(
-            self._remote_signals[key]
-            for key in sorted(self._remote_signals)
-            if key[1] == model and key not in self._pools
-        )
-        return signals
 
     # ------------------------------------------------------------- cluster signals
     def cluster_signal(self, endpoint_id: str) -> Optional[ClusterSignal]:

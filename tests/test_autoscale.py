@@ -21,7 +21,7 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
 )
 from repro.faas import (
     HANDLER_CHAT,
@@ -305,13 +305,13 @@ def test_scaled_down_endpoint_deregisters_cleanly_and_routes_move_on():
         clusters=[
             ClusterDeploymentSpec(
                 name="alpha", kind="small", num_nodes=2, scheduler="local",
-                models=[ModelDeploymentSpec(MODEL_8B, max_instances=1,
-                                            max_parallel_tasks=8)],
+                models=[ModelHostingConfig(MODEL_8B, max_instances=1,
+                                           max_parallel_tasks=8)],
             ),
             ClusterDeploymentSpec(
                 name="beta", kind="small", num_nodes=2, scheduler="local",
-                models=[ModelDeploymentSpec(MODEL_8B, max_instances=1,
-                                            max_parallel_tasks=8)],
+                models=[ModelHostingConfig(MODEL_8B, max_instances=1,
+                                           max_parallel_tasks=8)],
             ),
         ],
         users=["ops@anl.gov"],

@@ -10,7 +10,7 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
 )
 from repro.rag import (
     FlatIndex,
@@ -84,7 +84,7 @@ def webui_deployment():
         clusters=[
             ClusterDeploymentSpec(
                 name="devcluster", kind="small", num_nodes=2, scheduler="local",
-                models=[ModelDeploymentSpec(MODEL_7B, max_parallel_tasks=64)],
+                models=[ModelHostingConfig(MODEL_7B, max_parallel_tasks=64)],
             )
         ],
         users=["researcher@anl.gov", "benchmark@anl.gov"],

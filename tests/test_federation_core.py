@@ -8,9 +8,13 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
     calibration,
+    federated_config,
+    quickstart_config,
+    sophia_benchmark_config,
 )
+from repro.parallel import PartitionSpec, build_partition
 from repro.placement import FirstConfiguredRouter, PriorityRouter, RandomRouter
 from repro.serving import InferenceRequest
 
@@ -23,12 +27,12 @@ def federated_deployment(sophia_nodes=2, polaris_nodes=2):
         clusters=[
             ClusterDeploymentSpec(
                 name="sophia", kind="small", num_nodes=sophia_nodes, scheduler="pbs",
-                models=[ModelDeploymentSpec(MODEL_8B, max_instances=2, max_parallel_tasks=16)],
+                models=[ModelHostingConfig(MODEL_8B, max_instances=2, max_parallel_tasks=16)],
             ),
             ClusterDeploymentSpec(
                 name="polaris", kind="small", num_nodes=polaris_nodes, scheduler="pbs",
-                models=[ModelDeploymentSpec(MODEL_8B, max_instances=2, max_parallel_tasks=16),
-                        ModelDeploymentSpec(MODEL_7B, max_parallel_tasks=16)],
+                models=[ModelHostingConfig(MODEL_8B, max_instances=2, max_parallel_tasks=16),
+                        ModelHostingConfig(MODEL_7B, max_parallel_tasks=16)],
             ),
         ],
         users=["benchmark@anl.gov"],
@@ -57,7 +61,7 @@ def test_duplicate_registration_is_rejected():
     """A second registration under a known id used to be accepted: after one
     ``deregister`` the endpoint stayed a routing candidate while its pools
     were already dropped and its scaling policy unbound."""
-    deployment = FIRSTDeployment.federated(sophia_nodes=2, polaris_nodes=2)
+    deployment = FIRSTDeployment(federated_config(sophia_nodes=2, polaris_nodes=2))
     view = deployment.topology
     sophia = deployment.endpoints["ep-sophia"]
     with pytest.raises(ValueError, match="ep-sophia already registered"):
@@ -146,13 +150,29 @@ def test_deployment_requires_clusters():
         FIRSTDeployment(DeploymentConfig(clusters=[]))
 
 
-def test_deployment_unknown_cluster_kind():
+def test_unknown_kind_rejected_by_deployment_and_shard():
+    weird = ClusterDeploymentSpec(name="x", kind="weird")
     with pytest.raises(ConfigurationError):
-        FIRSTDeployment(DeploymentConfig(clusters=[ClusterDeploymentSpec(name="x", kind="weird")]))
+        FIRSTDeployment(DeploymentConfig(clusters=[weird]))
+    # A cluster shard builds through the same builder: no silent fallback.
+    with pytest.raises(ConfigurationError):
+        build_partition(PartitionSpec(pid=1, name="x", kind="cluster", lookahead_s=1.0,
+                                      params={"gateway_pid": 0, "cluster": weird}))
+
+
+def test_deployments_copy_the_hosting_records_they_are_built_from():
+    """Two deployments from one config: a runtime edit to the first's
+    ``pool.hosting`` reaches neither the config nor the second."""
+    config = quickstart_config(generate_text=False)
+    first, second = FIRSTDeployment(config), FIRSTDeployment(config)
+    first.endpoints["ep-devcluster"].pools[MODEL_7B].hosting.max_parallel_tasks = 1
+    assert config.clusters[0].models[0].max_parallel_tasks == 32
+    assert second.endpoints["ep-devcluster"].pools[MODEL_7B].hosting.max_parallel_tasks == 32
+    assert second.endpoints["ep-devcluster"].pools[MODEL_7B].slots_per_instance == 32
 
 
 def test_quickstart_deployment_serves_a_request():
-    deployment = FIRSTDeployment.quickstart()
+    deployment = FIRSTDeployment(quickstart_config())
     client = deployment.client("researcher@anl.gov")
     response = client.chat_completion(
         MODEL_7B, [{"role": "user", "content": "What GPUs does the cluster have?"}],
@@ -163,7 +183,7 @@ def test_quickstart_deployment_serves_a_request():
 
 
 def test_sophia_benchmark_deployment_shape():
-    deployment = FIRSTDeployment.sophia_benchmark(max_instances=2, num_nodes=4)
+    deployment = FIRSTDeployment(sophia_benchmark_config(max_instances=2, num_nodes=4))
     assert "sophia" in deployment.clusters
     assert deployment.clusters["sophia"].total_nodes == 4
     pool_models = list(deployment.endpoints["ep-sophia"].pools)
@@ -171,7 +191,7 @@ def test_sophia_benchmark_deployment_shape():
 
 
 def test_federated_constructor_two_clusters():
-    deployment = FIRSTDeployment.federated(sophia_nodes=2, polaris_nodes=2)
+    deployment = FIRSTDeployment(federated_config(sophia_nodes=2, polaris_nodes=2))
     assert set(deployment.clusters) == {"sophia", "polaris"}
     assert len(deployment.topology.endpoints) == 2
 

@@ -14,8 +14,9 @@ run's environment, the exact number of event ids the kernel issued.  Trace
 live-streamed traced request whose delivery span opens mid-decode).  Four
 federation cells run placement policies over two clusters (routing summary,
 capacity shifts, GPU-seconds per scheduler, view rebuilds), one of them with
-an endpoint deregistered mid-traffic.  Four autoscale cells run each
-single-cluster scaling policy on the autoscaling benchmark's diurnal
+an endpoint deregistered mid-traffic; a fifth sends cold traffic through the
+§4.5 Sophia + Polaris deployment while Sophia is full.  Four autoscale cells
+run each single-cluster scaling policy on the autoscaling benchmark's diurnal
 scenario (report entry, replica launch/drain timeline, request records).
 One quickstart cell pins the gateway dashboard's per-model rows and totals
 beside the request fingerprint.  One partitioned cell streams requests over
@@ -45,7 +46,7 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
     ObservabilityConfig,
 )
 from repro.obs.trace import TRACE_KEY, Span, TraceContext
@@ -296,7 +297,7 @@ def gateway_live_trace_case() -> dict:
     deployment = FIRSTDeployment(DeploymentConfig(
         clusters=[ClusterDeploymentSpec(
             name="devcluster", kind="small", num_nodes=2, scheduler="local",
-            models=[ModelDeploymentSpec(GATEWAY_MODEL, max_parallel_tasks=32)])],
+            models=[ModelHostingConfig(GATEWAY_MODEL, max_parallel_tasks=32)])],
         users=["researcher@anl.gov"], generate_text=False,
         observability=ObservabilityConfig()))
     deployment.warm_up(GATEWAY_MODEL)
@@ -333,6 +334,9 @@ FEDERATION_CELLS = {
     "slo+federated/west_deregistered": ("slo+federated", 400.0),
 }
 
+#: The §4.5 proof of concept: ``federated_config``'s Sophia + Polaris pair.
+SOPHIA_POLARIS_REQUESTS = 40
+
 
 def federation_case(cell: str) -> dict:
     from repro.parallel import trace_fingerprint
@@ -366,6 +370,36 @@ def federation_case(cell: str) -> dict:
             "gpu_seconds": {name: scheduler.gpu_seconds()
                             for name, scheduler in deployment.schedulers.items()},
             "rebuilds": deployment.topology.rebuilds}
+
+
+def sophia_polaris_case() -> dict:
+    """Cold Poisson traffic through the two-facility deployment while every
+    Sophia node is taken, so the priority router sends it to Polaris, which
+    cold-starts the model through its PBS scheduler: the records, the
+    router's summary and what each scheduler ran."""
+    from repro.core import federated_config
+    from repro.parallel import trace_fingerprint
+    from repro.workload import BenchmarkClient, PoissonArrival, ShareGPTWorkload
+
+    deployment = FIRSTDeployment(federated_config(sophia_nodes=2, polaris_nodes=2))
+    for node in deployment.clusters["sophia"].nodes:
+        node.allocate("background-job")
+    model = deployment.config.clusters[0].models[0].model
+    bench = BenchmarkClient(deployment.env, deployment.client("benchmark@anl.gov"))
+    summary = deployment.env.run(until=deployment.env.process(bench.run(
+        ShareGPTWorkload().generate(model, num_requests=SOPHIA_POLARIS_REQUESTS),
+        arrival=PoissonArrival(1.0))))
+    records = bench.collector.records
+    return {"requests": len(records),
+            "fingerprint": trace_fingerprint(records),
+            "failed": sum(1 for r in records if not r.success),
+            "sim": _layered_workloads()._sim_metrics(summary),
+            "kernel_event_ids": next(deployment.env._eid),
+            "routing": deployment.router.summary(),
+            "schedulers": {name: {"gpu_seconds": scheduler.gpu_seconds(),
+                                  "jobs_started": sum(1 for job in scheduler.all_jobs
+                                                      if job.start_time is not None)}
+                           for name, scheduler in deployment.schedulers.items()}}
 
 
 #: Single-cluster scaling policies on ``bench_autoscale_policies.py``'s quick
@@ -481,6 +515,7 @@ def build_ledger() -> dict:
     cases["trace_gateway_live"] = gateway_live_trace_case()
     for cell in FEDERATION_CELLS:
         cases[f"federation/{cell}"] = federation_case(cell)
+    cases["federation/sophia_polaris"] = sophia_polaris_case()
     for policy in AUTOSCALE_POLICIES:
         cases[f"autoscale/{policy}"] = autoscale_case(policy)
     cases["quickstart"] = quickstart_case()
@@ -595,6 +630,13 @@ def test_federated_placement_matches_the_ledger(cell):
     observed = json.loads(json.dumps(federation_case(cell)))
     assert observed == recorded(f"federation/{cell}")
     assert observed["failed"] == 0
+
+
+def test_sophia_polaris_federation_matches_the_ledger():
+    observed = json.loads(json.dumps(sophia_polaris_case()))
+    assert observed == recorded("federation/sophia_polaris")
+    assert observed["failed"] == 0
+    assert observed["requests"] == SOPHIA_POLARIS_REQUESTS
 
 
 @pytest.mark.parametrize("policy", AUTOSCALE_POLICIES)

@@ -16,7 +16,7 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
 )
 from repro.gateway import (
     GatewayConfig,
@@ -43,9 +43,9 @@ def small_deployment(gateway_config=None, users=None, generate_text=True):
                 num_nodes=2,
                 scheduler="local",
                 models=[
-                    ModelDeploymentSpec(MODEL_7B, max_parallel_tasks=32),
-                    ModelDeploymentSpec(MODEL_8B, max_parallel_tasks=32),
-                    ModelDeploymentSpec(EMBED, backend="infinity"),
+                    ModelHostingConfig(MODEL_7B, max_parallel_tasks=32),
+                    ModelHostingConfig(MODEL_8B, max_parallel_tasks=32),
+                    ModelHostingConfig(EMBED, backend="infinity"),
                 ],
             )
         ],
@@ -499,11 +499,11 @@ def test_stale_routing_cache_falls_back_to_fresh_selection():
         clusters=[
             ClusterDeploymentSpec(
                 name="c1", kind="small", num_nodes=2, scheduler="local",
-                models=[ModelDeploymentSpec(MODEL_7B, max_parallel_tasks=32)],
+                models=[ModelHostingConfig(MODEL_7B, max_parallel_tasks=32)],
             ),
             ClusterDeploymentSpec(
                 name="c2", kind="small", num_nodes=2, scheduler="local",
-                models=[ModelDeploymentSpec(MODEL_7B, max_parallel_tasks=32)],
+                models=[ModelHostingConfig(MODEL_7B, max_parallel_tasks=32)],
             ),
         ],
         users=["researcher@anl.gov"],

@@ -7,7 +7,7 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
 )
 from repro.gateway import GatewayConfig, GatewayMetrics, ResponseCache, ServerMode
 from repro.serving import InferenceRequest
@@ -24,8 +24,8 @@ def deployment():
             ClusterDeploymentSpec(
                 name="devcluster", kind="small", num_nodes=2, scheduler="local",
                 models=[
-                    ModelDeploymentSpec(MODEL_7B, max_parallel_tasks=32),
-                    ModelDeploymentSpec(EMBED, backend="infinity"),
+                    ModelHostingConfig(MODEL_7B, max_parallel_tasks=32),
+                    ModelHostingConfig(EMBED, backend="infinity"),
                 ],
             )
         ],
@@ -194,11 +194,11 @@ def test_failed_batch_records_counts_and_dashboard_failure():
         clusters=[
             ClusterDeploymentSpec(
                 name="c1", kind="small", num_nodes=2, scheduler="local",
-                models=[ModelDeploymentSpec(MODEL_7B, max_parallel_tasks=32)],
+                models=[ModelHostingConfig(MODEL_7B, max_parallel_tasks=32)],
             ),
             ClusterDeploymentSpec(
                 name="c2", kind="small", num_nodes=2, scheduler="local",
-                models=[ModelDeploymentSpec(EMBED, backend="infinity")],
+                models=[ModelHostingConfig(EMBED, backend="infinity")],
             ),
         ],
         users=["researcher@anl.gov"],
@@ -233,7 +233,7 @@ def test_batch_partial_failure_reports_per_request_reasons():
         clusters=[
             ClusterDeploymentSpec(
                 name="c1", kind="small", num_nodes=2, scheduler="local",
-                models=[ModelDeploymentSpec(MODEL_7B, max_parallel_tasks=32)],
+                models=[ModelHostingConfig(MODEL_7B, max_parallel_tasks=32)],
             ),
         ],
         users=["researcher@anl.gov"],
@@ -453,7 +453,7 @@ def _warm_stream_deployment():
     fresh = FIRSTDeployment(DeploymentConfig(
         clusters=[ClusterDeploymentSpec(
             name="devcluster", kind="small", num_nodes=2, scheduler="local",
-            models=[ModelDeploymentSpec(MODEL_7B, max_parallel_tasks=32)])],
+            models=[ModelHostingConfig(MODEL_7B, max_parallel_tasks=32)])],
         users=["researcher@anl.gov"],
     ))
     assert fresh.gateway.config.stream_chunk_latency_s > 0
@@ -552,7 +552,7 @@ def _partial_failure_deployment():
         clusters=[
             ClusterDeploymentSpec(
                 name="c1", kind="small", num_nodes=2, scheduler="local",
-                models=[ModelDeploymentSpec(MODEL_7B, max_parallel_tasks=32)],
+                models=[ModelHostingConfig(MODEL_7B, max_parallel_tasks=32)],
             ),
         ],
         users=["researcher@anl.gov"],

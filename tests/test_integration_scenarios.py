@@ -6,7 +6,7 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
 )
 from repro.serving import InferenceRequest
 from repro.workload import BenchmarkClient, PoissonArrival, ShareGPTWorkload, requests_to_jsonl
@@ -21,8 +21,8 @@ def build_deployment(**kwargs):
             ClusterDeploymentSpec(
                 name="sophia", kind="small", num_nodes=3, scheduler="pbs",
                 models=[
-                    ModelDeploymentSpec(MODEL_7B, max_parallel_tasks=48, max_instances=2),
-                    ModelDeploymentSpec(MODEL_8B, max_parallel_tasks=48),
+                    ModelHostingConfig(MODEL_7B, max_parallel_tasks=48, max_instances=2),
+                    ModelHostingConfig(MODEL_8B, max_parallel_tasks=48),
                 ],
             )
         ],

@@ -14,7 +14,7 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
     ObservabilityConfig,
 )
 from repro.obs import span_tree
@@ -28,7 +28,7 @@ def obs_deployment(observability=None, **config):
         clusters=[
             ClusterDeploymentSpec(
                 name="devcluster", kind="small", num_nodes=2, scheduler="local",
-                models=[ModelDeploymentSpec(MODEL, max_parallel_tasks=32)],
+                models=[ModelHostingConfig(MODEL, max_parallel_tasks=32)],
             )
         ],
         users=["researcher@anl.gov"],

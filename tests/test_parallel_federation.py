@@ -125,7 +125,8 @@ def test_boundary_proxy_routes_and_snapshot_refreshes_view():
     assert proxy.kernel_backlog("model-a") == 3 + 4
     signal = view.pool_signal("ep-remote", "model-a")
     assert signal.ready_instances == 2 and signal.computed_at == 12.5
-    # The remote signal participates in model-wide placement queries.
-    assert any(s.endpoint_id == "ep-remote"
-               for s in view.signals_for_model("model-a"))
+    # A later barrier's snapshot replaces the signal the proxy reads.
+    view.apply_partition_snapshot(dict(snapshot, ready_instances=3, computed_at=14.0))
+    assert view.pool_signal("ep-remote", "model-a").computed_at == 14.0
+    assert proxy.ready_instance_count() == 3
     _ = relay  # the proxy registers like any endpoint; relay built above

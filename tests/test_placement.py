@@ -17,7 +17,7 @@ from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
     FIRSTDeployment,
-    ModelDeploymentSpec,
+    ModelHostingConfig,
 )
 from repro.gateway import default_middleware_factories
 from repro.placement import (
@@ -39,13 +39,13 @@ def two_cluster_deployment(slots=16, max_instances=2, gateway=None):
         clusters=[
             ClusterDeploymentSpec(
                 name="c1", kind="small", num_nodes=2, scheduler="local",
-                models=[ModelDeploymentSpec(MODEL_8B, max_instances=max_instances,
-                                            max_parallel_tasks=slots)],
+                models=[ModelHostingConfig(MODEL_8B, max_instances=max_instances,
+                                           max_parallel_tasks=slots)],
             ),
             ClusterDeploymentSpec(
                 name="c2", kind="small", num_nodes=2, scheduler="local",
-                models=[ModelDeploymentSpec(MODEL_8B, max_instances=max_instances,
-                                            max_parallel_tasks=slots)],
+                models=[ModelHostingConfig(MODEL_8B, max_instances=max_instances,
+                                           max_parallel_tasks=slots)],
             ),
         ],
         users=["researcher@anl.gov"],
@@ -202,7 +202,7 @@ def test_deregistration_detaches_everything_through_the_view():
     federation-aware scaling policy is unbound."""
     from repro.autoscale import AutoscaleConfig
 
-    federated = ModelDeploymentSpec(
+    federated = ModelHostingConfig(
         MODEL_8B, max_instances=2, max_parallel_tasks=16,
         autoscale=AutoscaleConfig(policy="federated", min_instances=0))
     deployment = FIRSTDeployment(DeploymentConfig(
@@ -417,7 +417,7 @@ def test_deployment_binds_federated_policy_to_topology():
         clusters=[
             ClusterDeploymentSpec(
                 name="c1", kind="small", num_nodes=2, scheduler="local",
-                models=[ModelDeploymentSpec(
+                models=[ModelHostingConfig(
                     MODEL_8B, max_instances=2, max_parallel_tasks=16,
                     autoscale=AutoscaleConfig(policy="federated", min_instances=0),
                 )],
