@@ -21,7 +21,10 @@ scenario (report entry, replica launch/drain timeline, request records).
 One quickstart cell pins the gateway dashboard's per-model rows and totals
 beside the request fingerprint.  One partitioned cell streams requests over
 two cluster shards (window and message counts, each shard's work) and checks
-that two spawn workers reproduce its fingerprint.
+that two spawn workers reproduce its fingerprint.  One pool-state case reads
+every pool both ways — the gateway's ``/jobs`` rows and the placement view's
+signals — cold, mid cold start and after traffic on Sophia + Polaris, and
+after the quickstart run.
 
 The file is rewritten only by::
 
@@ -444,11 +447,10 @@ QUICKSTART_MODELS = (("Qwen/Qwen2.5-7B-Instruct", 30),
                      ("meta-llama/Llama-3.1-8B-Instruct", 10))
 
 
-def quickstart_case() -> dict:
-    """A small run over ``quickstart_config``: the request records, and what
-    the gateway dashboard reports about them."""
+def _quickstart_run():
+    """``quickstart_config``'s two chat models after their 40 requests:
+    ``(deployment, benchmark client, summary)``."""
     from repro.core import quickstart_config
-    from repro.parallel import trace_fingerprint
     from repro.workload import BenchmarkClient, PoissonArrival, ShareGPTWorkload
 
     deployment = FIRSTDeployment(quickstart_config(generate_text=False))
@@ -463,6 +465,15 @@ def quickstart_case() -> dict:
     bench = BenchmarkClient(deployment.env, deployment.client("benchmark@anl.gov"))
     summary = deployment.env.run(until=deployment.env.process(
         bench.run(requests, arrival=PoissonArrival(2.0))))
+    return deployment, bench, summary
+
+
+def quickstart_case() -> dict:
+    """A small run over ``quickstart_config``: the request records, and what
+    the gateway dashboard reports about them."""
+    from repro.parallel import trace_fingerprint
+
+    deployment, bench, summary = _quickstart_run()
     records = bench.collector.records
     dashboard = deployment.gateway.metrics.dashboard()
     return {"requests": len(records),
@@ -473,6 +484,43 @@ def quickstart_case() -> dict:
             "dashboard": {key: dashboard[key] for key in (
                 "models", "total_requests", "total_completed",
                 "total_output_tokens", "peak_in_flight")}}
+
+
+def _pool_states(deployment, client) -> dict:
+    """Both reads of every pool: the gateway's ``/jobs`` rows and the
+    placement view's signals."""
+    topology = deployment.topology
+    return {"jobs": client.jobs(),
+            "signals": [dataclasses.asdict(topology.pool_signal(endpoint_id, model))
+                        for endpoint_id, endpoint in deployment.endpoints.items()
+                        for model in endpoint.pools]}
+
+
+def pool_states_case() -> dict:
+    """Pool state read both ways at three instants of the Sophia + Polaris
+    scenario — cold, while Polaris's PBS job is queued or starting, and
+    after the traffic — and once after the quickstart run."""
+    from repro.core import federated_config
+    from repro.workload import BenchmarkClient, PoissonArrival, ShareGPTWorkload
+
+    deployment = FIRSTDeployment(federated_config(sophia_nodes=2, polaris_nodes=2))
+    for node in deployment.clusters["sophia"].nodes:
+        node.allocate("background-job")
+    model = deployment.config.clusters[0].models[0].model
+    client = deployment.client("benchmark@anl.gov")
+    samples = {"cold": _pool_states(deployment, client)}
+    bench = BenchmarkClient(deployment.env, client)
+    done = deployment.env.process(bench.run(
+        ShareGPTWorkload().generate(model, num_requests=SOPHIA_POLARIS_REQUESTS),
+        arrival=PoissonArrival(1.0)))
+    deployment.run_for(12.0)
+    samples["polaris_cold_start"] = _pool_states(deployment, client)
+    deployment.env.run(until=done)
+    samples["after_traffic"] = _pool_states(deployment, client)
+
+    quickstart, quickstart_bench, _summary = _quickstart_run()
+    samples["quickstart"] = _pool_states(quickstart, quickstart_bench.target)
+    return samples
 
 
 def partitioned_stream_case(workers: int = 1) -> dict:
@@ -520,6 +568,7 @@ def build_ledger() -> dict:
         cases[f"autoscale/{policy}"] = autoscale_case(policy)
     cases["quickstart"] = quickstart_case()
     cases["partitioned/stream"] = partitioned_stream_case()
+    cases["pool_states"] = pool_states_case()
     return {"header": {"python": platform.python_version(),
                        "numpy": numpy.__version__,
                        "divisors": DIVISORS,
@@ -661,6 +710,15 @@ def test_partitioned_stream_matches_the_ledger():
     assert observed["failed"] == 0 and observed["requests"] == 60
     # Spawn workers reproduce the serial host bit for bit.
     assert partitioned_stream_case(workers=2)["fingerprint"] == observed["fingerprint"]
+
+
+def test_pool_states_match_the_ledger():
+    observed = json.loads(json.dumps(pool_states_case()))
+    assert observed == recorded("pool_states")
+    polaris, = [row for row in observed["polaris_cold_start"]["jobs"]
+                if row["endpoint"] == "ep-polaris"]
+    assert polaris["state"] in ("queued", "starting")
+    assert [row["state"] for row in observed["cold"]["jobs"]] == ["cold", "cold"]
 
 
 if __name__ == "__main__":
