@@ -22,10 +22,12 @@ Usage::
         # fingerprint divergence or on ping-ring divergence
 
 Every run gates only what holds on any machine: identical fingerprints
-across worker counts and a ping ring that terminates identically serial and
-parallel.  Speedups are printed and written to the baseline file, never
-gated — a wall-clock ratio recorded on one machine says nothing about
-another's cores.
+across worker counts, a fingerprint equal to the one committed for its
+scenario in ``BENCH_parallel.json`` (so a routing change that moves every
+worker count alike still fails), and a ping ring that terminates
+identically serial and parallel.  Speedups are printed and written to the
+baseline file, never gated — a wall-clock ratio recorded on one machine
+says nothing about another's cores.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -139,10 +142,13 @@ def run_ping_check(partitions: int = 3, hops: int = 30) -> dict:
             "parallel_wall_s": round(parallel_wall, 3)}
 
 
-def correctness_failures(entry: dict) -> list:
+def correctness_failures(entry: dict, committed: Optional[str] = None) -> list:
     failures = []
     if not entry["fingerprints_identical"]:
         failures.append("fingerprints differ across worker counts")
+    if committed is not None and entry["fingerprint"] != committed:
+        failures.append(f"fingerprint {entry['fingerprint'][:16]} differs from "
+                        f"the committed {committed[:16]}")
     if not entry["ping"]["ok"]:
         failures.append("zero-lookahead ping ring diverged or deadlocked")
     return failures
@@ -165,7 +171,8 @@ def main(argv=None) -> int:
                         help="fail on fingerprint or ping-ring divergence "
                              "(every run does; speedups are never gated)")
     parser.add_argument("--baseline", type=Path, default=BASELINE_PATH,
-                        help="where --write puts the report")
+                        help="where --write puts the report and other runs "
+                             "read the committed fingerprint")
     args = parser.parse_args(argv)
 
     cpus = cpu_count()
@@ -192,7 +199,8 @@ def main(argv=None) -> int:
     workers_list = QUICK_WORKERS if args.quick else FULL_WORKERS
     entry = run_entry(f"federation-{key}", config, workers_list, cpus)
 
-    failures = correctness_failures(entry)
+    committed = json.loads(args.baseline.read_text())[key]["fingerprint"]
+    failures = correctness_failures(entry, committed)
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")

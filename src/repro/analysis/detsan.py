@@ -90,9 +90,7 @@ def _patch_draws() -> None:
 
         @functools.wraps(original)
         def wrapper(self, *args, __orig=original, __name=name, **kwargs):
-            # Streams explicitly dedicated to sampling (e.g. the tracer's
-            # retention rng) are exempt: they are not sim randomness.
-            site = None if getattr(self, "sampler_only", False) else _obs_frame()
+            site = _obs_frame()
             if site is not None:
                 for sanitizer in list(_ACTIVE):
                     sanitizer._record(

@@ -8,7 +8,7 @@ function security model.
 """
 
 from .client import ComputeClient, ComputeClientConfig
-from .endpoint import ComputeEndpoint, EndpointConfig, ModelHostingConfig, ModelPoolStatus
+from .endpoint import ComputeEndpoint, EndpointConfig, ModelHostingConfig, PoolSignal
 from .functions import (
     HANDLER_BATCH,
     HANDLER_CHAT,
@@ -35,7 +35,7 @@ __all__ = [
     "ComputeEndpoint",
     "EndpointConfig",
     "ModelHostingConfig",
-    "ModelPoolStatus",
+    "PoolSignal",
     "ComputeClient",
     "ComputeClientConfig",
 ]

@@ -50,7 +50,7 @@ from ..sim import Environment, Event, Resource
 from .functions import HANDLER_BATCH, HANDLER_CHAT, HANDLER_EMBEDDING, RegisteredFunction
 from .task import TaskRecord
 
-__all__ = ["ModelHostingConfig", "EndpointConfig", "ModelPoolStatus", "ComputeEndpoint"]
+__all__ = ["ModelHostingConfig", "EndpointConfig", "PoolSignal", "ComputeEndpoint"]
 
 
 @dataclass
@@ -103,22 +103,36 @@ class EndpointConfig:
 
 
 @dataclass
-class ModelPoolStatus:
-    """Status of one hosted model, as surfaced by the gateway's ``/jobs`` endpoint."""
+class PoolSignal:
+    """One (model, endpoint, cluster) pool's state at one instant.
+
+    Built only by :meth:`_ModelPool.signal`; the gateway's ``/jobs`` rows,
+    the placement view and partition barrier snapshots all read it.
+    """
 
     model: str
     endpoint_id: str
     cluster: str
-    running_instances: int
+    ready_instances: int
     starting_instances: int
+    draining_instances: int
     queued_jobs: int
     waiting_tasks: int
-    draining_instances: int = 0
+    in_flight_tasks: int
+    slots_per_instance: int
+    max_instances: int
+    cold_start_estimate_s: float
+    #: Gateway-observed rolling medians, filled in by the placement view
+    #: (None until traffic produced them).
+    latency_p50_s: Optional[float] = None
+    ttft_p50_s: Optional[float] = None
+    #: Simulation time this snapshot was computed.
+    computed_at: float = 0.0
 
     @property
     def state(self) -> str:
-        """Aggregate state string: running / draining / starting / queued / cold."""
-        if self.running_instances > 0:
+        """Aggregate state: running / draining / starting / queued / cold."""
+        if self.ready_instances > 0:
             return "running"
         if self.draining_instances > 0:
             return "draining"
@@ -128,18 +142,33 @@ class ModelPoolStatus:
             return "queued"
         return "cold"
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "endpoint": self.endpoint_id,
-            "cluster": self.cluster,
-            "state": self.state,
-            "running_instances": self.running_instances,
-            "starting_instances": self.starting_instances,
-            "draining_instances": self.draining_instances,
-            "queued_jobs": self.queued_jobs,
-            "waiting_tasks": self.waiting_tasks,
-        }
+    @property
+    def active(self) -> bool:
+        """The paper's rule-1 predicate: running, starting or queued."""
+        return self.state in ("running", "starting", "queued")
+
+    @property
+    def ready_slots(self) -> int:
+        return self.ready_instances * self.slots_per_instance
+
+    @property
+    def provisionable_slots(self) -> int:
+        """Slot capacity the pool could reach at its instance ceiling."""
+        return self.max_instances * self.slots_per_instance
+
+    @property
+    def busy_fraction(self) -> float:
+        """Demand over ready slot capacity (> 1 when work queues)."""
+        demand = self.in_flight_tasks + self.waiting_tasks
+        if self.ready_slots <= 0:
+            return 0.0 if demand == 0 else float("inf")
+        return demand / self.ready_slots
+
+    @property
+    def queue_per_ready(self) -> float:
+        if self.ready_instances <= 0:
+            return float("inf") if self.waiting_tasks else 0.0
+        return self.waiting_tasks / self.ready_instances
 
 
 #: Cold-start guess used by the control plane before the pool has measured
@@ -224,18 +253,24 @@ class _ModelPool:
     def capacity(self) -> int:
         return len(self.ready_instances) * self.hosting.max_parallel_tasks
 
-    def status(self) -> ModelPoolStatus:
-        return ModelPoolStatus(
+    def signal(self) -> PoolSignal:
+        """The pool's state now, without gateway medians."""
+        return PoolSignal(
             model=self.hosting.model,
             endpoint_id=self.endpoint.endpoint_id,
             cluster=self.endpoint.config.cluster,
-            running_instances=len(self.ready_instances),
+            ready_instances=len(self.ready_instances),
             starting_instances=sum(
                 1 for i in self.instances if i.state == InstanceState.STARTING
             ),
+            draining_instances=len(self.draining),
             queued_jobs=self.queued_job_launches,
             waiting_tasks=self.waiting_tasks,
-            draining_instances=len(self.draining),
+            in_flight_tasks=self.in_flight_tasks,
+            slots_per_instance=self.slots_per_instance,
+            max_instances=self.replicas.max_instances,
+            cold_start_estimate_s=self.cold_start_estimate_s,
+            computed_at=self.env.now,
         )
 
     # -- metrics-feed source protocol ---------------------------------------------
@@ -577,22 +612,6 @@ class ComputeEndpoint:
     def ready_instance_count(self) -> int:
         return sum(len(p.ready_instances) for p in self.pools.values())
 
-    def kernel_backlog(self, model: Optional[str] = None) -> int:
-        """Tasks waiting for or holding an instance slot on this endpoint.
-
-        The relay's queue-depth-aware dispatch uses this as its load signal
-        when a submission names several candidate endpoints: ``waiting_tasks``
-        counts arrivals still queueing for a slot, ``in_flight_tasks`` the
-        slots currently held (work admitted to an instance, including
-        requests queued inside its engine).  With ``model`` the measure is
-        restricted to that model's pool."""
-        if model is not None:
-            pool = self._pool(model)
-            return pool.waiting_tasks + pool.in_flight_tasks
-        return sum(
-            p.waiting_tasks + p.in_flight_tasks for p in self.pools.values()
-        )
-
     # -- instance creation (used by pools) -----------------------------------------------
     def create_instance(self, spec, hosting: ModelHostingConfig, nodes):
         instance_id = self._ids.next(f"{self.endpoint_id}-{spec.name.split('/')[-1]}")
@@ -624,10 +643,10 @@ class ComputeEndpoint:
         """Launch ``instances`` instances of ``model`` ahead of demand."""
         return self._pool(model).prewarm(instances)
 
-    def model_status(self, model: Optional[str] = None) -> List[ModelPoolStatus]:
-        """Status of hosted models (backs the gateway's ``/jobs`` endpoint)."""
+    def model_status(self, model: Optional[str] = None) -> List[PoolSignal]:
+        """Fresh signals of hosted models (backs the gateway's ``/jobs``)."""
         pools = [self._pool(model)] if model else list(self.pools.values())
-        return [p.status() for p in pools]
+        return [p.signal() for p in pools]
 
     def hosts_model(self, model: str) -> bool:
         return self.config.hosts(model)

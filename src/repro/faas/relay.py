@@ -17,17 +17,15 @@ Two timing behaviours matter for the paper's evaluation:
   of active model instances; the constants are fitted to Fig. 4 (see
   ``repro.core.calibration``).
 
-A submission may name a *list* of candidate endpoints instead of one; the
-relay then dispatches queue-depth-aware: endpoints with ready instances are
-preferred, ties broken by the shortest kernel-queue backlog
-(:meth:`~repro.faas.endpoint.ComputeEndpoint.kernel_backlog`), and finally
-by candidate order, keeping selection deterministic.
+The relay does not route: every task goes to the one endpoint its submitter
+named, as in §3.2 — the gateway (or a partitioned run's gateway shard) has
+already chosen it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..common import AuthorizationError, IdGenerator, NotFoundError, sim_logger
 from ..obs.trace import TRACE_KEY
@@ -71,20 +69,16 @@ class RelayBoundaryProxy:
     """Stand-in for a :class:`~repro.faas.endpoint.ComputeEndpoint` whose
     cluster runs in another partition (see :mod:`repro.parallel`).
 
-    The proxy registers with the relay like a real endpoint and answers the
-    queue-depth dispatcher's load questions from the cluster's last barrier
-    snapshot (a :class:`~repro.placement.PoolSignal` held by the shared
-    :class:`~repro.placement.TopologyView`), topped up with the boundary
-    dispatches the snapshot cannot have seen yet.  Tasks routed to it do not
+    The proxy registers with the relay like a real endpoint and reports the
+    cluster's ready instances — which the relay's R(N) routing-rate curve
+    counts — from its last barrier snapshot (a
+    :class:`~repro.placement.PoolSignal` held by the gateway partition's
+    :class:`~repro.placement.TopologyView`).  Tasks sent to it do not
     execute here: they are appended to an outbox with a deterministic
     arrival stamp (``submit_time + submit latency + dispatch latency`` — the
     partition scheme's conservative lookahead) and shipped across the
     barrier; :meth:`complete` resolves the held outcome event when the
     result message returns.
-
-    Snapshot staleness is window-granular by construction, and identically
-    so in the serial ``workers=1`` fallback, which is what keeps routing
-    decisions bit-identical across worker counts.
     """
 
     is_boundary_proxy = True
@@ -95,47 +89,21 @@ class RelayBoundaryProxy:
         self.endpoint_id = endpoint_id
         self.cluster_name = cluster
         self.models = list(models)
-        #: The gateway partition's :class:`~repro.placement.TopologyView`;
-        #: remote snapshots land there (``apply_partition_snapshot``) and the
-        #: proxy reads them back, keeping the view in the routing loop.
+        #: The gateway partition's :class:`~repro.placement.TopologyView`,
+        #: where remote snapshots land (``apply_partition_snapshot``).
         self.view = view
-        #: ``task_id -> (outcome event, dispatch arrival time)`` for tasks
-        #: shipped across the boundary and not yet completed.
-        self._open: Dict[str, tuple] = {}
+        #: ``task_id -> outcome event`` for tasks shipped across the
+        #: boundary and not yet completed.
+        self._open: Dict[str, Any] = {}
         #: Outbox drained by the owning partition at each window barrier.
         self.outbox: List[dict] = []
         self._seq = 0
 
-    # -- endpoint interface the relay dispatcher reads ----------------------
-    def _signals(self):
-        if self.view is None:
-            return []
-        signals = []
-        for model in self.models:
-            signal = self.view.pool_signal(self.endpoint_id, model)
-            if signal is not None:
-                signals.append(signal)
-        return signals
-
     def ready_instance_count(self) -> int:
-        return sum(s.ready_instances for s in self._signals())
-
-    def _unseen_dispatches(self, as_of: float) -> int:
-        """Boundary tasks the cluster's snapshot cannot include yet."""
-        return sum(1 for _evt, arrival in self._open.values() if arrival > as_of)
-
-    def kernel_backlog(self, model: Optional[str] = None) -> int:
-        backlog = 0
-        as_of = -1.0
-        for signal in self._signals():
-            if model is not None and signal.model != model:
-                continue
-            backlog += signal.waiting_tasks + signal.in_flight_tasks
-            as_of = max(as_of, signal.computed_at)
-        return backlog + self._unseen_dispatches(as_of)
-
-    def hosts_model(self, model: str) -> bool:
-        return model in self.models
+        if self.view is None:
+            return 0
+        signals = (self.view.pool_signal(self.endpoint_id, m) for m in self.models)
+        return sum(s.ready_instances for s in signals if s is not None)
 
     # -- boundary mechanics --------------------------------------------------
     def enqueue_boundary(self, record: TaskRecord, function,
@@ -143,7 +111,7 @@ class RelayBoundaryProxy:
         """Ship ``record`` across the partition boundary; returns the outcome
         event resolved by :meth:`complete` when the result message returns."""
         outcome = self.env.event()
-        self._open[record.task_id] = (outcome, arrival_time)
+        self._open[record.task_id] = outcome
         self.outbox.append({
             "task_id": record.task_id,
             "function_id": record.function_id,
@@ -164,12 +132,7 @@ class RelayBoundaryProxy:
     def complete(self, task_id: str, outcome: Dict[str, Any]) -> None:
         """Resolve a boundary task with the outcome carried by a result
         message (called by the owning partition at the stamped arrival)."""
-        event, _arrival = self._open.pop(task_id)
-        event.succeed(outcome)
-
-    @property
-    def open_tasks(self) -> int:
-        return len(self._open)
+        self._open.pop(task_id).succeed(outcome)
 
 
 class RelayService:
@@ -190,11 +153,6 @@ class RelayService:
         self._endpoints: Dict[str, Any] = {}
         self._tasks: Dict[str, TaskRecord] = {}
         self._result_channel = Resource(env, capacity=1)
-        #: Tasks routed to an endpoint but not yet handed to it (still inside
-        #: the submit/dispatch latencies).  The endpoint cannot see these, so
-        #: the queue-depth dispatcher adds them to its reported backlog —
-        #: otherwise a same-instant burst would all pick the same endpoint.
-        self._open_dispatches: Dict[str, int] = {}
         #: Confidential client ids allowed to submit (None = open, used in tests).
         self.authorized_client_ids = set(authorized_client_ids or [])
         self._log = sim_logger("repro.faas.relay", env)
@@ -239,45 +197,6 @@ class RelayService:
         stats = self.stats
         return stats.submitted - stats.completed - stats.failed
 
-    def select_endpoint(
-        self,
-        endpoint_id: Union[str, Sequence[str]],
-        model: Optional[str] = None,
-    ):
-        """Resolve a submission target to one endpoint.
-
-        A single id resolves directly.  A sequence of candidate ids is
-        dispatched queue-depth-aware with a deterministic key: endpoints
-        with at least one ready instance first, then the shortest kernel
-        backlog (for ``model`` when given), then candidate order.
-        """
-        if isinstance(endpoint_id, str):
-            return self.get_endpoint(endpoint_id)
-        candidates = [self.get_endpoint(eid) for eid in endpoint_id]
-        if not candidates:
-            raise NotFoundError("Submission named no candidate endpoints")
-        if len(candidates) == 1:
-            return candidates[0]
-
-        def dispatch_key(index: int):
-            endpoint = candidates[index]
-            backlog = endpoint.kernel_backlog(model)
-            backlog += self._open_dispatches.get(endpoint.endpoint_id, 0)
-            return (
-                0 if endpoint.ready_instance_count() > 0 else 1,
-                backlog,
-                index,
-            )
-
-        return candidates[min(range(len(candidates)), key=dispatch_key)]
-
-    @staticmethod
-    def _payload_model(payload: Dict[str, Any]) -> Optional[str]:
-        """Model name a task is for, when the payload reveals one."""
-        request = payload.get("request")
-        model = getattr(request, "model", None)
-        return model if model is not None else payload.get("model")
-
     @staticmethod
     def _payload_trace(payload: Dict[str, Any]):
         """TraceContext riding the payload's request, when tracing is on."""
@@ -287,16 +206,14 @@ class RelayService:
     def submit(
         self,
         function_id: str,
-        endpoint_id: Union[str, Sequence[str]],
+        endpoint_id: str,
         payload: Dict[str, Any],
         submitter: str = "",
         client_id: Optional[str] = None,
     ) -> TaskFuture:
-        """Submit a task; returns a :class:`TaskFuture` immediately.
-
-        ``endpoint_id`` may be one endpoint id or a sequence of candidates;
-        see :meth:`select_endpoint` for how a candidate list is dispatched.
-        """
+        """Submit a task for the endpoint ``endpoint_id`` names; returns a
+        :class:`TaskFuture` immediately.  The relay dispatches it there
+        (§3.2) — choosing the endpoint is the submitter's job."""
         if self.authorized_client_ids and client_id not in self.authorized_client_ids:
             self.stats.rejected += 1
             self._log.warning("relay rejected submission: unauthorised client",
@@ -305,7 +222,7 @@ class RelayService:
                 "Caller is not an authorised confidential client of the relay"
             )
         function = self.functions.require_registered(function_id)
-        endpoint = self.select_endpoint(endpoint_id, model=self._payload_model(payload))
+        endpoint = self.get_endpoint(endpoint_id)
         queued = self.queued_tasks
         if queued >= self.config.max_queued_tasks:
             self.stats.rejected += 1
@@ -326,8 +243,6 @@ class RelayService:
         self._tasks[record.task_id] = record
         self.stats.submitted += 1
         self.stats.peak_queued = max(self.stats.peak_queued, queued + 1)
-        eid = endpoint.endpoint_id
-        self._open_dispatches[eid] = self._open_dispatches.get(eid, 0) + 1
         # Anchor the relay's spans under the caller's active span (the
         # gateway's dispatch stage) — captured here, synchronously, while
         # the caller is still the running process.
@@ -358,12 +273,6 @@ class RelayService:
         outcome_event = endpoint.enqueue(record, function)
         if span is not None:
             trace.end_span(span)
-        # From here the endpoint's own backlog accounting covers the task.
-        open_count = self._open_dispatches.get(record.endpoint_id, 0)
-        if open_count <= 1:
-            self._open_dispatches.pop(record.endpoint_id, None)
-        else:
-            self._open_dispatches[record.endpoint_id] = open_count - 1
         outcome = yield outcome_event
 
         # Result forwarding through the shared routing channel.
@@ -396,14 +305,7 @@ class RelayService:
         arrival = record.submit_time + cfg.submit_latency_s + cfg.dispatch_latency_s
         record.status = TaskStatus.DISPATCHED
         record.dispatch_time = arrival
-        outcome_event = endpoint.enqueue_boundary(record, function, arrival)
-        # The proxy's open-task accounting covers the task from here on.
-        open_count = self._open_dispatches.get(record.endpoint_id, 0)
-        if open_count <= 1:
-            self._open_dispatches.pop(record.endpoint_id, None)
-        else:
-            self._open_dispatches[record.endpoint_id] = open_count - 1
-        outcome = yield outcome_event
+        outcome = yield endpoint.enqueue_boundary(record, function, arrival)
 
         with self._result_channel.request() as req:
             yield req

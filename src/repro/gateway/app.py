@@ -448,12 +448,19 @@ class InferenceGatewayAPI:
         }
 
     def jobs(self) -> List[dict]:
-        """``GET /jobs`` — model/instance states across the federation (§4.3)."""
-        statuses = []
-        for endpoint in self.router.view.endpoints:
-            for status in endpoint.model_status():
-                statuses.append(status.to_dict())
-        return statuses
+        """``GET /jobs`` — model/instance states across the federation (§4.3).
+
+        Rows come from fresh pool signals, not the view's cache: a cached
+        read would move ``computed_at`` and with it the gateway medians a
+        later SLO routing decision sees.
+        """
+        return [{"model": s.model, "endpoint": s.endpoint_id, "cluster": s.cluster,
+                 "state": s.state, "running_instances": s.ready_instances,
+                 "starting_instances": s.starting_instances,
+                 "draining_instances": s.draining_instances,
+                 "queued_jobs": s.queued_jobs, "waiting_tasks": s.waiting_tasks}
+                for endpoint in self.router.view.endpoints
+                for s in endpoint.model_status()]
 
     def dashboard(self) -> dict:
         """``GET /metrics`` — real-time monitoring summary (§3.1.1)."""

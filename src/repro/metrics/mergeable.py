@@ -72,7 +72,7 @@ class LogBucketHistogram:
 
     # -- accumulation ------------------------------------------------------
     def add(self, value: float) -> None:
-        if value != value or value < 0:
+        if not 0.0 <= value < math.inf:  # NaN fails both comparisons
             raise ValueError(f"histogram values must be finite and >= 0, got {value!r}")
         if value <= self.min_value:
             self.zero_count += 1

@@ -53,8 +53,7 @@ class ObservabilityConfig:
 class ObservabilityLayer:
     """Tracer + (optional) kernel profiler for one gateway."""
 
-    def __init__(self, env, config: Optional[ObservabilityConfig] = None,
-                 rng=None):
+    def __init__(self, env, config: Optional[ObservabilityConfig] = None):
         self.config = config or ObservabilityConfig()
         self.tracer = Tracer(
             env,
@@ -64,7 +63,6 @@ class ObservabilityLayer:
                 max_traces=self.config.max_traces,
                 max_spans_per_trace=self.config.max_spans_per_trace,
             ),
-            rng=rng,
             seed=self.config.seed,
         )
         self.kernel_profiler: Optional[KernelProfiler] = None

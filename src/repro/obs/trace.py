@@ -35,9 +35,8 @@ does.
 Retention is three-tier so interesting exemplars survive aggressive sampling:
 
 * **head sampling** — the keep/drop decision is made at ``begin`` time
-  (deterministically, from a hash of the trace id, or from an optional
-  seeded :class:`~repro.common.RandomSource`), and head-kept traces live in
-  a bounded FIFO ring;
+  (deterministically, from a hash of the seed and trace id), and head-kept
+  traces live in a bounded FIFO ring;
 * **top-K-slowest reservoir** — independent of the head decision, the K
   slowest finished traces are always retained, so the worst requests are
   inspectable even at ``sample_rate=0``;
@@ -376,23 +375,15 @@ class TracerConfig:
 class Tracer:
     """Creates, finishes and retains :class:`TraceContext`\\ s.
 
-    Sampling is deterministic: by default the head decision is a pure
-    function of ``(seed, trace_id)`` (hash-based, order-independent and
-    numpy-free); passing a seeded :class:`~repro.common.RandomSource` as
-    ``rng`` draws the decision from that stream instead.  Either way the
-    decision never touches the simulation's RNG streams or event queue.
+    Sampling is deterministic: the head decision is a pure function of
+    ``(seed, trace_id)`` (hash-based, order-independent and numpy-free), so
+    it never touches the simulation's RNG streams or event queue.
     """
 
     def __init__(self, env, config: Optional[TracerConfig] = None,
-                 rng=None, seed: int = 0):
+                 seed: int = 0):
         self.env = env
         self.config = config or TracerConfig()
-        self._rng = rng
-        if rng is not None:
-            # The caller hands this stream over for sampling decisions; mark
-            # it so the DetSan runtime sanitizer knows draws from it are a
-            # dedicated sampler stream, not sim randomness.
-            rng.sampler_only = True
         self._seed = seed
         #: Retained traces by id (head ring ∪ slowest-K reservoir).
         self._traces: Dict[str, TraceContext] = {}
@@ -418,11 +409,6 @@ class Tracer:
             return True
         if rate <= 0.0:
             return False
-        if self._rng is not None:
-            # detlint: disable=ARCH001 — dedicated sampler stream handed to the
-            # tracer for retention decisions (marked sampler_only above); it is
-            # never one of the simulation's RandomSource streams.
-            return self._rng.uniform() < rate
         # Hash-based: deterministic per (seed, trace_id), order-independent.
         return (stable_seed("obs-head-sample", self._seed, trace_id) % (1 << 53)) \
             < rate * (1 << 53)

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..common import stable_seed
 from ..core import ClusterDeploymentSpec, ModelHostingConfig, calibration
+from ..faas import PoolSignal
 from ..metrics import MergeableSummary, RequestRecord
 from ..sweep.spec import ArrivalSpec
 from .boundary import BoundaryMessage, sort_key
@@ -62,7 +63,7 @@ def _roundtrip(obj):
 
 def _step_partitions(partitions: Dict[int, Partition], window,
                      inbound: Dict[int, List[BoundaryMessage]],
-                     snapshots: Dict[int, List[dict]]) -> Tuple[dict, float]:
+                     snapshots: Dict[int, List[PoolSignal]]) -> Tuple[dict, float]:
     """Advance one host's partitions through a window; returns per-partition
     reports and the wall-clock spent inside advances."""
     reports = {}
@@ -228,7 +229,7 @@ def run_partitions(specs: List[PartitionSpec], workers: int = 1,
                 host_of[pid] = host
 
         pending: List[BoundaryMessage] = []
-        pending_snaps: List[Tuple[int, List[dict]]] = []
+        pending_snaps: List[Tuple[int, List[PoolSignal]]] = []
         while True:
             effective = dict(bounds)
             for message in pending:
@@ -248,7 +249,7 @@ def run_partitions(specs: List[PartitionSpec], workers: int = 1,
             inbound: Dict[int, List[BoundaryMessage]] = {}
             for message in sorted(pending, key=sort_key):
                 inbound.setdefault(message.dst, []).append(message)
-            snapshots: Dict[int, List[dict]] = {}
+            snapshots: Dict[int, List[PoolSignal]] = {}
             for src, snaps in sorted(pending_snaps):
                 for spec in specs:
                     if spec.pid != src:

@@ -4,8 +4,9 @@ A partitioned run splits the federated topology at its relay edges:
 
 * the **gateway partition** hosts the workload driver, the cloud relay and
   the placement plane's :class:`~repro.placement.TopologyView`; every
-  remote cluster appears as a :class:`~repro.faas.RelayBoundaryProxy`
-  answering the queue-depth dispatcher from barrier snapshots;
+  remote cluster appears as a :class:`~repro.faas.RelayBoundaryProxy`, and
+  the partition itself picks the proxy for each task from the clusters'
+  barrier snapshots (queue-depth dispatch) before submitting to the relay;
 * one **cluster partition** per facility hosts the real
   :class:`~repro.faas.ComputeEndpoint` — scheduler, model pools, serving
   engines — and executes the tasks shipped across the boundary.
@@ -31,17 +32,18 @@ Determinism notes (the bit-identical-across-worker-counts contract):
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..common import IdGenerator, stable_seed
 from ..core import calibration
 from ..core.deployment import ClusterDeploymentSpec, build_cluster
-from ..faas import HANDLER_CHAT, RelayBoundaryProxy, RelayService
+from ..faas import HANDLER_CHAT, PoolSignal, RelayBoundaryProxy, RelayService
 from ..faas.functions import FunctionRegistry
 from ..faas.task import TaskRecord, TaskStatus
 from ..metrics import RequestRecord
 from ..placement import TopologyView
-from ..serving import InstanceState, default_catalog
+from ..serving import default_catalog
 from ..serving.stream import STREAM_CHANNEL_KEY, StreamChannel
 from ..sim import Environment
 from .boundary import DISPATCH, PING, RESULT, BoundaryMessage, sort_key, validate_arrival
@@ -143,11 +145,11 @@ class Partition:
         """
         return self.env.peek() == float("inf")
 
-    def snapshots(self) -> List[dict]:
-        """Serialized pool state shipped to the gateway at each barrier."""
+    def snapshots(self) -> List[PoolSignal]:
+        """Pool state shipped to the gateway at each barrier."""
         return []
 
-    def apply_snapshots(self, snapshots: List[dict]) -> None:
+    def apply_snapshots(self, snapshots: List[PoolSignal]) -> None:
         pass
 
     def finalize(self) -> dict:
@@ -157,8 +159,14 @@ class Partition:
 class GatewayPartition(Partition):
     """The control-plane shard: workload driver, relay, placement view.
 
+    The partition routes, not the relay: each task goes to the cluster
+    proxy with ready instances first, then the shortest backlog — the
+    snapshot's waiting plus in-flight tasks, plus the tasks sent to that
+    proxy since the snapshot was taken — then cluster order, and is
+    submitted to that one endpoint id.
+
     Params (all picklable): ``clusters`` — ``[{"pid", "name"}]`` in routing
-    candidate order; ``model``; ``num_requests``; ``arrival`` — an
+    tie-break order; ``model``; ``num_requests``; ``arrival`` — an
     :class:`~repro.sweep.spec.ArrivalSpec`; ``stream``.
     """
 
@@ -184,7 +192,10 @@ class GatewayPartition(Partition):
         # signals arrive as barrier snapshots, not observer hooks.
         self.view = TopologyView(self.env)
         self._proxy_by_pid: Dict[int, RelayBoundaryProxy] = {}
-        self._candidates: List[str] = []
+        #: Per cluster, in tie-break order: its proxy and the dispatch
+        #: arrival stamps of the tasks sent to it that its latest snapshot
+        #: may not include yet (ascending, as tasks are sent in time order).
+        self._routes: List[Tuple[RelayBoundaryProxy, Deque[float]]] = []
         for cluster in params["clusters"]:
             proxy = RelayBoundaryProxy(
                 self.env, endpoint_id=f"ep-{cluster['name']}",
@@ -192,7 +203,7 @@ class GatewayPartition(Partition):
             )
             self.relay.register_endpoint(proxy)
             self._proxy_by_pid[cluster["pid"]] = proxy
-            self._candidates.append(proxy.endpoint_id)
+            self._routes.append((proxy, deque()))
 
         workload = ShareGPTWorkload(
             replace(ShareGPTConfig(), seed=stable_seed(spec.seed, "workload")))
@@ -208,13 +219,37 @@ class GatewayPartition(Partition):
         self.env.process(self._driver())
 
     # -- workload driver ---------------------------------------------------
+    def _load(self, index: int) -> tuple:
+        """Routing key of cluster ``index``: (cold, backlog, index)."""
+        proxy, unseen = self._routes[index]
+        signal = self.view.pool_signal(proxy.endpoint_id, self.model)
+        if signal is None:
+            return (1, len(unseen), index)
+        # Snapshot times only grow, so a task the snapshot already includes
+        # (it reached the cluster by then) never needs counting again.
+        while unseen and unseen[0] <= signal.computed_at:
+            unseen.popleft()
+        return (0 if signal.ready_instances > 0 else 1,
+                signal.waiting_tasks + signal.in_flight_tasks + len(unseen),
+                index)
+
+    def _route(self) -> RelayBoundaryProxy:
+        """Pick the proxy for a task sent now and count the task against it
+        until a snapshot taken after its dispatch arrival (the relay's
+        stamp, summed the same way) includes it."""
+        proxy, unseen = self._routes[min(range(len(self._routes)), key=self._load)]
+        relay_config = self.relay.config
+        unseen.append(self.env.now + relay_config.submit_latency_s
+                      + relay_config.dispatch_latency_s)
+        return proxy
+
     def _driver(self):
         for request, offset in zip(self._requests, self._offsets):
             if offset > self.env.now:
                 yield self.env.timeout_at(offset)
             request.stream = self.stream
             request.arrival_time = self.env.now
-            future = self.relay.submit(FUNCTION_ID, self._candidates,
+            future = self.relay.submit(FUNCTION_ID, self._route().endpoint_id,
                                        {"request": request},
                                        submitter="parallel-gateway")
             self.env.process(self._record(request, self.env.now, future))
@@ -266,9 +301,9 @@ class GatewayPartition(Partition):
             self._token_times[body["task_id"]] = body["stream_times"]
         self._proxy_by_pid[message.src].complete(body["task_id"], body["outcome"])
 
-    def apply_snapshots(self, snapshots: List[dict]) -> None:
-        for snapshot in snapshots:
-            self.view.apply_partition_snapshot(snapshot)
+    def apply_snapshots(self, snapshots: List[PoolSignal]) -> None:
+        for signal in snapshots:
+            self.view.apply_partition_snapshot(signal)
 
     def done(self) -> bool:
         # One record per workload request, appended only after its future
@@ -361,28 +396,9 @@ class ClusterPartition(Partition):
                       "stream_times": stream_times,
                   })
 
-    def snapshots(self) -> List[dict]:
-        snaps = []
-        for model in sorted(self.endpoint.pools):
-            pool = self.endpoint.pools[model]
-            snaps.append({
-                "model": pool.model,
-                "endpoint_id": self.endpoint.endpoint_id,
-                "cluster": self.name,
-                "ready_instances": len(pool.ready_instances),
-                "starting_instances": sum(
-                    1 for i in pool.instances
-                    if i.state == InstanceState.STARTING),
-                "draining_instances": len(pool.draining),
-                "queued_jobs": pool.queued_job_launches,
-                "waiting_tasks": pool.waiting_tasks,
-                "in_flight_tasks": pool.in_flight_tasks,
-                "slots_per_instance": pool.slots_per_instance,
-                "max_instances": pool.replicas.max_instances,
-                "cold_start_estimate_s": pool.cold_start_estimate_s,
-                "computed_at": self.env.now,
-            })
-        return snaps
+    def snapshots(self) -> List[PoolSignal]:
+        pools = self.endpoint.pools
+        return [pools[model].signal() for model in sorted(pools)]
 
     def done(self) -> bool:
         # Cluster shards never block termination on their own: pools and

@@ -6,8 +6,8 @@ keeps the decision log; subclasses implement ``_choose`` over event-refreshed
 scheduler state privately.
 
 * :class:`PriorityRouter` — the paper's §4.5 three-rule algorithm, verbatim:
-  rule 1 now reads the view's pool signals (equivalent to the old per-request
-  ``endpoint.model_status`` probe) and rule 2 still pays the public
+  rule 1 reads the view's pool signals (the same pool ``signal()`` the
+  gateway's ``/jobs`` rows are built from) and rule 2 still pays the public
   status-query latency through :meth:`TopologyView.query_cluster`, so the
   ablation benchmark reproduces bit-identically.
 * :class:`LeastLoadedRouter` — picks the ready candidate with the lowest

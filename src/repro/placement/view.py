@@ -16,8 +16,8 @@ read.  Signals are refreshed *incrementally
 on events*: every endpoint pool notifies the view when its state changes
 (task arrival/completion, instance ready/retired, drain start/end), the
 affected signal is marked dirty, and the next read recomputes just that one
-snapshot.  Reads between events are plain dict lookups — nothing is rebuilt
-per request.
+snapshot (the pool's own ``signal()`` plus the gateway medians).  Reads
+between events are plain dict lookups — nothing is rebuilt per request.
 
 The view also owns the federation's *public* cluster-status query
 (:meth:`query_cluster`), preserving the paper's §4.5 semantics — a simulated
@@ -38,75 +38,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cluster import FacilityStatusProvider
 from ..common import NotFoundError
-from ..faas import ComputeEndpoint
-from ..serving import InstanceState
+from ..faas import ComputeEndpoint, PoolSignal
 from ..sim import Environment
 
 __all__ = ["PoolSignal", "ClusterSignal", "TopologyView"]
-
-
-@dataclass
-class PoolSignal:
-    """One (model, endpoint, cluster) snapshot of the fleet view."""
-
-    model: str
-    endpoint_id: str
-    cluster: str
-    ready_instances: int
-    starting_instances: int
-    draining_instances: int
-    queued_jobs: int
-    waiting_tasks: int
-    in_flight_tasks: int
-    slots_per_instance: int
-    max_instances: int
-    cold_start_estimate_s: float
-    #: Gateway-observed rolling medians (None until traffic produced them).
-    latency_p50_s: Optional[float] = None
-    ttft_p50_s: Optional[float] = None
-    #: Simulation time this snapshot was computed.
-    computed_at: float = 0.0
-
-    @property
-    def state(self) -> str:
-        """Aggregate state, matching ``ModelPoolStatus.state`` exactly."""
-        if self.ready_instances > 0:
-            return "running"
-        if self.draining_instances > 0:
-            return "draining"
-        if self.starting_instances > 0:
-            return "starting"
-        if self.queued_jobs > 0:
-            return "queued"
-        return "cold"
-
-    @property
-    def active(self) -> bool:
-        """The paper's rule-1 predicate: running, starting or queued."""
-        return self.state in ("running", "starting", "queued")
-
-    @property
-    def ready_slots(self) -> int:
-        return self.ready_instances * self.slots_per_instance
-
-    @property
-    def provisionable_slots(self) -> int:
-        """Slot capacity the pool could reach at its instance ceiling."""
-        return self.max_instances * self.slots_per_instance
-
-    @property
-    def busy_fraction(self) -> float:
-        """Demand over ready slot capacity (> 1 when work queues)."""
-        demand = self.in_flight_tasks + self.waiting_tasks
-        if self.ready_slots <= 0:
-            return 0.0 if demand == 0 else float("inf")
-        return demand / self.ready_slots
-
-    @property
-    def queue_per_ready(self) -> float:
-        if self.ready_instances <= 0:
-            return float("inf") if self.waiting_tasks else 0.0
-        return self.waiting_tasks / self.ready_instances
 
 
 @dataclass
@@ -255,57 +190,33 @@ class TopologyView:
             and self.env.now - cached.computed_at < REFRESH_INTERVAL_S
         ):
             return cached
-        signal = self._compute(pool)
+        signal = pool.signal()
+        if self.gateway_metrics is not None:
+            # Per-endpoint windows: each pool is judged on the latency of
+            # the requests *it* served, not the fleet-wide blend.
+            recent = self.gateway_metrics.recent_timings(model, endpoint_id)
+            if recent is not None:
+                signal.latency_p50_s = recent["latency_p50_s"]
+                signal.ttft_p50_s = recent["ttft_p50_s"]
         self._signals[key] = signal
         self._dirty.discard(key)
         self.rebuilds += 1
         return signal
 
-    def _compute(self, pool) -> PoolSignal:
-        endpoint = pool.endpoint
-        recent = None
-        if self.gateway_metrics is not None:
-            # Per-endpoint windows: each pool is judged on the latency of
-            # the requests *it* served, not the fleet-wide blend.
-            recent = self.gateway_metrics.recent_timings(
-                pool.model, endpoint.endpoint_id
-            )
-        return PoolSignal(
-            model=pool.model,
-            endpoint_id=endpoint.endpoint_id,
-            cluster=endpoint.cluster_name,
-            ready_instances=len(pool.ready_instances),
-            starting_instances=sum(
-                1 for i in pool.instances if i.state == InstanceState.STARTING
-            ),
-            draining_instances=len(pool.draining),
-            queued_jobs=pool.queued_job_launches,
-            waiting_tasks=pool.waiting_tasks,
-            in_flight_tasks=pool.in_flight_tasks,
-            slots_per_instance=pool.slots_per_instance,
-            max_instances=pool.replicas.max_instances,
-            cold_start_estimate_s=pool.cold_start_estimate_s,
-            computed_at=self.env.now,
-            **(recent or {}),  # latency_p50_s / ttft_p50_s
-        )
-
     # ------------------------------------------------------------- partition snapshots
-    def apply_partition_snapshot(self, snapshot: dict) -> PoolSignal:
-        """Refresh one remote pool's signal from a partition barrier snapshot.
+    def apply_partition_snapshot(self, signal: PoolSignal) -> None:
+        """Hold a remote pool's signal from a partition barrier snapshot.
 
         In a partitioned deployment (:mod:`repro.parallel`) the cluster's
         pools live in another process, so the usual in-process observer
         hooks cannot mark signals dirty.  Instead each cluster partition
-        serializes its pool state at every window barrier and the gateway
-        partition feeds the dicts through here.  :meth:`pool_signal` serves
-        the resulting signals exactly like local ones — the relay's boundary
-        proxies read them there and cannot tell the difference (beyond the
-        window-granular staleness, which the serial fallback reproduces
-        identically).
+        ships every pool's :meth:`~repro.faas.endpoint._ModelPool.signal`
+        at each window barrier and the gateway partition lands them here.
+        :meth:`pool_signal` serves them until the next barrier replaces
+        them — window-granular staleness the serial fallback reproduces
+        identically — and the gateway partition routes on them.
         """
-        signal = PoolSignal(**snapshot)
         self._snapshot_signals[(signal.endpoint_id, signal.model)] = signal
-        return signal
 
     def candidates(self, model: str) -> List[Tuple[ComputeEndpoint, Optional[PoolSignal]]]:
         """(endpoint, signal) pairs for every endpoint hosting ``model``, in

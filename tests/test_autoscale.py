@@ -242,8 +242,7 @@ def test_drained_instance_finishes_in_flight_requests_then_releases_job():
 
     assert pool.start_drain_one()
     assert len(pool.draining) == 1
-    status = pool.status()
-    assert status.draining_instances == 1
+    assert pool.signal().draining_instances == 1
     # The drained instance refuses new work but keeps serving.
     draining = [i for i in pool.instances
                 if i.state == InstanceState.DRAINING]

@@ -190,29 +190,6 @@ class TestObsDrawAttribution:
             self.obs_draw(rng)
         env.sanitizer.detach()
 
-    def test_sampler_only_stream_is_exempt(self):
-        from repro.common import RandomSource
-
-        env = Environment(sanitize=True)
-        rng = RandomSource(1)
-        rng.sampler_only = True
-        self.obs_draw(rng)  # no raise
-        assert env.sanitizer.violations == []
-        env.sanitizer.detach()
-
-    def test_tracer_sampler_rng_is_exempt_end_to_end(self):
-        from repro.common import RandomSource
-        from repro.obs import Tracer, TracerConfig
-
-        env = Environment(sanitize=True)
-        tracer = Tracer(env, TracerConfig(sample_rate=0.5),
-                        rng=RandomSource(3))
-        for i in range(20):
-            ctx = tracer.begin(f"trace-{i}")
-            tracer.finish(ctx)
-        assert env.sanitizer.violations == []
-        env.sanitizer.detach()
-
     def test_draws_unpatched_after_detach(self):
         from repro.common import RandomSource
         from repro.common.randomness import RandomSource as RS2

@@ -20,33 +20,22 @@ from repro.sim import Environment
 class FakeEndpoint:
     """Minimal endpoint double: executes every task after a fixed delay."""
 
-    def __init__(self, env, endpoint_id="ep-fake", delay=1.0, succeed=True, instances=1,
-                 backlog=0):
+    def __init__(self, env, endpoint_id="ep-fake", delay=1.0, succeed=True, instances=1):
         self.env = env
         self.endpoint_id = endpoint_id
         self.delay = delay
         self.succeed_tasks = succeed
         self.instances = instances
-        self.backlog = backlog
-        self.backlog_queries = []
         self.executed = 0
-        self.dispatched = 0
 
     def ready_instance_count(self):
         return self.instances
 
-    def kernel_backlog(self, model=None):
-        self.backlog_queries.append(model)
-        return self.backlog
-
     def enqueue(self, record, function):
         outcome = self.env.event()
-        self.dispatched += 1
-        self.backlog += 1
 
         def run(env):
             yield env.timeout(self.delay)
-            self.backlog -= 1
             self.executed += 1
             if self.succeed_tasks:
                 outcome.succeed({"success": True, "result": {"echo": record.payload.get("x")}})
@@ -211,7 +200,6 @@ def test_unauthorised_client_leaves_queue_accounting_untouched():
     assert relay.stats.submitted == 1
     assert relay.stats.peak_queued == 1
     assert relay.stats.rejected == 1
-    assert relay._open_dispatches == {"ep-fake": 1}
 
 
 def recount_queued(relay):
@@ -274,7 +262,6 @@ def test_queued_tasks_ledger_matches_a_recount(tasks, remote_delay, stops):
     env.run(until=env.now + 40.0 * (remote_delay + 1.0) + 60.0)
     check()
     assert relay.queued_tasks == 0
-    assert relay._open_dispatches == {}
     assert relay.stats.submitted == len(tasks)
     assert relay.stats.submitted == relay.stats.completed + relay.stats.failed
 
@@ -329,90 +316,6 @@ def test_relay_routing_scalability_curve():
     assert rates[2] == pytest.approx(14.6, rel=0.10)
     assert rates[3] == pytest.approx(20.9, rel=0.10)
     assert rates[4] == pytest.approx(23.9, rel=0.10)
-
-
-# -- queue-depth-aware dispatch over candidate lists -----------------------------
-
-def make_multi_relay(env, endpoints):
-    relay = RelayService(env)
-    relay.functions.register("fn-chat", "chat inference", HANDLER_CHAT, owner="admins")
-    for endpoint in endpoints:
-        relay.register_endpoint(endpoint)
-    return relay
-
-
-def test_candidate_list_bypasses_busy_endpoint():
-    """The regression the dispatcher exists for: with two ready endpoints,
-    the one with the deeper kernel backlog is bypassed."""
-    env = Environment()
-    busy = FakeEndpoint(env, endpoint_id="ep-busy", backlog=7)
-    idle = FakeEndpoint(env, endpoint_id="ep-idle", backlog=0)
-    relay = make_multi_relay(env, [busy, idle])
-    future = relay.submit("fn-chat", ["ep-busy", "ep-idle"], {"x": 1})
-    env.run(until=future.done)
-    assert future.record.endpoint_id == "ep-idle"
-    assert idle.executed == 1 and busy.executed == 0
-
-
-def test_candidate_list_prefers_ready_instances_over_backlog():
-    """An endpoint with no ready instance loses to a ready one even when the
-    ready one is more backlogged (a cold endpoint means a scheduler wait)."""
-    env = Environment()
-    cold = FakeEndpoint(env, endpoint_id="ep-cold", instances=0, backlog=0)
-    warm = FakeEndpoint(env, endpoint_id="ep-warm", instances=1, backlog=9)
-    relay = make_multi_relay(env, [cold, warm])
-    future = relay.submit("fn-chat", ["ep-cold", "ep-warm"], {"x": 1})
-    assert future.record.endpoint_id == "ep-warm"
-
-
-def test_candidate_list_tie_breaks_in_candidate_order():
-    env = Environment()
-    a = FakeEndpoint(env, endpoint_id="ep-a", backlog=3)
-    b = FakeEndpoint(env, endpoint_id="ep-b", backlog=3)
-    relay = make_multi_relay(env, [a, b])
-    assert relay.submit("fn-chat", ["ep-b", "ep-a"], {}).record.endpoint_id == "ep-b"
-    assert relay.submit("fn-chat", ["ep-a", "ep-b"], {}).record.endpoint_id == "ep-a"
-
-
-def test_candidate_dispatch_tracks_live_backlog():
-    """Each dispatch sees the backlog the previous ones created, so a burst
-    spreads across equivalent endpoints instead of piling onto the first."""
-    env = Environment()
-    a = FakeEndpoint(env, endpoint_id="ep-a", delay=50.0)
-    b = FakeEndpoint(env, endpoint_id="ep-b", delay=50.0)
-    relay = make_multi_relay(env, [a, b])
-    futures = [relay.submit("fn-chat", ["ep-a", "ep-b"], {"x": i}) for i in range(6)]
-    env.run(until=10.0)  # past submit+dispatch latencies, within the 50 s work
-    assert (a.dispatched, b.dispatched) == (3, 3)
-    assert {f.record.endpoint_id for f in futures} == {"ep-a", "ep-b"}
-
-
-def test_candidate_dispatch_passes_payload_model_to_backlog():
-    env = Environment()
-    a = FakeEndpoint(env, endpoint_id="ep-a")
-    b = FakeEndpoint(env, endpoint_id="ep-b")
-    relay = make_multi_relay(env, [a, b])
-    relay.submit("fn-chat", ["ep-a", "ep-b"], {"model": "meta/llama"})
-    assert a.backlog_queries == ["meta/llama"]
-    assert b.backlog_queries == ["meta/llama"]
-
-
-def test_candidate_list_rejects_empty_and_unknown():
-    env = Environment()
-    relay, _ = make_relay(env)
-    with pytest.raises(NotFoundError):
-        relay.submit("fn-chat", [], {})
-    with pytest.raises(NotFoundError):
-        relay.submit("fn-chat", ["ep-fake", "ep-missing"], {})
-
-
-def test_single_candidate_list_behaves_like_plain_id():
-    env = Environment()
-    relay, endpoint = make_relay(env)
-    future = relay.submit("fn-chat", ["ep-fake"], {"x": 5})
-    env.run(until=future.done)
-    assert future.record.endpoint_id == "ep-fake"
-    assert relay.get_result(future.task_id) == {"echo": 5}
 
 
 def test_task_record_timing_properties():

@@ -3,6 +3,7 @@ and Prometheus text exposition."""
 
 import pytest
 
+from repro.metrics import LogBucketHistogram
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 
 
@@ -40,6 +41,18 @@ def test_histogram_quantile_accuracy():
     # Log-bucket quantiles are within the configured relative error.
     assert h.quantile(0.5) == pytest.approx(5.0, rel=0.03)
     assert h.quantile(0.99) == pytest.approx(9.9, rel=0.03)
+
+
+@pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")])
+def test_histograms_reject_values_that_are_not_finite_and_non_negative(value):
+    sketch = LogBucketHistogram()
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        sketch.add(value)
+    assert sketch.count == 0
+    h = Histogram("latency", "latency")
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        h.observe(value)
+    assert h.count == 0
 
 
 def test_registry_registration_idempotent_and_checked():

@@ -3,7 +3,6 @@ sampling determinism and the kernel profiler's no-op guarantee."""
 
 import pytest
 
-from repro.common import RandomSource
 from repro.obs import KernelProfiler, Tracer, TracerConfig, span_tree
 from repro.sim import Environment
 
@@ -96,14 +95,6 @@ def test_hash_sampling_is_deterministic_and_order_independent():
     # A different seed flips some decisions.
     c = Tracer(env, TracerConfig(sample_rate=0.3), seed=8)
     assert [c._head_decision(tid) for tid in ids] != decisions_a
-
-
-def test_rng_sampling_is_deterministic_for_a_fixed_seed():
-    env = Environment()
-    ids = [f"req-{i}" for i in range(200)]
-    a = Tracer(env, TracerConfig(sample_rate=0.5), rng=RandomSource(42))
-    b = Tracer(env, TracerConfig(sample_rate=0.5), rng=RandomSource(42))
-    assert [a._head_decision(t) for t in ids] == [b._head_decision(t) for t in ids]
 
 
 def test_sampling_extremes_skip_the_draw():

@@ -9,7 +9,8 @@ deployment are **bit-identical** for any worker count (serial fallback,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faas import RelayBoundaryProxy, RelayService
+from repro.core import calibration
+from repro.faas import HANDLER_CHAT, RelayBoundaryProxy, RelayService
 from repro.metrics import RequestRecord
 from repro.parallel import (
     FederatedScenario,
@@ -17,7 +18,8 @@ from repro.parallel import (
     golden_trace,
     trace_fingerprint,
 )
-from repro.placement import TopologyView
+from repro.parallel.partition import build_partition
+from repro.placement import PoolSignal, TopologyView
 from repro.sim import Environment
 
 
@@ -101,32 +103,76 @@ def test_trace_fingerprint_is_order_insensitive_but_value_sensitive():
 
 
 # ------------------------------------------------------------- boundary proxy
-def test_boundary_proxy_routes_and_snapshot_refreshes_view():
-    from repro.core import calibration
+def _signal(cluster, ready, waiting, in_flight, computed_at=0.0, model="model-a"):
+    return PoolSignal(model=model, endpoint_id=f"ep-{cluster}", cluster=cluster,
+                      ready_instances=ready, starting_instances=0,
+                      draining_instances=0, queued_jobs=0, waiting_tasks=waiting,
+                      in_flight_tasks=in_flight, slots_per_instance=8,
+                      max_instances=4, cold_start_estimate_s=30.0,
+                      computed_at=computed_at)
 
+
+def test_boundary_proxy_routes_and_snapshot_refreshes_view():
     env = Environment()
     view = TopologyView(env)
     relay = RelayService(env, calibration.default_relay_config())
+    relay.functions.register("fn-chat", "chat", HANDLER_CHAT, owner="parallel")
     proxy = RelayBoundaryProxy(env, "ep-remote", "remote", ["model-a"],
                                view=view)
+    relay.register_endpoint(proxy)
     assert proxy.is_boundary_proxy
     assert proxy.ready_instance_count() == 0
-    assert proxy.kernel_backlog("model-a") == 0
 
-    snapshot = {
-        "model": "model-a", "endpoint_id": "ep-remote", "cluster": "remote",
-        "ready_instances": 2, "starting_instances": 1, "draining_instances": 0,
-        "queued_jobs": 0, "waiting_tasks": 3, "in_flight_tasks": 4,
-        "slots_per_instance": 8, "max_instances": 4,
-        "cold_start_estimate_s": 30.0, "computed_at": 12.5,
-    }
-    view.apply_partition_snapshot(snapshot)
-    assert proxy.ready_instance_count() == 2
-    assert proxy.kernel_backlog("model-a") == 3 + 4
-    signal = view.pool_signal("ep-remote", "model-a")
-    assert signal.ready_instances == 2 and signal.computed_at == 12.5
+    view.apply_partition_snapshot(_signal("remote", 2, 3, 4, computed_at=12.5))
+    # The relay's R(N) curve counts the remote cluster's ready instances.
+    assert proxy.ready_instance_count() == relay.active_instance_count() == 2
     # A later barrier's snapshot replaces the signal the proxy reads.
-    view.apply_partition_snapshot(dict(snapshot, ready_instances=3, computed_at=14.0))
+    view.apply_partition_snapshot(_signal("remote", 3, 0, 0, computed_at=14.0))
     assert view.pool_signal("ep-remote", "model-a").computed_at == 14.0
     assert proxy.ready_instance_count() == 3
-    _ = relay  # the proxy registers like any endpoint; relay built above
+
+    # A task sent to the proxy leaves through its outbox stamped with the
+    # relay's submit + dispatch wire time, and resolves with the result.
+    future = relay.submit("fn-chat", "ep-remote", {"x": 1})
+    env.run(until=0.5)
+    entry, = proxy.drain_outbox()
+    config = relay.config
+    assert entry["arrival_time"] == 0.0 + config.submit_latency_s + config.dispatch_latency_s
+    assert entry["task_id"] == future.task_id and relay.queued_tasks == 1
+    proxy.complete(entry["task_id"], {"success": True, "result": "done"})
+    assert env.run(until=future.done) == "done"
+    assert relay.queued_tasks == 0
+
+
+def test_gateway_partition_routes_on_snapshots_and_its_own_sends():
+    """Ready proxies first, then the shortest backlog — the snapshot's
+    waiting + in-flight tasks plus the tasks sent since it was taken — then
+    cluster order."""
+    scenario = FederatedScenario.demo(clusters=3)
+    gateway = build_partition(scenario.partition_specs()[0])
+
+    def snapshot(*signals):
+        gateway.apply_snapshots([_signal(*s, model=scenario.model) for s in signals])
+
+    def route():
+        return gateway._route().cluster_name
+
+    snapshot(("cluster0", 0, 0, 0), ("cluster1", 1, 1, 3), ("cluster2", 1, 2, 3))
+    # cluster0 is cold with no backlog and loses to both ready clusters;
+    # cluster1's backlog of 4 beats cluster2's 5.
+    assert route() == "cluster1"
+    # The task just sent counts at once: 5 against 5 ties, cluster order.
+    assert route() == "cluster1"
+    assert route() == "cluster2"
+    assert route() == "cluster1"  # 6 against 6: cluster order again
+
+    # cluster1's three tasks reach it at the relay's stamp; a snapshot taken
+    # earlier cannot include them, so they still count (4 + 3 against 6).
+    config = gateway.relay.config
+    stamp = gateway.env.now + config.submit_latency_s + config.dispatch_latency_s
+    snapshot(("cluster1", 1, 1, 3, stamp / 2))
+    assert route() == "cluster2"
+    # A snapshot taken at their arrival speaks for them itself: 5 against
+    # cluster2's 5 + 2 unseen.
+    snapshot(("cluster1", 1, 2, 3, stamp))
+    assert route() == "cluster1"

@@ -63,25 +63,6 @@ def run_select(deployment, router, model=MODEL_8B, tenant=None):
 
 # -- TopologyView ----------------------------------------------------------------------
 
-def test_pool_signal_matches_model_status():
-    deployment = two_cluster_deployment()
-    deployment.warm_up(MODEL_8B, endpoint_id="ep-c2")
-    view = deployment.topology
-    for endpoint_id in ("ep-c1", "ep-c2"):
-        status = deployment.endpoints[endpoint_id].model_status(MODEL_8B)[0]
-        signal = view.pool_signal(endpoint_id, MODEL_8B)
-        assert signal is not None
-        assert signal.cluster == status.cluster
-        assert signal.ready_instances == status.running_instances
-        assert signal.starting_instances == status.starting_instances
-        assert signal.draining_instances == status.draining_instances
-        assert signal.queued_jobs == status.queued_jobs
-        assert signal.waiting_tasks == status.waiting_tasks
-        assert signal.state == status.state
-    assert view.pool_signal("ep-c2", MODEL_8B).active
-    assert not view.pool_signal("ep-c1", MODEL_8B).active
-
-
 def test_view_refreshes_on_events_not_per_read():
     deployment = two_cluster_deployment()
     deployment.warm_up(MODEL_8B, endpoint_id="ep-c1")
@@ -99,6 +80,23 @@ def test_view_refreshes_on_events_not_per_read():
     client.chat_completion(MODEL_8B, [{"role": "user", "content": "x"}], max_tokens=8)
     view.pool_signal("ep-c1", MODEL_8B)
     assert view.rebuilds > rebuilds
+
+
+def test_jobs_reads_fresh_signals_not_the_view_cache():
+    """``/jobs`` must not refresh a cached signal: its ``computed_at`` decides
+    when the gateway medians an SLO routing decision sees are re-read."""
+    deployment = two_cluster_deployment()
+    deployment.warm_up(MODEL_8B, endpoint_id="ep-c1")
+    view = deployment.topology
+    cached = view.pool_signal("ep-c1", MODEL_8B)
+    rebuilds, reads = view.rebuilds, view.reads
+    deployment.run_for(60.0)  # past the view's staleness bound
+
+    rows = deployment.client("researcher@anl.gov").jobs()
+    assert [(row["endpoint"], row["state"]) for row in rows] == [
+        ("ep-c1", "running"), ("ep-c2", "cold")]
+    assert (view.rebuilds, view.reads) == (rebuilds, reads)
+    assert view._signals[("ep-c1", MODEL_8B)] is cached
 
 
 def test_cluster_signal_tracks_free_nodes_and_gpu_seconds():
