@@ -14,6 +14,9 @@ from repro.faas import (
     TaskRecord,
     TaskStatus,
 )
+from repro.parallel import FederatedScenario
+from repro.parallel.partition import build_partition
+from repro.placement import PoolSignal
 from repro.sim import Environment
 
 
@@ -316,6 +319,92 @@ def test_relay_routing_scalability_curve():
     assert rates[2] == pytest.approx(14.6, rel=0.10)
     assert rates[3] == pytest.approx(20.9, rel=0.10)
     assert rates[4] == pytest.approx(23.9, rel=0.10)
+
+
+# -- queue-depth-aware dispatch over candidate proxies ---------------------------
+# The gateway partition picks among its cluster proxies; the relay forwards the
+# task to the one endpoint id it is given.
+
+def make_gateway(clusters):
+    """A gateway partition over ``clusters`` proxies, plus a helper that feeds
+    it one cluster's barrier snapshot."""
+    scenario = FederatedScenario.demo(clusters=clusters)
+    gateway = build_partition(scenario.partition_specs()[0])
+
+    def snapshot(cluster, ready, waiting, in_flight, computed_at=0.0):
+        gateway.apply_snapshots([PoolSignal(
+            model=scenario.model, endpoint_id=f"ep-{cluster}", cluster=cluster,
+            ready_instances=ready, starting_instances=0, draining_instances=0,
+            queued_jobs=0, waiting_tasks=waiting, in_flight_tasks=in_flight,
+            slots_per_instance=8, max_instances=4, cold_start_estimate_s=30.0,
+            computed_at=computed_at)])
+
+    return gateway, snapshot
+
+
+def route(gateway):
+    return gateway._route().cluster_name
+
+
+def test_candidate_list_bypasses_busy_endpoint():
+    """The regression the dispatcher exists for: with two ready clusters,
+    the one with the deeper backlog (waiting + in flight) is bypassed, and
+    the relay forwards the workload's tasks to the other one."""
+    gateway, snapshot = make_gateway(clusters=2)
+    snapshot("cluster0", 1, 40, 30)
+    snapshot("cluster1", 1, 0, 0)
+    gateway.env.run(until=gateway._offsets[0] + gateway.spec.lookahead_s)
+    destinations = [message.dst for message in gateway.collect_outbox()]
+    assert destinations and set(destinations) == {2}  # cluster1's pid
+    assert gateway.relay.stats.submitted == len(destinations)
+
+
+def test_candidate_list_prefers_ready_instances_over_backlog():
+    """A cluster with no ready instance loses to a ready one even when the
+    ready one is more backlogged (a cold cluster means a scheduler wait)."""
+    gateway, snapshot = make_gateway(clusters=3)
+    snapshot("cluster0", 0, 0, 0)
+    snapshot("cluster1", 1, 1, 3)
+    snapshot("cluster2", 1, 2, 3)
+    # cluster0 is cold with no backlog and loses to both ready clusters;
+    # between those, cluster1's backlog of 4 beats cluster2's 5.
+    assert route(gateway) == "cluster1"
+
+
+def test_candidate_list_tie_breaks_in_candidate_order():
+    gateway, snapshot = make_gateway(clusters=3)
+    snapshot("cluster0", 1, 3, 0)
+    snapshot("cluster1", 1, 0, 3)
+    snapshot("cluster2", 1, 1, 2)
+    assert route(gateway) == "cluster0"
+    # The task just sent counts at once; the two untouched clusters tie at 3
+    # and go in cluster order.
+    assert route(gateway) == "cluster1"
+    assert route(gateway) == "cluster2"
+    assert route(gateway) == "cluster0"  # 4 against 4 against 4
+
+
+def test_candidate_dispatch_tracks_live_backlog():
+    """Each dispatch sees the backlog the previous ones created, so a burst
+    spreads across equivalent clusters instead of piling onto the first —
+    and sent tasks keep counting until a snapshot that includes them."""
+    gateway, snapshot = make_gateway(clusters=2)
+    snapshot("cluster0", 1, 0, 0)
+    snapshot("cluster1", 1, 0, 0)
+    picks = [route(gateway) for _ in range(6)]
+    assert (picks.count("cluster0"), picks.count("cluster1")) == (3, 3)
+
+    # The six tasks reach their clusters at the relay's stamp; a snapshot
+    # taken earlier cannot include them, so cluster0's three still count
+    # (3 + 3 against cluster1's 0 + 3).
+    config = gateway.relay.config
+    stamp = gateway.env.now + config.submit_latency_s + config.dispatch_latency_s
+    snapshot("cluster0", 1, 3, 0, stamp / 2)
+    assert route(gateway) == "cluster1"
+    # A snapshot taken at their arrival speaks for them itself: 2 + 1 in
+    # flight against cluster1's 0 + 4 unseen.
+    snapshot("cluster0", 1, 2, 1, stamp)
+    assert route(gateway) == "cluster0"
 
 
 def test_task_record_timing_properties():

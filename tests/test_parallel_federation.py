@@ -18,7 +18,6 @@ from repro.parallel import (
     golden_trace,
     trace_fingerprint,
 )
-from repro.parallel.partition import build_partition
 from repro.placement import PoolSignal, TopologyView
 from repro.sim import Environment
 
@@ -103,8 +102,8 @@ def test_trace_fingerprint_is_order_insensitive_but_value_sensitive():
 
 
 # ------------------------------------------------------------- boundary proxy
-def _signal(cluster, ready, waiting, in_flight, computed_at=0.0, model="model-a"):
-    return PoolSignal(model=model, endpoint_id=f"ep-{cluster}", cluster=cluster,
+def _signal(cluster, ready, waiting, in_flight, computed_at=0.0):
+    return PoolSignal(model="model-a", endpoint_id=f"ep-{cluster}", cluster=cluster,
                       ready_instances=ready, starting_instances=0,
                       draining_instances=0, queued_jobs=0, waiting_tasks=waiting,
                       in_flight_tasks=in_flight, slots_per_instance=8,
@@ -143,36 +142,3 @@ def test_boundary_proxy_routes_and_snapshot_refreshes_view():
     assert env.run(until=future.done) == "done"
     assert relay.queued_tasks == 0
 
-
-def test_gateway_partition_routes_on_snapshots_and_its_own_sends():
-    """Ready proxies first, then the shortest backlog — the snapshot's
-    waiting + in-flight tasks plus the tasks sent since it was taken — then
-    cluster order."""
-    scenario = FederatedScenario.demo(clusters=3)
-    gateway = build_partition(scenario.partition_specs()[0])
-
-    def snapshot(*signals):
-        gateway.apply_snapshots([_signal(*s, model=scenario.model) for s in signals])
-
-    def route():
-        return gateway._route().cluster_name
-
-    snapshot(("cluster0", 0, 0, 0), ("cluster1", 1, 1, 3), ("cluster2", 1, 2, 3))
-    # cluster0 is cold with no backlog and loses to both ready clusters;
-    # cluster1's backlog of 4 beats cluster2's 5.
-    assert route() == "cluster1"
-    # The task just sent counts at once: 5 against 5 ties, cluster order.
-    assert route() == "cluster1"
-    assert route() == "cluster2"
-    assert route() == "cluster1"  # 6 against 6: cluster order again
-
-    # cluster1's three tasks reach it at the relay's stamp; a snapshot taken
-    # earlier cannot include them, so they still count (4 + 3 against 6).
-    config = gateway.relay.config
-    stamp = gateway.env.now + config.submit_latency_s + config.dispatch_latency_s
-    snapshot(("cluster1", 1, 1, 3, stamp / 2))
-    assert route() == "cluster2"
-    # A snapshot taken at their arrival speaks for them itself: 5 against
-    # cluster2's 5 + 2 unseen.
-    snapshot(("cluster1", 1, 2, 3, stamp))
-    assert route() == "cluster1"
