@@ -5,9 +5,10 @@ commit*; this module compares the commit against history.  It rebuilds the six
 workloads of the layered benchmark (``benchmarks/layers/workloads.py``,
 imported by path and read-only) at a fraction of their size on seeds 0 and 1,
 plus two KV-starved engine scenarios that only the engine's exact
-KV-pressure path serves, and asserts every fingerprint, ``sim_*`` value and
-engine counter against the committed file — and, where the test holds the
-run's environment, the exact number of event ids the kernel issued.  Trace
+KV-pressure path serves, and asserts every fingerprint, ``sim_*`` value,
+engine counter and count of engine decode windows (and the iterations they
+covered) against the committed file — and, where the test holds the run's
+environment, the exact number of event ids the kernel issued.  Trace
 *content* is pinned the same way: the ``to_dict()`` of every trace
 ``first_traced`` retains, and three scenarios on the edges of span recording
 (a span cap hit between decode windows, ``stop()`` inside a macro window, a
@@ -101,9 +102,24 @@ def _engine_state(engines) -> list:
 
 def layered_case(workload: str, seed: int) -> dict:
     run = _layered_workloads().WORKLOADS[workload](seed, DIVISORS[workload], 1)
-    run.timed()
+    # The layered benchmark's own kernel counter, attached as its traced run
+    # attaches it: to the run's environment and to any the timed section builds.
+    counter = _by_path("layers_tracing", "benchmarks/layers/tracing.py").KernelCounter()
+    if hasattr(run, "env"):
+        run.env.attach_profiler(counter)
+    counter.attach_to_new_environments()
+    try:
+        run.timed()
+    finally:
+        counter.restore()
     outcome = run.outcome()
-    case = {"requests": run.attempted, "fingerprint": outcome["fingerprint"],
+    case = {"requests": run.attempted,
+            # Exact macro-step counts: engine windows applied and the decode
+            # iterations they covered (the benchmark's unnormalised
+            # ``serving.windows_per_req`` and ``serving.iterations_per_window``).
+            "decode_windows": {"windows": counter.windows,
+                               "iterations": counter.window_iterations},
+            "fingerprint": outcome["fingerprint"],
             "failed": outcome["failed"], "problems": outcome["problems"],
             "sim": outcome["sim"]}
     if "anchor_err_mean" in outcome:
