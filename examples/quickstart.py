@@ -229,9 +229,10 @@ def main() -> None:
     #      finding not in detlint_baseline.json — which is empty.
     #    * DetSan (`REPRO_DETSAN=1`, or `Environment(sanitize=True)`) — a
     #      runtime sanitizer using the same shadow-step trick as the kernel
-    #      profiler (zero overhead unattached): past-event schedules,
-    #      duplicate (time, priority, eid) keys and RNG draws from the
-    #      observe-only obs/ layer raise DetSanError at the call site.
+    #      profiler (zero overhead unattached): past-event pushes that get
+    #      around the kernel's own ValueError, duplicate (time, priority, eid)
+    #      keys and RNG draws from the observe-only obs/ layer raise
+    #      DetSanError at the call site.
     import tempfile
     from pathlib import Path
 
@@ -253,6 +254,10 @@ def main() -> None:
     env = Environment(sanitize=True)
     try:
         env.schedule(env.event(), delay=-1.0)
+    except ValueError as exc:
+        print(f"kernel refused: {exc}")
+    try:  # a component writing the event heap directly, past that check
+        env._push(env.now - 1.0, 1, next(env._eid), env.event())
     except DetSanError as exc:
         print(f"DetSan caught: {exc}")
     env.sanitizer.detach()          # restores the plain class-level step

@@ -34,12 +34,18 @@ additions the per-token loop performs, and absolute-time scheduling
 * **Growth calendar.**  ``_calendar`` maps an epoch to the sequences whose KV
   allocation must grow right after it (each running sequence sits in at most
   one bucket, never at its finishing epoch: the final iteration does not
-  grow).  The blocks needed to reach an epoch are a sum over the buckets up
-  to it, and only those sequences call :meth:`KVCacheManager.grow`.
+  grow).  A due crossing is block arithmetic on the KV manager's books: the
+  sequence holds ``ceil(tokens / block_size)`` blocks and is refiled at the
+  epoch they stop covering, with no call per block.  Whether growth up to an
+  epoch fits is checked bound first (``len(running) * ceil(span /
+  block_size)`` blocks plus any allocation lag, against the free pool); only
+  when the bound fails is the exact demand summed over the buckets.
 * **Exact slow path.**  An iteration whose demand exceeds the free pool runs
   the per-sequence reference walk (:meth:`_advance_under_pressure`): same
   order, same ``grow`` calls, same preemption victim and failure accounting;
-  heap and calendar are then rebuilt from the survivors.
+  heap and calendar are then rebuilt from the survivors.  A survivor whose
+  grow failed is left short of its next token — the *allocation lag* the
+  bound adds until the next advance covers it.
 * **Hooked subset.**  Only sequences with a stream channel are visited per
   iteration or window (``_hooked``); ``_fresh`` carries just-admitted
   sequences to their first token time.
@@ -59,9 +65,10 @@ A macro-step window ends at the earliest of:
 * the earliest completion among running sequences (state changes there);
 * any admission this iteration (prefill extends only the *first* iteration's
   duration, so admission iterations always step per-token);
-* KV growth that cannot be guaranteed for the whole window (the calendar's
-  demand up to the window end exceeds the free pool ⇒ per-token stepping,
-  which reaches the slow path at the exact iteration the pool runs out);
+* KV growth that cannot be guaranteed for the whole window (the bound, then
+  the calendar's exact demand up to the window end, exceeds the free pool ⇒
+  per-token stepping, which reaches the slow path at the exact iteration the
+  pool runs out);
 * a running sequence with a *live* stream channel — one whose consumer
   reads tokens as they arrive (:attr:`StreamChannel.live`: a ``get()``
   consumer, or a sink attached with ``live=True``); the engine keeps
@@ -284,6 +291,9 @@ class ContinuousBatchingEngine:
         self._finishing: List[Tuple[int, int, _Sequence]] = []
         #: Epoch -> sequences whose KV allocation grows right after it.
         self._calendar: Dict[int, List[_Sequence]] = {}
+        #: Allocation lag: blocks the running sequences lack for their next
+        #: token, nonzero only from a pressure iteration to the next advance.
+        self._kv_lag = 0
         #: Running sequences with a stream channel, in admission order, and
         #: the just-admitted ones still waiting for a first token.
         self._hooked: Dict[_Sequence, None] = {}
@@ -377,6 +387,7 @@ class ContinuousBatchingEngine:
         for batch_state in (self.running, self._finishing, self._calendar,
                             self._hooked, self._fresh, self._traced):
             batch_state.clear()
+        self._kv_lag = 0
         self._notify()
 
     @property
@@ -561,6 +572,21 @@ class ContinuousBatchingEngine:
                 demand += blocks_for(tokens) - allocated[seq.seq_id]
         return demand
 
+    def _growth_fits(self, upto: int) -> bool:
+        """Whether the batch's KV growth through epoch ``upto`` fits the free pool.
+
+        A sequence covered through its next token needs at most ``ceil(span /
+        block_size)`` more blocks in ``span`` iterations; that times the batch,
+        plus the allocation lag, bounds :meth:`_growth_demand`, which runs only
+        when the bound does not fit — the exact answer, usually at O(1).
+        """
+        free = self.kv.free_blocks
+        span = upto - self._epoch
+        if (len(self.running) * -(-span // self.config.kv_block_size)
+                + self._kv_lag <= free):
+            return True
+        return self._growth_demand(upto) <= free
+
     def _plan_window(self) -> int:
         """Number of iterations until the next possible state change.
 
@@ -580,7 +606,7 @@ class ContinuousBatchingEngine:
                 # boundary times instead.
                 return 1
         end = self._finishing[0][0]
-        if end - self._epoch <= 1 or self._growth_demand(end) > self.kv.free_blocks:
+        if end - self._epoch <= 1 or not self._growth_fits(end):
             # KV pressure possible mid-window: the per-token path reproduces
             # the original preemption semantics exactly.
             return 1
@@ -628,17 +654,17 @@ class ContinuousBatchingEngine:
 
     def _advance(self, step: float) -> None:
         """One per-token iteration, ending now."""
-        if self._growth_demand(self._epoch + 1) > self.kv.free_blocks:
-            self._advance_under_pressure(step)
-        else:
+        if self._growth_fits(self._epoch + 1):
             self._advance_epoch(1, (self.env.now,), 0, step, windowed=False)
+        else:
+            self._advance_under_pressure(step)
 
     def _advance_epoch(self, n: int, boundaries: Sequence[float], lo: int,
                        step: float, windowed: bool) -> None:
         """Advance the batch by ``n`` iterations ending at ``boundaries[lo:lo + n]``.
 
         The caller has established that every KV growth on the way fits
-        (:meth:`_growth_demand`).  Only sequences that change are touched:
+        (:meth:`_growth_fits`).  Only sequences that change are touched:
         streamed ones, fresh ones, those due in the growth calendar and those
         finishing at the new epoch (possible only at a window's last boundary).
         """
@@ -662,13 +688,24 @@ class ContinuousBatchingEngine:
         self._fresh.clear()
         due = self._due_epochs(self._epoch + n)
         self._epoch = epoch = self._epoch + n
+        self._kv_lag = 0  # every lagging sequence is due at the first epoch
         running = self.running
         self.stats.output_tokens += n * len(running)
+        calendar = self._calendar
+        kv = self.kv
+        allocated = kv._allocated
+        block = self.config.kv_block_size
         for key in due:
-            for seq in self._calendar.pop(key):
+            for seq in calendar.pop(key):
                 if seq.finish != epoch:  # a finishing sequence is freed below
-                    self.kv.grow(seq.seq_id, seq.prompt + epoch - seq.join + 1)
-                    self._file_growth(seq)
+                    # Hold the blocks the next token needs; refile at the
+                    # first epoch whose next token they do not cover.
+                    need = -(-(seq.prompt + epoch - seq.join + 1) // block)
+                    kv._used_blocks += need - allocated[seq.seq_id]
+                    allocated[seq.seq_id] = need
+                    refile = seq.join + need * block - seq.prompt
+                    if refile < seq.finish:
+                        calendar.setdefault(refile, []).append(seq)
         finishing = self._finishing
         if finishing and finishing[0][0] == epoch:
             finished = []
@@ -734,8 +771,13 @@ class ContinuousBatchingEngine:
         heapify(self._finishing)
         self._admissions = len(self.running)
         self._calendar = {}
+        lag = 0
         for seq in self.running:
+            # A survivor whose grow failed stays short of its next token.
+            lag += max(0, kv.blocks_for(seq.prompt + self._epoch - seq.join + 1)
+                       - kv._allocated[seq.seq_id])
             self._file_growth(seq)
+        self._kv_lag = lag
         for seq in finished:
             self._finish_sequence(seq, now)
 

@@ -5,6 +5,10 @@ GPU memory can be allocated on demand and reclaimed without fragmentation.
 The engine uses this manager to decide how many sequences can run
 concurrently; when the pool is exhausted, admission stalls (and, under
 sustained pressure, the engine preempts the most recently admitted sequence).
+
+The engine applies a block crossing it has proven to fit as arithmetic on
+the books (``_allocated``, ``_used_blocks``); :meth:`KVCacheManager.grow`,
+which may fail and counts it, serves the iterations that may not fit.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ class KVCacheManager:
 
     def __init__(self, config: KVCacheConfig):
         self.config = config
+        #: The config is frozen, so the pool size is read once.
+        self.total_blocks = config.total_blocks
         self._allocated: Dict[str, int] = {}
         self._used_blocks = 0
         #: Cumulative count of allocation failures (admission stalls).
@@ -47,10 +53,6 @@ class KVCacheManager:
         self.preemptions = 0
 
     # -- queries -----------------------------------------------------------
-    @property
-    def total_blocks(self) -> int:
-        return self.config.total_blocks
-
     @property
     def used_blocks(self) -> int:
         return self._used_blocks
@@ -68,12 +70,6 @@ class KVCacheManager:
     def blocks_for(self, tokens: int) -> int:
         """Blocks needed to store ``tokens`` tokens of KV cache."""
         return math.ceil(max(0, tokens) / self.config.block_size)
-
-    def can_allocate(self, tokens: int) -> bool:
-        return self.blocks_for(tokens) <= self.free_blocks
-
-    def holds(self, seq_id: str) -> bool:
-        return seq_id in self._allocated
 
     # -- mutation ------------------------------------------------------------
     def allocate(self, seq_id: str, tokens: int) -> bool:
@@ -114,7 +110,3 @@ class KVCacheManager:
         if seq_id in self._allocated:
             self.preemptions += 1
             self.free(seq_id)
-
-    def reset(self) -> None:
-        self._allocated.clear()
-        self._used_blocks = 0

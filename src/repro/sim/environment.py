@@ -99,7 +99,7 @@ class Environment:
         with no floating-point round trip, which lets callers reproduce a
         previously computed event time bit-for-bit.
         """
-        return Timeout(self, time - self._now, value, at=time)
+        return Timeout(self, None, value, at=time)
 
     def process(self, generator: Generator) -> Process:
         """Start a new :class:`Process` from a generator."""
@@ -115,18 +115,20 @@ class Environment:
         heappush(self._pending, (time, priority, eid, event))
 
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        """Schedule ``event`` to be processed after ``delay`` seconds."""
+        """Schedule ``event`` after ``delay`` seconds (negative or NaN: ``ValueError``)."""
         if priority == URGENT and delay == 0.0:
             # Same-time URGENT events outrank every NORMAL event queued for
             # this instant, and time cannot move backwards, so they can skip
             # the queue entirely (no (time, priority, eid, event) tuple churn).
             self._urgent.append(event)
             return
+        if not (delay >= 0):
+            raise ValueError(f"Negative or NaN delay {delay}")
         self._push(self._now + delay, priority, next(self._eid), event)
 
     def schedule_at(self, event: Event, time: float, priority: int = NORMAL) -> None:
-        """Schedule ``event`` at the absolute simulated ``time``."""
-        if time < self._now:
+        """Schedule ``event`` at the absolute ``time`` (past or NaN: ``ValueError``)."""
+        if not (time >= self._now):
             raise ValueError(f"Cannot schedule at {time} (now is {self._now})")
         self._push(time, priority, next(self._eid), event)
 

@@ -93,11 +93,6 @@ class Event:
             raise RuntimeError(f"{self!r} has not yet been triggered")
         return self._value
 
-    @property
-    def defused(self) -> bool:
-        """True if a failed event's exception has been handled."""
-        return self._defused
-
     def defuse(self) -> None:
         """Mark a failed event's exception as handled."""
         self._defused = True
@@ -105,11 +100,13 @@ class Event:
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        env = self.env
+        # ``schedule(self)`` inlined: NORMAL priority, now.
+        env._push(env._now, NORMAL, next(env._eid), self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -123,12 +120,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event (callback form)."""
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} object at {id(self):#x}>"
 
@@ -141,28 +132,32 @@ class Timeout(Event):
     ``now + (t - now)`` is not always ``t``, so a caller that knows the exact
     target time (e.g. the engine's macro-stepper replaying per-iteration
     boundary times) passes it through unchanged.
+
+    The kernel's most common event pushes itself straight into the heap, with
+    ``schedule``'s checks: a negative, NaN or past time raises ``ValueError``.
     """
 
     __slots__ = ("_delay", "_at")
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None,
+    def __init__(self, env: "Environment", delay: Optional[float], value: Any = None,
                  at: Optional[float] = None):  # noqa: F821
-        if at is None and delay < 0:
-            raise ValueError(f"Negative delay {delay}")
-        super().__init__(env)
-        self._ok = True
-        self._value = value
+        now = env._now
         if at is None:
-            self._delay = delay
-            self._at = env.now + delay  # the exact time schedule() uses
-            env.schedule(self, delay=delay)
-        else:
-            # An absolute-time timeout has no meaningful delay: storing the
-            # round-tripped ``at - now`` here would misreport the one thing
-            # ``timeout_at`` exists to preserve, the exact firing time.
-            self._delay = None
-            self._at = at
-            env.schedule_at(self, at)
+            if not (delay >= 0):
+                raise ValueError(f"Negative or NaN delay {delay}")
+            at = now + delay  # the exact time schedule() would use
+        elif not (at >= now):
+            raise ValueError(f"Cannot schedule at {at} (now is {now})")
+        self.env = env
+        self.callbacks = []
+        self._value = value
+        self._ok = True
+        self._defused = False
+        # ``timeout_at`` passes no delay: the round-tripped ``at - now`` would
+        # misreport the one thing it exists to preserve, the exact firing time.
+        self._delay = delay
+        self._at = at
+        env._push(at, NORMAL, next(env._eid), self)
 
     @property
     def delay(self) -> Optional[float]:

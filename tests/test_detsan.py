@@ -3,7 +3,8 @@
 Covers: attach/detach restoring the plain ``Environment.step`` (the
 zero-overhead-unattached contract), bit-identical results under
 sanitization on a real engine scenario, hypothesis-driven detection of
-injected past-event schedules and duplicate event keys, obs-layer RNG
+past-event and duplicate-key pushes injected past ``schedule`` (which
+itself refuses a past time with ``ValueError``), obs-layer RNG
 attribution (with the dedicated-sampler exemption), and the
 ``compare_hashseeds`` subprocess harness passing on ``quickstart_config``
 while failing on a deliberately ``hash()``-keyed toy.
@@ -35,6 +36,12 @@ def _detach_leaked_sanitizers():
 
     for sanitizer in list(_ACTIVE):
         sanitizer.detach()
+
+
+def push_into_the_past(env, delay):
+    """A push ``schedule`` would refuse: straight into the heap, ``delay``
+    (negative) seconds from now, as a component bypassing it would."""
+    env._push(env.now + delay, 1, next(env._eid), env.event())
 
 
 def drain(env, horizon=50.0):
@@ -77,7 +84,7 @@ class TestAttachDetach:
 
         env.attach_profiler(NullProfiler())
         with pytest.raises(DetSanError):
-            env.schedule(env.event(), delay=-1.0)
+            push_into_the_past(env, -1.0)
         env.detach_profiler()
         env.sanitizer.detach()
         assert "step" not in env.__dict__
@@ -138,7 +145,7 @@ class TestDetection:
         for delay in delays:
             env.schedule(env.event(), delay=delay)
         with pytest.raises(DetSanError, match="scheduled in the past"):
-            env.schedule(env.event(), delay=bad_delay)
+            push_into_the_past(env, bad_delay)
         env.sanitizer.detach()
 
     @settings(max_examples=25, deadline=None)
@@ -167,7 +174,7 @@ class TestDetection:
         env = Environment()
         sanitizer = DetSan(strict=False)
         sanitizer.attach(env)
-        env.schedule(env.event(), delay=-1.0)
+        push_into_the_past(env, -1.0)
         assert len(sanitizer.violations) == 1
         assert "scheduled in the past" in sanitizer.violations[0]
         sanitizer.detach()

@@ -5,6 +5,8 @@ The macro-stepped engine must reproduce the per-token reference loop
 per-request timings, same stats, same KV accounting, same preemptions.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -58,14 +60,15 @@ def make_engine(env, macro, spec=SPEC_70B, tp=8, kv_capacity=None, max_num_seqs=
 
 def run_trace(macro, requests, offsets, kv_capacity=None, stream_indices=(),
               stop_at=None, drain_at=None, max_num_seqs=256,
-              read_live=True, generate_text=False, block_size=16):
+              read_live=True, generate_text=False, block_size=16, env=None):
     """Drive one engine over a timed workload; returns the full golden trace.
 
     Streams are read token by token while the engine runs, or — with
     ``read_live=False`` — left alone and read off their channels afterwards
     (``unread`` then holds what each channel held: item kinds, as published).
+    ``env`` is a fresh environment to run in (default: a plain one).
     """
-    env = Environment()
+    env = Environment() if env is None else env
     engine = make_engine(env, macro, kv_capacity=kv_capacity,
                          max_num_seqs=max_num_seqs, generate_text=generate_text,
                          block_size=block_size)
@@ -141,6 +144,41 @@ def test_golden_trace_poisson_workload_is_bit_identical():
     golden = run_trace(False, workload.generate(SPEC_70B.name, num_requests=120), offsets)
     macro = run_trace(True, workload.generate(SPEC_70B.name, num_requests=120), offsets)
     assert macro == golden
+
+
+def test_detsan_sees_every_push_of_the_golden_scenario():
+    """Timeouts and succeeded events push themselves into the kernel's heap
+    without going through ``schedule``; DetSan still checks each push.  Over
+    the macro-stepped golden scenario, every event the kernel takes off its
+    heap went through the sanitizer's ``checked_push`` — the others are the
+    zero-delay URGENT lane's process starts and interrupts, which never
+    enter the heap — and the sanitized run is the plain one."""
+    workload = ShareGPTWorkload()
+    offsets = PoissonArrival(rate=4.0, seed=11).offsets(120)
+    env = Environment(sanitize=True)
+    checked_push, sanitized_step = env._push, env.step
+    pushes = heap_events = 0
+
+    def counting_push(*entry):
+        nonlocal pushes
+        pushes += 1
+        checked_push(*entry)
+
+    def counting_step():
+        nonlocal heap_events
+        heap_events += not env._urgent and bool(env._pending)
+        sanitized_step()
+
+    env._push, env.step = counting_push, counting_step
+    try:
+        sanitized = run_trace(True, workload.generate(SPEC_70B.name, num_requests=120),
+                              offsets, env=env)
+        assert env.sanitizer.violations == []
+    finally:
+        env.sanitizer.detach()
+    assert pushes == heap_events > 0
+    assert sanitized == run_trace(
+        True, workload.generate(SPEC_70B.name, num_requests=120), offsets)
 
 
 def test_golden_trace_with_streaming_request_mid_batch():
@@ -616,10 +654,12 @@ def check_batch_invariants(engine):
     assert kv.used_blocks == sum(kv._allocated.values())
     assert set(kv._allocated) == {seq.seq_id for seq in engine.running}
     expected = {}
+    lag = 0
     for seq in engine.running:
         generated = engine._epoch - seq.join
         assert 0 <= generated < seq.target and seq.finish == seq.join + seq.target
         allocated = kv._allocated[seq.seq_id]
+        lag += max(0, kv.blocks_for(seq.prompt + generated + 1) - allocated)
         if kv.preemptions == 0:
             # Nothing ever failed: the allocation is a function of the tokens.
             assert allocated == max(kv.blocks_for(seq.prompt + block),
@@ -632,6 +672,8 @@ def check_batch_invariants(engine):
                 break
     filed = {epoch: set(bucket) for epoch, bucket in engine._calendar.items()}
     assert filed == expected
+    # What the growth bound adds for sequences a failed grow left short.
+    assert engine._kv_lag == lag
     # ... and no sequence is filed twice in its bucket.
     assert sum(map(len, engine._calendar.values())) == sum(map(len, filed.values()))
     assert sorted(entry[0] for entry in engine._finishing) == sorted(
@@ -692,26 +734,97 @@ def test_property_kv_books_and_growth_calendar_stay_exact(
 
 @pytest.mark.parametrize("macro", [True, False])
 def test_kv_grow_is_called_only_at_block_boundaries(macro):
-    """O(changes), as an exact count: 64 equal sequences of 112 + 64 tokens
-    each cross three block boundaries before their last token (at tokens 16,
-    32, 48 of the output), and that is every ``kv.grow`` the per-token engine
-    makes — the walk-the-batch loop it replaces made 64 * 63 = 4032.  The
-    macro-stepped engine covers tokens 2..64 with one window whose sequences
-    all finish at its end, and so never grows at all."""
+    """O(changes), as an exact count read off the KV manager's books after
+    every kernel event: 64 equal sequences of 112 + 64 tokens each cross three
+    block boundaries before their last token (at tokens 16, 32, 48 of the
+    output), so the per-token engine grows allocations by 64 * 3 blocks, one
+    at a time.  The macro-stepped engine covers tokens 2..64 with one window
+    whose sequences all finish at its end, and so never grows at all."""
     env = Environment()
     engine = make_engine(env, macro)
-    calls = []
-    grow = engine.kv.grow
-
-    def counting_grow(seq_id, tokens):
-        calls.append(seq_id)
-        return grow(seq_id, tokens)
-
-    engine.kv.grow = counting_grow
     events = [engine.submit(request) for request in fresh_requests([(112, 64)] * 64)]
-    env.run(until=env.all_of(events))
+    allocated = engine.kv._allocated
+    held, growths = {}, []
+    while not all(event.triggered for event in events):
+        env.step()
+        growths += [blocks - held[seq_id] for seq_id, blocks in allocated.items()
+                    if blocks != held.get(seq_id, blocks)]
+        held = dict(allocated)
     assert engine.stats.output_tokens == 64 * 64
-    assert len(calls) == (0 if macro else 64 * 3)
+    assert growths == ([] if macro else [1] * (64 * 3))
+    assert engine.kv.used_blocks == 0
+
+
+def run_bound_checked(macro, lengths, offsets, kv_capacity, block_size, stop_at):
+    """Run ``lengths`` through one engine, checking every growth decision the
+    O(1) bound of ``_growth_fits`` takes without the exact scan: the exact
+    demand must fit the free pool too.  Returns ``_kv_lag`` at each such
+    decision."""
+    fits, demand = (ContinuousBatchingEngine._growth_fits,
+                    ContinuousBatchingEngine._growth_demand)
+    scans, skipped = [], []
+
+    def counting_demand(engine, upto):
+        scans.append(upto)
+        return demand(engine, upto)
+
+    def checked_fits(engine, upto):
+        before = len(scans)
+        result = fits(engine, upto)
+        if len(scans) == before:  # the bound decided alone
+            assert result and demand(engine, upto) <= engine.kv.free_blocks
+            skipped.append(engine._kv_lag)
+        return result
+
+    with mock.patch.object(ContinuousBatchingEngine, "_growth_demand", counting_demand), \
+            mock.patch.object(ContinuousBatchingEngine, "_growth_fits", checked_fits):
+        trace = run_trace(macro, fresh_requests(lengths), offsets, kv_capacity=kv_capacity,
+                          block_size=block_size, stop_at=stop_at)
+    assert trace["kv_used"] == 0
+    return skipped
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    macro=st.booleans(),
+    arrivals=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=400),    # prompt tokens
+                  st.integers(min_value=1, max_value=300),    # output tokens
+                  st.floats(min_value=0.0, max_value=2.0)),   # gap to the previous
+        min_size=1,
+        max_size=16,
+    ),
+    block_size=st.sampled_from([1, 3, 16, 64]),
+    kv_capacity=st.one_of(st.none(), st.integers(min_value=64, max_value=3000)),
+)
+def test_property_growth_bound_only_skips_scans_that_would_fit(
+        macro, arrivals, block_size, kv_capacity):
+    """Random pools (KV-starved ones included) and request shapes: whenever
+    the bound lets ``_plan_window`` or ``_advance`` skip the exact scan, the
+    exact demand fits the free pool — so the decision is the scan's."""
+    lengths = [(prompt, output) for prompt, output, _gap in arrivals]
+    offsets, at = [], 0.0
+    for _prompt, _output, gap in arrivals:
+        at += gap
+        offsets.append(at)
+    # Stopped in the end: in a starved pool two sequences can evict each
+    # other for ever.
+    run_bound_checked(macro, lengths, offsets, kv_capacity, block_size,
+                      stop_at=at + 60.0)
+
+
+@pytest.mark.parametrize("macro", [True, False])
+def test_growth_bound_counts_the_blocks_a_failed_grow_left_short(macro):
+    """The ledger's starved pool: right after ``_advance_under_pressure``
+    preempts a victim for a needy sequence, the needy one is a block short of
+    its next token, and the bound still decides the next iteration alone —
+    with that block added, and the exact demand fitting."""
+    scenario = [(100, 400, 0.0), (100, 300, 0.0), (100, 250, 0.5), (60, 120, 0.5),
+                (100, 300, 5.0), (40, 60, 5.0), (80, 200, 9.0)]
+    skipped = run_bound_checked(macro, [(p, o) for p, o, _t in scenario],
+                                [t for _p, _o, t in scenario], kv_capacity=900,
+                                block_size=16, stop_at=None)
+    assert any(lag > 0 for lag in skipped)
 
 
 def test_preempted_victim_was_due_to_finish_in_the_same_iteration():

@@ -32,10 +32,10 @@ def test_allocate_and_free():
     assert mgr.allocate("a", 64)  # 4 blocks
     assert mgr.used_blocks == 4
     assert mgr.free_blocks == 6
-    assert mgr.holds("a")
+    assert mgr._allocated == {"a": 4}
     mgr.free("a")
     assert mgr.used_blocks == 0
-    assert not mgr.holds("a")
+    assert mgr._allocated == {}
 
 
 def test_allocate_fails_when_full():
@@ -92,11 +92,11 @@ def test_preempt_tracks_counter():
     assert mgr.preemptions == 1
 
 
-def test_utilization_and_reset():
+def test_utilization_follows_allocation():
     mgr = make_manager(capacity_tokens=160)
     mgr.allocate("a", 80)
     assert mgr.utilization == pytest.approx(0.5)
-    mgr.reset()
+    mgr.free("a")
     assert mgr.used_blocks == 0
     assert mgr.utilization == 0.0
 
@@ -104,7 +104,7 @@ def test_utilization_and_reset():
 def test_zero_capacity_reports_full():
     mgr = make_manager(capacity_tokens=0)
     assert mgr.utilization == 1.0
-    assert not mgr.can_allocate(1)
+    assert not mgr.allocate("a", 1)
 
 
 @settings(max_examples=50, deadline=None)

@@ -478,6 +478,43 @@ def test_timeout_at_in_past_raises():
         env.run(until=p)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -1.0])
+def test_nan_and_past_times_are_rejected_on_every_scheduling_path(bad):
+    """NaN compares false with everything, so ``delay < 0`` let it through:
+    a process resumed at ``now == nan`` and the clock then ran back to the
+    next real event.  ``schedule(ev, delay=-5.0)`` pushed an event into the
+    past.  Relative (``bad`` seconds) and absolute (``now + bad``) alike, each
+    path now raises before anything is queued."""
+    env = Environment()
+    env.run(until=3.0)
+    attempts = {
+        "timeout": lambda: env.timeout(bad),
+        "timeout_at": lambda: env.timeout_at(env.now + bad),
+        "schedule": lambda: env.schedule(env.event(), delay=bad),
+        "schedule_at": lambda: env.schedule_at(env.event(), env.now + bad),
+    }
+    for name, attempt in attempts.items():
+        with pytest.raises(ValueError):
+            attempt()
+        assert env.queue_size == 0, name
+    with pytest.raises(ValueError):
+        env.run(until=float("nan"))
+    assert env.now == 3.0
+
+
+def test_infinite_times_stay_legal_on_every_scheduling_path():
+    env = Environment()
+    env.run(until=3.0)
+    inf = float("inf")
+    timeouts = [env.timeout(inf), env.timeout_at(inf)]
+    env.schedule(env.event(), delay=inf)
+    env.schedule_at(env.event(), inf)
+    assert [timeout.at for timeout in timeouts] == [inf, inf]
+    assert env.queue_size == 4 and env.peek() == inf
+    env.run(until=10.0)
+    assert env.now == 10.0 and env.queue_size == 4
+
+
 def test_urgent_events_precede_same_time_normal_events():
     """Process starts (URGENT) run before already-queued same-time NORMAL
     events — the urgent fast lane preserves the heap's priority contract."""
