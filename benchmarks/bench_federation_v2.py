@@ -223,7 +223,7 @@ def run_combo(combo: str, scenario: str, params: dict) -> dict:
         scheduler = deployment.schedulers[name]
         active = len([j for j in scheduler.all_jobs if not j.state.terminal])
         pool = pools[name]
-        leaked += max(0, active - pool.provisioned_count - len(pool.draining))
+        leaked += max(0, active - pool.signal().provisioned_instances - len(pool.draining))
     probe = client.chat_completion(
         MODEL, [{"role": "user", "content": "post-sweep route probe"}],
         max_tokens=16,

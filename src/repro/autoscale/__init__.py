@@ -3,9 +3,9 @@
 A standalone subsystem that closes the loop between observed demand and
 per-model replica counts:
 
-* :class:`MetricsFeed` samples a model's instance pool (queue depth, busy
-  fraction, KV pressure, cold-start estimate, arrival/completion rates);
-* :class:`ScalingPolicy` implementations map samples to replica targets —
+* :class:`ScalingPolicy` implementations map a pool's
+  :class:`~repro.faas.endpoint.PoolSignal` (the snapshot the placement
+  plane also reads) to replica targets —
   :class:`QueueDepthPolicy` (the legacy endpoint heuristic, extracted),
   :class:`TargetUtilizationPolicy` (proportional, with cooldown/hysteresis),
   :class:`ScheduledPolicy` (cron-like capacity plans),
@@ -13,8 +13,11 @@ per-model replica counts:
   cold start ahead of ramps) and :class:`FederationScalingPolicy`
   (cross-cluster capacity shifting over the placement plane's shared
   :class:`~repro.placement.TopologyView`);
-* :class:`ReplicaPool` actuates targets (launch / drain-before-terminate)
-  against the endpoint's instance pool;
+* :class:`ReplicaPool` reads the endpoint's instance pool through its
+  backend protocol (``model``, ``signal()``, ``arrivals_total`` /
+  ``completions_total``, ``launch_one`` and ``start_drain_one``), measures
+  arrival/completion rates between ticks and actuates targets (launch /
+  drain-before-terminate);
 * :class:`AutoscaleController` runs the periodic control loops.
 
 Configured per model through :class:`AutoscaleConfig` on
@@ -23,7 +26,6 @@ Configured per model through :class:`AutoscaleConfig` on
 
 from .config import AutoscaleConfig
 from .controller import AutoscaleController
-from .metrics import MetricsFeed, MetricsSample
 from .policy import (
     POLICIES,
     FederationScalingPolicy,
@@ -34,15 +36,12 @@ from .policy import (
     ScheduledPolicy,
     TargetUtilizationPolicy,
     make_policy,
-    register_policy,
 )
 from .pool import ReplicaPool
 
 __all__ = [
     "AutoscaleConfig",
     "AutoscaleController",
-    "MetricsFeed",
-    "MetricsSample",
     "ReplicaPool",
     "ScalingDecision",
     "ScalingPolicy",
@@ -52,6 +51,5 @@ __all__ = [
     "PredictivePolicy",
     "FederationScalingPolicy",
     "POLICIES",
-    "register_policy",
     "make_policy",
 ]

@@ -28,9 +28,9 @@ class AutoscaleConfig:
     one string.
     """
 
-    #: Policy name registered in :data:`repro.autoscale.policy.POLICIES`
+    #: Policy name in :data:`repro.autoscale.policy.POLICIES`
     #: (``queue_depth`` | ``target_utilization`` | ``scheduled`` |
-    #: ``predictive``).
+    #: ``predictive`` | ``federated``).
     policy: str = "queue_depth"
     #: Floor the controller maintains even with zero demand (pre-warmed).
     min_instances: int = 0

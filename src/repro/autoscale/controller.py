@@ -45,12 +45,6 @@ class AutoscaleController:
         """Stop all control loops at their next tick (shutdown path)."""
         self._stopped = True
 
-    def pool_for(self, model: str) -> ReplicaPool:
-        for pool in self.pools:
-            if pool.model == model:
-                return pool
-        raise KeyError(f"No autoscaled pool for model {model}")
-
     def snapshot(self) -> Dict[str, dict]:
         """Per-model scale-event summaries."""
         return {pool.model: pool.snapshot() for pool in self.pools}

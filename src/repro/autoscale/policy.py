@@ -1,7 +1,8 @@
 """Pluggable scaling policies.
 
-Every policy maps a :class:`~repro.autoscale.metrics.MetricsSample` to a
-desired *total* replica count (ready + starting).  Two entry points:
+Every policy maps a pool's :class:`~repro.faas.endpoint.PoolSignal` — the
+same snapshot the placement plane routes on — to a desired *total* replica
+count, in the frame of its ``total_instances``.  Two entry points:
 
 * :meth:`ScalingPolicy.reactive` — demand-driven, called synchronously the
   moment a task starts waiting, so a cold pool still boots its first
@@ -13,20 +14,21 @@ desired *total* replica count (ready + starting).  Two entry points:
   this is where scale-down, utilization targets, capacity plans and
   forecast-driven pre-warming live.
 
-Policies are registered by name in :data:`POLICIES`; deployments select one
-via ``AutoscaleConfig.policy``.  :func:`register_policy` lets downstream
-code plug in custom implementations without touching this module.
+Policies are listed by name in :data:`POLICIES`; deployments select one
+via ``AutoscaleConfig.policy``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..common import ConfigurationError
 from .config import AutoscaleConfig
-from .metrics import MetricsSample
+
+if TYPE_CHECKING:
+    from ..faas import PoolSignal
 
 __all__ = [
     "ScalingDecision",
@@ -37,7 +39,6 @@ __all__ = [
     "PredictivePolicy",
     "FederationScalingPolicy",
     "POLICIES",
-    "register_policy",
     "make_policy",
 ]
 
@@ -55,25 +56,25 @@ class ScalingPolicy:
 
     name = "base"
 
-    def reactive(self, sample: MetricsSample) -> int:
+    def reactive(self, signal: "PoolSignal") -> int:
         """Desired total replicas when demand arrives (urgent path)."""
-        if sample.total_instances == 0 and sample.waiting_tasks > 0:
+        if signal.total_instances == 0 and signal.waiting_tasks > 0:
             return 1
-        return sample.total_instances
+        return signal.total_instances
 
-    def decide(self, sample: MetricsSample) -> ScalingDecision:
+    def decide(self, signal: "PoolSignal") -> ScalingDecision:
         """Desired total replicas at a controller tick."""
         raise NotImplementedError
 
     @staticmethod
-    def _absolute(sample: MetricsSample, needed: int) -> int:
+    def _absolute(signal: "PoolSignal", needed: int) -> int:
         """Express an absolute desired instance count in the actuator's frame.
 
-        The actuator diffs targets against ``sample.total_instances``, which
+        The actuator diffs targets against ``signal.total_instances``, which
         double-counts a loading instance (legacy accounting); comparing an
         absolute count against it directly would mis-drain during launches.
         """
-        return sample.total_instances + (needed - sample.provisioned)
+        return signal.total_instances + (needed - signal.provisioned_instances)
 
 
 class QueueDepthPolicy(ScalingPolicy):
@@ -95,21 +96,21 @@ class QueueDepthPolicy(ScalingPolicy):
         self.scale_down_hold_s = scale_down_hold_s
         self._quiet_since: Optional[float] = None
 
-    def reactive(self, sample: MetricsSample) -> int:
-        total = sample.total_instances
+    def reactive(self, signal: "PoolSignal") -> int:
+        total = signal.total_instances
         if total == 0:
-            return 1 if sample.waiting_tasks > 0 else 0
-        if sample.ready_instances == 0:
+            return 1 if signal.waiting_tasks > 0 else 0
+        if signal.ready_instances == 0:
             return total  # first instance still starting; don't pile on yet
         saturated = (
-            sample.waiting_tasks
-            > sample.ready_instances * self.queue_per_instance
+            signal.waiting_tasks
+            > signal.ready_instances * self.queue_per_instance
         )
         return total + 1 if saturated else total
 
-    def decide(self, sample: MetricsSample) -> ScalingDecision:
-        target = self.reactive(sample)
-        if target > sample.total_instances:
+    def decide(self, signal: "PoolSignal") -> ScalingDecision:
+        target = self.reactive(signal)
+        if target > signal.total_instances:
             self._quiet_since = None
             return ScalingDecision(target, "queue depth over threshold")
         if not self.scale_down:
@@ -117,17 +118,17 @@ class QueueDepthPolicy(ScalingPolicy):
         # Quiet enough that one fewer instance would absorb every in-flight
         # task?  Require it to hold for the full hold window first.
         fits_on_fewer = (
-            sample.ready_instances > 1
-            and sample.waiting_tasks == 0
-            and sample.in_flight_tasks
-            <= (sample.ready_instances - 1) * sample.slots_per_instance
+            signal.ready_instances > 1
+            and signal.waiting_tasks == 0
+            and signal.in_flight_tasks
+            <= (signal.ready_instances - 1) * signal.slots_per_instance
         )
         if not fits_on_fewer:
             self._quiet_since = None
             return ScalingDecision(target)
         if self._quiet_since is None:
-            self._quiet_since = sample.time
-        if sample.time - self._quiet_since >= self.scale_down_hold_s:
+            self._quiet_since = signal.computed_at
+        if signal.computed_at - self._quiet_since >= self.scale_down_hold_s:
             self._quiet_since = None
             return ScalingDecision(target - 1, "quiet pool, draining one")
         return ScalingDecision(target)
@@ -154,16 +155,16 @@ class TargetUtilizationPolicy(ScalingPolicy):
         self.cooldown_down_s = cooldown_down_s
         self._last_action_time = -float("inf")
 
-    def decide(self, sample: MetricsSample) -> ScalingDecision:
-        total = sample.total_instances
-        ready = sample.ready_instances
-        now = sample.time
+    def decide(self, signal: "PoolSignal") -> ScalingDecision:
+        total = signal.total_instances
+        ready = signal.ready_instances
+        now = signal.computed_at
 
         if ready == 0:
             # Nothing observable yet: bootstrap on demand, otherwise hold.
-            return ScalingDecision(max(total, self.reactive(sample)))
+            return ScalingDecision(max(total, self.reactive(signal)))
 
-        busy = sample.busy_fraction
+        busy = signal.busy_fraction
         desired_f = ready * (busy / self.target)
 
         low = ready * (1.0 - self.deadband)
@@ -216,11 +217,11 @@ class ScheduledPolicy(ScalingPolicy):
                 break
         return planned
 
-    def decide(self, sample: MetricsSample) -> ScalingDecision:
-        planned = self.planned_at(sample.time)
-        if planned != sample.provisioned:
-            return ScalingDecision(self._absolute(sample, planned), "capacity plan")
-        return ScalingDecision(sample.total_instances)
+    def decide(self, signal: "PoolSignal") -> ScalingDecision:
+        planned = self.planned_at(signal.computed_at)
+        if planned != signal.provisioned_instances:
+            return ScalingDecision(self._absolute(signal, planned), "capacity plan")
+        return ScalingDecision(signal.total_instances)
 
 
 class PredictivePolicy(ScalingPolicy):
@@ -232,10 +233,10 @@ class PredictivePolicy(ScalingPolicy):
     Scale-down follows the same forecast but only after the lower estimate
     has held for ``scale_down_hold_s``.
 
-    The forecast is Holt's linear method on the sampled arrival rate:
-    ``alpha`` smooths the level, ``beta`` the per-sample trend (0 = plain
-    EWMA), and a rate ``lead_s`` ahead is the level plus the trend times the
-    samples in the lead, floored at zero.
+    The forecast is Holt's linear method on the arrival rate measured
+    between controller ticks: ``alpha`` smooths the level, ``beta`` the
+    per-tick trend (0 = plain EWMA), and a rate ``lead_s`` ahead is the
+    level plus the trend times the ticks in the lead, floored at zero.
     """
 
     name = "predictive"
@@ -264,11 +265,11 @@ class PredictivePolicy(ScalingPolicy):
         self._low_since: Optional[float] = None
 
     # -- forecasting ---------------------------------------------------------
-    def _observe(self, sample: MetricsSample) -> float:
-        """Holt update with the sampled arrival rate; returns dt."""
-        rate = sample.arrival_rate_rps
-        dt = 0.0 if self._last_time is None else sample.time - self._last_time
-        self._last_time = sample.time
+    def _observe(self, signal: "PoolSignal") -> float:
+        """Holt update with the tick's arrival rate; returns dt."""
+        rate = signal.arrival_rate_rps
+        dt = 0.0 if self._last_time is None else signal.computed_at - self._last_time
+        self._last_time = signal.computed_at
         if self._level is None:
             self._level = rate
         else:
@@ -278,55 +279,55 @@ class PredictivePolicy(ScalingPolicy):
         return dt
 
     def forecast_rate(self, lead_s: float, dt: float) -> float:
-        """Arrival-rate forecast ``lead_s`` ahead (per-sample trend units)."""
+        """Arrival-rate forecast ``lead_s`` ahead (per-tick trend units)."""
         if self._level is None:
             return 0.0
         steps = lead_s / dt if dt > 0 else 0.0
         return max(0.0, self._level + self._trend * steps)
 
-    def _per_instance_rps(self, sample: MetricsSample) -> float:
+    def _per_instance_rps(self, signal: "PoolSignal") -> float:
         if self.instance_rps is not None:
             return self.instance_rps
         # Online estimate: a saturated pool's completion rate per ready
         # instance is a lower bound on sustainable per-instance throughput.
-        if sample.ready_instances > 0 and sample.waiting_tasks > 0:
-            observed = sample.completion_rate_rps / sample.ready_instances
+        if signal.ready_instances > 0 and signal.waiting_tasks > 0:
+            observed = signal.completion_rate_rps / signal.ready_instances
             self._rps_estimate = max(self._rps_estimate, observed)
         return self._rps_estimate
 
     # -- decisions ------------------------------------------------------------
-    def decide(self, sample: MetricsSample) -> ScalingDecision:
-        dt = self._observe(sample)
-        total = sample.total_instances
-        current = sample.provisioned
-        if current == 0 and sample.waiting_tasks == 0 and sample.arrival_rate_rps == 0.0:
+    def decide(self, signal: "PoolSignal") -> ScalingDecision:
+        dt = self._observe(signal)
+        total = signal.total_instances
+        current = signal.provisioned_instances
+        if current == 0 and signal.waiting_tasks == 0 and signal.arrival_rate_rps == 0.0:
             return ScalingDecision(total)
 
-        lead = self.lead_s if self.lead_s is not None else sample.cold_start_estimate_s
+        lead = self.lead_s if self.lead_s is not None else signal.cold_start_estimate_s
         forecast = self.forecast_rate(lead, dt)
-        rps = self._per_instance_rps(sample)
+        rps = self._per_instance_rps(signal)
         needed = math.ceil(forecast * (1.0 + self.headroom) / max(rps, 1e-9))
-        needed = max(needed, 1 if (sample.waiting_tasks or sample.in_flight_tasks
+        needed = max(needed, 1 if (signal.waiting_tasks or signal.in_flight_tasks
                                    or forecast > 0) else 0)
         # Backlog guard: a forecast can lag a flash crowd, so never plan
         # below what the queue-depth heuristic would demand right now.
-        if (sample.ready_instances > 0 and sample.waiting_tasks
-                > sample.ready_instances * self.queue_per_instance):
+        if (signal.ready_instances > 0 and signal.waiting_tasks
+                > signal.ready_instances * self.queue_per_instance):
             needed = max(needed, current + 1)
 
         if needed > current:
             self._low_since = None
             return ScalingDecision(
-                self._absolute(sample, needed),
+                self._absolute(signal, needed),
                 f"forecast {forecast:.2f} req/s over {lead:.0f}s lead",
             )
         if needed < current:
             if self._low_since is None:
-                self._low_since = sample.time
-            if sample.time - self._low_since >= self.scale_down_hold_s:
+                self._low_since = signal.computed_at
+            if signal.computed_at - self._low_since >= self.scale_down_hold_s:
                 self._low_since = None
                 return ScalingDecision(
-                    self._absolute(sample, needed),
+                    self._absolute(signal, needed),
                     f"forecast {forecast:.2f} req/s allows scale-down",
                 )
             return ScalingDecision(total)
@@ -411,43 +412,40 @@ class FederationScalingPolicy(QueueDepthPolicy):
 
     @staticmethod
     def _pressure(sig) -> float:
-        """A sibling's queue pressure, tolerant of cold pools."""
+        """A pool's queue pressure, tolerant of cold pools."""
         if sig.ready_instances <= 0:
             return float(sig.waiting_tasks)
         return sig.queue_per_ready
 
     # -- decisions -------------------------------------------------------------
-    def decide(self, sample: MetricsSample) -> ScalingDecision:
-        now = sample.time
-        total = sample.total_instances
+    def decide(self, signal: "PoolSignal") -> ScalingDecision:
+        now = signal.computed_at
+        total = signal.total_instances
 
         # Local saturation wins: behave exactly like the queue-depth heuristic.
-        target = self.reactive(sample)
+        target = self.reactive(signal)
         if target > total:
             self._receive_since = self._idle_since = self._quiet_since = None
             return ScalingDecision(target, "queue depth over threshold")
 
         siblings = self._sibling_signals()
         hot = max((self._pressure(s) for s in siblings), default=0.0)
-        my_pressure = (
-            sample.waiting_tasks / sample.ready_instances
-            if sample.ready_instances > 0 else float(sample.waiting_tasks)
-        )
+        my_pressure = self._pressure(signal)
 
         # Recipient (pre-warm): a sibling is drowning while this cluster has
         # no spare ready capacity for the overflow — bring a replica up
         # *before* the router starts shedding here, so the cold start hides
         # behind the sibling's backlog instead of adding to a request's wait.
         spare_slots = (
-            sample.ready_instances * sample.slots_per_instance
-            - sample.in_flight_tasks - sample.waiting_tasks
+            signal.ready_instances * signal.slots_per_instance
+            - signal.in_flight_tasks - signal.waiting_tasks
         )
         receiving = (
             siblings
             and hot > self.queue_per_instance
             and hot >= self.imbalance_ratio * max(my_pressure, 1.0)
-            and spare_slots < sample.slots_per_instance
-            and sample.starting_instances == 0
+            and spare_slots < signal.slots_per_instance
+            and signal.total_instances == signal.ready_instances
         )
         if receiving:
             if self._receive_since is None:
@@ -466,9 +464,9 @@ class FederationScalingPolicy(QueueDepthPolicy):
         # floor, possibly zero for a spill cluster).
         sibling_needs_me = hot > self.queue_per_instance / self.imbalance_ratio
         fully_idle = (
-            sample.ready_instances > 0
-            and sample.waiting_tasks == 0
-            and sample.in_flight_tasks == 0
+            signal.ready_instances > 0
+            and signal.waiting_tasks == 0
+            and signal.in_flight_tasks == 0
         )
         if siblings and fully_idle and not sibling_needs_me:
             if self._idle_since is None:
@@ -484,50 +482,43 @@ class FederationScalingPolicy(QueueDepthPolicy):
 
         # Plain quiet scale-down: light load that fits on one fewer instance
         # drains the excess — inherited verbatim from QueueDepthPolicy.
-        return super().decide(sample)
+        return super().decide(signal)
 
 
 #: Policy-name registry: ``AutoscaleConfig.policy`` → factory taking
 #: ``(config, defaults)`` where ``defaults`` carries hosting-derived values.
-POLICIES: Dict[str, Callable[[AutoscaleConfig, dict], ScalingPolicy]] = {}
-
-
-def register_policy(name: str,
-                    factory: Callable[[AutoscaleConfig, dict], ScalingPolicy]) -> None:
-    """Register a custom policy factory under ``name``."""
-    POLICIES[name] = factory
-
-
-register_policy("queue_depth", lambda cfg, d: QueueDepthPolicy(
-    queue_per_instance=cfg.queue_per_instance or d.get("queue_per_instance", 8),
-    scale_down=cfg.scale_down,
-    scale_down_hold_s=cfg.scale_down_hold_s,
-))
-register_policy("target_utilization", lambda cfg, d: TargetUtilizationPolicy(
-    target=cfg.target_utilization,
-    deadband=cfg.deadband,
-    cooldown_up_s=cfg.cooldown_up_s,
-    cooldown_down_s=cfg.cooldown_down_s,
-))
-register_policy("scheduled", lambda cfg, d: ScheduledPolicy(
-    schedule=cfg.schedule,
-    period_s=cfg.schedule_period_s,
-))
-register_policy("federated", lambda cfg, d: FederationScalingPolicy(
-    queue_per_instance=cfg.queue_per_instance or d.get("queue_per_instance", 8),
-    scale_down_hold_s=cfg.scale_down_hold_s,
-    imbalance_ratio=cfg.imbalance_ratio,
-    imbalance_hold_s=cfg.imbalance_hold_s,
-))
-register_policy("predictive", lambda cfg, d: PredictivePolicy(
-    alpha=cfg.ewma_alpha,
-    beta=cfg.trend_beta,
-    lead_s=cfg.prewarm_lead_s,
-    instance_rps=cfg.instance_rps,
-    headroom=cfg.headroom,
-    queue_per_instance=cfg.queue_per_instance or d.get("queue_per_instance", 8),
-    scale_down_hold_s=cfg.scale_down_hold_s,
-))
+POLICIES: Dict[str, Callable[[AutoscaleConfig, dict], ScalingPolicy]] = {
+    "queue_depth": lambda cfg, d: QueueDepthPolicy(
+        queue_per_instance=cfg.queue_per_instance or d.get("queue_per_instance", 8),
+        scale_down=cfg.scale_down,
+        scale_down_hold_s=cfg.scale_down_hold_s,
+    ),
+    "target_utilization": lambda cfg, d: TargetUtilizationPolicy(
+        target=cfg.target_utilization,
+        deadband=cfg.deadband,
+        cooldown_up_s=cfg.cooldown_up_s,
+        cooldown_down_s=cfg.cooldown_down_s,
+    ),
+    "scheduled": lambda cfg, d: ScheduledPolicy(
+        schedule=cfg.schedule,
+        period_s=cfg.schedule_period_s,
+    ),
+    "federated": lambda cfg, d: FederationScalingPolicy(
+        queue_per_instance=cfg.queue_per_instance or d.get("queue_per_instance", 8),
+        scale_down_hold_s=cfg.scale_down_hold_s,
+        imbalance_ratio=cfg.imbalance_ratio,
+        imbalance_hold_s=cfg.imbalance_hold_s,
+    ),
+    "predictive": lambda cfg, d: PredictivePolicy(
+        alpha=cfg.ewma_alpha,
+        beta=cfg.trend_beta,
+        lead_s=cfg.prewarm_lead_s,
+        instance_rps=cfg.instance_rps,
+        headroom=cfg.headroom,
+        queue_per_instance=cfg.queue_per_instance or d.get("queue_per_instance", 8),
+        scale_down_hold_s=cfg.scale_down_hold_s,
+    ),
+}
 
 
 def make_policy(config: AutoscaleConfig, **defaults) -> ScalingPolicy:

@@ -1,30 +1,34 @@
 """Cold-start-aware replica pool: the control plane's actuator.
 
-A :class:`ReplicaPool` binds one model's metrics feed and scaling policy to
-a *backend* — the endpoint-side instance pool that can actually launch and
-drain instances.  It owns target clamping (min/max), converts policy
-targets into launch / drain actions, and keeps an audit log of every scale
-event for benchmarks and the dashboard.
+A :class:`ReplicaPool` binds one model's scaling policy to a *backend* —
+the endpoint-side instance pool that reports its state and can actually
+launch and drain instances.  It owns target clamping (min/max), converts
+policy targets into launch / drain actions, measures arrival and completion
+rates between controller ticks, and keeps an audit log of every scale event
+for benchmarks and the dashboard.
 
 The backend protocol (implemented by the FaaS endpoint's ``_ModelPool``)::
 
+    model                   the hosted model's name
+    signal() -> PoolSignal  the pool's state now (the snapshot placement reads)
+    arrivals_total          monotonically increasing task-arrival counter
+    completions_total       monotonically increasing task-completion counter
     launch_one()            submit a scheduler job + bring up an instance
     start_drain_one() -> bool
                             begin drain-before-terminate on one ready
                             instance (False when none is drainable)
-
-plus the metrics-source attributes documented in
-:mod:`repro.autoscale.metrics`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..common import sim_logger
 from ..sim import Environment
-from .metrics import MetricsFeed, MetricsSample
 from .policy import ScalingPolicy
+
+if TYPE_CHECKING:
+    from ..faas import PoolSignal
 
 __all__ = ["ReplicaPool"]
 
@@ -35,14 +39,12 @@ class ReplicaPool:
     def __init__(
         self,
         env: Environment,
-        feed: MetricsFeed,
         policy: ScalingPolicy,
         backend,
         min_instances: int = 0,
         max_instances: int = 1,
     ):
         self.env = env
-        self.feed = feed
         self.policy = policy
         self.backend = backend
         self.min_instances = min_instances
@@ -52,35 +54,53 @@ class ReplicaPool:
         self.launches = 0
         self.drains = 0
         self._log = sim_logger("repro.autoscale.pool", env)
+        # Rate window: measured between ticks only, so reactive checks do not
+        # shorten it.
+        self._window_start = env.now
+        self._arrivals_at_start = backend.arrivals_total
+        self._completions_at_start = backend.completions_total
 
     @property
     def model(self) -> str:
-        return self.feed.source.model
+        return self.backend.model
 
     # -- control entry points --------------------------------------------------
     def reactive(self) -> None:
         """Demand-driven check (a task just started waiting)."""
-        sample = self.feed.sample(advance=False)
-        self._apply(sample, self.policy.reactive(sample), reason="reactive")
+        signal = self.backend.signal()
+        self._apply(signal, self.policy.reactive(signal), reason="reactive")
 
     def tick(self) -> None:
-        """Periodic controller evaluation."""
-        sample = self.feed.sample()
-        decision = self.policy.decide(sample)
-        self._apply(sample, decision.target, reason=decision.reason or "tick")
+        """Periodic controller evaluation; advances the rate window."""
+        backend = self.backend
+        signal = backend.signal()
+        now = signal.computed_at
+        dt = now - self._window_start
+        arrivals = backend.arrivals_total
+        completions = backend.completions_total
+        if dt > 0:
+            signal.arrival_rate_rps = (arrivals - self._arrivals_at_start) / dt
+            signal.completion_rate_rps = (completions - self._completions_at_start) / dt
+        else:
+            signal.arrival_rate_rps = signal.completion_rate_rps = 0.0
+        self._window_start = now
+        self._arrivals_at_start = arrivals
+        self._completions_at_start = completions
+        decision = self.policy.decide(signal)
+        self._apply(signal, decision.target, reason=decision.reason or "tick")
 
     def scale_to(self, target: int, reason: str = "manual") -> None:
         """Imperative scaling (operator/benchmark override)."""
-        self._apply(self.feed.sample(advance=False), target, reason=reason)
+        self._apply(self.backend.signal(), target, reason=reason)
 
     # -- actuation -------------------------------------------------------------
     def _clamp(self, target: int) -> int:
         return max(self.min_instances, min(self.max_instances, target))
 
-    def _apply(self, sample: MetricsSample, target: Optional[int], reason: str) -> None:
+    def _apply(self, signal: "PoolSignal", target: Optional[int], reason: str) -> None:
         if target is None:
             return
-        current = sample.total_instances
+        current = signal.total_instances
         clamped = self._clamp(target)
         launched = drained = 0
         if clamped > current:
@@ -106,7 +126,7 @@ class ReplicaPool:
         # Audit the scaling that actually started (a drain request can stop
         # short when no further ready instance is drainable).
         self.actions.append(
-            {"time": sample.time, "from": current,
+            {"time": signal.computed_at, "from": current,
              "to": current + launched - drained, "reason": reason}
         )
 

@@ -23,13 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from ..autoscale import (
-    AutoscaleConfig,
-    AutoscaleController,
-    MetricsFeed,
-    ReplicaPool,
-    make_policy,
-)
+from ..autoscale import AutoscaleConfig, AutoscaleController, ReplicaPool, make_policy
 from ..cluster import JobRequest, JobState, SchedulerBase
 from ..common import ConfigurationError, IdGenerator, NotFoundError, sim_logger
 from ..obs.trace import TRACE_KEY
@@ -107,7 +101,8 @@ class PoolSignal:
     """One (model, endpoint, cluster) pool's state at one instant.
 
     Built only by :meth:`_ModelPool.signal`; the gateway's ``/jobs`` rows,
-    the placement view and partition barrier snapshots all read it.
+    the placement view, partition barrier snapshots and the autoscale
+    control plane all read it.
     """
 
     model: str
@@ -122,6 +117,16 @@ class PoolSignal:
     slots_per_instance: int
     max_instances: int
     cold_start_estimate_s: float
+    #: Instance objects created (ready, loading and draining).
+    created_instances: int
+    #: Launches not yet ready (scheduler job queued or starting, or the
+    #: model still loading on an instance that already exists).
+    open_launches: int
+    #: Task arrival / completion rates since the previous controller tick;
+    #: filled in by ``ReplicaPool.tick`` on the signal its policy decides
+    #: on (None everywhere else).
+    arrival_rate_rps: Optional[float] = None
+    completion_rate_rps: Optional[float] = None
     #: Gateway-observed rolling medians, filled in by the placement view
     #: (None until traffic produced them).
     latency_p50_s: Optional[float] = None
@@ -170,6 +175,28 @@ class PoolSignal:
             return float("inf") if self.waiting_tasks else 0.0
         return self.waiting_tasks / self.ready_instances
 
+    @property
+    def total_instances(self) -> int:
+        """Instances the actuator counts against its ceiling (draining
+        excluded).
+
+        Legacy accounting, kept deliberately: a loading instance counts both
+        as an instance object and as an open launch, which stops the
+        queue-depth heuristic from piling on launches while it loads.
+        """
+        return self.ready_instances + max(
+            0, self.created_instances + self.open_launches
+            - self.draining_instances - self.ready_instances)
+
+    @property
+    def provisioned_instances(self) -> int:
+        """Deduplicated non-draining count: created instances plus launches
+        that have no instance object yet.  Policies computing *absolute*
+        replica targets compare against this."""
+        return (self.created_instances
+                + max(0, self.open_launches - self.starting_instances)
+                - self.draining_instances)
+
 
 #: Cold-start guess used by the control plane before the pool has measured
 #: one (submit-to-ready: scheduler queue + prologue + model load).
@@ -180,9 +207,9 @@ class _ModelPool:
     """Per-model instance pool with hot-idle and health monitoring.
 
     Scale decisions (up *and* down) are delegated to the autoscale control
-    plane: the pool implements the ``MetricsFeed`` source protocol and the
-    ``ReplicaPool`` backend protocol (``launch_one`` / ``start_drain_one``)
-    and never decides capacity itself.
+    plane: the pool implements the ``ReplicaPool`` backend protocol
+    (``model``, ``signal()``, ``arrivals_total`` / ``completions_total``,
+    ``launch_one`` / ``start_drain_one``) and never decides capacity itself.
     """
 
     def __init__(self, endpoint: "ComputeEndpoint", hosting: ModelHostingConfig):
@@ -213,10 +240,8 @@ class _ModelPool:
             autoscale or AutoscaleConfig(policy="queue_depth", scale_down=False),
             queue_per_instance=hosting.scale_up_queue_per_instance,
         )
-        self.feed = MetricsFeed(self.env, source=self)
         self.replicas = ReplicaPool(
             self.env,
-            self.feed,
             policy,
             backend=self,
             min_instances=autoscale.min_instances if autoscale else 0,
@@ -255,6 +280,7 @@ class _ModelPool:
 
     def signal(self) -> PoolSignal:
         """The pool's state now, without gateway medians."""
+        cold_start = self._cold_start_observed
         return PoolSignal(
             model=self.hosting.model,
             endpoint_id=self.endpoint.endpoint_id,
@@ -266,69 +292,20 @@ class _ModelPool:
             draining_instances=len(self.draining),
             queued_jobs=self.queued_job_launches,
             waiting_tasks=self.waiting_tasks,
-            in_flight_tasks=self.in_flight_tasks,
-            slots_per_instance=self.slots_per_instance,
+            in_flight_tasks=sum(slot.count for slot in self.slots.values()),
+            slots_per_instance=self.hosting.max_parallel_tasks,
             max_instances=self.replicas.max_instances,
-            cold_start_estimate_s=self.cold_start_estimate_s,
+            cold_start_estimate_s=(
+                DEFAULT_COLD_START_ESTIMATE_S if cold_start is None else cold_start
+            ),
+            created_instances=len(self.instances),
+            open_launches=self.launching,
             computed_at=self.env.now,
         )
 
-    # -- metrics-feed source protocol ---------------------------------------------
     @property
     def model(self) -> str:
         return self.hosting.model
-
-    @property
-    def ready_count(self) -> int:
-        return len(self.ready_instances)
-
-    @property
-    def draining_count(self) -> int:
-        return len(self.draining)
-
-    @property
-    def instance_count(self) -> int:
-        return len(self.instances)
-
-    @property
-    def launching_count(self) -> int:
-        return self.launching
-
-    @property
-    def provisioned_count(self) -> int:
-        """Deduplicated non-draining instance count: created instances plus
-        launches that have no instance object yet (job still queued)."""
-        created_loading = sum(
-            1 for i in self.instances if i.state == InstanceState.STARTING
-        )
-        return (
-            len(self.instances)
-            + max(0, self.launching - created_loading)
-            - len(self.draining)
-        )
-
-    @property
-    def in_flight_tasks(self) -> int:
-        return sum(slot.count for slot in self.slots.values())
-
-    @property
-    def slots_per_instance(self) -> int:
-        return self.hosting.max_parallel_tasks
-
-    @property
-    def kv_utilization(self) -> float:
-        pressure = 0.0
-        for instance in self.ready_instances:
-            kv = getattr(instance.engine, "kv", None)
-            if kv is not None:
-                pressure = max(pressure, kv.utilization)
-        return pressure
-
-    @property
-    def cold_start_estimate_s(self) -> float:
-        if self._cold_start_observed is not None:
-            return self._cold_start_observed
-        return DEFAULT_COLD_START_ESTIMATE_S
 
     # -- scaling -----------------------------------------------------------------
     def ensure_capacity(self) -> None:
@@ -378,9 +355,10 @@ class _ModelPool:
             self._retire(instance, drained=True)
 
     def prewarm(self, count: int = 1) -> List[Event]:
-        """Explicitly launch up to ``count`` instances (ignores demand)."""
+        """Explicitly launch until ``count`` instances are provisioned (ignores
+        demand); a loading instance counts once, a draining one not at all."""
         events = []
-        while len(self.instances) + self.launching < min(count, self.hosting.max_instances):
+        while self.signal().provisioned_instances < min(count, self.hosting.max_instances):
             events.append(self._launch())
         return events
 

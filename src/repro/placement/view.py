@@ -2,9 +2,9 @@
 
 Before Federation v2, every consumer of fleet state kept a private one:
 the routers probed ``FacilityStatusProvider`` generators per request, the
-autoscaler sampled its own ``MetricsFeed``, the gateway kept rolling latency
-windows, and the cluster scheduler accounted GPU-seconds — four views of the
-same fleet that could not see one another.
+autoscaler sampled the pools through a snapshot type of its own, the gateway
+kept rolling latency windows, and the cluster scheduler accounted GPU-seconds
+— four views of the same fleet that could not see one another.
 
 :class:`TopologyView` is the federation's one membership record — the
 ordered endpoint list the development API URL "queries ... to see which
@@ -12,8 +12,9 @@ clusters can host the inference" (§4.5) — and aggregates all of those
 signals per (model, endpoint, cluster) into :class:`PoolSignal` /
 :class:`ClusterSignal` snapshots that routing policies, the
 federation-aware scaling policy and the reservation admission stage all
-read.  Signals are refreshed *incrementally
-on events*: every endpoint pool notifies the view when its state changes
+read.  The autoscaler reads the same :class:`PoolSignal`: every replica
+pool's policy decides on a fresh ``signal()`` of its own pool.  Signals
+held here are refreshed *incrementally on events*: every endpoint pool notifies the view when its state changes
 (task arrival/completion, instance ready/retired, drain start/end), the
 affected signal is marked dirty, and the next read recomputes just that one
 snapshot (the pool's own ``signal()`` plus the gateway medians).  Reads

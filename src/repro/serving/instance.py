@@ -39,7 +39,69 @@ class InstanceState(str, enum.Enum):
     FAILED = "failed"
 
 
-class ServingInstance:
+class _InstanceLifecycle:
+    """The lifecycle both instance kinds share.
+
+    STARTING → RUNNING → DRAINING, ending in STOPPED or FAILED; either end
+    state is final, and leaving releases the instance's GPUs exactly once.
+    Subclasses provide ``env``, ``nodes``, ``instance_id``, ``state``,
+    ``ready`` and ``last_request_time``, and hook their engine through
+    :meth:`_engine_drain` / :meth:`_engine_stop`.
+    """
+
+    def drain(self) -> bool:
+        """Stop accepting new requests; in-flight work runs to completion.
+
+        Returns whether the instance transitioned (only RUNNING instances
+        drain).  The owner retires the instance once ``in_flight`` reaches 0.
+        """
+        if self.state != InstanceState.RUNNING:
+            return False
+        self.state = InstanceState.DRAINING
+        self._engine_drain()
+        return True
+
+    def stop(self) -> None:
+        """Release GPUs and stop the engine."""
+        self._end(InstanceState.STOPPED, "stopped while loading")
+
+    def fail(self, reason: str = "inference server crashed") -> None:
+        """Simulate an inference-server crash (fault tolerance, walltime end).
+
+        The endpoint's process-management monitor detects FAILED instances
+        and restarts them (paper §3.2.2, "Fault Tolerance").
+        """
+        self._end(InstanceState.FAILED, f"failed: {reason}")
+
+    def _end(self, state: InstanceState, why: str) -> None:
+        if self.state in (InstanceState.STOPPED, InstanceState.FAILED):
+            return
+        previous = self.state
+        self.state = state
+        self._engine_stop()
+        for node in self.nodes:
+            node.release_gpus(self.instance_id)
+        if previous == InstanceState.STARTING and not self.ready.triggered:
+            self.ready.fail(RuntimeError(f"instance {self.instance_id} {why}"))
+            self.ready.defuse()
+
+    def _engine_drain(self) -> None:
+        """Tell the engine a drain began (no-op by default)."""
+
+    def _engine_stop(self) -> None:
+        """Stop the engine on a final state (no-op by default)."""
+
+    @property
+    def is_ready(self) -> bool:
+        return self.state == InstanceState.RUNNING
+
+    @property
+    def idle_for_s(self) -> float:
+        """Seconds since the last request was submitted (for hot-idle release)."""
+        return self.env.now - self.last_request_time
+
+
+class ServingInstance(_InstanceLifecycle):
     """One model served on a specific set of GPUs."""
 
     _counter = itertools.count()
@@ -147,66 +209,20 @@ class ServingInstance:
         if not self.ready.triggered:
             self.ready.succeed(self)
 
-    def drain(self) -> bool:
-        """Stop accepting new requests; in-flight work runs to completion.
-
-        Returns whether the instance transitioned (only RUNNING instances
-        drain).  The owner retires the instance once ``in_flight`` reaches 0.
-        """
-        if self.state != InstanceState.RUNNING:
-            return False
-        self.state = InstanceState.DRAINING
+    def _engine_drain(self) -> None:
         if self.engine is not None:
             self.engine.drain()
-        return True
 
-    def stop(self) -> None:
-        """Release GPUs and stop the engine."""
-        if self.state in (InstanceState.STOPPED, InstanceState.FAILED):
-            return
-        previous = self.state
-        self.state = InstanceState.STOPPED
+    def _engine_stop(self) -> None:
         if self.engine is not None:
             self.engine.stop()
-        for node in self.nodes:
-            node.release_gpus(self.instance_id)
-        if previous == InstanceState.STARTING and not self.ready.triggered:
-            self.ready.fail(RuntimeError(f"instance {self.instance_id} stopped while loading"))
-            self.ready.defuse()
-
-    def fail(self, reason: str = "inference server crashed") -> None:
-        """Simulate an inference-server crash (used by fault-tolerance tests).
-
-        The endpoint's process-management monitor detects FAILED instances
-        and restarts them (paper §3.2.2, "Fault Tolerance").
-        """
-        if self.state in (InstanceState.STOPPED, InstanceState.FAILED):
-            return
-        previous = self.state
-        self.state = InstanceState.FAILED
-        if self.engine is not None:
-            self.engine.stop()
-        for node in self.nodes:
-            node.release_gpus(self.instance_id)
-        if previous == InstanceState.STARTING and not self.ready.triggered:
-            self.ready.fail(RuntimeError(f"instance {self.instance_id} failed: {reason}"))
-            self.ready.defuse()
 
     # -- request path -----------------------------------------------------------
-    @property
-    def is_ready(self) -> bool:
-        return self.state == InstanceState.RUNNING
-
     @property
     def in_flight(self) -> int:
         if self.engine is None:
             return 0
         return self.engine.in_flight
-
-    @property
-    def idle_for_s(self) -> float:
-        """Seconds since the last request was submitted (for hot-idle release)."""
-        return self.env.now - self.last_request_time
 
     def submit(self, request: InferenceRequest) -> Event:
         """Submit a request to this instance (via the API front-end by default)."""
@@ -224,7 +240,7 @@ class ServingInstance:
         )
 
 
-class EmbeddingServingInstance:
+class EmbeddingServingInstance(_InstanceLifecycle):
     """An embedding-model instance with the same lifecycle protocol as
     :class:`ServingInstance` (used by endpoints for the Infinity-like backend)."""
 
@@ -279,39 +295,13 @@ class EmbeddingServingInstance:
             self.ready.succeed(self)
 
     @property
-    def is_ready(self) -> bool:
-        return self.state == InstanceState.RUNNING
-
-    @property
     def in_flight(self) -> int:
         if self.engine is None:
             return 0
         return len(self.engine._queue)
-
-    @property
-    def idle_for_s(self) -> float:
-        return self.env.now - self.last_request_time
-
-    def drain(self) -> bool:
-        """Same drain protocol as :class:`ServingInstance`."""
-        if self.state != InstanceState.RUNNING:
-            return False
-        self.state = InstanceState.DRAINING
-        return True
 
     def submit(self, request: InferenceRequest) -> Event:
         if not self.is_ready:
             raise RuntimeError(f"Instance {self.instance_id} is not running")
         self.last_request_time = self.env.now
         return self.engine.submit(request)
-
-    def stop(self) -> None:
-        if self.state == InstanceState.STOPPED:
-            return
-        previous = self.state
-        self.state = InstanceState.STOPPED
-        for node in self.nodes:
-            node.release_gpus(self.instance_id)
-        if previous == InstanceState.STARTING and not self.ready.triggered:
-            self.ready.fail(RuntimeError(f"instance {self.instance_id} stopped while loading"))
-            self.ready.defuse()

@@ -279,7 +279,7 @@ def run_autoscale_policy_cell(spec: ScenarioSpec) -> dict:
         "drains": pool.replicas.drains,
         "final_ready": len(pool.ready_instances),
         "final_draining": len(pool.draining),
-        "final_provisioned": pool.provisioned_count,
+        "final_provisioned": pool.signal().provisioned_instances,
         "active_jobs_after_tail": len(active_jobs),
         "jobs_drained": scheduler.jobs_drained,
         "route_probe_ok": "error" not in probe,

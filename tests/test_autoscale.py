@@ -8,7 +8,6 @@ import pytest
 
 from repro.autoscale import (
     AutoscaleConfig,
-    MetricsSample,
     PredictivePolicy,
     QueueDepthPolicy,
     ScheduledPolicy,
@@ -28,6 +27,7 @@ from repro.faas import (
     ComputeEndpoint,
     EndpointConfig,
     ModelHostingConfig,
+    PoolSignal,
     RelayService,
 )
 from repro.serving import InferenceRequest, InstanceState, default_catalog
@@ -37,69 +37,77 @@ CATALOG = default_catalog()
 MODEL_8B = "meta-llama/Llama-3.1-8B-Instruct"
 
 
-def sample(**overrides) -> MetricsSample:
-    """Handcrafted control-loop observation."""
+def pool_signal(**overrides) -> PoolSignal:
+    """Handcrafted control-loop observation; every ready, loading and
+    draining instance has an instance object unless ``created_instances``
+    says otherwise."""
     values = dict(
-        time=0.0,
         model=MODEL_8B,
+        endpoint_id="ep-as",
+        cluster="as",
         ready_instances=1,
         starting_instances=0,
         draining_instances=0,
+        queued_jobs=0,
         waiting_tasks=0,
         in_flight_tasks=0,
         slots_per_instance=8,
+        max_instances=8,
+        cold_start_estimate_s=60.0,
+        open_launches=0,
         arrival_rate_rps=0.0,
         completion_rate_rps=0.0,
-        kv_utilization=0.0,
-        cold_start_estimate_s=60.0,
+        computed_at=0.0,
     )
     values.update(overrides)
-    return MetricsSample(**values)
+    values.setdefault("created_instances", values["ready_instances"]
+                      + values["starting_instances"] + values["draining_instances"])
+    return PoolSignal(**values)
 
 
 # ---------------------------------------------------------------- policies
 def test_queue_depth_reactive_matches_legacy_semantics():
     policy = QueueDepthPolicy(queue_per_instance=8)
     # Cold pool with demand boots exactly one instance.
-    assert policy.reactive(sample(ready_instances=0, waiting_tasks=3)) == 1
-    # First instance still starting: don't pile on.
+    assert policy.reactive(pool_signal(ready_instances=0, waiting_tasks=3)) == 1
+    # First instance's job still queued: don't pile on.
     assert policy.reactive(
-        sample(ready_instances=0, starting_instances=1, waiting_tasks=50)
+        pool_signal(ready_instances=0, queued_jobs=1, open_launches=1, waiting_tasks=50)
     ) == 1
     # Below threshold: hold.
-    assert policy.reactive(sample(ready_instances=2, waiting_tasks=16)) == 2
+    assert policy.reactive(pool_signal(ready_instances=2, waiting_tasks=16)) == 2
     # Above threshold: one more.
-    assert policy.reactive(sample(ready_instances=2, waiting_tasks=17)) == 3
+    assert policy.reactive(pool_signal(ready_instances=2, waiting_tasks=17)) == 3
 
 
 def test_queue_depth_scale_down_requires_hold_window():
     policy = QueueDepthPolicy(queue_per_instance=8, scale_down=True,
                               scale_down_hold_s=60.0)
     quiet = dict(ready_instances=3, waiting_tasks=0, in_flight_tasks=2)
-    assert policy.decide(sample(time=0.0, **quiet)).target == 3
-    assert policy.decide(sample(time=30.0, **quiet)).target == 3
+    assert policy.decide(pool_signal(computed_at=0.0, **quiet)).target == 3
+    assert policy.decide(pool_signal(computed_at=30.0, **quiet)).target == 3
     # Held quiet for the full window: drain one.
-    assert policy.decide(sample(time=61.0, **quiet)).target == 2
+    assert policy.decide(pool_signal(computed_at=61.0, **quiet)).target == 2
     # A burst resets the quiet clock.
-    assert policy.decide(sample(time=70.0, ready_instances=3,
+    assert policy.decide(pool_signal(computed_at=70.0, ready_instances=3,
                                 waiting_tasks=40)).target == 4
-    assert policy.decide(sample(time=75.0, **quiet)).target == 3
+    assert policy.decide(pool_signal(computed_at=75.0, **quiet)).target == 3
 
 
 def test_target_utilization_scales_up_and_respects_cooldowns():
     policy = TargetUtilizationPolicy(target=0.5, deadband=0.1,
                                      cooldown_up_s=30.0, cooldown_down_s=60.0)
-    hot = sample(time=0.0, ready_instances=2, in_flight_tasks=14,
+    hot = pool_signal(computed_at=0.0, ready_instances=2, in_flight_tasks=14,
                  waiting_tasks=4, slots_per_instance=8)  # busy = 18/16
     decision = policy.decide(hot)
     assert decision.target > 2
     # Cooldown: an immediate second evaluation holds even though still hot.
-    assert policy.decide(sample(time=5.0, ready_instances=2, in_flight_tasks=14,
+    assert policy.decide(pool_signal(computed_at=5.0, ready_instances=2, in_flight_tasks=14,
                                 waiting_tasks=4)).target == 2
     # Quiet pool scales down only after the down-cooldown elapses.
-    assert policy.decide(sample(time=40.0, ready_instances=4,
+    assert policy.decide(pool_signal(computed_at=40.0, ready_instances=4,
                                 in_flight_tasks=1)).target == 4
-    late = policy.decide(sample(time=120.0, ready_instances=4, in_flight_tasks=1))
+    late = policy.decide(pool_signal(computed_at=120.0, ready_instances=4, in_flight_tasks=1))
     assert late.target < 4
 
 
@@ -110,7 +118,7 @@ def test_scheduled_policy_follows_plan_with_wraparound():
     assert policy.planned_at(150.0) == 3
     assert policy.planned_at(250.0) == 1
     assert policy.planned_at(300.0 + 120.0) == 3
-    assert policy.decide(sample(time=150.0, ready_instances=1)).target == 3
+    assert policy.decide(pool_signal(computed_at=150.0, ready_instances=1)).target == 3
 
 
 def test_predictive_policy_prewarms_ahead_of_rising_trend():
@@ -122,9 +130,9 @@ def test_predictive_policy_prewarms_ahead_of_rising_trend():
     last_rising = last_flat = None
     for i, rate in enumerate(rates):
         t = 60.0 * i
-        last_rising = rising.decide(sample(time=t, arrival_rate_rps=rate,
+        last_rising = rising.decide(pool_signal(computed_at=t, arrival_rate_rps=rate,
                                            ready_instances=2, in_flight_tasks=4))
-        last_flat = flat.decide(sample(time=t, arrival_rate_rps=rates[-1],
+        last_flat = flat.decide(pool_signal(computed_at=t, arrival_rate_rps=rates[-1],
                                        ready_instances=2, in_flight_tasks=4))
     # The instantaneous need at 3.5 req/s is ceil(3.5*1.1/2) = 2 instances;
     # the trend-following forecast must ask for strictly more, ahead of time.
@@ -136,13 +144,13 @@ def test_predictive_policy_scales_down_only_after_hold():
     policy = PredictivePolicy(alpha=1.0, beta=0.0, lead_s=0.0,
                               instance_rps=2.0, headroom=0.0,
                               scale_down_hold_s=100.0)
-    busy = sample(time=0.0, arrival_rate_rps=6.0, ready_instances=3,
+    busy = pool_signal(computed_at=0.0, arrival_rate_rps=6.0, ready_instances=3,
                   in_flight_tasks=6)
     assert policy.decide(busy).target == 3
     quiet = dict(arrival_rate_rps=1.0, ready_instances=3, in_flight_tasks=1)
-    assert policy.decide(sample(time=50.0, **quiet)).target == 3   # hold
-    assert policy.decide(sample(time=120.0, **quiet)).target == 3  # still holding
-    assert policy.decide(sample(time=151.0, **quiet)).target == 1  # held long enough
+    assert policy.decide(pool_signal(computed_at=50.0, **quiet)).target == 3   # hold
+    assert policy.decide(pool_signal(computed_at=120.0, **quiet)).target == 3  # still holding
+    assert policy.decide(pool_signal(computed_at=151.0, **quiet)).target == 1  # held long enough
 
 
 def test_predictive_forecast_is_plain_holt():
@@ -150,14 +158,14 @@ def test_predictive_forecast_is_plain_holt():
     2 -> 3 -> 5.75, trend 0 -> 0.5 -> 1.625 per 60 s sample."""
     policy = PredictivePolicy(alpha=0.5, beta=0.5)
     assert policy.forecast_rate(600.0, 60.0) == 0.0  # nothing observed yet
-    dts = [policy._observe(sample(time=60.0 * i, arrival_rate_rps=rate))
+    dts = [policy._observe(pool_signal(computed_at=60.0 * i, arrival_rate_rps=rate))
            for i, rate in enumerate([2.0, 4.0, 8.0])]
     assert dts == [0.0, 60.0, 60.0]
     assert policy.forecast_rate(0.0, 60.0) == 5.75
     assert policy.forecast_rate(120.0, 60.0) == 5.75 + 2 * 1.625
     # Three idle samples turn the trend negative; the forecast floors at zero.
     for i in range(3, 6):
-        policy._observe(sample(time=60.0 * i))
+        policy._observe(pool_signal(computed_at=60.0 * i))
     assert policy.forecast_rate(3600.0, 60.0) == 0.0
 
 
@@ -192,25 +200,34 @@ def chat_payload(i, output=60):
                                         prompt_tokens=200, max_output_tokens=output)}
 
 
-def test_metrics_feed_samples_pool_state_and_rates():
+def test_tick_signal_carries_pool_state_and_rates():
     env, cluster, scheduler, endpoint, relay = build_stack(
         models=[ModelHostingConfig(model=MODEL_8B, max_instances=2)]
     )
     pool = endpoint.pools[MODEL_8B]
+    policy = pool.replicas.policy
+    seen = []
+    decide = policy.decide
+    policy.decide = lambda signal: seen.append(signal) or decide(signal)
     futures = [relay.submit("fn-chat", "ep-as", chat_payload(i)) for i in range(10)]
     env.run(until=env.all_of([f.done for f in futures]))
     env.run(until=env.now + 1.0)
-    observed = pool.feed.sample()
+    # Reactive checks ran on every arrival; they neither carry rates nor
+    # advance the window.
+    assert not seen and pool.signal().arrival_rate_rps is None
+    pool.replicas.tick()
+    observed = seen[-1]
     assert observed.model == MODEL_8B
     assert observed.ready_instances == 1
     assert observed.waiting_tasks == 0
-    assert observed.arrival_rate_rps == pytest.approx(10.0 / observed.time)
-    assert observed.completion_rate_rps == pytest.approx(10.0 / observed.time)
+    assert observed.arrival_rate_rps == pytest.approx(10.0 / observed.computed_at)
+    assert observed.completion_rate_rps == pytest.approx(10.0 / observed.computed_at)
     # Cold start was measured, not defaulted.
     assert 0.0 < observed.cold_start_estimate_s < 120.0
-    # Rate window advanced: an immediate re-sample sees no new arrivals.
+    # Rate window advanced: the next tick sees no new arrivals.
     env.run(until=env.now + 5.0)
-    assert pool.feed.sample().arrival_rate_rps == 0.0
+    pool.replicas.tick()
+    assert seen[-1].arrival_rate_rps == 0.0
 
 
 def test_min_instances_floor_is_prewarmed_by_controller():
@@ -238,7 +255,7 @@ def test_drained_instance_finishes_in_flight_requests_then_releases_job():
     futures = [relay.submit("fn-chat", "ep-as", chat_payload(i, output=200))
                for i in range(8)]
     env.run(until=env.now + 3.0)  # requests are in flight on both instances
-    assert pool.in_flight_tasks > 0
+    assert pool.signal().in_flight_tasks > 0
 
     assert pool.start_drain_one()
     assert len(pool.draining) == 1
@@ -383,7 +400,7 @@ def test_predictive_autoscaling_prewarms_for_ramp_at_endpoint_level():
 
 def test_math_ceil_guard_never_targets_negative():
     policy = PredictivePolicy(alpha=1.0, beta=0.0, lead_s=0.0, instance_rps=1.0)
-    decision = policy.decide(sample(time=10.0, arrival_rate_rps=0.0,
+    decision = policy.decide(pool_signal(computed_at=10.0, arrival_rate_rps=0.0,
                                     ready_instances=0, waiting_tasks=0))
     assert decision.target >= 0
     assert math.ceil(-0.1) == 0  # the clamp math the policies rely on

@@ -16,7 +16,7 @@ from repro.faas import (
     RelayService,
     TaskStatus,
 )
-from repro.serving import InferenceRequest, default_catalog
+from repro.serving import InferenceRequest, InstanceState, default_catalog
 from repro.sim import Environment
 
 CATALOG = default_catalog()
@@ -306,3 +306,60 @@ def test_compute_client_future_vs_polling_retrieval():
     env.run(until=p3)
     warm_future_latency = p3.value
     assert t_polling > warm_future_latency
+
+
+# ------------------------------------------------------------- pool lifecycle
+EMBED_MODEL = "nvidia/NV-Embed-v2"
+
+
+def test_embedding_instance_restarts_when_its_job_ends():
+    """A walltime end fails an embedding instance the way it fails a chat
+    one; the health monitor restarts it and embeddings keep working."""
+    from repro.core import FIRSTDeployment, quickstart_config
+
+    config = quickstart_config()
+    cluster = config.clusters[0]
+    cluster.scheduler = "pbs"
+    hosting, = [m for m in cluster.models if m.model == EMBED_MODEL]
+    hosting.walltime_s = 300.0
+    deployment = FIRSTDeployment(config)
+    deployment.warm_up(EMBED_MODEL)
+    pool = next(iter(deployment.endpoints.values())).pools[EMBED_MODEL]
+    first, = pool.instances
+    deployment.run_for(400.0)
+    assert first.state == InstanceState.FAILED
+    first.stop()  # a final state stays final
+    assert first.state == InstanceState.FAILED
+    assert pool.restarts >= 1
+    response = deployment.client("researcher@anl.gov").embedding(EMBED_MODEL, "hello")
+    assert response["data"][0]["embedding"]
+
+
+def _loading_sophia_pool():
+    """A two-instance Sophia pool whose first PBS job has started and whose
+    instance object exists but is still loading the model."""
+    from repro.core import FIRSTDeployment, sophia_benchmark_config
+
+    deployment = FIRSTDeployment(sophia_benchmark_config(max_instances=2))
+    pool, = next(iter(deployment.endpoints.values())).pools.values()
+    pool.prewarm(1)
+    deployment.run_for(8.0)
+    assert [i.state for i in pool.instances] == [InstanceState.STARTING]
+    return deployment, pool
+
+
+def test_cold_start_signal_counts_a_loading_instance_both_ways():
+    _deployment, pool = _loading_sophia_pool()
+    signal = pool.signal()
+    assert signal.starting_instances == 1
+    # The actuator's legacy frame counts the instance object and its open
+    # launch; the deduplicated count sees one instance.
+    assert signal.total_instances == 2
+    assert signal.provisioned_instances == 1
+
+
+def test_prewarm_counts_a_loading_instance_once():
+    deployment, pool = _loading_sophia_pool()
+    assert len(pool.prewarm(2)) == 1
+    deployment.run_for(600.0)
+    assert len(pool.ready_instances) == 2

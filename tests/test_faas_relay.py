@@ -337,7 +337,7 @@ def make_gateway(clusters):
             ready_instances=ready, starting_instances=0, draining_instances=0,
             queued_jobs=0, waiting_tasks=waiting, in_flight_tasks=in_flight,
             slots_per_instance=8, max_instances=4, cold_start_estimate_s=30.0,
-            computed_at=computed_at)])
+            created_instances=ready, open_launches=0, computed_at=computed_at)])
 
     return gateway, snapshot
 

@@ -168,7 +168,7 @@ def test_deployments_copy_the_hosting_records_they_are_built_from():
     first.endpoints["ep-devcluster"].pools[MODEL_7B].hosting.max_parallel_tasks = 1
     assert config.clusters[0].models[0].max_parallel_tasks == 32
     assert second.endpoints["ep-devcluster"].pools[MODEL_7B].hosting.max_parallel_tasks == 32
-    assert second.endpoints["ep-devcluster"].pools[MODEL_7B].slots_per_instance == 32
+    assert second.endpoints["ep-devcluster"].pools[MODEL_7B].signal().slots_per_instance == 32
 
 
 def test_quickstart_deployment_serves_a_request():

@@ -11,7 +11,7 @@ bounded routing-decision log.
 
 import pytest
 
-from repro.autoscale import FederationScalingPolicy, MetricsSample
+from repro.autoscale import FederationScalingPolicy
 from repro.common import NotFoundError
 from repro.core import (
     ClusterDeploymentSpec,
@@ -307,24 +307,14 @@ class _StubView:
         return [(_Endpoint(sig.endpoint_id), sig) for sig in self.signals]
 
 
-def sample(time, ready=2, waiting=0, in_flight=0, slots=8, total=None):
-    return MetricsSample(
-        time=time, model=MODEL_8B,
-        ready_instances=ready, starting_instances=0, draining_instances=0,
-        waiting_tasks=waiting, in_flight_tasks=in_flight,
-        slots_per_instance=slots,
-        arrival_rate_rps=0.0, completion_rate_rps=0.0,
-        kv_utilization=0.0, cold_start_estimate_s=60.0,
-        provisioned_instances=total if total is not None else ready,
-    )
-
-
-def sibling_signal(endpoint_id, ready=1, waiting=0, slots=8):
+def pool_signal(endpoint_id, time=0.0, ready=1, waiting=0, in_flight=0, slots=8):
+    """A pool with ``ready`` ready instances and nothing loading."""
     return PoolSignal(
         model=MODEL_8B, endpoint_id=endpoint_id, cluster=endpoint_id,
         ready_instances=ready, starting_instances=0, draining_instances=0,
-        queued_jobs=0, waiting_tasks=waiting, in_flight_tasks=0,
+        queued_jobs=0, waiting_tasks=waiting, in_flight_tasks=in_flight,
         slots_per_instance=slots, max_instances=2, cold_start_estimate_s=60.0,
+        created_instances=ready, open_launches=0, computed_at=time,
     )
 
 
@@ -334,12 +324,12 @@ def test_federation_policy_prewarms_on_sustained_sibling_overload():
     sibling's backlog)."""
     policy = FederationScalingPolicy(queue_per_instance=8, imbalance_ratio=2.0,
                                      imbalance_hold_s=45.0)
-    policy.bind_topology(_StubView([sibling_signal("other", ready=1, waiting=40)]),
+    policy.bind_topology(_StubView([pool_signal("other", ready=1, waiting=40)]),
                          endpoint_id="me", cluster="here", model=MODEL_8B)
 
     # Fully booked here (no spare ready slots for the overflow).
     def booked(t):
-        return sample(t, ready=1, waiting=0, in_flight=8)
+        return pool_signal("me", t, ready=1, waiting=0, in_flight=8)
 
     assert policy.decide(booked(0.0)).target == 1
     assert policy.decide(booked(30.0)).target == 1
@@ -354,11 +344,11 @@ def test_federation_policy_gives_back_when_fleet_calms():
     sibling is hot enough to shed this way (spill clusters drain to zero)."""
     policy = FederationScalingPolicy(queue_per_instance=8, imbalance_ratio=2.0,
                                      scale_down_hold_s=60.0)
-    policy.bind_topology(_StubView([sibling_signal("other", ready=1, waiting=0)]),
+    policy.bind_topology(_StubView([pool_signal("other", ready=1, waiting=0)]),
                          endpoint_id="me", cluster="here", model=MODEL_8B)
 
     def idle(t):
-        return sample(t, ready=1, waiting=0, in_flight=0)
+        return pool_signal("me", t, ready=1, waiting=0, in_flight=0)
 
     assert policy.decide(idle(0.0)).target == 1
     decision = policy.decide(idle(61.0))
@@ -372,11 +362,11 @@ def test_federation_policy_keeps_capacity_while_sibling_still_hot():
     is still above the give-back pressure threshold."""
     policy = FederationScalingPolicy(queue_per_instance=8, imbalance_ratio=2.0,
                                      scale_down_hold_s=60.0)
-    policy.bind_topology(_StubView([sibling_signal("other", ready=1, waiting=20)]),
+    policy.bind_topology(_StubView([pool_signal("other", ready=1, waiting=20)]),
                          endpoint_id="me", cluster="here", model=MODEL_8B)
 
     def idle(t):
-        return sample(t, ready=1, waiting=0, in_flight=0)
+        return pool_signal("me", t, ready=1, waiting=0, in_flight=0)
 
     assert policy.decide(idle(0.0)).target == 1
     assert policy.decide(idle(61.0)).target == 1
@@ -387,11 +377,11 @@ def test_federation_policy_keeps_capacity_while_sibling_still_hot():
 def test_federation_policy_saturation_wins_and_unbound_degrades():
     policy = FederationScalingPolicy(queue_per_instance=8)
     # Local saturation scales up exactly like the queue-depth heuristic.
-    hot = sample(0.0, ready=1, waiting=9)
+    hot = pool_signal("me", 0.0, ready=1, waiting=9)
     assert policy.decide(hot).target == 2
     # Unbound (single-cluster) policy still drains a quiet pool after the hold.
     def quiet(t):
-        return sample(t, ready=2, waiting=0, in_flight=0)
+        return pool_signal("me", t, ready=2, waiting=0, in_flight=0)
 
     policy2 = FederationScalingPolicy(queue_per_instance=8, scale_down_hold_s=60.0)
     assert policy2.decide(quiet(0.0)).target == 2
