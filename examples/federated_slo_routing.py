@@ -29,7 +29,7 @@ from repro.core import (
     FIRSTDeployment,
     ModelHostingConfig,
 )
-from repro.gateway import default_middleware_factories
+from repro.gateway import GatewayConfig, default_middleware_factories
 from repro.placement import ReservationMiddleware, SLORouter
 from repro.workload import BenchmarkClient, DiurnalArrival, ShareGPTWorkload
 
@@ -46,7 +46,7 @@ def build_deployment() -> FIRSTDeployment:
         )
 
     factories = default_middleware_factories()
-    factories.insert(2, ReservationMiddleware.factory())
+    factories.insert(2, ReservationMiddleware)
 
     config = DeploymentConfig(
         clusters=[
@@ -66,14 +66,11 @@ def build_deployment() -> FIRSTDeployment:
             ),
         ],
         users=["demo@anl.gov", "vip@anl.gov"],
+        gateway=GatewayConfig(middleware_factories=factories),
         generate_text=False,
     )
     deployment = FIRSTDeployment(config)
-    deployment.config.gateway.middleware_factories = factories
-    # Rebuild the pipeline so the reservation stage is part of the chain.
-    from repro.gateway.pipeline import GatewayPipeline
     gw = deployment.gateway
-    gw.pipeline = GatewayPipeline([f(gw) for f in factories])
     # Swap the paper's priority router for the SLO-aware one.
     gw.router = SLORouter(
         deployment.topology, default_slo_s=LATENCY_SLO_S,

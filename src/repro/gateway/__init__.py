@@ -1,7 +1,8 @@
 """The FIRST Inference Gateway: OpenAI-compatible API over the compute layer.
 
 Implements §3.1 of the paper as **Gateway API v2** — a composable middleware
-pipeline over a typed request context::
+pipeline over a typed request context, run as one flat pass (every stage's
+``before`` in order, then ``after``, innermost first)::
 
     request ──▶ Validation ─▶ Auth ─▶ RateLimit ─▶ ResponseCache
                     │                                   │ (hit: short-circuit)
@@ -11,7 +12,8 @@ pipeline over a typed request context::
 * **Pipeline** (:mod:`.pipeline`, :mod:`.context`) — each concern of the
   request path (validation, token introspection with caching, rate limiting,
   response caching, logging/metrics, federated routing, compute dispatch) is
-  one :class:`Middleware` stage; deployments insert/replace stages through
+  one :class:`Middleware` stage with ``before(ctx)`` / ``after(ctx, error)``
+  hooks; deployments insert/replace stages through
   ``GatewayConfig.middleware_factories`` without touching the application.
 * **Typed error envelopes** (:mod:`.responses`) — endpoints return OpenAI-style
   ``{"error": {"type", "code", "message", "status"}}`` bodies mapped from

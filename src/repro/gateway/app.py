@@ -3,7 +3,9 @@
 This is the OpenAI-compatible entry point of FIRST (§3.1).  Since API v2 the
 request path is a composable middleware chain (see
 :mod:`repro.gateway.pipeline`) over a typed
-:class:`~repro.gateway.context.RequestContext`:
+:class:`~repro.gateway.context.RequestContext`, run as one flat pass — each
+stage's ``before`` in order, then each entered stage's ``after``, innermost
+first:
 
     Validation → Auth → RateLimit → ResponseCache → Accounting → Routing → Dispatch
 

@@ -117,7 +117,3 @@ class GatewayAuthLayer:
         decision = self.auth.policies.check(info.username, resource)
         if not decision.allowed:
             raise AuthorizationError(decision.reason)
-
-    @property
-    def cache_size(self) -> int:
-        return len(self._cache)

@@ -90,13 +90,13 @@ class RequestContext:
     token_info: Optional[TokenInfo] = None
     #: Response-cache key, when cacheable (ResponseCacheMiddleware).
     cache_key: Optional[str] = None
-    #: Whether the response was served from the cache.
+    #: Whether the response was served from the cache (then not re-filled).
     cache_hit: bool = False
     #: Request-log row (AccountingMiddleware).
     log_entry: Optional[RequestLogEntry] = None
     #: Selected federated endpoint (RoutingMiddleware).
     endpoint: Any = None
-    #: Final result (DispatchMiddleware or ResponseCacheMiddleware).
+    #: Final result (DispatchMiddleware, or ResponseCacheMiddleware skipping the rest).
     result: Optional[InferenceResult] = None
 
     # -- streaming ------------------------------------------------------------
@@ -106,12 +106,12 @@ class RequestContext:
     gateway_token_times: List[float] = field(default_factory=list)
 
     # -- observability ---------------------------------------------------------
-    #: Names of the middleware stages entered, in order.
+    #: Names of the middleware stages whose ``before`` started, in order.
     trace: List[str] = field(default_factory=list)
     #: Span-recording :class:`~repro.obs.trace.TraceContext`, when the
     #: deployment runs with the observability stage (None otherwise).
     trace_context: Any = None
-    #: Free-form scratch space for custom middlewares.
+    #: Scratch space for middlewares (e.g. what a ``before`` leaves its ``after``).
     metadata: Dict[str, Any] = field(default_factory=dict)
 
     @property

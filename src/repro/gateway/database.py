@@ -135,9 +135,6 @@ class GatewayDatabase:
     def requests_for_user(self, username: str) -> List[RequestLogEntry]:
         return [e for e in self.request_log if e.user == username]
 
-    def requests_for_model(self, model: str) -> List[RequestLogEntry]:
-        return [e for e in self.request_log if e.model == model]
-
     @property
     def total_requests(self) -> int:
         return len(self.request_log)

@@ -1,7 +1,7 @@
 """Composable middleware pipeline — the Gateway API v2 request path.
 
 The monolithic ``InferenceGatewayAPI._handle`` generator of API v1 is
-decomposed into seven single-purpose stages composed by
+decomposed into seven single-purpose stages run in one flat pass by
 :class:`GatewayPipeline`::
 
     request ──▶ Validation ─▶ Auth ─▶ RateLimit ─▶ ResponseCache
@@ -9,14 +9,15 @@ decomposed into seven single-purpose stages composed by
                     ▼                                   ▼
                Accounting ─▶ Routing ─▶ Dispatch ──▶ result
                     ▲                       │
-                    └── db/metrics ◀────────┘ (post-order unwinding)
+                    └── db/metrics ◀────────┘ (``after``, innermost first)
 
-Each stage is a :class:`Middleware` whose ``process(ctx, call_next)`` is a
-simulation generator: it may read/write the :class:`RequestContext`, spend
-simulated time, raise a typed error (mapped to an envelope at the edge), or
-*not* call ``call_next`` to short-circuit the rest of the chain (response
-cache hits).  Code after ``yield from call_next(ctx)`` runs while the chain
-unwinds, which is how accounting observes the final result.
+Each stage is a :class:`Middleware`.  Its ``before(ctx)`` may read/write the
+:class:`RequestContext`, spend simulated time (by returning a generator),
+raise a typed error (mapped to an envelope at the edge), or set
+``ctx.result`` to skip the stages after it (response cache hits).  Its
+``after(ctx, error)`` runs on the way out, innermost first, for every stage
+whose ``before`` started — ``error`` is ``None`` or the exception the
+request is failing with — which is how accounting observes the result.
 
 Deployments customise the chain without touching ``InferenceGatewayAPI``:
 ``GatewayConfig.middleware_factories`` holds a list of callables that take
@@ -56,10 +57,11 @@ MiddlewareFactory = Callable[[object], "Middleware"]
 class Middleware:
     """One stage of the gateway pipeline.
 
-    Subclasses override :meth:`process`; the base implementation is a
-    transparent pass-through.  ``call_next(ctx)`` returns the generator of
-    the remaining chain — not calling it short-circuits the pipeline (the
-    context must then carry a ``result``).
+    Subclasses override :meth:`before` and/or :meth:`after`; the base
+    implementations do nothing.  ``before`` returns ``None`` or, to wait, a
+    generator; setting ``ctx.result`` in it skips the remaining stages.
+    ``after`` runs on the way out whether the request succeeded or not; an
+    exception it raises replaces ``error`` for the stages outside it.
     """
 
     #: Stable stage name recorded in ``ctx.trace`` (observability/tests).
@@ -68,8 +70,11 @@ class Middleware:
     def __init__(self, api):
         self.api = api
 
-    def process(self, ctx: RequestContext, call_next):
-        yield from call_next(ctx)
+    def before(self, ctx: RequestContext):
+        return None
+
+    def after(self, ctx: RequestContext, error) -> None:
+        pass
 
 
 class GatewayPipeline:
@@ -81,37 +86,40 @@ class GatewayPipeline:
 
     def run(self, ctx: RequestContext):
         """Simulation process: drive ``ctx`` through every stage."""
-        yield from self._call(0, ctx)
-
-    def _call(self, index: int, ctx: RequestContext):
-        if index >= len(self.middlewares):
-            return
-        middleware = self.middlewares[index]
-        ctx.trace.append(middleware.name)
-
-        def call_next(c: RequestContext):
-            return self._call(index + 1, c)
-
-        tctx = ctx.trace_context
-        if tctx is None:
-            yield from middleware.process(ctx, call_next)
-            return
-        # Span per stage.  Stages nest (each runs the rest of the chain from
-        # inside its own process), so the previous stage's span is this one's
-        # parent; `current` is restored on unwind so post-order code (cache
-        # fill, accounting) is attributed to its own stage.
-        prev = tctx.current
-        span = tctx.start_span(self._span_names[index], parent=prev,
-                               layer="gateway")
-        tctx.current = span
+        # (stage, its span, the span current before it) per stage entered:
+        # spans nest, and ``current`` is restored on the way out so ``after``
+        # work (cache fill, accounting) is attributed to its own stage.
+        entered = []
+        error = None
         try:
-            yield from middleware.process(ctx, call_next)
-        except Exception as exc:
-            span.status = f"error:{type(exc).__name__}"
-            raise
-        finally:
-            tctx.end_span(span)
-            tctx.current = prev
+            for middleware, span_name in zip(self.middlewares, self._span_names):
+                ctx.trace.append(middleware.name)
+                tctx = ctx.trace_context
+                span = prev = None
+                if tctx is not None:
+                    prev = tctx.current
+                    span = tctx.current = tctx.start_span(span_name, parent=prev,
+                                                          layer="gateway")
+                entered.append((middleware, span, prev))
+                wait = middleware.before(ctx)
+                if wait is not None:
+                    yield from wait
+                if ctx.result is not None:
+                    break
+        except BaseException as exc:
+            error = exc
+        for middleware, span, prev in reversed(entered):
+            try:
+                middleware.after(ctx, error)
+            except BaseException as exc:
+                error = exc
+            if span is not None:
+                if error is not None:
+                    span.status = f"error:{type(error).__name__}"
+                tctx.end_span(span)
+                tctx.current = prev
+        if error is not None:
+            raise error
 
     def stage_names(self) -> List[str]:
         return [m.name for m in self.middlewares]
@@ -128,7 +136,7 @@ class ValidationMiddleware(Middleware):
 
     name = "validation"
 
-    def process(self, ctx: RequestContext, call_next):
+    def before(self, ctx: RequestContext):
         api = self.api
         cfg = api.config
         ctx.model_name = api.validate_model(ctx.request.model)
@@ -145,7 +153,6 @@ class ValidationMiddleware(Middleware):
             yield from api.worker_slot(cfg.ingress_processing_s)
         else:
             yield api.env.timeout(cfg.ingress_processing_s)
-        yield from call_next(ctx)
 
 
 class AuthMiddleware(Middleware):
@@ -153,13 +160,12 @@ class AuthMiddleware(Middleware):
 
     name = "auth"
 
-    def process(self, ctx: RequestContext, call_next):
+    def before(self, ctx: RequestContext):
         api = self.api
         info = yield from api.auth_layer.authenticate(ctx.access_token)
         api.auth_layer.authorize(info, f"model:{ctx.model_name}")
         ctx.token_info = info
         ctx.request.user = info.username
-        yield from call_next(ctx)
 
 
 class RateLimitMiddleware(Middleware):
@@ -167,24 +173,22 @@ class RateLimitMiddleware(Middleware):
 
     name = "rate-limit"
 
-    def process(self, ctx: RequestContext, call_next):
-        api = self.api
-        api.rate_limiter.check(ctx.request.user, api.env.now)
-        yield from call_next(ctx)
+    def before(self, ctx: RequestContext):
+        self.api.rate_limiter.check(ctx.request.user, self.api.env.now)
 
 
 class ResponseCacheMiddleware(Middleware):
     """Serve identical prompts from the response cache; fill it on the way out.
 
-    A cache hit records its own metrics and returns without calling the rest
-    of the chain, so accounting/routing/dispatch never run.  Streaming
-    requests bypass the cache: their value is per-token timing, which a
-    cached body cannot reproduce.
+    A cache hit records its own metrics and sets ``ctx.result``, so
+    accounting/routing/dispatch never run and no fill restarts its lifetime.
+    Streaming requests bypass the cache: their value is per-token timing,
+    which a cached body cannot reproduce.
     """
 
     name = "response-cache"
 
-    def process(self, ctx: RequestContext, call_next):
+    def before(self, ctx: RequestContext):
         api = self.api
         cache = api.response_cache
         request = ctx.request
@@ -204,10 +208,11 @@ class ResponseCacheMiddleware(Middleware):
                                               0.0, outcome="cache_hit")
                 ctx.cache_hit = True
                 ctx.result = cached
-                return
-        yield from call_next(ctx)
-        if ctx.cache_key is not None and ctx.result is not None and ctx.result.success:
-            cache.put(ctx.cache_key, ctx.result, api.env.now)
+
+    def after(self, ctx: RequestContext, error) -> None:
+        if (error is None and not ctx.cache_hit and ctx.cache_key is not None
+                and ctx.result is not None and ctx.result.success):
+            self.api.response_cache.put(ctx.cache_key, ctx.result, self.api.env.now)
 
 
 class AccountingMiddleware(Middleware):
@@ -215,7 +220,7 @@ class AccountingMiddleware(Middleware):
 
     name = "accounting"
 
-    def process(self, ctx: RequestContext, call_next):
+    def before(self, ctx: RequestContext):
         api = self.api
         request = ctx.request
         api.metrics.request_started(ctx.model_name, request.prompt_tokens)
@@ -232,16 +237,18 @@ class AccountingMiddleware(Middleware):
         if api.config.db_write_s > 0:
             yield api.env.timeout(api.config.db_write_s)
         api.db.log_request(entry)
-        try:
-            yield from call_next(ctx)
-        except Exception as exc:
+
+    def after(self, ctx: RequestContext, error) -> None:
+        api = self.api
+        entry = ctx.log_entry
+        if error is not None:
             # Downstream failure (routing/dispatch): settle the books so the
             # dashboard's in-flight gauge and per-model failure counts stay
             # truthful, then let the edge map the exception to an envelope.
             api.db.complete_request(entry, 0, api.env.now, status="failed",
-                                    error=str(exc) or type(exc).__name__)
+                                    error=str(error) or type(error).__name__)
             api.metrics.request_failed(ctx.model_name, outcome="exception")
-            raise
+            return
         result = ctx.result
         latency = api.env.now - entry.submitted_at
         api.db.complete_request(
@@ -263,7 +270,7 @@ class RoutingMiddleware(Middleware):
 
     name = "routing"
 
-    def process(self, ctx: RequestContext, call_next):
+    def before(self, ctx: RequestContext):
         api = self.api
         endpoint = yield from api.route(ctx.model_name, tenant=ctx.request.user)
         ctx.endpoint = endpoint
@@ -275,7 +282,6 @@ class RoutingMiddleware(Middleware):
                 endpoint=endpoint.endpoint_id,
                 policy=type(api.router).__name__,
             )
-        yield from call_next(ctx)
 
 
 class DispatchMiddleware(Middleware):
@@ -291,7 +297,7 @@ class DispatchMiddleware(Middleware):
 
     name = "dispatch"
 
-    def process(self, ctx: RequestContext, call_next):
+    def before(self, ctx: RequestContext):
         api = self.api
         cfg = api.config
         request = ctx.request
@@ -348,7 +354,6 @@ class DispatchMiddleware(Middleware):
                     endpoint=ctx.endpoint.endpoint_id if ctx.endpoint else None,
                 )
         ctx.result = result
-        yield from call_next(ctx)
 
     def _forward_stream(self, ctx: RequestContext, ingress: StreamChannel):
         """Timestamp engine tokens as they reach the gateway and relay them to

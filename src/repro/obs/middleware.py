@@ -3,12 +3,14 @@
 Per ROADMAP conventions new gateway behavior lands as pipeline stages via
 ``GatewayConfig.middleware_factories``, never as edits to
 ``InferenceGatewayAPI``.  :func:`observability_middleware_factories` returns
-the stock chain with an :class:`ObservabilityMiddleware` prepended: the
-stage begins a :class:`~repro.obs.trace.TraceContext` for every request,
+the stock chain with an :class:`ObservabilityMiddleware` prepended: its
+``before`` begins a :class:`~repro.obs.trace.TraceContext` per request,
 roots the span tree and stamps the request metadata so downstream layers
-(relay → endpoint → engine) join the same trace.  It only traces: the
-gateway's RED metrics live in :class:`~repro.gateway.GatewayMetrics`,
-recorded whether or not this stage is installed.
+(relay → endpoint → engine) join the same trace; its ``after``, last out
+whether the request failed or not, stamps the outcome and finishes the
+trace.  It only traces: the gateway's RED metrics live in
+:class:`~repro.gateway.GatewayMetrics`, recorded whether or not this stage
+is installed.
 
 The factory is a plain picklable dataclass so deployments configured with
 it survive the sweep plane's spawn-based sharding.
@@ -102,42 +104,39 @@ class ObservabilityMiddleware(Middleware):
         super().__init__(api)
         self.layer = layer
 
-    def process(self, ctx, call_next):
-        tracer = self.layer.tracer
+    def before(self, ctx):
         request = ctx.request
-        tctx = tracer.begin(request.request_id)
+        tctx = self.layer.tracer.begin(request.request_id)
+        ctx.metadata[TRACE_KEY] = tctx
         if not tctx.recording:
             # The trace has no path to retention: keep the span machinery
             # (and the downstream layers) untouched.
-            yield from call_next(ctx)
-            tracer.finish(tctx)
             return
         ctx.trace_context = tctx
         # The trace rides the request's own metadata downstream (relay →
         # endpoint → engine), the same way the stream channel travels.
         request.metadata[TRACE_KEY] = tctx
-        root = tctx.start_span(
+        tctx.current = tctx.start_span(
             "gateway.request", layer="gateway",
             attrs={"model": request.model, "kind": request.kind.value,
                    "stream": ctx.streaming})
-        tctx.current = root
-        outcome = "exception"
-        try:
-            yield from call_next(ctx)
-            result = ctx.result
-            outcome = ("failure" if result is None or not result.success
-                       else "cache_hit" if ctx.cache_hit else "success")
-        except Exception as exc:
-            root.status = f"error:{type(exc).__name__}"
-            raise
-        finally:
-            root.attrs["outcome"] = outcome
+
+    def after(self, ctx, error):
+        tctx = ctx.metadata.pop(TRACE_KEY)
+        if tctx.recording:
+            root, result = tctx.current, ctx.result
+            if error is not None:
+                root.status = f"error:{type(error).__name__}"
+            root.attrs["outcome"] = (
+                "exception" if error is not None
+                else "failure" if result is None or not result.success
+                else "cache_hit" if ctx.cache_hit else "success")
             tctx.end_span(root)
             tctx.current = None
             # Drop our metadata entry if the request never reached the
             # engine (which pops it from result metadata itself).
-            request.metadata.pop(TRACE_KEY, None)
-            tracer.finish(tctx)
+            ctx.request.metadata.pop(TRACE_KEY, None)
+        self.layer.tracer.finish(tctx)
 
 
 @dataclass

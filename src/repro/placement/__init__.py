@@ -22,7 +22,7 @@ from .policies import (
     RandomRouter,
     SLORouter,
 )
-from .reservations import ReservationMiddleware, ReservationMiddlewareFactory
+from .reservations import ReservationMiddleware
 from .view import ClusterSignal, PoolSignal, TopologyView
 
 __all__ = [
@@ -36,5 +36,4 @@ __all__ = [
     "RandomRouter",
     "FirstConfiguredRouter",
     "ReservationMiddleware",
-    "ReservationMiddlewareFactory",
 ]

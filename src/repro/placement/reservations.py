@@ -11,8 +11,12 @@ It composes like every other API v2 stage — insert it via
 the authenticated tenant)::
 
     factories = default_middleware_factories()
-    factories.insert(2, ReservationMiddleware.factory(view))
+    factories.insert(2, ReservationMiddleware)
     config = GatewayConfig(middleware_factories=factories)
+
+The stage binds to the gateway router's placement view (``api.router.view``)
+when the pipeline is assembled, so a config carrying the class still
+pickles (sweep cells ship their deployment config to worker processes).
 
 Models without reservations are untouched.  For reserved models, a tenant
 is always admitted inside its reservation; overflow and unreserved tenants
@@ -23,47 +27,30 @@ reserved-but-unused capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from ..common import CapacityError
-from .view import TopologyView
 
-__all__ = ["ReservationMiddleware", "ReservationMiddlewareFactory"]
+__all__ = ["ReservationMiddleware"]
 
 
 class ReservationMiddleware:
     """Admission control against the view's per-tenant reservations.
 
-    Implements the gateway middleware protocol (``name`` +
-    ``process(ctx, call_next)``) without importing the gateway package, so
-    the placement plane stays a dependency of the gateway and not the other
-    way round.
+    Implements the gateway middleware protocol (``name`` + ``before(ctx)`` +
+    ``after(ctx, error)``) without importing the gateway package, so the
+    placement plane stays a dependency of the gateway and not the other way
+    round.
     """
 
     name = "reservation"
 
-    def __init__(self, api, view: TopologyView):
+    def __init__(self, api):
         self.api = api
-        self.view = view
+        self.view = api.router.view
 
-    @classmethod
-    def factory(cls, view: Optional[TopologyView] = None) -> "ReservationMiddlewareFactory":
-        """Factory for ``GatewayConfig.middleware_factories``.
-
-        Without an explicit view the stage binds to the gateway router's
-        placement view (``api.router.view``) at
-        pipeline-assembly time — and the factory is then a plain picklable
-        value, so configs carrying it survive a pickle round-trip (sweep
-        cells ship their deployment config to worker processes).
-        """
-        return ReservationMiddlewareFactory(view)
-
-    def process(self, ctx, call_next):
+    def before(self, ctx):
         model = ctx.model_name
         tenant = ctx.request.user
         if not self.view.reservations_for(model):
-            yield from call_next(ctx)
             return
         if not self.view.try_admit(model, tenant):
             raise CapacityError(
@@ -71,23 +58,7 @@ class ReservationMiddleware:
                 "reserved slots left and best-effort capacity is exhausted"
             )
         ctx.metadata["reservation_admitted"] = True
-        try:
-            yield from call_next(ctx)
-        finally:
-            self.view.release_admission(model, tenant)
 
-
-@dataclass
-class ReservationMiddlewareFactory:
-    """Module-level, picklable ``middleware_factories`` entry.
-
-    ``view=None`` (the picklable form) resolves the gateway router's
-    placement view at pipeline-assembly time; an explicit view pins the
-    stage to that view but ties the factory to live simulation state.
-    """
-
-    view: Optional[TopologyView] = None
-
-    def __call__(self, api) -> ReservationMiddleware:
-        return ReservationMiddleware(
-            api, self.view if self.view is not None else api.router.view)
+    def after(self, ctx, error):
+        if ctx.metadata.get("reservation_admitted"):
+            self.view.release_admission(ctx.model_name, ctx.request.user)

@@ -272,9 +272,6 @@ class TopologyView:
             raise ValueError("reserved slots must be > 0")
         self._reservations.setdefault(model, {})[tenant] = slots
 
-    def release_reservation(self, tenant: str, model: str) -> None:
-        self._reservations.get(model, {}).pop(tenant, None)
-
     def reservations_for(self, model: str) -> Dict[str, int]:
         return dict(self._reservations.get(model, {}))
 

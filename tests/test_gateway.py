@@ -354,9 +354,8 @@ def test_custom_middleware_via_gateway_config():
     class TaggingMiddleware(Middleware):
         name = "tagging"
 
-        def process(self, ctx, call_next):
+        def before(self, ctx):
             ctx.request.metadata["tagged_by"] = "tagging-middleware"
-            yield from call_next(ctx)
 
     factories = default_middleware_factories()
     factories.insert(0, TaggingMiddleware)
@@ -405,6 +404,32 @@ def test_cache_hit_short_circuits_pipeline():
     assert ctx.cache_hit
     assert ctx.trace == ["validation", "auth", "rate-limit", "response-cache"]
     assert "dispatch" not in ctx.trace
+
+
+def test_cache_hit_does_not_extend_entry_lifetime():
+    """An entry expires ``response_cache_ttl_s`` after it was filled, however
+    often it is hit in between: a hit must not re-fill (and so re-stamp) it."""
+    deployment = small_deployment(gateway_config=GatewayConfig(
+        enable_response_cache=True, response_cache_ttl_s=100.0))
+    deployment.warm_up(MODEL_7B)
+    client = deployment.client("researcher@anl.gov")
+    gateway = deployment.gateway
+    msg = [{"role": "user", "content": "expire me"}]
+    client.chat_completion(MODEL_7B, msg, max_tokens=8)
+    filled_at = deployment.env.now
+    assert not gateway.last_context.cache_hit
+
+    deployment.run_for(60.0)
+    client.chat_completion(MODEL_7B, msg, max_tokens=8)
+    assert gateway.last_context.cache_hit
+
+    # Past fill + TTL, though well inside hit + TTL: a miss that goes downstream.
+    deployment.run_for(filled_at + 105.0 - deployment.env.now)
+    client.chat_completion(MODEL_7B, msg, max_tokens=8)
+    ctx = gateway.last_context
+    assert not ctx.cache_hit
+    assert ctx.trace == DEFAULT_STAGES
+    assert (gateway.response_cache.hits, gateway.response_cache.misses) == (1, 2)
 
 
 # -- API v2: typed error envelopes ---------------------------------------------------------

@@ -16,8 +16,10 @@ from repro.core import (
     FIRSTDeployment,
     ModelHostingConfig,
     ObservabilityConfig,
+    quickstart_config,
 )
-from repro.obs import span_tree
+from repro.obs import observability_middleware_factories, span_tree
+from repro.placement import ReservationMiddleware
 from repro.sim import Environment
 
 MODEL = "Qwen/Qwen2.5-7B-Instruct"
@@ -296,6 +298,59 @@ def test_gateway_metrics_are_one_store_with_or_without_tracing():
     assert metrics.ttft.labels(model=MODEL).count == 1
     assert "gateway_in_flight_requests 0\n" in plain.gateway.metrics_text()
     assert dashboard["in_flight"] == 0
+
+
+# -- the pipeline's unwind contract ---------------------------------------------
+
+def test_unrecorded_trace_is_finished_when_the_request_fails():
+    """A head-dropped (non-recording) trace is finished on failure too."""
+    config = quickstart_config(generate_text=False)
+    config.observability = ObservabilityConfig(sample_rate=0.0, slowest_k=0)
+    config.gateway.rate_limit_requests = 1
+    deployment = FIRSTDeployment(config)
+    deployment.warm_up(MODEL)
+    client = deployment.client("researcher@anl.gov", raise_on_error=False)
+    client.chat_completion(MODEL, [{"role": "user", "content": "1"}], max_tokens=4)
+    rejected = client.chat_completion(MODEL, [{"role": "user", "content": "2"}],
+                                      max_tokens=4)
+    assert rejected["error"]["type"] == "rate_limit_error"
+    stats = deployment.observability.tracer.stats()
+    assert (stats["begun"], stats["finished"]) == (2, 2)
+
+
+def test_failure_after_accounting_unwinds_every_stage():
+    """Routing fails after accounting logged the request: every entered stage
+    settles its books on the way out and every stage span carries the error."""
+    factories = observability_middleware_factories()
+    factories.insert(3, ReservationMiddleware)  # after observability, validation, auth
+    deployment = obs_deployment(gateway=replace(default_gateway_config(),
+                                                middleware_factories=factories))
+    tenant = "researcher@anl.gov"
+    deployment.topology.reserve(tenant, MODEL, 2)
+    deployment.topology.deregister("ep-devcluster")
+    client = deployment.client(tenant, raise_on_error=False)
+    envelope = client.chat_completion(MODEL, [{"role": "user", "content": "x"}],
+                                      max_tokens=4)
+    assert envelope["error"]["status"] == 404
+
+    gateway = deployment.gateway
+    assert [e.status for e in gateway.db.request_log] == ["failed"]
+    assert gateway.metrics.requests_total.child_values()[MODEL, "exception"] == 1
+    assert gateway.metrics.in_flight == 0
+    assert deployment.topology.admitted(MODEL, tenant) == 0
+
+    tracer = deployment.observability.tracer
+    assert tracer.stats()["finished"] == 1
+    spans = tracer.get(tracer.trace_ids()[0]).spans
+    root = spans[0]
+    assert root.name == "gateway.request"
+    assert root.attrs["outcome"] == "exception"
+    stages = [s for s in spans if s.name.startswith("gateway.stage.")]
+    assert [s.name[len("gateway.stage."):] for s in stages] == [
+        "validation", "auth", "reservation", "rate-limit", "response-cache",
+        "accounting", "routing"]
+    assert {s.status for s in [root] + stages} == {"error:NotFoundError"}
+    assert all(s.end is not None for s in [root] + stages)
 
 
 # -- sim-time structured logging ------------------------------------------------

@@ -19,7 +19,7 @@ from repro.core import (
     FIRSTDeployment,
     ModelHostingConfig,
 )
-from repro.gateway import default_middleware_factories
+from repro.gateway import GatewayConfig, default_middleware_factories
 from repro.placement import (
     FirstConfiguredRouter,
     LeastLoadedRouter,
@@ -448,17 +448,16 @@ def test_view_reservation_admission_arithmetic():
     assert view.rejections == 2
 
 
-def test_reservation_middleware_rejects_best_effort_with_typed_envelope():
+def reservation_gateway_config():
+    """The stock pipeline with the reservation stage after auth."""
     factories = default_middleware_factories()
-    factories.insert(2, ReservationMiddleware.factory())
-    deployment = two_cluster_deployment(slots=4, max_instances=1)
-    deployment.config.gateway.middleware_factories = factories
-    # Rebuild the pipeline with the reservation stage (config was consumed
-    # at construction time).
-    gw = deployment.gateway
-    from repro.gateway.pipeline import GatewayPipeline
-    gw.pipeline = GatewayPipeline([f(gw) for f in factories])
+    factories.insert(2, ReservationMiddleware)
+    return GatewayConfig(middleware_factories=factories)
 
+
+def test_reservation_middleware_rejects_best_effort_with_typed_envelope():
+    deployment = two_cluster_deployment(slots=4, max_instances=1,
+                                        gateway=reservation_gateway_config())
     deployment.warm_up(MODEL_8B, endpoint_id="ep-c1")
     # Reserve the whole fleet for the VIP tenant.
     deployment.topology.reserve("vip@anl.gov", MODEL_8B,
@@ -480,12 +479,8 @@ def test_reservation_middleware_rejects_best_effort_with_typed_envelope():
 
 
 def test_unreserved_model_is_untouched_by_reservation_stage():
-    factories = default_middleware_factories()
-    factories.insert(2, ReservationMiddleware.factory())
-    deployment = two_cluster_deployment(slots=4, max_instances=1)
-    gw = deployment.gateway
-    from repro.gateway.pipeline import GatewayPipeline
-    gw.pipeline = GatewayPipeline([f(gw) for f in factories])
+    deployment = two_cluster_deployment(slots=4, max_instances=1,
+                                        gateway=reservation_gateway_config())
     client = deployment.client("researcher@anl.gov")
     response = client.chat_completion(
         MODEL_8B, [{"role": "user", "content": "no reservations here"}], max_tokens=8)

@@ -54,7 +54,7 @@ class TestConfigPickleSafety:
     def test_gateway_config_with_middlewares_round_trips(self):
         config = GatewayConfig(
             middleware_factories=default_middleware_factories()
-            + [ReservationMiddleware.factory()]
+            + [ReservationMiddleware]
         )
         clone = pickle.loads(pickle.dumps(config))
         assert clone.middleware_factories == config.middleware_factories
