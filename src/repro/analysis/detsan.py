@@ -293,12 +293,14 @@ def compare_hashseeds(target: str, seeds: Sequence[int] = (101, 202),
 
 
 def quickstart_fingerprint() -> str:
-    """Fingerprint of a small run over ``quickstart_config``: the merged
-    summary, the gateway's ``/v1/metrics`` text and the dashboard's per-model
-    rows (registry child order and dashboard model order included)."""
+    """Fingerprint of a small traced run over ``quickstart_config``: the
+    merged summary, the gateway's ``/v1/metrics`` text, the dashboard's
+    per-model rows (registry child order and dashboard model order included),
+    every retained trace's content and the tracer's counters."""
     import hashlib
+    from dataclasses import replace
 
-    from ..core import quickstart_config
+    from ..core import ObservabilityConfig, quickstart_config
     from ..serving import InferenceRequest, RequestKind
     from ..sweep import ScenarioSpec
     from ..sweep.scenarios import first_cell_deployment
@@ -306,7 +308,8 @@ def quickstart_fingerprint() -> str:
     spec = ScenarioSpec(
         key="hashseed/quickstart", runner="first",
         model="Qwen/Qwen2.5-7B-Instruct", num_requests=16,
-        params={"deployment": quickstart_config(generate_text=False),
+        params={"deployment": replace(quickstart_config(generate_text=False),
+                                      observability=ObservabilityConfig()),
                 "rate": 2.0})
     deployment, result = first_cell_deployment(spec)
     # One request to each other quickstart model: dashboard rows to order.
@@ -319,8 +322,11 @@ def quickstart_fingerprint() -> str:
     ):
         deployment.env.run(until=client.submit(request))
     gateway = deployment.gateway
+    tracer = deployment.observability.tracer
+    traces = [tracer.get(trace_id).to_dict() for trace_id in tracer.trace_ids()]
     return hashlib.sha256(repr((result["mergeable"].fingerprint(), gateway.metrics_text(),
-                                gateway.dashboard()["models"])).encode()).hexdigest()
+                                gateway.dashboard()["models"], traces,
+                                tracer.stats())).encode()).hexdigest()
 
 
 def partitioned_fingerprint() -> str:

@@ -28,6 +28,7 @@ the partitioned plane's cluster shards call it too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..autoscale import AutoscaleConfig
@@ -52,8 +53,10 @@ from ..faas import (
     ModelHostingConfig,
     RelayService,
 )
-from ..gateway import GatewayConfig, GatewayDatabase, InferenceGatewayAPI
-from ..obs.middleware import ObservabilityConfig, observability_middleware_factories
+from ..gateway import (GatewayConfig, GatewayDatabase, InferenceGatewayAPI,
+                       default_middleware_factories)
+from ..obs import ObservabilityConfig
+from ..obs.middleware import ObservabilityMiddleware
 from ..placement import PlacementPolicy, PriorityRouter, TopologyView
 from ..serving import ModelCatalog, default_catalog
 from ..sim import Environment
@@ -95,10 +98,11 @@ class DeploymentConfig:
     users: List[str] = field(default_factory=lambda: ["researcher@anl.gov"])
     identity_domains: List[str] = field(default_factory=lambda: ["anl.gov", "university.edu"])
     generate_text: bool = False
-    #: Distributed tracing + metrics registry (see :mod:`repro.obs`).  When
-    #: set and ``gateway.middleware_factories`` is None, the gateway pipeline
-    #: gains an observability stage; tracing is observe-only, so simulation
-    #: results are bit-identical with or without it.
+    #: Distributed tracing (see :mod:`repro.obs`).  When set, an
+    #: :class:`~repro.obs.ObservabilityMiddleware` built from it runs as the
+    #: gateway's first stage, in front of the stock chain or of
+    #: ``gateway.middleware_factories``; tracing is observe-only, so
+    #: simulation results are bit-identical with or without it.
     observability: Optional["ObservabilityConfig"] = None
 
 
@@ -315,15 +319,11 @@ class FIRSTDeployment:
         )
         self.database = GatewayDatabase()
         gateway_config = self.config.gateway
-        if (self.config.observability is not None
-                and gateway_config.middleware_factories is None):
-            # Prepend the observability stage to the stock chain; an explicit
-            # middleware_factories list wins (callers compose their own).
-            gateway_config = replace(
-                gateway_config,
-                middleware_factories=observability_middleware_factories(
-                    self.config.observability),
-            )
+        if self.config.observability is not None:
+            # The observability stage runs first, whichever chain follows it.
+            gateway_config = replace(gateway_config, middleware_factories=[
+                partial(ObservabilityMiddleware, config=self.config.observability),
+                *(gateway_config.middleware_factories or default_middleware_factories())])
         self.gateway = InferenceGatewayAPI(
             self.env,
             self.auth,
@@ -386,5 +386,6 @@ class FIRSTDeployment:
 
     @property
     def observability(self):
-        """The gateway's :class:`~repro.obs.ObservabilityLayer` (or ``None``)."""
+        """The gateway's :class:`~repro.obs.ObservabilityMiddleware` stage (or
+        ``None``): its ``tracer``, ``kernel_profiler`` and trace readers."""
         return self.gateway.observability

@@ -110,9 +110,9 @@ class InferenceGatewayAPI:
         self.workers = Resource(env, capacity=self.config.worker_slots())
         self._routing_cache: Dict[tuple, _RoutingCacheEntry] = {}
 
-        #: Set by :class:`repro.obs.ObservabilityMiddlewareFactory` when the
-        #: observability stage is part of the pipeline (must exist before the
-        #: factories run, since the factory assigns it during construction).
+        #: The :class:`repro.obs.ObservabilityMiddleware` stage, which sets
+        #: itself here when it is built (so this must exist before the
+        #: factories run).
         self.observability = None
         factories = self.config.middleware_factories or default_middleware_factories()
         self.pipeline = GatewayPipeline([factory(self) for factory in factories])

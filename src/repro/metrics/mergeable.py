@@ -131,9 +131,6 @@ class LogBucketHistogram:
                 return self.bucket_value(index)
         return self.bucket_value(max(self.buckets))
 
-    def percentile(self, p: float) -> float:
-        return self.quantile(p / 100.0)
-
     # -- serialisation -----------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -142,12 +139,6 @@ class LogBucketHistogram:
             "zero_count": self.zero_count,
             "buckets": {str(i): c for i, c in sorted(self.buckets.items())},
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LogBucketHistogram":
-        return cls(rel_err=data["rel_err"], min_value=data["min_value"],
-                   zero_count=data["zero_count"],
-                   buckets={int(i): c for i, c in data["buckets"].items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogBucketHistogram):
@@ -316,23 +307,6 @@ class MergeableSummary:
             "counters": dict(sorted(self.counters.items())),
             "num_shards": self.num_shards,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MergeableSummary":
-        return cls(
-            label=data["label"],
-            num_requests=data["num_requests"],
-            num_successful=data["num_successful"],
-            total_output_tokens=data["total_output_tokens"],
-            total_prompt_tokens=data["total_prompt_tokens"],
-            duration_s=data["duration_s"],
-            latency_sum_s=data["latency_sum_s"],
-            latency=LogBucketHistogram.from_dict(data["latency"]),
-            ttft=LogBucketHistogram.from_dict(data["ttft"]),
-            itl=LogBucketHistogram.from_dict(data["itl"]),
-            counters=dict(data["counters"]),
-            num_shards=data["num_shards"],
-        )
 
     def fingerprint(self) -> str:
         """SHA-256 over the full-precision canonical *measurement* state.

@@ -1,18 +1,18 @@
 """Observability substrate: tracing, metrics registry, kernel profiling.
 
-Eagerly exports only the gateway-independent pieces (trace, registry,
-kernel profiler, exporter) — :mod:`repro.serving.engine` imports
-:data:`TRACE_KEY` from here, so pulling :mod:`repro.obs.middleware` (which
-imports the gateway, which imports serving) at package import time would
-create a cycle.  The middleware wiring is reachable lazily as
-``repro.obs.middleware`` / via ``__getattr__``.
+Eagerly exports only the gateway-independent pieces (trace and its
+:class:`ObservabilityConfig`, registry, kernel profiler, exporter) —
+:mod:`repro.serving.engine` imports :data:`TRACE_KEY` from here, so pulling
+:mod:`repro.obs.middleware` (which imports the gateway, which imports
+serving) at package import time would create a cycle.  The gateway stage,
+:class:`ObservabilityMiddleware`, is reachable lazily via ``__getattr__``.
 """
 
-from .export import dump_chrome_trace, to_chrome_trace
+from .export import to_chrome_trace
 from .kernel import KernelProfiler
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .trace import (TRACE_KEY, Span, TraceContext, TraceShape, Tracer,
-                    TracerConfig, span_tree)
+from .trace import (TRACE_KEY, ObservabilityConfig, Span, TraceContext,
+                    TraceShape, Tracer, span_tree)
 
 __all__ = [
     "TRACE_KEY",
@@ -20,7 +20,7 @@ __all__ = [
     "TraceContext",
     "TraceShape",
     "Tracer",
-    "TracerConfig",
+    "ObservabilityConfig",
     "span_tree",
     "Counter",
     "Gauge",
@@ -28,27 +28,14 @@ __all__ = [
     "MetricsRegistry",
     "KernelProfiler",
     "to_chrome_trace",
-    "dump_chrome_trace",
-    # lazy (see __getattr__): gateway-facing wiring
-    "ObservabilityConfig",
-    "ObservabilityLayer",
+    # lazy (see __getattr__): the gateway stage
     "ObservabilityMiddleware",
-    "ObservabilityMiddlewareFactory",
-    "observability_middleware_factories",
 ]
-
-_MIDDLEWARE_EXPORTS = {
-    "ObservabilityConfig",
-    "ObservabilityLayer",
-    "ObservabilityMiddleware",
-    "ObservabilityMiddlewareFactory",
-    "observability_middleware_factories",
-}
 
 
 def __getattr__(name):
-    if name in _MIDDLEWARE_EXPORTS:
-        from . import middleware
+    if name == "ObservabilityMiddleware":
+        from .middleware import ObservabilityMiddleware
 
-        return getattr(middleware, name)
+        return ObservabilityMiddleware
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,10 +11,9 @@ reads left-to-right, top-to-bottom.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Union
 
-__all__ = ["to_chrome_trace", "dump_chrome_trace"]
+__all__ = ["to_chrome_trace"]
 
 #: Stable row order for the known layers; unknown layers follow after.
 _LAYER_ORDER = ("gateway", "relay", "endpoint", "engine")
@@ -89,8 +88,3 @@ def to_chrome_trace(trace: Union[dict, object]) -> dict:
         },
     }
 
-
-def dump_chrome_trace(trace: Union[dict, object], path: str) -> None:
-    """Write the Chrome trace JSON to ``path`` (open it in Perfetto)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_chrome_trace(trace), fh, indent=1)

@@ -1,76 +1,47 @@
-"""Gateway wiring for the observability layer.
+"""The gateway's observability stage.
 
 Per ROADMAP conventions new gateway behavior lands as pipeline stages via
 ``GatewayConfig.middleware_factories``, never as edits to
-``InferenceGatewayAPI``.  :func:`observability_middleware_factories` returns
-the stock chain with an :class:`ObservabilityMiddleware` prepended: its
-``before`` begins a :class:`~repro.obs.trace.TraceContext` per request,
-roots the span tree and stamps the request metadata so downstream layers
-(relay → endpoint → engine) join the same trace; its ``after``, last out
-whether the request failed or not, stamps the outcome and finishes the
-trace.  It only traces: the gateway's RED metrics live in
-:class:`~repro.gateway.GatewayMetrics`, recorded whether or not this stage
-is installed.
-
-The factory is a plain picklable dataclass so deployments configured with
-it survive the sweep plane's spawn-based sharding.
+``InferenceGatewayAPI``.  :class:`ObservabilityMiddleware` is the whole
+observability layer of one gateway: built from an
+:class:`~repro.obs.trace.ObservabilityConfig`, it owns the
+:class:`~repro.obs.trace.Tracer` and the optional
+:class:`~repro.obs.kernel.KernelProfiler` and publishes itself as
+``api.observability`` for the trace endpoints and the dashboard.  A
+deployment with ``DeploymentConfig.observability`` set runs it as the first
+stage, in front of the stock chain or any configured one.  Its ``before``
+begins a :class:`~repro.obs.trace.TraceContext` per request, roots the span
+tree and stamps the request metadata so downstream layers (relay → endpoint
+→ engine) join the same trace; its ``after``, last out whether the request
+failed or not, stamps the outcome and finishes the trace.  It only traces:
+the gateway's RED metrics live in :class:`~repro.gateway.GatewayMetrics`,
+recorded whether or not this stage is installed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
-from ..gateway.pipeline import Middleware, default_middleware_factories
+from ..gateway.pipeline import Middleware
 from .kernel import KernelProfiler
-from .trace import TRACE_KEY, Tracer, TracerConfig
+from .trace import TRACE_KEY, ObservabilityConfig, Tracer
 
-__all__ = [
-    "ObservabilityConfig",
-    "ObservabilityLayer",
-    "ObservabilityMiddleware",
-    "ObservabilityMiddlewareFactory",
-    "observability_middleware_factories",
-]
+__all__ = ["ObservabilityMiddleware"]
 
 
-@dataclass
-class ObservabilityConfig:
-    """Deployment-level observability knobs (picklable)."""
+class ObservabilityMiddleware(Middleware):
+    """First pipeline stage: root the trace, stamp the request's outcome."""
 
-    #: Head-sampling probability for trace retention (see TracerConfig).
-    sample_rate: float = 1.0
-    #: Always-retained top-K-slowest reservoir size.
-    slowest_k: int = 8
-    #: FIFO bound on head-sampled retained traces.
-    max_traces: int = 256
-    #: Per-trace span cap.
-    max_spans_per_trace: int = 512
-    #: Seed of the deterministic hash-based head-sampling decision.
-    seed: int = 0
-    #: Attach a KernelProfiler to the deployment's Environment.
-    profile_kernel: bool = False
+    name = "observability"
 
-
-class ObservabilityLayer:
-    """Tracer + (optional) kernel profiler for one gateway."""
-
-    def __init__(self, env, config: Optional[ObservabilityConfig] = None):
-        self.config = config or ObservabilityConfig()
-        self.tracer = Tracer(
-            env,
-            TracerConfig(
-                sample_rate=self.config.sample_rate,
-                slowest_k=self.config.slowest_k,
-                max_traces=self.config.max_traces,
-                max_spans_per_trace=self.config.max_spans_per_trace,
-            ),
-            seed=self.config.seed,
-        )
+    def __init__(self, api, config: Optional[ObservabilityConfig] = None):
+        super().__init__(api)
+        self.tracer = Tracer(api.env, config)
         self.kernel_profiler: Optional[KernelProfiler] = None
-        if self.config.profile_kernel:
+        if self.tracer.config.profile_kernel:
             self.kernel_profiler = KernelProfiler()
-            env.attach_profiler(self.kernel_profiler)
+            api.env.attach_profiler(self.kernel_profiler)
+        api.observability = self
 
     # -- exposition ---------------------------------------------------------
     def trace(self, trace_id: str) -> Optional[dict]:
@@ -94,19 +65,10 @@ class ObservabilityLayer:
             out["kernel"] = self.kernel_profiler.snapshot()
         return out
 
-
-class ObservabilityMiddleware(Middleware):
-    """First pipeline stage: root the trace, stamp the request's outcome."""
-
-    name = "observability"
-
-    def __init__(self, api, layer: ObservabilityLayer):
-        super().__init__(api)
-        self.layer = layer
-
+    # -- the stage ----------------------------------------------------------
     def before(self, ctx):
         request = ctx.request
-        tctx = self.layer.tracer.begin(request.request_id)
+        tctx = self.tracer.begin(request.request_id)
         ctx.metadata[TRACE_KEY] = tctx
         if not tctx.recording:
             # The trace has no path to retention: keep the span machinery
@@ -136,28 +98,4 @@ class ObservabilityMiddleware(Middleware):
             # Drop our metadata entry if the request never reached the
             # engine (which pops it from result metadata itself).
             ctx.request.metadata.pop(TRACE_KEY, None)
-        self.layer.tracer.finish(tctx)
-
-
-@dataclass
-class ObservabilityMiddlewareFactory:
-    """Picklable factory: builds the layer once and publishes it on the api.
-
-    The gateway application exposes the layer as ``api.observability`` so
-    the ``GET /v1/traces/{id}`` endpoint (and the dashboard) can reach it.
-    """
-
-    config: ObservabilityConfig = field(default_factory=ObservabilityConfig)
-
-    def __call__(self, api) -> ObservabilityMiddleware:
-        layer = ObservabilityLayer(api.env, self.config)
-        api.observability = layer
-        return ObservabilityMiddleware(api, layer)
-
-
-def observability_middleware_factories(
-    config: Optional[ObservabilityConfig] = None,
-) -> List:
-    """The stock gateway chain with the observability stage prepended."""
-    return [ObservabilityMiddlewareFactory(config or ObservabilityConfig()),
-            *default_middleware_factories()]
+        self.tracer.finish(tctx)

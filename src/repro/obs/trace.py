@@ -41,18 +41,22 @@ Retention is three-tier so interesting exemplars survive aggressive sampling:
   slowest finished traces are always retained, so the worst requests are
   inspectable even at ``sample_rate=0``;
 * **tail sampling** — an optional shape predicate
-  (:attr:`TracerConfig.tail_predicate`) inspects the *finished* trace's
+  (:attr:`ObservabilityConfig.tail_predicate`) inspects the *finished* trace's
   :class:`TraceShape` — span count, error spans, layers crossed,
   cross-cluster hops, duration — and keeps matches in their own bounded
   FIFO ring.  Head sampling can only gamble at begin time; the tail tier
   keeps every error or every multi-cluster request deterministically.
+
+:class:`ObservabilityConfig` is the one description of that policy: a
+deployment sets it as ``DeploymentConfig.observability``, and a
+:class:`Tracer` keeps a private copy of it.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..common import stable_seed
@@ -63,7 +67,7 @@ __all__ = [
     "TraceContext",
     "TraceShape",
     "Tracer",
-    "TracerConfig",
+    "ObservabilityConfig",
     "span_tree",
 ]
 
@@ -302,7 +306,7 @@ class TraceShape:
     """Cheap structural summary of a finished trace, fed to tail predicates.
 
     Built once per :meth:`Tracer.finish` (only when a
-    :attr:`~TracerConfig.tail_predicate` is installed) from the recorded
+    :attr:`~ObservabilityConfig.tail_predicate` is installed) from the recorded
     spans — no span objects escape, so predicates cannot mutate the trace.
     """
 
@@ -351,8 +355,8 @@ class TraceShape:
 
 
 @dataclass
-class TracerConfig:
-    """Sampling and retention policy of a :class:`Tracer`."""
+class ObservabilityConfig:
+    """Sampling and retention policy of a :class:`Tracer` (picklable)."""
 
     #: Head-sampling probability in [0, 1].  0 keeps only the slowest-K.
     sample_rate: float = 1.0
@@ -362,6 +366,11 @@ class TracerConfig:
     max_traces: int = 256
     #: Per-trace span cap (excess spans are counted, not stored).
     max_spans_per_trace: int = 512
+    #: Seed of the deterministic hash-based head-sampling decision.
+    seed: int = 0
+    #: Attach a :class:`~repro.obs.kernel.KernelProfiler` to the deployment's
+    #: Environment (read by the gateway's observability stage).
+    profile_kernel: bool = False
     #: Tail-sampling hook: called at finish time with the trace's
     #: :class:`TraceShape`; return True to retain.  ``None`` disables the
     #: tier.  The decision sees the *whole* trace (errors, hop counts),
@@ -377,14 +386,14 @@ class Tracer:
 
     Sampling is deterministic: the head decision is a pure function of
     ``(seed, trace_id)`` (hash-based, order-independent and numpy-free), so
-    it never touches the simulation's RNG streams or event queue.
+    it never touches the simulation's RNG streams or event queue.  The
+    tracer keeps its own copy of ``config``: editing ``tracer.config``
+    never reaches a config that callers share.
     """
 
-    def __init__(self, env, config: Optional[TracerConfig] = None,
-                 seed: int = 0):
+    def __init__(self, env, config: Optional[ObservabilityConfig] = None):
         self.env = env
-        self.config = config or TracerConfig()
-        self._seed = seed
+        self.config = replace(config or ObservabilityConfig())
         #: Retained traces by id (head ring ∪ slowest-K reservoir).
         self._traces: Dict[str, TraceContext] = {}
         self._head_ring: Deque[str] = deque()
@@ -410,7 +419,7 @@ class Tracer:
         if rate <= 0.0:
             return False
         # Hash-based: deterministic per (seed, trace_id), order-independent.
-        return (stable_seed("obs-head-sample", self._seed, trace_id) % (1 << 53)) \
+        return (stable_seed("obs-head-sample", self.config.seed, trace_id) % (1 << 53)) \
             < rate * (1 << 53)
 
     # -- lifecycle ---------------------------------------------------------

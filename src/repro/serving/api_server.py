@@ -41,9 +41,6 @@ class APIServerConfig:
     threads: int = 1
     base_handling_s: float = 0.08
     degradation_connections: float = 400.0
-    #: Maximum simultaneously open connections (0 = unlimited). Requests
-    #: beyond the limit wait to connect.
-    max_connections: int = 0
 
 
 @dataclass

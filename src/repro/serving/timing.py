@@ -48,9 +48,6 @@ class PerfModelConfig:
     batch_half_saturation: float = 33.0
     #: Prefill is compute-bound and much faster per token than decode.
     prefill_speedup: float = 10.0
-    #: Fixed engine-side overhead added to every request (tokenisation,
-    #: scheduling, detokenisation) in seconds.
-    per_request_overhead_s: float = 0.05
     #: Engine initialisation time after weights are loaded (CUDA graphs,
     #: memory profiling, server start) in seconds.
     engine_init_s: float = 25.0

@@ -18,7 +18,8 @@ from repro.core import (
     ObservabilityConfig,
     quickstart_config,
 )
-from repro.obs import observability_middleware_factories, span_tree
+from repro.gateway import default_middleware_factories
+from repro.obs import span_tree
 from repro.placement import ReservationMiddleware
 from repro.sim import Environment
 
@@ -318,13 +319,62 @@ def test_unrecorded_trace_is_finished_when_the_request_fails():
     assert (stats["begun"], stats["finished"]) == (2, 2)
 
 
+def _reservation_deployment():
+    """A traced deployment whose chain, configured through
+    ``gateway.middleware_factories``, has ``ReservationMiddleware`` after auth."""
+    factories = default_middleware_factories()
+    factories.insert(2, ReservationMiddleware)  # after validation, auth
+    return obs_deployment(ObservabilityConfig(), gateway=replace(
+        default_gateway_config(), middleware_factories=factories))
+
+
+@pytest.mark.parametrize("configured", [False, True])
+def test_observability_stage_runs_first_with_any_chain(configured):
+    """``DeploymentConfig.observability`` puts its stage first in front of the
+    stock chain and in front of configured ``middleware_factories`` alike."""
+    deployment = (_reservation_deployment() if configured
+                  else obs_deployment(ObservabilityConfig()))
+    stages = deployment.gateway.pipeline.stage_names()
+    assert deployment.observability is not None
+    assert stages[0] == "observability"
+    if configured:
+        assert stages[:4] == ["observability", "validation", "auth", "reservation"]
+
+
+def test_editing_a_tracer_config_reaches_no_other_deployment():
+    """Each tracer keeps a private copy of the config it was built from."""
+    shared = ObservabilityConfig()
+    first, second = obs_deployment(shared), obs_deployment(shared)
+    edited = first.observability.tracer.config
+    edited.tail_predicate = lambda shape: True
+    edited.sample_rate = 0.0
+    assert shared == ObservabilityConfig()
+    assert second.observability.tracer.config == ObservabilityConfig()
+
+
+def test_tail_sampling_through_a_deployment_keeps_the_failed_request():
+    """A tail predicate set on the deployment's config keeps the request that
+    failed and drops the one that succeeded."""
+    deployment = obs_deployment(ObservabilityConfig(
+        sample_rate=0.0, slowest_k=0, tail_predicate=lambda s: s.error_spans > 0))
+    deployment.warm_up(MODEL)
+    client = deployment.client("researcher@anl.gov", raise_on_error=False)
+    client.chat_completion(MODEL, [{"role": "user", "content": "ok"}], max_tokens=4)
+    deployment.topology.deregister("ep-devcluster")
+    envelope = client.chat_completion(MODEL, [{"role": "user", "content": "lost"}],
+                                      max_tokens=4)
+    assert envelope["error"]["status"] == 404
+    tracer = deployment.observability.tracer
+    assert tracer.stats()["finished"] == 2
+    assert len(tracer.tail_ids()) == 1
+    root = tracer.get(tracer.tail_ids()[0]).spans[0]
+    assert root.attrs["outcome"] == "exception"
+
+
 def test_failure_after_accounting_unwinds_every_stage():
     """Routing fails after accounting logged the request: every entered stage
     settles its books on the way out and every stage span carries the error."""
-    factories = observability_middleware_factories()
-    factories.insert(3, ReservationMiddleware)  # after observability, validation, auth
-    deployment = obs_deployment(gateway=replace(default_gateway_config(),
-                                                middleware_factories=factories))
+    deployment = _reservation_deployment()
     tenant = "researcher@anl.gov"
     deployment.topology.reserve(tenant, MODEL, 2)
     deployment.topology.deregister("ep-devcluster")

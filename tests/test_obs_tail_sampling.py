@@ -1,6 +1,6 @@
 """Tail-based trace sampling: shape predicates, retention ring, stats."""
 
-from repro.obs import Tracer, TracerConfig, TraceShape
+from repro.obs import ObservabilityConfig, Tracer, TraceShape
 from repro.sim import Environment
 
 
@@ -29,7 +29,7 @@ def _finish_trace(tracer, trace_id, *, error=False, clusters=("local",),
 
 def test_shape_summarises_spans_errors_layers_and_hops():
     env = Environment()
-    tracer = Tracer(env, TracerConfig(sample_rate=1.0))
+    tracer = Tracer(env, ObservabilityConfig(sample_rate=1.0))
     ctx, _ = _finish_trace(tracer, "t0", error=True,
                            clusters=("sophia", "polaris"), spans=4)
     shape = TraceShape.from_context(ctx)
@@ -43,7 +43,7 @@ def test_shape_summarises_spans_errors_layers_and_hops():
 
 def test_tail_predicate_keeps_errors_despite_zero_head_rate():
     env = Environment()
-    tracer = Tracer(env, TracerConfig(
+    tracer = Tracer(env, ObservabilityConfig(
         sample_rate=0.0, slowest_k=0,
         tail_predicate=lambda shape: shape.error_spans > 0))
     kept = []
@@ -60,7 +60,7 @@ def test_tail_predicate_keeps_errors_despite_zero_head_rate():
 
 def test_tail_predicate_sees_cross_cluster_hops():
     env = Environment()
-    tracer = Tracer(env, TracerConfig(
+    tracer = Tracer(env, ObservabilityConfig(
         sample_rate=0.0, slowest_k=0,
         tail_predicate=lambda shape: shape.cross_cluster_hops >= 1))
     _, single = _finish_trace(tracer, "local", clusters=("sophia",), spans=2)
@@ -72,7 +72,7 @@ def test_tail_predicate_sees_cross_cluster_hops():
 
 def test_tail_ring_evicts_fifo_at_capacity():
     env = Environment()
-    tracer = Tracer(env, TracerConfig(
+    tracer = Tracer(env, ObservabilityConfig(
         sample_rate=0.0, slowest_k=0, max_tail_traces=2,
         tail_predicate=lambda shape: True))
     for index in range(5):
@@ -86,7 +86,7 @@ def test_tail_ring_evicts_fifo_at_capacity():
 
 def test_tail_and_slowest_tiers_protect_each_others_traces():
     env = Environment()
-    tracer = Tracer(env, TracerConfig(
+    tracer = Tracer(env, ObservabilityConfig(
         sample_rate=0.0, slowest_k=1, max_tail_traces=1,
         tail_predicate=lambda shape: shape.error_spans > 0))
     _finish_trace(tracer, "slow", duration=10.0)
@@ -105,7 +105,7 @@ def test_tail_and_slowest_tiers_protect_each_others_traces():
 
 def test_no_tail_predicate_keeps_recording_decision_unchanged():
     env = Environment()
-    tracer = Tracer(env, TracerConfig(sample_rate=0.0, slowest_k=0))
+    tracer = Tracer(env, ObservabilityConfig(sample_rate=0.0, slowest_k=0))
     ctx = tracer.begin("t0")
     assert not ctx.recording
     stats = tracer.stats()

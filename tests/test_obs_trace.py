@@ -3,7 +3,7 @@ sampling determinism and the kernel profiler's no-op guarantee."""
 
 import pytest
 
-from repro.obs import KernelProfiler, Tracer, TracerConfig, span_tree
+from repro.obs import KernelProfiler, ObservabilityConfig, Tracer, span_tree
 from repro.sim import Environment
 
 
@@ -34,7 +34,7 @@ def test_span_recording_and_tree():
 
 def test_span_cap_counts_dropped_spans():
     env = Environment()
-    tracer = Tracer(env, TracerConfig(max_spans_per_trace=2))
+    tracer = Tracer(env, ObservabilityConfig(max_spans_per_trace=2))
     ctx = tracer.begin("t1")
     spans = [ctx.start_span(f"s{i}") for i in range(5)]
     # Overflow spans still behave like spans (no caller branching needed).
@@ -55,7 +55,7 @@ def _run_traces(tracer, durations):
 
 def test_head_ring_evicts_fifo():
     env = Environment()
-    tracer = Tracer(env, TracerConfig(sample_rate=1.0, slowest_k=0, max_traces=3))
+    tracer = Tracer(env, ObservabilityConfig(sample_rate=1.0, slowest_k=0, max_traces=3))
     _run_traces(tracer, [1.0] * 5)
     assert tracer.trace_ids() == ["t2", "t3", "t4"]
     assert tracer.get("t0") is None
@@ -64,7 +64,7 @@ def test_head_ring_evicts_fifo():
 
 def test_slowest_reservoir_survives_zero_sampling():
     env = Environment()
-    tracer = Tracer(env, TracerConfig(sample_rate=0.0, slowest_k=2))
+    tracer = Tracer(env, ObservabilityConfig(sample_rate=0.0, slowest_k=2))
     _run_traces(tracer, [1.0, 5.0, 0.5, 3.0, 2.0])
     # Only the two slowest are retained, regardless of head sampling.
     assert tracer.trace_ids() == ["t1", "t3"]
@@ -74,7 +74,7 @@ def test_slowest_reservoir_survives_zero_sampling():
 
 def test_slow_reservoir_protects_traces_from_head_eviction():
     env = Environment()
-    tracer = Tracer(env, TracerConfig(sample_rate=1.0, slowest_k=1, max_traces=2))
+    tracer = Tracer(env, ObservabilityConfig(sample_rate=1.0, slowest_k=1, max_traces=2))
     _run_traces(tracer, [9.0, 1.0, 1.0, 1.0])
     # t0 fell out of the head ring but is pinned by the slowest-K reservoir.
     assert tracer.get("t0") is not None
@@ -86,21 +86,21 @@ def test_slow_reservoir_protects_traces_from_head_eviction():
 def test_hash_sampling_is_deterministic_and_order_independent():
     env = Environment()
     ids = [f"req-{i}" for i in range(400)]
-    a = Tracer(env, TracerConfig(sample_rate=0.3), seed=7)
-    b = Tracer(env, TracerConfig(sample_rate=0.3), seed=7)
+    a = Tracer(env, ObservabilityConfig(sample_rate=0.3, seed=7))
+    b = Tracer(env, ObservabilityConfig(sample_rate=0.3, seed=7))
     decisions_a = [a._head_decision(tid) for tid in ids]
     decisions_b = [b._head_decision(tid) for tid in reversed(ids)]
     assert decisions_a == list(reversed(decisions_b))
     assert 0.15 < sum(decisions_a) / len(ids) < 0.45
     # A different seed flips some decisions.
-    c = Tracer(env, TracerConfig(sample_rate=0.3), seed=8)
+    c = Tracer(env, ObservabilityConfig(sample_rate=0.3, seed=8))
     assert [c._head_decision(tid) for tid in ids] != decisions_a
 
 
 def test_sampling_extremes_skip_the_draw():
     env = Environment()
-    always = Tracer(env, TracerConfig(sample_rate=1.0))
-    never = Tracer(env, TracerConfig(sample_rate=0.0))
+    always = Tracer(env, ObservabilityConfig(sample_rate=1.0))
+    never = Tracer(env, ObservabilityConfig(sample_rate=0.0))
     assert always._head_decision("x") is True
     assert never._head_decision("x") is False
 

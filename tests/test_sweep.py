@@ -15,6 +15,7 @@ The contracts the million-request sweeps rely on:
 
 import os
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.common import stable_seed
 from repro.core import (
+    ObservabilityConfig,
     federated_config,
     quickstart_config,
     sophia_benchmark_config,
@@ -45,6 +47,8 @@ class TestConfigPickleSafety:
         lambda: sophia_benchmark_config(MODEL_8B, max_instances=2, num_nodes=4),
         lambda: federated_config(MODEL_70B),
         lambda: federated_config(MODEL_8B, sophia_nodes=2, polaris_nodes=2),
+        lambda: replace(quickstart_config(), observability=ObservabilityConfig(
+            sample_rate=0.5, profile_kernel=True)),
     ])
     def test_shipped_deployment_configs_round_trip(self, build):
         config = build()
