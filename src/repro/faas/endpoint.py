@@ -742,6 +742,10 @@ class ComputeEndpoint:
             result = yield instance.submit(request)
         finally:
             pool.release(instance, slot)
+            # The engine is done with the stream channel: neither the caller's
+            # request nor the relay's task record keeps it alive.
+            record.payload.pop(STREAM_CHANNEL_KEY, None)
+            request.metadata.pop(STREAM_CHANNEL_KEY, None)
         return result
 
     def _run_embedding(self, record: TaskRecord, trace=None, span=None):

@@ -13,7 +13,9 @@ engine token events into, plus the final :class:`~repro.serving.InferenceResult`
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional
 
 from ..auth import TokenInfo
@@ -102,8 +104,10 @@ class RequestContext:
     # -- streaming ------------------------------------------------------------
     #: Client-facing stream handle (set for ``submit_stream`` callers).
     egress: Optional[GatewayStream] = None
-    #: Gateway-observed arrival time of every token event (DispatchMiddleware).
-    gateway_token_times: List[float] = field(default_factory=list)
+    #: Gateway-observed arrival time of every token event (DispatchMiddleware),
+    #: an ``array('d')``: 8 bytes per token, handed on as the result's
+    #: ``metadata["gateway_token_times"]``.
+    gateway_token_times: array = field(default_factory=partial(array, "d"))
 
     # -- observability ---------------------------------------------------------
     #: Names of the middleware stages whose ``before`` started, in order.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 __all__ = ["RequestRecord", "MetricsCollector"]
 
@@ -21,8 +21,10 @@ class RequestRecord:
     success: bool = False
     error: Optional[str] = None
     first_token_time: Optional[float] = None
-    #: Per-token arrival times for streaming requests (gateway-observed).
-    token_times: Optional[List[float]] = None
+    #: Per-token arrival times for streaming requests (gateway-observed): the
+    #: gateway's ``array('d')``, 8 bytes per token (a sharded run's records
+    #: carry the list their result message brought).
+    token_times: Optional[Sequence[float]] = None
     metadata: Dict = field(default_factory=dict)
 
     @property

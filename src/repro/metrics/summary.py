@@ -89,7 +89,6 @@ def summarize(
     successful = [r for r in records if r.success and r.completion_time is not None]
     latencies = [r.latency_s for r in successful]
     ttfts = [r.time_to_first_token_s for r in successful if r.time_to_first_token_s is not None]
-    itls = [itl for r in successful for itl in r.inter_token_latencies_s]
     output_tokens = sum(r.output_tokens for r in successful)
     prompt_tokens = sum(r.prompt_tokens for r in successful)
 
@@ -115,7 +114,28 @@ def summarize(
         mean_latency_s=sum(latencies) / len(latencies) if latencies else 0.0,
         p99_latency_s=percentile(latencies, 99),
         median_ttft_s=percentile(ttfts, 50) if ttfts else None,
-        median_itl_s=percentile(itls, 50) if itls else None,
+        median_itl_s=_median_itl(successful),
         total_output_tokens=output_tokens,
         total_prompt_tokens=prompt_tokens,
     )
+
+
+def _median_itl(records: Sequence[RequestRecord]) -> Optional[float]:
+    """Median gap between consecutive token arrivals over ``records``, or
+    None when no record has two tokens.
+
+    Every record's gaps go into one preallocated float64 buffer, which the
+    percentile then partitions in place: the same values, and so the same
+    median, as :attr:`RequestRecord.inter_token_latencies_s` pooled.
+    """
+    timelines = [r.token_times for r in records
+                 if r.token_times is not None and len(r.token_times) >= 2]
+    if not timelines:
+        return None
+    gaps = np.empty(sum(len(times) - 1 for times in timelines))
+    at = 0
+    for times in timelines:
+        times = np.asarray(times, dtype=float)
+        np.subtract(times[1:], times[:-1], out=gaps[at:at + len(times) - 1])
+        at += len(times) - 1
+    return float(np.percentile(gaps, 50, overwrite_input=True))

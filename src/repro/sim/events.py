@@ -211,6 +211,13 @@ class Process(Event):
 
     The process itself is an event that triggers when the generator returns
     (with the returned value) or raises (with the exception).
+
+    A generator that returns while nothing waits on the process (no
+    callbacks attached) leaves it processed at once, with no termination
+    event pushed: a later ``yield proc``, ``env.run(until=proc)`` or
+    ``all_of([proc])`` reads its value directly.  A generator that raises
+    always schedules the process, so a failure nobody handles still aborts
+    the run.
     """
 
     __slots__ = ("_generator", "_target")
@@ -270,7 +277,11 @@ class Process(Event):
             except StopIteration as exc:
                 self._ok = True
                 self._value = exc.args[0] if exc.args else None
-                env.schedule(self)
+                if self.callbacks:
+                    env.schedule(self)
+                else:
+                    # Nobody waits: processed at once, no event to push.
+                    self.callbacks = None
                 break
             except BaseException as exc:
                 self._ok = False

@@ -6,14 +6,20 @@ process and records per-request timings.  A target is anything with a
 ``success``, ``output_tokens`` and optionally ``first_token_time`` — the
 direct vLLM front-end, the FIRST gateway client, or the OpenAI-API baseline
 all satisfy this protocol.
+
+One arrival driver does the sending: :meth:`BenchmarkClient.run` walks the
+arrival offsets, sleeps until each send time and submits the request there;
+a callback on the target's event writes the request's record when it
+resolves, and a countdown of unfinished requests wakes the driver after the
+last one.  The kernel therefore holds one pending event per request in
+flight, not one per request of the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
-from ..metrics import BenchmarkSummary, MetricsCollector, RequestRecord, summarize
+from ..metrics import MetricsCollector, RequestRecord, summarize
 from ..serving import InferenceRequest
 from ..sim import Environment
 from .arrivals import ArrivalProcess, InfiniteArrival
@@ -37,23 +43,40 @@ class BenchmarkClient:
         arrival: Optional[ArrivalProcess] = None,
         summary_label: Optional[str] = None,
     ):
-        """Simulation process: send every request and wait for all completions."""
+        """Simulation process: send every request at its arrival offset and
+        wait for all completions.  Offsets must be non-decreasing."""
         arrival = arrival or InfiniteArrival()
         offsets = arrival.offsets(len(requests))
-        start = self.env.now
-        done_events = []
+        if any(later < earlier for earlier, later in zip(offsets, offsets[1:])):
+            raise ValueError(f"{arrival.label}: arrival offsets must be non-decreasing")
+        env = self.env
+        start = env.now
+        finished = env.event()
+        outstanding = len(requests)
+
+        def settled() -> None:
+            nonlocal outstanding
+            outstanding -= 1
+            if not outstanding:
+                finished.succeed()
+
         for request, offset in zip(requests, offsets):
-            done = self.env.event()
-            done_events.append(done)
-            self.env.process(self._send_one(request, start + offset, done))
-        yield self.env.all_of(done_events)
-        duration = self.env.now - start
+            # Where a relative ``timeout(send_at - start)`` taken at the start
+            # would fire, ``send_at`` being ``start + offset``.
+            at = start + ((start + offset) - start)
+            if at > env.now:
+                yield env.timeout_at(at)
+            self._send(request, settled)
+        if outstanding:
+            yield finished
+        duration = env.now - start
         label = summary_label or f"{self.label} @ {arrival.label}"
         return summarize(self.collector.records, label=label, duration_s=duration)
 
-    def _send_one(self, request: InferenceRequest, send_at: float, done):
-        if send_at > self.env.now:
-            yield self.env.timeout(send_at - self.env.now)
+    def _send(self, request: InferenceRequest, settled) -> None:
+        """Submit ``request`` now; its record is written when the target's
+        event resolves (or at once, if ``submit`` raises), then ``settled``
+        is called."""
         request.arrival_time = self.env.now
         record = RequestRecord(
             request_id=request.request_id,
@@ -61,17 +84,32 @@ class BenchmarkClient:
             send_time=self.env.now,
             prompt_tokens=request.prompt_tokens,
         )
+
+        def complete(event) -> None:
+            if not event.ok:
+                event.defuse()
+            self._finish(record, event.ok, event.value)
+            settled()
+
         try:
-            result = yield self.target.submit(request)
+            event = self.target.submit(request)
         except Exception as exc:  # noqa: BLE001 - benchmark records failures
-            record.success = False
-            record.error = f"{type(exc).__name__}: {exc}"
-            record.completion_time = self.env.now
-            self.collector.record(record)
-            done.succeed()
+            self._finish(record, False, exc)
+            settled()
             return
+        if event.callbacks is None:
+            complete(event)
+        else:
+            event.callbacks.append(complete)
+
+    def _finish(self, record: RequestRecord, ok: bool, result) -> None:
+        """Complete ``record`` now: ``result`` is the target's result, or the
+        exception the request failed with when ``ok`` is false."""
         record.completion_time = self.env.now
-        if result is None:
+        if not ok:
+            record.success = False
+            record.error = f"{type(result).__name__}: {result}"
+        elif result is None:
             record.success = False
             record.error = "no result"
         else:
@@ -88,4 +126,3 @@ class BenchmarkClient:
                 record.first_token_time = token_times[0]
             record.error = getattr(result, "error", None)
         self.collector.record(record)
-        done.succeed()

@@ -491,7 +491,7 @@ def test_streaming_records_gateway_observed_token_times(warm_deployment):
     result = deployment.env.run(until=ev)
     times = result.metadata["gateway_token_times"]
     assert len(times) == 10
-    assert times == sorted(times)
+    assert list(times) == sorted(times)
     # Gateway-observed TTFT is after send and before the full response lands.
     assert send_time < result.metadata["gateway_first_token_time"] < deployment.now
 

@@ -220,6 +220,8 @@ def test_streamed_scenario_stays_within_its_kernel_event_budget():
     assert all(event.value.success for event in results)
     assert [len(event.value.metadata["gateway_token_times"]) for event in results] == [
         request.max_output_tokens for request in requests]
-    # 37.94 events per request (151.36 when every token was a hop and a step).
-    assert (counter.events_total, counter.windows) == (1897, 79)
+    # 33.92 events per request (37.94 while every finished process pushed a
+    # termination event nobody read, 151.36 when every token was a hop and a
+    # step).
+    assert (counter.events_total, counter.windows) == (1696, 79)
     assert_relay_conserved(deployment)

@@ -1,12 +1,15 @@
 """Tests for metrics summaries, workload generation, arrivals and batch files."""
 
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import ValidationError
-from repro.metrics import RequestRecord, percentile, summarize
+from repro.metrics import MergeableSummary, RequestRecord, percentile, summarize
+from repro.parallel import golden_trace, trace_fingerprint
 from repro.workload import (
     BATCH_GENERATION_CONFIG,
     InfiniteArrival,
@@ -79,6 +82,43 @@ def test_summarize_empty():
 def test_percentile_empty_and_basic():
     assert percentile([], 50) == 0.0
     assert percentile([1.0, 2.0, 3.0], 50) == 2.0
+
+
+def _per_token_list_median_itl(records):
+    """``summarize``'s ITL median as it was computed from per-token lists."""
+    successful = [r for r in records if r.success and r.completion_time is not None]
+    itls = [itl for r in successful for itl in r.inter_token_latencies_s]
+    return percentile(itls, 50) if itls else None
+
+
+_timeline = st.lists(st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+                     max_size=25).map(sorted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_timeline, st.booleans()), max_size=12))
+def test_token_timelines_summarise_alike_as_list_and_array(rows):
+    def build(store):
+        return [RequestRecord(
+            request_id=f"r{i}", model="m", send_time=0.0,
+            completion_time=(times[-1] if times else 0.0) + 1.0,
+            output_tokens=len(times), success=success,
+            first_token_time=times[0] if times else None,
+            token_times=store(times)) for i, (times, success) in enumerate(rows)]
+
+    as_list = build(list)
+    as_array = build(lambda times: array("d", times))
+    expected = _per_token_list_median_itl(as_list)
+    assert summarize(as_list).median_itl_s == expected
+    assert summarize(as_array).median_itl_s == expected
+    # The mergeable path reads the same gaps from either store ...
+    for listed, packed in zip(as_list, as_array):
+        assert packed.inter_token_latencies_s == listed.inter_token_latencies_s
+    assert (MergeableSummary.from_records(as_array).fingerprint()
+            == MergeableSummary.from_records(as_list).fingerprint())
+    # ... and the golden trace renders both with the same float reprs.
+    assert repr(golden_trace(as_array)) == repr(golden_trace(as_list))
+    assert trace_fingerprint(as_array) == trace_fingerprint(as_list)
 
 
 # -- ShareGPT-like workload --------------------------------------------------------

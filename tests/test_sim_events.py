@@ -552,3 +552,70 @@ def test_queue_size_counts_urgent_fast_lane():
     assert env.queue_size == 1  # the Initialize event sits in the fast lane
     env.run()
     assert env.queue_size == 0
+
+
+# -- a process nobody waits on ---------------------------------------------------
+
+def _eids_issued(env):
+    """Event ids the kernel has handed out so far (the probe takes one more)."""
+    return next(env._eid)
+
+
+def _returns_after(env, delay, value):
+    yield env.timeout(delay)
+    return value
+
+
+def test_process_nobody_waits_on_issues_no_termination_event():
+    env = Environment()
+    proc = env.process(_returns_after(env, 1.0, "done"))
+    env.run()
+    # One id for the timeout and none for the exit (the start is URGENT and
+    # takes no id); the probe itself takes the next one.
+    assert _eids_issued(env) == 1
+    assert proc.processed and proc.ok and proc.value == "done"
+    assert env.queue_size == 0
+
+
+def test_process_that_ended_unread_still_hands_out_its_value():
+    env = Environment()
+    proc = env.process(_returns_after(env, 1.0, "done"))
+    env.run()
+    assert env.run(until=proc) == "done"
+
+    def late_reader(env):
+        value = yield proc
+        both = yield AllOf(env, [proc])
+        return value, both[proc]
+
+    reader = env.process(late_reader(env))
+    env.run()
+    assert reader.value == ("done", "done")
+
+
+def test_waiter_attached_before_the_exit_resumes_through_the_event():
+    env = Environment()
+    proc = env.process(_returns_after(env, 1.0, "done"))
+
+    def waiter(env):
+        value = yield proc
+        return value, env.now
+
+    w = env.process(waiter(env))
+    env.run()
+    assert w.value == ("done", 1.0)
+    # The timeout and the exit event the waiter read take an id each; the
+    # waiter's own exit takes none, as nothing waits on it.
+    assert _eids_issued(env) == 2
+
+
+def test_failing_process_nobody_waits_on_still_aborts_the_run():
+    env = Environment()
+
+    def fails(env):
+        yield env.timeout(1.0)
+        raise ValueError("nobody handles this")
+
+    env.process(fails(env))
+    with pytest.raises(ValueError, match="nobody handles this"):
+        env.run()
