@@ -187,9 +187,8 @@ def main() -> None:
 
     for root in span_tree(trace["spans"]):
         show(root)
-    #    `traced_client.get_trace_perfetto(trace_id)` returns the same trace
-    #    as Chrome trace-event JSON — json.dump it and load it in Perfetto
-    #    (ui.perfetto.dev) to see the request on a simulated-time timeline.
+    #    The trace is plain JSON (`TraceContext.to_dict()`): json.dump it to
+    #    keep it, or rebuild the tree from its `spans` as above.
 
     metrics = traced_client.metrics_text()             # GET /v1/metrics
     print("\nPrometheus metrics (first lines):")

@@ -7,10 +7,10 @@ machinery needed to regenerate every figure and table in the paper's
 evaluation (``workload``, ``metrics``, ``baselines``, ``webui``, ``rag``).
 
 The gateway speaks **API v2**: a composable middleware pipeline
-(Validation → Auth → RateLimit → ResponseCache → Accounting → Routing →
-Dispatch) over a typed request context, typed error envelopes on every
-OpenAI-style endpoint, and end-to-end streaming with gateway-observed
-TTFT/ITL — see :mod:`repro.gateway` for the stage diagram.
+(Validation → Auth → RateLimit → Accounting → Routing → Dispatch) over
+a typed request context, typed error envelopes on every OpenAI-style
+endpoint, and end-to-end streaming with gateway-observed TTFT/ITL — see
+:mod:`repro.gateway` for the stage diagram.
 
 Most users should start from :mod:`repro.core`:
 

@@ -10,8 +10,8 @@ plain kernel never pays a branch — and checks three invariants:
   clock never moves backwards across a step (an event-queue ordering bug
   would surface here before it corrupts a fingerprint);
 * **unique event keys** — ``(time, priority, eid)`` must be unique; a
-  duplicate (e.g. a bad ``import_pending`` merge) leaves pop order
-  undefined;
+  duplicate (e.g. an event pushed through ``_push`` with a reused eid)
+  leaves pop order undefined;
 * **observe-only layers stay observe-only** — a
   :class:`~repro.common.RandomSource` draw issued from ``repro/obs/``
   perturbs the sim's RNG streams, so results would differ with

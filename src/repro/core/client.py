@@ -197,16 +197,3 @@ class FIRSTClient:
     def get_trace(self, trace_id: str) -> dict:
         """``GET /v1/traces/{id}`` — a retained distributed trace as a dict."""
         return self.gateway.get_trace(trace_id)
-
-    def get_trace_perfetto(self, trace_id: str) -> dict:
-        """A retained trace as Chrome/Perfetto trace-event JSON."""
-        if self.gateway.observability is None:
-            from ..common import NotFoundError
-
-            raise NotFoundError("Observability is not enabled on this gateway")
-        trace = self.gateway.observability.trace_perfetto(trace_id)
-        if trace is None:
-            from ..common import NotFoundError
-
-            raise NotFoundError(f"Unknown or unretained trace id: {trace_id}")
-        return trace

@@ -4,14 +4,11 @@ Implements §3.1 of the paper as **Gateway API v2** — a composable middleware
 pipeline over a typed request context, run as one flat pass (every stage's
 ``before`` in order, then ``after``, innermost first)::
 
-    request ──▶ Validation ─▶ Auth ─▶ RateLimit ─▶ ResponseCache
-                    │                                   │ (hit: short-circuit)
-                    ▼                                   ▼
-               Accounting ─▶ Routing ─▶ Dispatch ──▶ result
+    request ──▶ Validation ─▶ Auth ─▶ RateLimit ─▶ Accounting ─▶ Routing ─▶ Dispatch ──▶ result
 
 * **Pipeline** (:mod:`.pipeline`, :mod:`.context`) — each concern of the
   request path (validation, token introspection with caching, rate limiting,
-  response caching, logging/metrics, federated routing, compute dispatch) is
+  logging/metrics, federated routing, compute dispatch) is
   one :class:`Middleware` stage with ``before(ctx)`` / ``after(ctx, error)``
   hooks; deployments insert/replace stages through
   ``GatewayConfig.middleware_factories`` without touching the application.
@@ -34,7 +31,6 @@ logging and the metrics dashboard.
 
 from .app import InferenceGatewayAPI
 from .authlayer import GatewayAuthLayer
-from .cache import ResponseCache
 from .config import GatewayConfig, RetrievalMode, ServerMode
 from .context import GatewayStream, RequestContext
 from .database import BatchRecord, GatewayDatabase, RequestLogEntry
@@ -46,7 +42,6 @@ from .pipeline import (
     GatewayPipeline,
     Middleware,
     RateLimitMiddleware,
-    ResponseCacheMiddleware,
     RoutingMiddleware,
     ValidationMiddleware,
     default_middleware_factories,
@@ -65,7 +60,6 @@ __all__ = [
     "BatchRecord",
     "GatewayMetrics",
     "SlidingWindowRateLimiter",
-    "ResponseCache",
     # -- API v2 pipeline -------------------------------------------------------
     "RequestContext",
     "GatewayStream",
@@ -74,7 +68,6 @@ __all__ = [
     "ValidationMiddleware",
     "AuthMiddleware",
     "RateLimitMiddleware",
-    "ResponseCacheMiddleware",
     "AccountingMiddleware",
     "RoutingMiddleware",
     "DispatchMiddleware",

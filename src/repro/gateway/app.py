@@ -7,7 +7,7 @@ request path is a composable middleware chain (see
 stage's ``before`` in order, then each entered stage's ``after``, innermost
 first:
 
-    Validation → Auth → RateLimit → ResponseCache → Accounting → Routing → Dispatch
+    Validation → Auth → RateLimit → Accounting → Routing → Dispatch
 
 ``InferenceGatewayAPI`` itself is a thin assembly: it wires the substrates
 (auth layer, rate limiter, caches, database, metrics, compute client), builds
@@ -48,7 +48,6 @@ from ..serving import (
 from ..sim import Environment, Event, Resource
 from ..workload.batchfile import parse_batch_lines
 from .authlayer import GatewayAuthLayer
-from .cache import ResponseCache
 from .config import GatewayConfig
 from .context import GatewayStream, RequestContext
 from .database import BatchRecord, GatewayDatabase
@@ -102,11 +101,6 @@ class InferenceGatewayAPI:
             self.config.rate_limit_requests, self.config.rate_limit_window_s
         )
         self.metrics = GatewayMetrics(env)
-        self.response_cache = (
-            ResponseCache(self.config.response_cache_ttl_s)
-            if self.config.enable_response_cache
-            else None
-        )
         self.workers = Resource(env, capacity=self.config.worker_slots())
         self._routing_cache: Dict[tuple, _RoutingCacheEntry] = {}
 
@@ -478,11 +472,6 @@ class InferenceGatewayAPI:
             # decision log evicts, these never do.
             "routing": self.router.summary(),
         }
-        if self.response_cache is not None:
-            extra["response_cache"] = {
-                "hits": self.response_cache.hits,
-                "misses": self.response_cache.misses,
-            }
         if self.observability is not None:
             extra["observability"] = self.observability.summary()
         return self.metrics.dashboard(extra=extra)

@@ -66,9 +66,6 @@ class GatewayConfig:
     #: Per-user request rate limit (requests per window); generous default.
     rate_limit_requests: int = 100000
     rate_limit_window_s: float = 60.0
-    #: Response cache for identical prompts (off by default).
-    enable_response_cache: bool = False
-    response_cache_ttl_s: float = 300.0
 
     # -- routing -----------------------------------------------------------------------------
     #: Cache a routing decision per model for this long (avoids re-querying

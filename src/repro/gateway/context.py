@@ -90,15 +90,11 @@ class RequestContext:
     sync_slot: Any = None
     #: Introspected identity (AuthMiddleware).
     token_info: Optional[TokenInfo] = None
-    #: Response-cache key, when cacheable (ResponseCacheMiddleware).
-    cache_key: Optional[str] = None
-    #: Whether the response was served from the cache (then not re-filled).
-    cache_hit: bool = False
     #: Request-log row (AccountingMiddleware).
     log_entry: Optional[RequestLogEntry] = None
     #: Selected federated endpoint (RoutingMiddleware).
     endpoint: Any = None
-    #: Final result (DispatchMiddleware, or ResponseCacheMiddleware skipping the rest).
+    #: Final result (DispatchMiddleware).
     result: Optional[InferenceResult] = None
 
     # -- streaming ------------------------------------------------------------

@@ -5,7 +5,7 @@ and queue status. Performance and summary metrics are also exposed through a
 web dashboard."
 
 :class:`GatewayMetrics` is the gateway's only per-request recorder.  Its
-hooks (response-cache, accounting and dispatch stages) write the RED metrics
+hooks (accounting and dispatch stages) write the RED metrics
 (rate, errors, duration) into one :class:`~repro.obs.MetricsRegistry`;
 ``GET /v1/metrics`` renders that registry and the dashboard's per-model rows
 are read back out of it.  Besides the registry the layer keeps *rolling*
@@ -27,7 +27,7 @@ from ..sim import Environment
 __all__ = ["GatewayMetrics"]
 
 
-OUTCOMES = ("success", "cache_hit", "failure", "exception")
+OUTCOMES = ("success", "failure", "exception")
 
 
 class _ModelSeries:
@@ -125,10 +125,9 @@ class GatewayMetrics:
             self.peak_in_flight = int(gauge.value)
 
     def request_completed(self, model: str, output_tokens: int, latency_s: float,
-                          endpoint: Optional[str] = None,
-                          outcome: str = "success") -> None:
+                          endpoint: Optional[str] = None) -> None:
         series = self._model(model)
-        series.outcomes[outcome].value += 1
+        series.outcomes["success"].value += 1
         series.output_tokens.value += output_tokens
         series.latency.observe(latency_s)
         if endpoint is not None:

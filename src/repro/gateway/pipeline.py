@@ -1,20 +1,16 @@
 """Composable middleware pipeline — the Gateway API v2 request path.
 
 The monolithic ``InferenceGatewayAPI._handle`` generator of API v1 is
-decomposed into seven single-purpose stages run in one flat pass by
+decomposed into six single-purpose stages run in one flat pass by
 :class:`GatewayPipeline`::
 
-    request ──▶ Validation ─▶ Auth ─▶ RateLimit ─▶ ResponseCache
-                    │                                   │ (hit: short-circuit)
-                    ▼                                   ▼
-               Accounting ─▶ Routing ─▶ Dispatch ──▶ result
-                    ▲                       │
-                    └── db/metrics ◀────────┘ (``after``, innermost first)
+    request ──▶ Validation ─▶ Auth ─▶ RateLimit ─▶ Accounting ─▶ Routing ─▶ Dispatch ──▶ result
+                                                     ▲                         │
+                                                     └── db/metrics ◀──────────┘ (``after``)
 
 Each stage is a :class:`Middleware`.  Its ``before(ctx)`` may read/write the
-:class:`RequestContext`, spend simulated time (by returning a generator),
-raise a typed error (mapped to an envelope at the edge), or set
-``ctx.result`` to skip the stages after it (response cache hits).  Its
+:class:`RequestContext`, spend simulated time (by returning a generator) or
+raise a typed error (mapped to an envelope at the edge).  Its
 ``after(ctx, error)`` runs on the way out, innermost first, for every stage
 whose ``before`` started — ``error`` is ``None`` or the exception the
 request is failing with — which is how accounting observes the result.
@@ -31,7 +27,6 @@ from typing import Callable, List, Sequence
 
 from ..faas import HANDLER_CHAT, HANDLER_EMBEDDING
 from ..serving import RequestKind, StreamChannel
-from .cache import ResponseCache
 from .config import RetrievalMode, ServerMode
 from .context import RequestContext
 from .database import RequestLogEntry
@@ -42,7 +37,6 @@ __all__ = [
     "ValidationMiddleware",
     "AuthMiddleware",
     "RateLimitMiddleware",
-    "ResponseCacheMiddleware",
     "AccountingMiddleware",
     "RoutingMiddleware",
     "DispatchMiddleware",
@@ -59,9 +53,9 @@ class Middleware:
 
     Subclasses override :meth:`before` and/or :meth:`after`; the base
     implementations do nothing.  ``before`` returns ``None`` or, to wait, a
-    generator; setting ``ctx.result`` in it skips the remaining stages.
-    ``after`` runs on the way out whether the request succeeded or not; an
-    exception it raises replaces ``error`` for the stages outside it.
+    generator.  ``after`` runs on the way out whether the request succeeded
+    or not; an exception it raises replaces ``error`` for the stages outside
+    it.
     """
 
     #: Stable stage name recorded in ``ctx.trace`` (observability/tests).
@@ -88,7 +82,7 @@ class GatewayPipeline:
         """Simulation process: drive ``ctx`` through every stage."""
         # (stage, its span, the span current before it) per stage entered:
         # spans nest, and ``current`` is restored on the way out so ``after``
-        # work (cache fill, accounting) is attributed to its own stage.
+        # work (accounting) is attributed to its own stage.
         entered = []
         error = None
         try:
@@ -104,8 +98,6 @@ class GatewayPipeline:
                 wait = middleware.before(ctx)
                 if wait is not None:
                     yield from wait
-                if ctx.result is not None:
-                    break
         except BaseException as exc:
             error = exc
         for middleware, span, prev in reversed(entered):
@@ -175,44 +167,6 @@ class RateLimitMiddleware(Middleware):
 
     def before(self, ctx: RequestContext):
         self.api.rate_limiter.check(ctx.request.user, self.api.env.now)
-
-
-class ResponseCacheMiddleware(Middleware):
-    """Serve identical prompts from the response cache; fill it on the way out.
-
-    A cache hit records its own metrics and sets ``ctx.result``, so
-    accounting/routing/dispatch never run and no fill restarts its lifetime.
-    Streaming requests bypass the cache: their value is per-token timing,
-    which a cached body cannot reproduce.
-    """
-
-    name = "response-cache"
-
-    def before(self, ctx: RequestContext):
-        api = self.api
-        cache = api.response_cache
-        request = ctx.request
-        if (
-            cache is not None
-            and not ctx.streaming
-            and request.kind != RequestKind.EMBEDDING
-        ):
-            ctx.cache_key = ResponseCache.key_for(
-                ctx.model_name, request.prompt_text, request.max_output_tokens,
-                request.params,
-            )
-            cached = cache.get(ctx.cache_key, api.env.now)
-            if cached is not None:
-                api.metrics.request_started(ctx.model_name, request.prompt_tokens)
-                api.metrics.request_completed(ctx.model_name, cached.output_tokens,
-                                              0.0, outcome="cache_hit")
-                ctx.cache_hit = True
-                ctx.result = cached
-
-    def after(self, ctx: RequestContext, error) -> None:
-        if (error is None and not ctx.cache_hit and ctx.cache_key is not None
-                and ctx.result is not None and ctx.result.success):
-            self.api.response_cache.put(ctx.cache_key, ctx.result, self.api.env.now)
 
 
 class AccountingMiddleware(Middleware):
@@ -403,7 +357,6 @@ def default_middleware_factories() -> List[MiddlewareFactory]:
         ValidationMiddleware,
         AuthMiddleware,
         RateLimitMiddleware,
-        ResponseCacheMiddleware,
         AccountingMiddleware,
         RoutingMiddleware,
         DispatchMiddleware,

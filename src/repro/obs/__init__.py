@@ -1,14 +1,13 @@
 """Observability substrate: tracing, metrics registry, kernel profiling.
 
 Eagerly exports only the gateway-independent pieces (trace and its
-:class:`ObservabilityConfig`, registry, kernel profiler, exporter) —
+:class:`ObservabilityConfig`, registry, kernel profiler) —
 :mod:`repro.serving.engine` imports :data:`TRACE_KEY` from here, so pulling
 :mod:`repro.obs.middleware` (which imports the gateway, which imports
 serving) at package import time would create a cycle.  The gateway stage,
 :class:`ObservabilityMiddleware`, is reachable lazily via ``__getattr__``.
 """
 
-from .export import to_chrome_trace
 from .kernel import KernelProfiler
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .trace import (TRACE_KEY, ObservabilityConfig, Span, TraceContext,
@@ -27,7 +26,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "KernelProfiler",
-    "to_chrome_trace",
     # lazy (see __getattr__): the gateway stage
     "ObservabilityMiddleware",
 ]

@@ -48,14 +48,6 @@ class ObservabilityMiddleware(Middleware):
         ctx = self.tracer.get(trace_id)
         return ctx.to_dict() if ctx is not None else None
 
-    def trace_perfetto(self, trace_id: str) -> Optional[dict]:
-        ctx = self.tracer.get(trace_id)
-        if ctx is None:
-            return None
-        from .export import to_chrome_trace
-
-        return to_chrome_trace(ctx)
-
     def summary(self) -> dict:
         """JSON-serializable snapshot for the gateway dashboard."""
         out = {"tracing": self.tracer.stats(),
@@ -92,7 +84,7 @@ class ObservabilityMiddleware(Middleware):
             root.attrs["outcome"] = (
                 "exception" if error is not None
                 else "failure" if result is None or not result.success
-                else "cache_hit" if ctx.cache_hit else "success")
+                else "success")
             tctx.end_span(root)
             tctx.current = None
             # Drop our metadata entry if the request never reached the

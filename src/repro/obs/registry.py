@@ -75,83 +75,38 @@ class _Metric:
         return sorted(self._children.items())
 
 
-class _CounterChild:
+class _Value:
+    """A counter or gauge child: one ``value`` slot the gateway writes."""
+
     __slots__ = ("value",)
 
     def __init__(self):
         self.value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters can only increase")
-        self.value += amount
 
-
-class Counter(_Metric):
-    """Monotonically increasing counter."""
-
-    kind = "counter"
-
+class _ValueMetric(_Metric):
     def _new_child(self):
-        return _CounterChild()
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._children[()].inc(amount)
-
-    @property
-    def value(self) -> float:
-        return sum(child.value for child in self._children.values())
+        return _Value()
 
     def expose(self) -> List[str]:
         return [f"{self.name}{_format_labels(self.labelnames, key)} "
                 f"{_format_value(child.value)}"
                 for key, child in self._sorted_children()]
+
+
+class Counter(_ValueMetric):
+    """Monotonically increasing counter."""
+
+    kind = "counter"
 
     def child_values(self) -> Dict[Tuple[str, ...], float]:
         return {key: child.value for key, child in self._children.items()}
 
 
-class _GaugeChild:
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-
-class Gauge(_Metric):
+class Gauge(_ValueMetric):
     """Point-in-time value that can go up and down."""
 
     kind = "gauge"
-
-    def _new_child(self):
-        return _GaugeChild()
-
-    def set(self, value: float) -> None:
-        self._children[()].set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._children[()].inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._children[()].dec(amount)
-
-    @property
-    def value(self) -> float:
-        return sum(child.value for child in self._children.values())
-
-    def expose(self) -> List[str]:
-        return [f"{self.name}{_format_labels(self.labelnames, key)} "
-                f"{_format_value(child.value)}"
-                for key, child in self._sorted_children()]
 
 
 class _HistogramChild:
@@ -169,9 +124,6 @@ class _HistogramChild:
     def count(self) -> int:
         return self.hist.count
 
-    def quantile(self, q: float) -> float:
-        return self.hist.quantile(q)
-
 
 class Histogram(_Metric):
     """Log-bucket histogram (~1% relative quantile error)."""
@@ -185,16 +137,6 @@ class Histogram(_Metric):
 
     def _new_child(self):
         return _HistogramChild(self.rel_err)
-
-    def observe(self, value: float) -> None:
-        self._children[()].observe(value)
-
-    def quantile(self, q: float) -> float:
-        return self._children[()].quantile(q)
-
-    @property
-    def count(self) -> int:
-        return sum(child.count for child in self._children.values())
 
     def expose(self) -> List[str]:
         lines: List[str] = []
@@ -252,9 +194,6 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "", labelnames=(),
                   rel_err: float = DEFAULT_REL_ERR) -> Histogram:
         return self._register(Histogram, name, help, labelnames, rel_err=rel_err)
-
-    def get(self, name: str) -> Optional[_Metric]:
-        return self._metrics.get(name)
 
     def prometheus_text(self) -> str:
         lines: List[str] = []

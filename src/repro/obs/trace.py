@@ -88,7 +88,7 @@ class Span:
         self.span_id = span_id
         self.parent_id = parent_id
         #: Which layer recorded the span ("gateway" | "relay" | "endpoint" |
-        #: "engine" | ...); drives the Perfetto process grouping.
+        #: "engine" | ...).
         self.layer = layer
         self.start = start
         self.end: Optional[float] = None

@@ -189,43 +189,6 @@ class Environment:
                 self.step()
         return self.peek()
 
-    def export_pending(self):
-        """Drain the pending queue into portable ``(time, priority, eid, event)``
-        entries, in exact pop order.
-
-        Together with :meth:`import_pending` this is the kernel's
-        event-migration hook: a partition can be checkpointed or shipped to
-        another process without perturbing the ``(time, priority, eid)``
-        total order.  Zero-delay URGENT events never survive a barrier (they
-        are consumed within the step that scheduled them), so exporting with
-        a non-empty urgent lane is a caller bug and raises.
-        """
-        if self._urgent:
-            raise RuntimeError(
-                "cannot export pending events while zero-delay URGENT events "
-                "are queued (export only at a window barrier)")
-        # Keys are unique, so the sort never compares two events.
-        entries = sorted(self._pending)
-        self._pending.clear()
-        return entries
-
-    def import_pending(self, entries) -> None:
-        """Re-insert entries from :meth:`export_pending`.
-
-        Events already pending stay scheduled; the imported ones merge into
-        the same total order.  Event ids are preserved and the id counter
-        resumes past the highest imported id, so events scheduled after an
-        import sort exactly as they would have in the exporting environment.
-        """
-        push = self._push
-        top = -1
-        for time, priority, eid, event in entries:
-            push(time, priority, eid, event)
-            if eid > top:
-                top = eid
-        current = next(self._eid)
-        self._eid = count(max(current, top + 1))
-
     # -- profiling -------------------------------------------------------
     def attach_profiler(self, profiler) -> None:
         """Attach a kernel profiler (e.g. :class:`repro.obs.KernelProfiler`).

@@ -51,7 +51,8 @@ class ArrivalSpec:
     @classmethod
     def for_rate(cls, rate: Optional[float], poisson: bool = True,
                  seed: int = 7) -> "ArrivalSpec":
-        """Mirror :func:`repro.workload.make_arrival` declaratively."""
+        """``rate=None`` (or ``inf``) → infinite arrival; otherwise
+        Poisson (seeded) or uniform at ``rate``."""
         if rate is None or rate == float("inf"):
             return cls(kind="inf")
         return cls(kind="poisson" if poisson else "uniform", rate=rate, seed=seed)

@@ -13,7 +13,6 @@ from .arrivals import (
     RampArrival,
     TraceReplayArrival,
     UniformArrival,
-    make_arrival,
 )
 from .batchfile import parse_batch_lines, read_batch_file, requests_to_jsonl, write_batch_file
 from .benchmark_client import BenchmarkClient
@@ -30,7 +29,6 @@ __all__ = [
     "DiurnalArrival",
     "RampArrival",
     "TraceReplayArrival",
-    "make_arrival",
     "BenchmarkClient",
     "requests_to_jsonl",
     "write_batch_file",

@@ -15,8 +15,7 @@ Poisson processes sampled by thinning, seeded for reproducibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..common import RandomSource
 
@@ -28,7 +27,6 @@ __all__ = [
     "DiurnalArrival",
     "RampArrival",
     "TraceReplayArrival",
-    "make_arrival",
 ]
 
 
@@ -214,10 +212,3 @@ class TraceReplayArrival(ArrivalProcess):
     @property
     def label(self) -> str:
         return f"replay:{self.name} ({len(self.trace)} events)"
-
-
-def make_arrival(rate: Optional[float], poisson: bool = True, seed: int = 7) -> ArrivalProcess:
-    """``rate=None`` (or ``inf``) → infinite arrival; otherwise Poisson/uniform."""
-    if rate is None or rate == float("inf"):
-        return InfiniteArrival()
-    return PoissonArrival(rate, seed=seed) if poisson else UniformArrival(rate)

@@ -26,7 +26,7 @@ from repro.gateway import (
     SlidingWindowRateLimiter,
     default_middleware_factories,
 )
-from repro.serving import InferenceRequest
+from repro.serving import InferenceRequest, RequestKind
 from repro.workload import ShareGPTWorkload, requests_to_jsonl
 
 MODEL_7B = "Qwen/Qwen2.5-7B-Instruct"
@@ -184,19 +184,6 @@ def test_token_introspection_cache_counts(warm_deployment):
     assert deployment.gateway.auth_layer.cache_hits >= before_hits + 1
 
 
-def test_response_cache_short_circuits_identical_requests():
-    deployment = small_deployment(gateway_config=GatewayConfig(enable_response_cache=True))
-    deployment.warm_up(MODEL_7B)
-    client = deployment.client("researcher@anl.gov")
-    msg = [{"role": "user", "content": "identical request"}]
-    client.chat_completion(MODEL_7B, msg, max_tokens=16)
-    t0 = deployment.now
-    client.chat_completion(MODEL_7B, msg, max_tokens=16)
-    cached_latency = deployment.now - t0
-    assert deployment.gateway.response_cache.hits == 1
-    assert cached_latency < 1.0  # no compute round trip
-
-
 def test_request_logging_and_usage_summary(warm_deployment):
     deployment = warm_deployment
     db = deployment.database
@@ -333,8 +320,7 @@ def test_polling_retrieval_mode_adds_latency():
 # -- API v2: middleware pipeline ----------------------------------------------------------
 
 DEFAULT_STAGES = [
-    "validation", "auth", "rate-limit", "response-cache",
-    "accounting", "routing", "dispatch",
+    "validation", "auth", "rate-limit", "accounting", "routing", "dispatch",
 ]
 
 
@@ -391,45 +377,6 @@ def test_rate_limit_trip_skips_downstream_stages():
                                        max_tokens=8)
     assert envelope["error"]["type"] == "rate_limit_error"
     assert envelope["error"]["status"] == 429
-
-
-def test_cache_hit_short_circuits_pipeline():
-    deployment = small_deployment(gateway_config=GatewayConfig(enable_response_cache=True))
-    deployment.warm_up(MODEL_7B)
-    client = deployment.client("researcher@anl.gov")
-    msg = [{"role": "user", "content": "short circuit"}]
-    client.chat_completion(MODEL_7B, msg, max_tokens=16)
-    client.chat_completion(MODEL_7B, msg, max_tokens=16)
-    ctx = deployment.gateway.last_context
-    assert ctx.cache_hit
-    assert ctx.trace == ["validation", "auth", "rate-limit", "response-cache"]
-    assert "dispatch" not in ctx.trace
-
-
-def test_cache_hit_does_not_extend_entry_lifetime():
-    """An entry expires ``response_cache_ttl_s`` after it was filled, however
-    often it is hit in between: a hit must not re-fill (and so re-stamp) it."""
-    deployment = small_deployment(gateway_config=GatewayConfig(
-        enable_response_cache=True, response_cache_ttl_s=100.0))
-    deployment.warm_up(MODEL_7B)
-    client = deployment.client("researcher@anl.gov")
-    gateway = deployment.gateway
-    msg = [{"role": "user", "content": "expire me"}]
-    client.chat_completion(MODEL_7B, msg, max_tokens=8)
-    filled_at = deployment.env.now
-    assert not gateway.last_context.cache_hit
-
-    deployment.run_for(60.0)
-    client.chat_completion(MODEL_7B, msg, max_tokens=8)
-    assert gateway.last_context.cache_hit
-
-    # Past fill + TTL, though well inside hit + TTL: a miss that goes downstream.
-    deployment.run_for(filled_at + 105.0 - deployment.env.now)
-    client.chat_completion(MODEL_7B, msg, max_tokens=8)
-    ctx = gateway.last_context
-    assert not ctx.cache_hit
-    assert ctx.trace == DEFAULT_STAGES
-    assert (gateway.response_cache.hits, gateway.response_cache.misses) == (1, 2)
 
 
 # -- API v2: typed error envelopes ---------------------------------------------------------
@@ -514,6 +461,55 @@ def test_streaming_error_is_raised_from_iterator(warm_deployment):
     with pytest.raises(ValidationError):
         list(client.chat_completion("no-such-model", [{"role": "user", "content": "x"}],
                                     stream=True))
+
+
+def _rate_limited_stream_deployment():
+    deployment = small_deployment(
+        gateway_config=GatewayConfig(rate_limit_requests=1, rate_limit_window_s=60.0))
+    deployment.warm_up(MODEL_7B)
+    return deployment
+
+
+def test_stream_failing_inside_the_pipeline_ends_in_one_error_event():
+    """A streamed request rejected by a stage (here the rate limiter) after
+    ``submit_stream`` returned: its channel carries exactly one ``error``
+    event with the typed envelope, then closes, and ``done`` fails typed."""
+    deployment = _rate_limited_stream_deployment()
+    gateway, env = deployment.gateway, deployment.env
+    token = deployment.client("researcher@anl.gov").access_token
+    streams = [
+        gateway.submit_stream(token, gateway.build_request(
+            {"model": MODEL_7B, "messages": [{"role": "user", "content": str(i)}],
+             "max_tokens": 4, "stream": True}, RequestKind.CHAT_COMPLETION))
+        for i in range(2)
+    ]
+    rejected = streams[1]
+    error = env.run(until=rejected.channel.get())
+    assert error.kind == "error"
+    assert error.error["type"] == "rate_limit_error"
+    assert error.error["status"] == 429
+    assert isinstance(error.exception, RateLimitError)
+    assert env.run(until=rejected.channel.get()) is None
+    assert rejected.done.triggered and not rejected.done.ok
+    assert isinstance(rejected.done.value, RateLimitError)
+    assert rejected.result is None
+    # The admitted stream is untouched by its neighbour's failure.
+    assert env.run(until=streams[0].done).success
+
+
+def test_stream_failing_inside_the_pipeline_through_the_client():
+    deployment = _rate_limited_stream_deployment()
+    messages = [{"role": "user", "content": "x"}]
+    strict = deployment.client("researcher@anl.gov")
+    list(strict.chat_completion(MODEL_7B, messages, max_tokens=4, stream=True))
+    with pytest.raises(RateLimitError):
+        list(strict.chat_completion(MODEL_7B, messages, max_tokens=4, stream=True))
+    lenient = deployment.client("researcher@anl.gov", raise_on_error=False)
+    chunks = list(lenient.chat_completion(MODEL_7B, messages, max_tokens=4, stream=True))
+    assert len(chunks) == 1
+    assert chunks[0]["error"]["type"] == "rate_limit_error"
+    assert chunks[0]["error"]["status"] == 429
+    assert deployment.gateway.metrics.rate_limited == 2
 
 
 # -- routing-cache staleness ----------------------------------------------------------------

@@ -9,7 +9,7 @@ from repro.core import (
     FIRSTDeployment,
     ModelHostingConfig,
 )
-from repro.gateway import GatewayConfig, GatewayMetrics, ResponseCache, ServerMode
+from repro.gateway import GatewayConfig, GatewayMetrics, ServerMode
 from repro.serving import InferenceRequest
 from repro.sim import Environment
 
@@ -35,29 +35,6 @@ def deployment():
     d = FIRSTDeployment(config)
     d.warm_up(MODEL_7B)
     return d
-
-
-# -- response cache unit behaviour -------------------------------------------------
-
-def test_response_cache_ttl_expiry_and_eviction():
-    cache = ResponseCache(ttl_s=10.0, max_entries=2)
-    k1 = ResponseCache.key_for("m", "prompt one", 10)
-    k2 = ResponseCache.key_for("m", "prompt two", 10)
-    k3 = ResponseCache.key_for("m", "prompt three", 10)
-    cache.put(k1, "r1", now=0.0)
-    cache.put(k2, "r2", now=1.0)
-    assert cache.get(k1, now=5.0) == "r1"
-    # TTL expiry.
-    assert cache.get(k1, now=20.0) is None
-    # Eviction keeps the cache bounded.
-    cache.put(k1, "r1", now=21.0)
-    cache.put(k3, "r3", now=22.0)
-    assert len(cache) <= 2
-    # Different parameters produce different keys.
-    assert ResponseCache.key_for("m", "p", 10) != ResponseCache.key_for("m", "p", 20)
-    assert ResponseCache.key_for("m", "p", 10, {"temperature": 0.1}) != ResponseCache.key_for(
-        "m", "p", 10, {"temperature": 0.9}
-    )
 
 
 # -- gateway metrics unit behaviour ---------------------------------------------------

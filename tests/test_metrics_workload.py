@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.common import ValidationError
 from repro.metrics import MergeableSummary, RequestRecord, percentile, summarize
 from repro.parallel import golden_trace, trace_fingerprint
+from repro.sweep import ArrivalSpec
 from repro.workload import (
     BATCH_GENERATION_CONFIG,
     InfiniteArrival,
@@ -17,7 +18,6 @@ from repro.workload import (
     ShareGPTConfig,
     ShareGPTWorkload,
     UniformArrival,
-    make_arrival,
     parse_batch_lines,
     read_batch_file,
     requests_to_jsonl,
@@ -183,10 +183,10 @@ def test_arrival_validation_and_factory():
         PoissonArrival(0.0)
     with pytest.raises(ValueError):
         UniformArrival(-1.0)
-    assert isinstance(make_arrival(None), InfiniteArrival)
-    assert isinstance(make_arrival(float("inf")), InfiniteArrival)
-    assert isinstance(make_arrival(5.0), PoissonArrival)
-    assert isinstance(make_arrival(5.0, poisson=False), UniformArrival)
+    assert isinstance(ArrivalSpec.for_rate(None).build(), InfiniteArrival)
+    assert isinstance(ArrivalSpec.for_rate(float("inf")).build(), InfiniteArrival)
+    assert isinstance(ArrivalSpec.for_rate(5.0).build(), PoissonArrival)
+    assert isinstance(ArrivalSpec.for_rate(5.0, poisson=False).build(), UniformArrival)
 
 
 @settings(max_examples=30, deadline=None)

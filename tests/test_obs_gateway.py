@@ -1,6 +1,6 @@
 """End-to-end observability tests: the span tree of a streamed request
-across every layer, the gateway's metrics/trace endpoints, Perfetto export,
-and the bit-identity guarantee (tracing on == tracing off)."""
+across every layer, the gateway's metrics/trace endpoints and the
+bit-identity guarantee (tracing on == tracing off)."""
 
 import json
 import logging
@@ -161,8 +161,7 @@ def test_span_nesting_and_monotone_timestamps(traced_request):
                      if c["name"].startswith("gateway.stage.")), None)
     assert chain == [
         "gateway.request", "gateway.stage.validation", "gateway.stage.auth",
-        "gateway.stage.rate-limit", "gateway.stage.response-cache",
-        "gateway.stage.accounting", "gateway.stage.routing",
+        "gateway.stage.rate-limit", "gateway.stage.accounting", "gateway.stage.routing",
         "gateway.stage.dispatch",
     ]
 
@@ -206,26 +205,6 @@ def test_disabled_observability_endpoints_raise(traced_request):
         deployment.gateway.get_trace("anything")
 
 
-def test_perfetto_export(traced_request):
-    deployment, client, _, trace_id = traced_request
-    perfetto = client.get_trace_perfetto(trace_id)
-    json.dumps(perfetto)
-    events = perfetto["traceEvents"]
-    slices = [e for e in events if e["ph"] == "X"]
-    metas = [e for e in events if e["ph"] == "M"]
-    assert {m["args"]["name"] for m in metas} == {
-        "gateway", "relay", "endpoint", "engine"}
-    names = {e["name"] for e in slices}
-    assert "engine.prefill" in names and "relay.transfer" in names
-    trace = client.get_trace(trace_id)
-    for e in slices:
-        assert e["dur"] >= 0
-        assert e["ts"] >= trace["started_at"] * 1e6  # µs of simulated time
-    assert perfetto["otherData"]["clock"] == "simulated"
-    with pytest.raises(NotFoundError):
-        client.get_trace_perfetto("no-such-trace")
-
-
 # -- bit-identity ---------------------------------------------------------------
 
 def _workload_signature(observability):
@@ -256,12 +235,11 @@ def test_results_bit_identical_with_tracing_on_or_off():
 # -- one metrics store ----------------------------------------------------------
 
 def _metrics_after_mixed_traffic(observability):
-    """A response-cache hit, a request the KV pool cannot hold, one for a
-    model no endpoint hosts, and a streamed request."""
+    """Two identical requests, one the KV pool cannot hold, one for a model
+    no endpoint hosts, and a streamed request."""
     from repro.serving import InferenceRequest
 
-    deployment = obs_deployment(observability, gateway=replace(
-        default_gateway_config(), enable_response_cache=True))
+    deployment = obs_deployment(observability)
     deployment.warm_up(MODEL)
     client = deployment.client("researcher@anl.gov", raise_on_error=False)
     messages = [{"role": "user", "content": "cached"}]
@@ -289,8 +267,8 @@ def test_gateway_metrics_are_one_store_with_or_without_tracing():
     metrics = plain.gateway.metrics
     dashboard = plain.gateway.dashboard()
     outcomes = metrics.requests_total.child_values()
-    assert {key: value for key, value in outcomes.items() if value} == {(MODEL, "success"): 2, (MODEL, "cache_hit"): 1,
-                        (MODEL, "failure"): 1,
+    assert {key: value for key, value in outcomes.items() if value} == {
+        (MODEL, "success"): 3, (MODEL, "failure"): 1,
                         ("meta-llama/Llama-3.1-8B-Instruct", "exception"): 1}
     assert sum(outcomes.values()) == dashboard["total_requests"] == 5
     output = {key: value for key, value in metrics.tokens_total.child_values().items()
@@ -397,8 +375,8 @@ def test_failure_after_accounting_unwinds_every_stage():
     assert root.attrs["outcome"] == "exception"
     stages = [s for s in spans if s.name.startswith("gateway.stage.")]
     assert [s.name[len("gateway.stage."):] for s in stages] == [
-        "validation", "auth", "reservation", "rate-limit", "response-cache",
-        "accounting", "routing"]
+        "validation", "auth", "reservation", "rate-limit", "accounting",
+        "routing"]
     assert {s.status for s in [root] + stages} == {"error:NotFoundError"}
     assert all(s.end is not None for s in [root] + stages)
 

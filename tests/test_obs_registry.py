@@ -4,43 +4,34 @@ and Prometheus text exposition."""
 import pytest
 
 from repro.metrics import LogBucketHistogram
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import Histogram, MetricsRegistry
 
 
 # -- metric types ---------------------------------------------------------------
+# The gateway writes counter/gauge children's ``value`` and calls a histogram
+# child's ``observe``; these tests drive the registry the same way.
 
 def test_counter_basics_and_labels():
     registry = MetricsRegistry()
     c = registry.counter("requests_total", "requests", labelnames=("model",))
-    c.labels(model="a").inc()
-    c.labels(model="a").inc(2)
-    c.labels(model="b").inc(5)
-    assert c.value == 8
+    c.labels(model="a").value += 1
+    c.labels(model="a").value += 2
+    c.labels(model="b").value += 5
+    assert c.labels(model="a") is c.labels(model="a")
     assert c.child_values() == {("a",): 3.0, ("b",): 5.0}
-    with pytest.raises(ValueError):
-        c.labels(model="a").inc(-1)
     with pytest.raises(ValueError):
         c.labels(wrong="a")
 
 
-def test_gauge_set_inc_dec():
-    g = Gauge("in_flight", "in flight")
-    g.inc()
-    g.inc()
-    g.dec()
-    assert g.value == 1
-    g.set(7)
-    assert g.value == 7
-
-
 def test_histogram_quantile_accuracy():
-    h = Histogram("latency", "latency", rel_err=0.01)
+    child = Histogram("latency", "latency", rel_err=0.01).labels()
     for i in range(1, 1001):
-        h.observe(i / 100.0)  # 0.01 .. 10.0
-    assert h.count == 1000
+        child.observe(i / 100.0)  # 0.01 .. 10.0
+    assert child.count == 1000
+    assert child.sum == pytest.approx(5005.0)
     # Log-bucket quantiles are within the configured relative error.
-    assert h.quantile(0.5) == pytest.approx(5.0, rel=0.03)
-    assert h.quantile(0.99) == pytest.approx(9.9, rel=0.03)
+    assert child.hist.quantile(0.5) == pytest.approx(5.0, rel=0.03)
+    assert child.hist.quantile(0.99) == pytest.approx(9.9, rel=0.03)
 
 
 @pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")])
@@ -49,10 +40,10 @@ def test_histograms_reject_values_that_are_not_finite_and_non_negative(value):
     with pytest.raises(ValueError, match="finite and >= 0"):
         sketch.add(value)
     assert sketch.count == 0
-    h = Histogram("latency", "latency")
+    child = Histogram("latency", "latency").labels()
     with pytest.raises(ValueError, match="finite and >= 0"):
-        h.observe(value)
-    assert h.count == 0
+        child.observe(value)
+    assert (child.count, child.sum) == (0, 0.0)
 
 
 def test_registry_registration_idempotent_and_checked():
@@ -63,8 +54,6 @@ def test_registry_registration_idempotent_and_checked():
         registry.gauge("x_total")
     with pytest.raises(ValueError):
         registry.counter("x_total", labelnames=("other",))
-    assert registry.get("x_total") is a
-    assert registry.get("missing") is None
 
 
 # -- Prometheus exposition ------------------------------------------------------
@@ -94,8 +83,8 @@ def parse_prometheus(text):
 def test_prometheus_text_parses_and_is_cumulative():
     registry = MetricsRegistry()
     registry.counter("reqs_total", "requests", labelnames=("model",)) \
-        .labels(model="m").inc(3)
-    registry.gauge("in_flight", "now running").set(2)
+        .labels(model="m").value += 3
+    registry.gauge("in_flight", "now running").labels().value = 2
     h = registry.histogram("lat_seconds", "latency", labelnames=("model",))
     for v in (0.1, 0.5, 1.0, 2.0, 0.0):
         h.labels(model="m").observe(v)
@@ -122,6 +111,39 @@ def test_prometheus_text_parses_and_is_cumulative():
 
 def test_label_values_are_escaped():
     registry = MetricsRegistry()
-    registry.counter("c_total", labelnames=("m",)).labels(m='a"b\\c\nd').inc()
+    registry.counter("c_total", labelnames=("m",)).labels(m='a"b\\c\nd').value += 1
     text = registry.prometheus_text()
     assert 'm="a\\"b\\\\c\\nd"' in text
+
+
+def test_prometheus_text_is_pinned_byte_for_byte():
+    registry = MetricsRegistry()
+    counter = registry.counter("reqs_total", "requests", labelnames=("model", "outcome"))
+    counter.labels(model="m", outcome="success").value += 3
+    counter.labels(model="m", outcome="failure")
+    counter.labels(model="a", outcome="success").value += 1.5
+    registry.gauge("in_flight", "now running").labels().value += 2
+    histogram = registry.histogram("lat_seconds", "latency", labelnames=("model",))
+    for v in (0.1, 0.5, 1.0, 2.0, 0.0):
+        histogram.labels(model="m").observe(v)
+    registry.histogram("empty_seconds", labelnames=("model",))
+    assert registry.prometheus_text() == (
+        '# TYPE empty_seconds histogram\n'
+        '# HELP in_flight now running\n'
+        '# TYPE in_flight gauge\n'
+        'in_flight 2\n'
+        '# HELP lat_seconds latency\n'
+        '# TYPE lat_seconds histogram\n'
+        'lat_seconds_bucket{model="m",le="1e-09"} 1\n'
+        'lat_seconds_bucket{model="m",le="0.1002511570449065"} 2\n'
+        'lat_seconds_bucket{model="m",le="0.5066055084882082"} 3\n'
+        'lat_seconds_bucket{model="m",le="1.0"} 4\n'
+        'lat_seconds_bucket{model="m",le="2.0137996984013578"} 5\n'
+        'lat_seconds_bucket{model="m",le="+Inf"} 5\n'
+        'lat_seconds_sum{model="m"} 3.6\n'
+        'lat_seconds_count{model="m"} 5\n'
+        '# HELP reqs_total requests\n'
+        '# TYPE reqs_total counter\n'
+        'reqs_total{model="a",outcome="success"} 1.5\n'
+        'reqs_total{model="m",outcome="failure"} 0\n'
+        'reqs_total{model="m",outcome="success"} 3\n')

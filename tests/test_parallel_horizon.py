@@ -1,10 +1,9 @@
 """Kernel window primitives and the conservative window planner.
 
-Numpy-free on purpose: these tests cover the `run_until_horizon` /
-`export_pending` / `import_pending` kernel hooks, boundary-message ordering,
-window planning (including the zero-lookahead micro-window guarantee) and
-the ping-ring null-message exercise — all of which must hold on the
-pure-Python fallback CI job too.
+Numpy-free on purpose: these tests cover the `run_until_horizon` kernel
+hook, boundary-message ordering, window planning (including the
+zero-lookahead micro-window guarantee) and the ping-ring null-message
+exercise — all of which must hold on the pure-Python fallback CI job too.
 """
 
 import math
@@ -84,69 +83,6 @@ def test_horizon_resume_is_equivalent_to_one_run():
         env.run_until_horizon(horizon)
     assert fired == reference
     assert env.peek() == INF
-
-
-# ------------------------------------------------------------- export / import
-def test_export_refuses_urgent_backlog():
-    env = Environment()
-    _record_timeouts(env, [1.0], [])
-    # process() schedules a zero-delay URGENT init event; exporting before a
-    # barrier would lose its ordering guarantee.
-    with pytest.raises(RuntimeError, match="URGENT"):
-        env.export_pending()
-
-
-@settings(max_examples=15, deadline=None)
-@given(delays=st.lists(
-    st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=25))
-def test_property_export_import_preserves_order(delays):
-    reference_env = Environment()
-    reference = []
-    _record_timeouts(reference_env, delays, reference)
-    reference_env.run()
-
-    env = Environment()
-    fired = []
-    _record_timeouts(env, delays, fired)
-    env.run_until_horizon(10.0)  # commit a prefix, then round-trip the rest
-    entries = env.export_pending()
-    assert env.peek() == INF
-    env.import_pending(entries)
-    env.run()
-    assert fired == reference
-
-
-def test_import_into_nonempty_environment_keeps_both_sets_in_order():
-    """Regression: ``import_pending(entries, queue=...)`` used to rebind the
-    pending structure without draining it, dropping every event the
-    importing environment still had scheduled."""
-    source = Environment()
-    for eid, (time, priority) in enumerate([(4.0, 1), (2.0, 1), (2.0, 0)]):
-        source._push(time, priority, eid, f"imported-{eid}")
-    env = Environment()
-    for eid, (time, priority) in enumerate([(3.0, 1), (2.0, 1), (9.0, 0)], 10):
-        env._push(time, priority, eid, f"resident-{eid}")
-    env.import_pending(source.export_pending())
-    assert env.queue_size == 6
-    merged = env.export_pending()
-    assert [entry[:3] for entry in merged] == sorted(entry[:3] for entry in merged)
-    assert [entry[3] for entry in merged] == [
-        "imported-2", "imported-1", "resident-11", "resident-10", "imported-0",
-        "resident-12"]
-
-
-def test_import_keeps_event_ids_unique():
-    env = Environment()
-    fired = []
-    _record_timeouts(env, [5.0], fired)
-    env.run_until_horizon(1.0)
-    entries = env.export_pending()
-    env.import_pending(entries)
-    # Events scheduled after the round-trip must sort behind re-imported
-    # ones at equal (time, priority): their ids must stay larger.
-    _record_timeouts(env, [5.0], fired)
-    env.run()
-    assert fired == [5.0, 5.0]
 
 
 # ------------------------------------------------------------- boundary messages

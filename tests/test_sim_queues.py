@@ -46,19 +46,23 @@ def test_empty_queue_step_raises_and_peek_is_inf():
     env = Environment()
     assert env.queue_size == 0
     assert env.peek() == INF
-    assert env.export_pending() == []
     with pytest.raises(EmptySchedule):
         env.step()
+    env.run()  # an empty run returns at once
+    assert env.now == 0.0
 
 
 def test_same_time_ties_break_on_priority_then_eid():
     env = Environment()
-    env._push(1.0, 1, 3, "n-late")
-    env._push(1.0, 0, 4, "u-late")
-    env._push(1.0, 1, 1, "n-early")
-    env._push(1.0, 0, 2, "u-early")
-    labels = [entry[3] for entry in env.export_pending()]
-    assert labels == ["u-early", "u-late", "n-early", "n-late"]
+    fired = []
+    _schedule_labelled(env, 1.0, 1, "n-early", fired)
+    _schedule_labelled(env, 1.0, 0, "u-early", fired)
+    _schedule_labelled(env, 1.0, 1, "n-late", fired)
+    _schedule_labelled(env, 1.0, 0, "u-late", fired)
+    for _ in range(4):
+        env.step()
+    assert fired == [(1.0, "u-early"), (1.0, "u-late"), (1.0, "n-early"), (1.0, "n-late")]
+    assert env.queue_size == 0
 
 
 def test_infinite_times_are_ordered_last():
@@ -135,10 +139,8 @@ def test_steps_pop_in_sorted_order(data):
             # exactly as the kernel's own counter does.
             reference.append((env.now + dt, priority, eid, eid))
     assert env.queue_size == len(reference)
-    exported = env.export_pending()
-    assert [(t, p, ev._value) for t, p, _eid, ev in exported] == \
-        [(t, p, label) for t, p, _eid, label in sorted(reference)]
-    env.import_pending(exported)
+    # Drain the rest: labels are unique, so the fired list pins the full
+    # (time, priority, eid) order of everything still pending.
     del fired[:]
     env.run()
     assert fired == [(t, label) for t, _p, _eid, label in sorted(reference)]
