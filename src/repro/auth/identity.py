@@ -9,7 +9,7 @@ identities, and linked identities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 __all__ = ["IdentityProvider", "Identity"]
 

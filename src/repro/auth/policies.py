@@ -9,7 +9,7 @@ service, a specific model, or a specific cluster).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .groups import GroupService
 

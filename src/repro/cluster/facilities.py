@@ -8,8 +8,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .cluster import Cluster, Interconnect
 from .gpu import A100_40GB, A100_80GB
 from .node import Node, NodeSpec, dgx_a100_spec

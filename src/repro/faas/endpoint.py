@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from ..autoscale import AutoscaleConfig, AutoscaleController, ReplicaPool, make_policy
-from ..cluster import JobRequest, JobState, SchedulerBase
+from ..cluster import JobRequest, SchedulerBase
 from ..common import ConfigurationError, IdGenerator, NotFoundError, sim_logger
 from ..obs.trace import TRACE_KEY
 from ..serving import (

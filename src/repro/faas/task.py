@@ -26,7 +26,7 @@ class TaskStatus(str, enum.Enum):
         return self in (TaskStatus.COMPLETED, TaskStatus.FAILED, TaskStatus.CANCELLED)
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRecord:
     """Cloud-side record of a task."""
 
@@ -76,8 +76,9 @@ class TaskFuture:
     polling path.
     """
 
+    __slots__ = ("record", "done")
+
     def __init__(self, env: Environment, record: TaskRecord):
-        self.env = env
         self.record = record
         self.done: Event = env.event()
 

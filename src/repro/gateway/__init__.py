@@ -26,7 +26,8 @@ pipeline over a typed request context, run as one flat pass (every stage's
           print(chunk["choices"][0]["delta"].get("content", ""), end="")
 
 Plus batch jobs (§4.4), the ``/jobs`` model-status endpoint, PostgreSQL-style
-logging and the metrics dashboard.
+logging and the metrics dashboard.  OpenAI sampling parameters
+(``temperature``, ``top_p``, penalties, ``seed``) are accepted and ignored.
 """
 
 from .app import InferenceGatewayAPI

@@ -247,7 +247,11 @@ class InferenceGatewayAPI:
         return result.to_openai_dict()
 
     def build_request(self, body: dict, kind: RequestKind) -> InferenceRequest:
-        """Convert an OpenAI-style request body into a typed request."""
+        """Convert an OpenAI-style request body into a typed request.
+
+        OpenAI sampling parameters (``temperature``, ``top_p``, the penalties,
+        ``seed``) are accepted and ignored: the timing model does not read them.
+        """
         model = self.validate_model(body.get("model"))
         if kind == RequestKind.CHAT_COMPLETION:
             messages = body.get("messages")
@@ -268,11 +272,6 @@ class InferenceGatewayAPI:
                 f"max_tokens must be in (0, {self.config.max_allowed_output_tokens}]"
             )
         prompt_tokens = int(body.get("prompt_tokens_hint") or estimate_tokens(prompt_text))
-        params = {
-            k: body[k]
-            for k in ("temperature", "top_p", "frequency_penalty", "presence_penalty", "seed")
-            if k in body
-        }
         return InferenceRequest(
             request_id=body.get("request_id") or self._ids.next("gw-req"),
             model=model,
@@ -280,7 +279,6 @@ class InferenceGatewayAPI:
             max_output_tokens=1 if kind == RequestKind.EMBEDDING else max_tokens,
             kind=kind,
             prompt_text=prompt_text,
-            params=params,
             stream=bool(body.get("stream", False)),
         )
 

@@ -74,7 +74,7 @@ class GatewayStream:
         self.channel.close()
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestContext:
     """Everything the pipeline knows about one in-flight request."""
 

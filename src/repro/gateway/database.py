@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 __all__ = ["RequestLogEntry", "BatchRecord", "GatewayDatabase"]
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestLogEntry:
     """One row of the request log."""
 

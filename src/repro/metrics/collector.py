@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 __all__ = ["RequestRecord", "MetricsCollector"]
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """Client-side view of one request (what the benchmark tool measures)."""
 
@@ -25,7 +25,6 @@ class RequestRecord:
     #: gateway's ``array('d')``, 8 bytes per token (a sharded run's records
     #: carry the list their result message brought).
     token_times: Optional[Sequence[float]] = None
-    metadata: Dict = field(default_factory=dict)
 
     @property
     def latency_s(self) -> Optional[float]:

@@ -21,7 +21,7 @@ from typing import Optional
 
 from ..sim import Environment, Event, Resource
 from .engine import ContinuousBatchingEngine
-from .request import InferenceRequest, InferenceResult
+from .request import InferenceRequest
 
 __all__ = ["APIServerConfig", "APIServerStats", "APIServer"]
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..sim import Environment, Event
 from .models import ModelSpec
-from .request import InferenceRequest, InferenceResult, RequestKind
+from .request import InferenceRequest, InferenceResult
 
 __all__ = ["hash_embedding", "EmbeddingEngineConfig", "EmbeddingEngine"]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import List, Optional
 
 from ..cluster.node import Node

@@ -17,7 +17,7 @@ class RequestKind(str, enum.Enum):
     EMBEDDING = "embedding"
 
 
-@dataclass
+@dataclass(slots=True)
 class InferenceRequest:
     """A single inference request as seen by an engine.
 
@@ -33,9 +33,6 @@ class InferenceRequest:
     kind: RequestKind = RequestKind.CHAT_COMPLETION
     user: str = "anonymous"
     prompt_text: str = ""
-    #: Sampling parameters (temperature etc.); accepted and logged, not used
-    #: by the timing model.
-    params: Dict[str, Any] = field(default_factory=dict)
     stream: bool = False
     arrival_time: float = 0.0
     metadata: Dict[str, Any] = field(default_factory=dict)
@@ -47,7 +44,7 @@ class InferenceRequest:
             raise ValueError("max_output_tokens must be > 0 for generation requests")
 
 
-@dataclass
+@dataclass(slots=True)
 class InferenceResult:
     """Engine-side result of a request, with full timing breakdown."""
 

@@ -25,7 +25,6 @@ prefill interference the engine pays when admitting new sequences).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 

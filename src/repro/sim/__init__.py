@@ -34,7 +34,7 @@ from .events import (
     Process,
     Timeout,
 )
-from .resources import Release, Request, Resource
+from .resources import Request, Resource
 
 __all__ = [
     "Environment",
@@ -51,5 +51,4 @@ __all__ = [
     "NORMAL",
     "Resource",
     "Request",
-    "Release",
 ]

@@ -13,17 +13,17 @@ from typing import Deque, List
 
 from .events import Event
 
-__all__ = ["Request", "Release", "Resource"]
+__all__ = ["Request", "Resource"]
 
 
 class Request(Event):
     """Request for one unit of a :class:`Resource` (usable as a context manager)."""
 
+    __slots__ = ("resource",)
+
     def __init__(self, resource: "Resource"):
         super().__init__(resource._env)
         self.resource = resource
-        self.proc = resource._env.active_process
-        self.time_requested = resource._env.now
         resource._do_request(self)
 
     def __enter__(self) -> "Request":
@@ -35,22 +35,6 @@ class Request(Event):
     def cancel(self) -> None:
         """Release the slot (or withdraw the pending request)."""
         self.resource.release(self)
-
-
-class Release(Event):
-    """Event representing the release of a resource slot.
-
-    A release takes effect inside :meth:`Resource.release`, so the event is
-    born already processed: it costs no kernel event, and a process that
-    yields it continues immediately.
-    """
-
-    def __init__(self, resource: "Resource", request: Request):
-        super().__init__(resource._env)
-        self.resource = resource
-        self.request = request
-        self._value = None
-        self.callbacks = None
 
 
 class Resource:
@@ -92,14 +76,13 @@ class Resource:
         """Request a slot.  Yields when a slot is granted."""
         return Request(self)
 
-    def release(self, request: Request) -> Release:
-        """Release a previously granted slot (or withdraw a pending request)."""
+    def release(self, request: Request) -> None:
+        """Release a previously granted slot (or withdraw a pending request) at once."""
         if request in self.users:
             self.users.remove(request)
             self._trigger_waiters()
         elif request in self.queue:
             self.queue.remove(request)
-        return Release(self, request)
 
     # -- internals -------------------------------------------------------
     def _do_request(self, request: Request) -> None:

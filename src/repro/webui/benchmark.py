@@ -14,8 +14,7 @@ mechanism behind the 60 s vs 120 s gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
 
 from ..common import RandomSource
 from .server import WebUIServer

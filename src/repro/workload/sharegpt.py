@@ -13,7 +13,7 @@ set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..common import RandomSource
@@ -110,7 +110,6 @@ class ShareGPTWorkload:
                     kind=RequestKind.CHAT_COMPLETION,
                     user=user,
                     prompt_text=f"[conversation {i}] Please help with {topic}.",
-                    metadata={"workload": "sharegpt-like", "index": i},
                 )
             )
         return requests

@@ -1,6 +1,5 @@
 """Property-based and invariant tests for the continuous-batching engine."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,7 +1,5 @@
 """End-to-end integration scenarios across the whole stack."""
 
-import pytest
-
 from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,

@@ -20,7 +20,6 @@ from repro.workload import (
     UniformArrival,
     parse_batch_lines,
     read_batch_file,
-    requests_to_jsonl,
     write_batch_file,
 )
 

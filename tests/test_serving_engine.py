@@ -9,7 +9,6 @@ from repro.serving import (
     ContinuousBatchingEngine,
     EngineConfig,
     InferenceRequest,
-    PerfModelConfig,
     PerformanceModel,
     default_catalog,
 )
