@@ -92,7 +92,6 @@ class APIServer:
         return result
 
     def _handle(self, request: InferenceRequest, done: Event):
-        cfg = self.config
         self._open_connections += 1
         self.stats.peak_open_connections = max(
             self.stats.peak_open_connections, self._open_connections

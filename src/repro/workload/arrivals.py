@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
-from ..common import RandomSource
+import numpy as np
+
+from ..common.randomness import DRAW_BLOCK, RandomSource
 
 __all__ = [
     "ArrivalProcess",
@@ -62,12 +64,19 @@ class PoissonArrival(ArrivalProcess):
         self.seed = seed
 
     def offsets(self, n: int) -> List[float]:
+        """``[0.0]`` then the running sum of ``n - 1`` exponential gaps.
+
+        Each bulk draw of ``DRAW_BLOCK`` gaps gives the values a scalar draw
+        per request would, and ``np.cumsum`` adds them left to right from
+        the last offset, as a running ``t += gap`` does, so the offsets are
+        bit-identical to that loop's; blocks keep the numpy scratch small.
+        """
         rng = RandomSource(seed=self.seed)
-        t = 0.0
-        out = []
-        for _ in range(n):
-            out.append(t)
-            t += rng.exponential(1.0 / self.rate)
+        out = [0.0] if n > 0 else []
+        for start in range(1, n, DRAW_BLOCK):
+            gaps = rng.exponential(1.0 / self.rate, size=min(DRAW_BLOCK, n - start))
+            gaps[0] += out[-1]
+            out += np.cumsum(gaps, out=gaps).tolist()
         return out
 
     @property
@@ -97,7 +106,10 @@ class _ThinnedArrival(ArrivalProcess):
     Subclasses provide :meth:`rate_at` (instantaneous rate, req/s) and
     :attr:`peak_rate` (an upper bound on it); candidate events are drawn
     from a homogeneous process at the peak rate and accepted with
-    probability ``rate_at(t) / peak_rate``.
+    probability ``rate_at(t) / peak_rate``.  Draws stay scalar: each
+    candidate's exponential gap (a ziggurat that takes a variable number of
+    stream words) alternates with its uniform acceptance draw, and no bulk
+    call reproduces that interleaving.
     """
 
     peak_rate: float = 1.0

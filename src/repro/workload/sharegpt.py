@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..common import RandomSource
+import numpy as np
+
+from ..common.randomness import DRAW_BLOCK, RandomSource
 from ..serving import InferenceRequest, RequestKind
 
 __all__ = ["ShareGPTConfig", "ShareGPTWorkload", "BATCH_GENERATION_CONFIG"]
@@ -85,33 +87,40 @@ class ShareGPTWorkload:
         The same seed always produces the same (prompt length, output length)
         pairs, mirroring the paper's "same set of input prompts and
         corresponding target output lengths ... for each model across all
-        relevant tests".
+        relevant tests".  ``num_requests=None`` means the config's count.
+
+        Lengths are drawn in bulk, ``DRAW_BLOCK`` requests per call, as the
+        same values in the same order (prompt, output, prompt, ...) as one
+        scalar lognormal call per length; blocks keep the numpy scratch small
+        however many requests are made.  Token counts reach
+        :class:`InferenceRequest` as Python ``int``s.
         """
         cfg = self.config
-        n = num_requests or cfg.num_requests
+        n = cfg.num_requests if num_requests is None else num_requests
+        if n < 0:
+            raise ValueError("num_requests must be >= 0")
         rng = RandomSource(seed=cfg.seed)
+        means = (cfg.mean_prompt_tokens, cfg.mean_output_tokens)
+        sigmas = (cfg.prompt_sigma, cfg.output_sigma)
+        lows = (cfg.min_prompt_tokens, cfg.min_output_tokens)
+        highs = (cfg.max_prompt_tokens, cfg.max_output_tokens)
         requests = []
-        for i in range(n):
-            prompt_tokens = int(
-                min(cfg.max_prompt_tokens,
-                    max(cfg.min_prompt_tokens, rng.lognormal(cfg.mean_prompt_tokens, cfg.prompt_sigma)))
-            )
-            output_tokens = int(
-                min(cfg.max_output_tokens,
-                    max(cfg.min_output_tokens, rng.lognormal(cfg.mean_output_tokens, cfg.output_sigma)))
-            )
-            topic = _TOPICS[i % len(_TOPICS)]
-            requests.append(
-                InferenceRequest(
-                    request_id=f"{id_prefix}-{i:06d}",
-                    model=model,
-                    prompt_tokens=prompt_tokens,
-                    max_output_tokens=output_tokens,
-                    kind=RequestKind.CHAT_COMPLETION,
-                    user=user,
-                    prompt_text=f"[conversation {i}] Please help with {topic}.",
+        for start in range(0, n, DRAW_BLOCK):
+            draws = rng.lognormal(means, sigmas, size=(min(DRAW_BLOCK, n - start), 2))
+            prompts, outputs = np.clip(draws, lows, highs, out=draws).astype(np.int64).T.tolist()
+            for i, (prompt_tokens, output_tokens) in enumerate(zip(prompts, outputs), start):
+                requests.append(
+                    InferenceRequest(
+                        request_id=f"{id_prefix}-{i:06d}",
+                        model=model,
+                        prompt_tokens=prompt_tokens,
+                        max_output_tokens=output_tokens,
+                        kind=RequestKind.CHAT_COMPLETION,
+                        user=user,
+                        prompt_text=f"[conversation {i}] Please help with "
+                                    f"{_TOPICS[i % len(_TOPICS)]}.",
+                    )
                 )
-            )
         return requests
 
     def mean_output_tokens(self, requests: List[InferenceRequest]) -> float:

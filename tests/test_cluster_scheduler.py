@@ -101,7 +101,7 @@ def test_walltime_not_enforced_when_disabled():
 
 def test_cancel_queued_job():
     env, cluster, sched = make_pbs(num_nodes=1)
-    h1 = sched.submit(JobRequest("first", num_nodes=1, walltime_s=1000.0))
+    sched.submit(JobRequest("first", num_nodes=1, walltime_s=1000.0))
     h2 = sched.submit(JobRequest("second", num_nodes=1, walltime_s=1000.0))
 
     def cancel_later(env):
@@ -169,7 +169,7 @@ def test_backfill_short_job_runs_while_head_blocked():
     cluster = small_test_cluster(num_nodes=3)
     sched = PBSScheduler(env, cluster, SchedulerConfig(cycle_latency_s=1.0, prologue_s=0.0))
     # A holds 2 of 3 nodes for 100 s.
-    ha = sched.submit(JobRequest("A", num_nodes=2, walltime_s=100.0))
+    sched.submit(JobRequest("A", num_nodes=2, walltime_s=100.0))
     env.run(until=3.0)
     # B needs all 3 nodes -> blocked until A ends. C needs 1 node for 20 s and
     # finishes before A would end, so EASY backfill lets it start immediately.
@@ -186,9 +186,9 @@ def test_no_backfill_when_disabled():
     sched = PBSScheduler(
         env, cluster, SchedulerConfig(cycle_latency_s=1.0, prologue_s=0.0, backfill=False)
     )
-    ha = sched.submit(JobRequest("A", num_nodes=2, walltime_s=100.0))
+    sched.submit(JobRequest("A", num_nodes=2, walltime_s=100.0))
     env.run(until=3.0)
-    hb = sched.submit(JobRequest("B", num_nodes=3, walltime_s=50.0))
+    sched.submit(JobRequest("B", num_nodes=3, walltime_s=50.0))
     hc = sched.submit(JobRequest("C", num_nodes=1, walltime_s=20.0))
     env.run(until=30.0)
     assert hc.job.state == JobState.QUEUED
@@ -199,7 +199,7 @@ def test_slurm_priority_ordering():
     cluster = small_test_cluster(num_nodes=1)
     sched = SlurmScheduler(env, cluster)
     # Occupy the single node first.
-    h0 = sched.submit(JobRequest("hold", num_nodes=1, walltime_s=60.0))
+    sched.submit(JobRequest("hold", num_nodes=1, walltime_s=60.0))
     env.run(until=10.0)
     low = sched.submit(JobRequest("low", num_nodes=1, walltime_s=30.0, priority=1))
     high = sched.submit(JobRequest("high", num_nodes=1, walltime_s=30.0, priority=10))

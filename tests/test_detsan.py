@@ -182,10 +182,10 @@ class TestDetection:
 
 # ---------------------------------------------------------------- obs RNG draws
 class TestObsDrawAttribution:
-    def obs_draw(self, rng):
+    def obs_draw(self, rng, draw="rng.uniform()"):
         """Execute a draw whose calling frame claims to be in repro/obs/."""
-        code = compile("rng.uniform()", os.path.join("x", "repro", "obs",
-                                                     "fake.py"), "eval")
+        code = compile(draw, os.path.join("x", "repro", "obs", "fake.py"),
+                       "eval")
         return eval(code, {"rng": rng})
 
     def test_flags_draw_from_obs_frame(self):
@@ -193,9 +193,33 @@ class TestObsDrawAttribution:
 
         env = Environment(sanitize=True)
         rng = RandomSource(1)
-        with pytest.raises(DetSanError, match="observe-only"):
-            self.obs_draw(rng)
+        # Bulk (``size=``) draws go through the same patched methods.
+        for draw in ("rng.uniform()",
+                     "rng.lognormal((220.0, 180.0), (0.8, 0.7), size=(4, 2))",
+                     "rng.exponential(0.125, size=8)"):
+            with pytest.raises(DetSanError, match="observe-only"):
+                self.obs_draw(rng, draw)
         env.sanitizer.detach()
+
+    def test_draws_only_through_random_source_methods(self):
+        """DetSan patches ``RandomSource``'s methods, so a draw made on the
+        numpy generator behind them would go unattributed: ``RandomSource``
+        exposes no generator, and no module but ``common/randomness.py``
+        reads its private ``_rng``."""
+        import ast
+
+        from repro.common import RandomSource
+
+        assert not hasattr(RandomSource(0), "rng")
+        src = TESTS_DIR.parent / "src" / "repro"
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            if path.relative_to(src).as_posix() == "common/randomness.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr == "_rng":
+                    offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+        assert offenders == []
 
     def test_draws_unpatched_after_detach(self):
         from repro.common import RandomSource

@@ -164,7 +164,8 @@ def test_relay_queue_depth_supports_thousands_of_tasks():
     """Optimization 3: >8000 tasks can sit queued at the relay."""
     env = Environment()
     relay, endpoint = make_relay(env, delay=500.0)
-    futures = [relay.submit("fn-chat", "ep-fake", {"x": i}) for i in range(8500)]
+    for i in range(8500):
+        relay.submit("fn-chat", "ep-fake", {"x": i})
     env.run(until=10.0)
     assert relay.queued_tasks >= 8000
     assert relay.stats.peak_queued >= 8000
