@@ -17,7 +17,6 @@ import pytest
 from _harness import MODEL_70B
 
 from repro.cluster import A100_40GB, dgx_a100_spec
-from repro.core import calibration
 from repro.serving import OfflineBatchRunner, PerformanceModel, default_catalog
 from repro.sim import Environment
 from repro.workload import BATCH_GENERATION_CONFIG, ShareGPTWorkload
@@ -29,10 +28,7 @@ def run_offline_batch(num_requests):
     env = Environment()
     catalog = default_catalog()
     spec = catalog.get(MODEL_70B)
-    perf = PerformanceModel(
-        spec, num_gpus=8, gpu_spec=A100_40GB,
-        config=calibration.default_perf_config(), node_spec=dgx_a100_spec(),
-    )
+    perf = PerformanceModel(spec, num_gpus=8, gpu_spec=A100_40GB, node_spec=dgx_a100_spec())
     runner = OfflineBatchRunner(env, perf)
     requests = ShareGPTWorkload(BATCH_GENERATION_CONFIG).generate(
         spec.name, num_requests=num_requests

@@ -28,7 +28,6 @@ from repro.core import (
     DeploymentConfig,
     FIRSTDeployment,
     ModelHostingConfig,
-    calibration,
 )
 from repro.serving import EngineConfig, ServingInstance, default_catalog
 from repro.sim import Environment
@@ -92,7 +91,6 @@ def run_manual_deployment():
         spec = catalog.get(model)
         instance = ServingInstance(
             env, spec, [node],
-            perf_config=calibration.default_perf_config(),
             engine_config=EngineConfig(generate_text=False),
         )
         env.run(until=instance.ready)  # manual cold start for every model

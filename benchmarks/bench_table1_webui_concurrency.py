@@ -13,7 +13,7 @@ The paper also observed that 60 s runs consistently beat 120 s runs, which it
 attributes to resource contention and long-tail latency effects; in the
 simulator the two windows land within ~20% of each other (the 120 s window
 benefits from proportionally less ramp-up), so that secondary effect is only
-weakly reproduced — see EXPERIMENTS.md.
+weakly reproduced.
 
 Each (model, concurrency, duration) cell runs against a fresh deployment with
 three pre-warmed instances (the production deployment auto-scales), so cells

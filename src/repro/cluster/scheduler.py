@@ -35,15 +35,17 @@ class SchedulerConfig:
     """Tunable scheduler behaviour.
 
     ``cycle_latency_s`` models the scheduler's scheduling-iteration delay:
-    even on an idle cluster a PBS job does not start instantaneously.
+    even on an idle cluster a PBS job does not start instantaneously.  The
+    defaults are the PBS / Slurm timing; Kubernetes and local providers
+    state their own.
     """
 
-    cycle_latency_s: float = 5.0
+    cycle_latency_s: float = 2.0
     backfill: bool = True
     enforce_walltime: bool = True
     #: Extra fixed provisioning delay once nodes are assigned (node prologue,
     #: container/pod start, environment setup) before the job is "running".
-    prologue_s: float = 10.0
+    prologue_s: float = 5.0
     max_queued_jobs: int = 10000
 
 
@@ -350,10 +352,6 @@ class SlurmScheduler(SchedulerBase):
     """Slurm-like scheduler: priority first, then submission order, with backfill."""
 
     scheduler_type = "slurm"
-
-    def __init__(self, env, cluster, config: Optional[SchedulerConfig] = None, ids=None):
-        config = config or SchedulerConfig(cycle_latency_s=2.0)
-        super().__init__(env, cluster, config, ids)
 
     def _order_queue(self) -> List[JobHandle]:
         return sorted(

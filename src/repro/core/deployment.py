@@ -58,9 +58,8 @@ from ..gateway import (GatewayConfig, GatewayDatabase, InferenceGatewayAPI,
 from ..obs import ObservabilityConfig
 from ..obs.middleware import ObservabilityMiddleware
 from ..placement import PlacementPolicy, PriorityRouter, TopologyView
-from ..serving import ModelCatalog, default_catalog
+from ..serving import EngineConfig, ModelCatalog, default_catalog
 from ..sim import Environment
-from . import calibration
 from .client import FIRSTClient
 
 __all__ = [
@@ -94,7 +93,7 @@ class DeploymentConfig:
     """Full deployment description."""
 
     clusters: List[ClusterDeploymentSpec] = field(default_factory=list)
-    gateway: GatewayConfig = field(default_factory=calibration.default_gateway_config)
+    gateway: GatewayConfig = field(default_factory=GatewayConfig)
     users: List[str] = field(default_factory=lambda: ["researcher@anl.gov"])
     identity_domains: List[str] = field(default_factory=lambda: ["anl.gov", "university.edu"])
     generate_text: bool = False
@@ -137,7 +136,7 @@ def sophia_benchmark_config(
     model: str = "meta-llama/Llama-3.3-70B-Instruct",
     max_instances: int = 1,
     num_nodes: int = 8,
-    max_parallel_tasks: int = calibration.DEFAULT_MAX_PARALLEL_TASKS,
+    max_parallel_tasks: int = ModelHostingConfig.max_parallel_tasks,
     gateway_config: Optional[GatewayConfig] = None,
 ) -> DeploymentConfig:
     """The §5 benchmark deployment: a Sophia-like cluster hosting one model."""
@@ -157,7 +156,7 @@ def sophia_benchmark_config(
                 ],
             )
         ],
-        gateway=gateway_config or calibration.default_gateway_config(),
+        gateway=gateway_config or GatewayConfig(),
         users=["benchmark@anl.gov"],
         generate_text=False,
     )
@@ -207,12 +206,7 @@ def build_cluster(env: Environment, spec: ClusterDeploymentSpec,
     # The spec name wins over the factory name so federation entries are
     # unambiguous even with two "small" clusters.
     cluster.name = spec.name
-    scheduler = make_scheduler(
-        spec.scheduler, env, cluster,
-        calibration.default_scheduler_config()
-        if spec.scheduler in ("pbs", "slurm") else None,
-        ids=ids,
-    )
+    scheduler = make_scheduler(spec.scheduler, env, cluster, ids=ids)
     endpoint = ComputeEndpoint(
         env,
         scheduler,
@@ -223,9 +217,7 @@ def build_cluster(env: Environment, spec: ClusterDeploymentSpec,
             models=[replace(hosting) for hosting in spec.models],
             required_client_id=required_client_id,
         ),
-        perf_config=calibration.default_perf_config(),
-        engine_config=calibration.default_engine_config(generate_text),
-        api_config=calibration.default_api_server_config(),
+        engine_config=EngineConfig(generate_text=generate_text),
         ids=ids,
     )
     return cluster, scheduler, endpoint
@@ -272,10 +264,8 @@ class FIRSTDeployment:
         )
 
     def _build_relay(self) -> None:
-        self.relay = RelayService(
-            self.env, calibration.default_relay_config(), ids=self.ids,
-            authorized_client_ids=[self.CLIENT_ID],
-        )
+        self.relay = RelayService(self.env, ids=self.ids,
+                                  authorized_client_ids=[self.CLIENT_ID])
         self.function_ids = {
             HANDLER_CHAT: "fn-inference-chat",
             HANDLER_EMBEDDING: "fn-inference-embedding",
@@ -315,7 +305,6 @@ class FIRSTDeployment:
             self.CLIENT_ID,
             self.CLIENT_SECRET,
             auth=self.auth,
-            config=calibration.default_compute_client_config(),
         )
         self.database = GatewayDatabase()
         gateway_config = self.config.gateway
@@ -373,8 +362,8 @@ class FIRSTDeployment:
         events = self.prewarm(model, instances, endpoint_id)
         if events:
             self.env.run(until=self.env.all_of(events))
-        # Give monitors a scheduling round.
-        self.run_for(1.0)
+        # Give monitors one endpoint poll round.
+        self.run_for(max(ep.config.poll_interval_s for ep in self.endpoints.values()))
 
     def run_for(self, seconds: float) -> None:
         """Advance the simulation clock by ``seconds``."""

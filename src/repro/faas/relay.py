@@ -14,8 +14,8 @@ Two timing behaviours matter for the paper's evaluation:
   Compute to scale and route requests to the multiple instances".  The relay
   therefore serialises result forwarding through a channel whose service
   rate follows ``R(N) = R_max * N / (N + N_half)`` where ``N`` is the number
-  of active model instances; the constants are fitted to Fig. 4 (see
-  ``repro.core.calibration``).
+  of active model instances; the constants are fitted to Fig. 4 and the
+  hop latencies to Fig. 3 (see ``repro.core.calibration.CALIBRATION_NOTES``).
 
 The relay does not route: every task goes to the one endpoint its submitter
 named, as in §3.2 — the gateway (or a partitioned run's gateway shard) has
@@ -41,12 +41,12 @@ class RelayConfig:
     """Timing and capacity parameters of the cloud relay."""
 
     #: Client SDK → cloud service (accept + persist) latency.
-    submit_latency_s: float = 0.6
+    submit_latency_s: float = 0.8
     #: Cloud service → endpoint dispatch latency (includes the endpoint's
     #: task-queue pickup).
-    dispatch_latency_s: float = 1.2
+    dispatch_latency_s: float = 2.4
     #: Endpoint → cloud → client result delivery latency.
-    result_latency_s: float = 1.0
+    result_latency_s: float = 1.8
     #: Routing-scalability ceiling (tasks/s) as the instance count grows.
     routing_rate_max: float = 66.0
     #: Instance count at which the routing rate reaches half its ceiling.

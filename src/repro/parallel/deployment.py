@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..common import stable_seed
-from ..core import ClusterDeploymentSpec, ModelHostingConfig, calibration
-from ..faas import PoolSignal
+from ..core import ClusterDeploymentSpec, ModelHostingConfig
+from ..faas import PoolSignal, RelayConfig
 from ..metrics import MergeableSummary, RequestRecord
 from ..sweep.spec import ArrivalSpec
 from .boundary import BoundaryMessage, sort_key
@@ -343,7 +343,7 @@ class FederatedScenario:
     def partition_specs(self) -> List[PartitionSpec]:
         if not self.clusters:
             raise ValueError("FederatedScenario needs at least one cluster")
-        relay_config = calibration.default_relay_config()
+        relay_config = RelayConfig()
         # Outgoing lookaheads: dispatches leave the gateway after
         # submit+dispatch wire time; results leave a cluster after the
         # result wire time.  These are exactly the arrival stamps the

@@ -36,7 +36,6 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..common import IdGenerator, stable_seed
-from ..core import calibration
 from ..core.deployment import ClusterDeploymentSpec, build_cluster
 from ..faas import HANDLER_CHAT, PoolSignal, RelayBoundaryProxy, RelayService
 from ..faas.functions import FunctionRegistry
@@ -183,8 +182,7 @@ class GatewayPartition(Partition):
         self.stream: bool = bool(params.get("stream", False))
 
         self.ids = IdGenerator()
-        self.relay = RelayService(self.env, calibration.default_relay_config(),
-                                  ids=self.ids)
+        self.relay = RelayService(self.env, ids=self.ids)
         self.relay.functions.register(FUNCTION_ID, name=HANDLER_CHAT,
                                       handler=HANDLER_CHAT, owner="parallel")
 

@@ -11,7 +11,7 @@ The functional form is the standard saturating-throughput model for
 continuous batching: small batches are memory-bandwidth-bound (per-sequence
 decode speed is high but aggregate throughput low), large batches approach a
 compute-bound ceiling.  Constants are calibrated against the paper's
-measurements (see :mod:`repro.core.calibration` and DESIGN.md §5):
+measurements (see :data:`repro.core.calibration.CALIBRATION_NOTES`):
 
 * Llama 3.3 70B, TP=8 on A100-40GB — ≈3 s median end-to-end latency for a
   ShareGPT request at 1 req/s (Fig. 3) and ≈1700 tok/s aggregate when the
@@ -123,7 +123,8 @@ class PerformanceModel:
         loading across multiple nodes, "significantly increasing the cold
         start time").
         """
-        read_gbps = self.node_spec.storage_read_gbps if self.node_spec else 4.0
+        read_gbps = (self.node_spec.storage_read_gbps if self.node_spec
+                     else NodeSpec.storage_read_gbps)
         # Weight shards are read on every node in parallel; each node reads
         # its share of the weights.
         per_node_gb = self.model.weights_gb / self.num_nodes

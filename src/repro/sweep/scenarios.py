@@ -175,20 +175,14 @@ def run_direct_cell(spec: ScenarioSpec) -> dict:
     """vLLM-Direct baseline path (client → API server → engine)."""
     from ..baselines import DirectVLLMTarget
     from ..cluster import Node, dgx_a100_spec
-    from ..core import calibration
-    from ..serving import EngineConfig, default_catalog
+    from ..serving import default_catalog
 
     env = Environment()
     catalog = default_catalog()
     catalog_spec = catalog.get(spec.model)
     nodes = [Node(f"direct-{i}", dgx_a100_spec())
              for i in range(max(1, catalog_spec.default_tp // 8))]
-    pending, ready = DirectVLLMTarget.launch(
-        env, catalog_spec, nodes,
-        perf_config=calibration.default_perf_config(),
-        engine_config=EngineConfig(generate_text=False),
-        api_config=calibration.default_api_server_config(),
-    )
+    pending, ready = DirectVLLMTarget.launch(env, catalog_spec, nodes)
     env.run(until=ready)
     target = pending.materialise()
 

@@ -254,7 +254,10 @@ def test_drained_instance_finishes_in_flight_requests_then_releases_job():
 
     futures = [relay.submit("fn-chat", "ep-as", chat_payload(i, output=200))
                for i in range(8)]
-    env.run(until=env.now + 3.0)  # requests are in flight on both instances
+    # Requests are in flight on both instances 1.2 s after the relay hands
+    # them to the endpoint.
+    relay_hops = relay.config.submit_latency_s + relay.config.dispatch_latency_s
+    env.run(until=env.now + relay_hops + 1.2)
     assert pool.signal().in_flight_tasks > 0
 
     assert pool.start_drain_one()

@@ -36,7 +36,7 @@ def test_job_request_validation():
 
 
 def test_submit_and_start_single_job():
-    env, cluster, sched = make_pbs()
+    env, cluster, sched = make_pbs(cycle_latency_s=5.0, prologue_s=10.0)
     handle = sched.submit(JobRequest("serve-llama", num_nodes=1))
 
     def observe(env):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cluster import FacilityStatusProvider
+from repro.cluster import (FacilityStatusProvider, SchedulerConfig, make_scheduler,
+                           small_test_cluster)
 from repro.common import ConfigurationError, NotFoundError
 from repro.core import (
     ClusterDeploymentSpec,
@@ -14,9 +15,12 @@ from repro.core import (
     quickstart_config,
     sophia_benchmark_config,
 )
+from repro.faas import ComputeClientConfig, RelayConfig
+from repro.gateway import GatewayConfig
 from repro.parallel import PartitionSpec, build_partition
 from repro.placement import FirstConfiguredRouter, PriorityRouter, RandomRouter
-from repro.serving import InferenceRequest
+from repro.serving import APIServerConfig, EngineConfig, InferenceRequest, PerfModelConfig
+from repro.sim import Environment
 
 MODEL_8B = "meta-llama/Llama-3.1-8B-Instruct"
 MODEL_7B = "Qwen/Qwen2.5-7B-Instruct"
@@ -209,11 +213,30 @@ def test_client_for_unregistered_user_registers_on_demand():
     assert "newuser@university.edu" in deployment.auth.registered_users
 
 
-def test_calibration_describe_and_defaults():
-    notes = calibration.describe()
-    assert any("Fig. 4" in v for v in notes.values())
-    perf = calibration.default_perf_config()
-    assert perf.alpha == pytest.approx(4500.0)
-    relay = calibration.default_relay_config()
-    assert relay.routing_rate_max == pytest.approx(66.0)
-    assert calibration.default_gateway_config().async_worker_slots > 100
+@pytest.mark.parametrize("build", [quickstart_config, sophia_benchmark_config,
+                                   federated_config])
+def test_deployments_run_each_config_class_default(build):
+    """Every calibrated constant has one value: its config field's default."""
+    config = build()
+    deployment = FIRSTDeployment(config)
+    assert deployment.relay.config == RelayConfig()
+    assert deployment.compute_client.config == ComputeClientConfig()
+    assert deployment.gateway.config == GatewayConfig()
+    for name, scheduler in deployment.schedulers.items():
+        cluster = small_test_cluster(name=name)
+        kind_default = type(scheduler)(Environment(), cluster).config
+        assert scheduler.config == kind_default, name
+    for endpoint in deployment.endpoints.values():
+        assert endpoint.perf_config == PerfModelConfig()
+        assert endpoint.api_config == APIServerConfig()
+        assert endpoint.engine_config == EngineConfig(generate_text=config.generate_text)
+
+
+def test_slurm_runs_the_pbs_timing():
+    slurm = make_scheduler("slurm", Environment(), small_test_cluster())
+    assert slurm.config == SchedulerConfig()
+
+
+def test_calibration_exports_only_its_notes():
+    assert calibration.__all__ == ["CALIBRATION_NOTES"]
+    assert any("Fig. 4" in note for note in calibration.CALIBRATION_NOTES.values())

@@ -4,12 +4,10 @@ bit-identity guarantee (tracing on == tracing off)."""
 
 import json
 import logging
-from dataclasses import replace
 
 import pytest
 
 from repro.common import NotFoundError, sim_logger
-from repro.core.calibration import default_gateway_config
 from repro.core import (
     ClusterDeploymentSpec,
     DeploymentConfig,
@@ -18,7 +16,7 @@ from repro.core import (
     ObservabilityConfig,
     quickstart_config,
 )
-from repro.gateway import default_middleware_factories
+from repro.gateway import GatewayConfig, default_middleware_factories
 from repro.obs import span_tree
 from repro.placement import ReservationMiddleware
 from repro.sim import Environment
@@ -302,8 +300,8 @@ def _reservation_deployment():
     ``gateway.middleware_factories``, has ``ReservationMiddleware`` after auth."""
     factories = default_middleware_factories()
     factories.insert(2, ReservationMiddleware)  # after validation, auth
-    return obs_deployment(ObservabilityConfig(), gateway=replace(
-        default_gateway_config(), middleware_factories=factories))
+    return obs_deployment(ObservabilityConfig(),
+                          gateway=GatewayConfig(middleware_factories=factories))
 
 
 @pytest.mark.parametrize("configured", [False, True])

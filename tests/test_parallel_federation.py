@@ -9,7 +9,6 @@ deployment are **bit-identical** for any worker count (serial fallback,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import calibration
 from repro.faas import HANDLER_CHAT, RelayBoundaryProxy, RelayService
 from repro.metrics import RequestRecord
 from repro.parallel import (
@@ -115,7 +114,7 @@ def _signal(cluster, ready, waiting, in_flight, computed_at=0.0):
 def test_boundary_proxy_routes_and_snapshot_refreshes_view():
     env = Environment()
     view = TopologyView(env)
-    relay = RelayService(env, calibration.default_relay_config())
+    relay = RelayService(env)
     relay.functions.register("fn-chat", "chat", HANDLER_CHAT, owner="parallel")
     proxy = RelayBoundaryProxy(env, "ep-remote", "remote", ["model-a"],
                                view=view)
