@@ -29,7 +29,7 @@ from repro.core import (
     FIRSTDeployment,
     ModelHostingConfig,
 )
-from repro.serving import EngineConfig, ServingInstance, default_catalog
+from repro.serving import ServingInstance, default_catalog
 from repro.sim import Environment
 from repro.workload import BenchmarkClient, ShareGPTWorkload
 
@@ -89,10 +89,7 @@ def run_manual_deployment():
     total_tokens = 0
     for model in MODEL_SUITE:
         spec = catalog.get(model)
-        instance = ServingInstance(
-            env, spec, [node],
-            engine_config=EngineConfig(generate_text=False),
-        )
+        instance = ServingInstance(env, spec, [node])
         env.run(until=instance.ready)  # manual cold start for every model
         requests = ShareGPTWorkload().generate(model, num_requests=REQUESTS_PER_MODEL,
                                                id_prefix=f"manual-{model[-2:]}")

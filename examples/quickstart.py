@@ -112,8 +112,7 @@ def main() -> None:
     #    `federated` autoscaling policy that shifts replicas across clusters
     #    on queue imbalance, and per-tenant capacity reservations as a
     #    pipeline stage — see examples/federated_slo_routing.py for a
-    #    two-cluster demo (and `FIRSTClient.retry_batch` to resubmit just
-    #    the failed requests of a batch).
+    #    two-cluster demo.
 
     # 10. Shifting-traffic workloads: beyond fixed-rate arrivals, the
     #    workload package generates diurnal day/night cycles, linear ramps

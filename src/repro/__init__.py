@@ -12,7 +12,9 @@ a typed request context, typed error envelopes on every OpenAI-style
 endpoint, and end-to-end streaming with gateway-observed TTFT/ITL — see
 :mod:`repro.gateway` for the stage diagram.
 
-Most users should start from :mod:`repro.core`:
+Subpackages load on first import (``import repro`` loads none of them), so
+a process that only drives the engine never pays for the gateway, relay or
+deployment modules.  Most users should start from :mod:`repro.core`:
 
 >>> from repro.core import FIRSTDeployment, quickstart_config
 >>> deployment = FIRSTDeployment(quickstart_config())
@@ -32,39 +34,6 @@ Streaming responses arrive as OpenAI-style ``chat.completion.chunk`` dicts:
 ...     print(chunk["choices"][0]["delta"].get("content", ""), end="")
 """
 
-from . import (
-    auth,
-    baselines,
-    cluster,
-    common,
-    core,
-    faas,
-    gateway,
-    metrics,
-    placement,
-    rag,
-    serving,
-    sim,
-    webui,
-    workload,
-)
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "sim",
-    "common",
-    "cluster",
-    "serving",
-    "faas",
-    "auth",
-    "gateway",
-    "placement",
-    "workload",
-    "metrics",
-    "baselines",
-    "webui",
-    "rag",
-    "core",
-]
+__all__ = ["__version__"]

@@ -2,13 +2,11 @@
 
 Provides identity providers, user identities, OAuth2-style access/refresh
 tokens (48-hour lifetime), token introspection with realistic latency and
-rate limits, groups for role-based access control, declarative access
-policies, and admin-owned confidential clients — everything the Inference
-Gateway's authorization layer (§3.1.2) and the compute endpoints (§3.2.3)
-depend on.
+rate limits, declarative access policies, and admin-owned confidential
+clients — everything the Inference Gateway's authorization layer (§3.1.2)
+and the compute endpoints (§3.2.3) depend on.
 """
 
-from .groups import Group, GroupService
 from .identity import Identity, IdentityProvider
 from .policies import AccessPolicy, PolicyDecision, PolicyEngine
 from .service import AuthServiceConfig, ConfidentialClient, GlobusAuthLikeService
@@ -20,8 +18,6 @@ __all__ = [
     "TokenInfo",
     "TokenBundle",
     "DEFAULT_TOKEN_LIFETIME_S",
-    "Group",
-    "GroupService",
     "AccessPolicy",
     "PolicyDecision",
     "PolicyEngine",

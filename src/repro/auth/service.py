@@ -1,8 +1,8 @@
 """The Globus-Auth-like identity and access management service.
 
 This is the cloud service the gateway talks to: it registers identity
-providers and users, runs login flows (issuing 48-hour access tokens plus
-refresh tokens), introspects tokens (with a network latency, which is what
+providers and users, issues 48-hour access tokens plus refresh tokens,
+introspects tokens (with a network latency, which is what
 the gateway's token cache — Optimization 2 in §5.3.1 — avoids paying per
 request), refreshes tokens, and authenticates confidential clients (the
 admin-owned client used by the Globus-Compute-like endpoints, §3.2.3).
@@ -15,7 +15,6 @@ from typing import Dict, List, Optional
 
 from ..common import AuthenticationError, AuthorizationError, RateLimitError
 from ..sim import Environment
-from .groups import GroupService
 from .identity import Identity, IdentityProvider
 from .policies import PolicyEngine
 from .tokens import DEFAULT_TOKEN_LIFETIME_S, TokenBundle, TokenInfo, mint_token_pair
@@ -30,8 +29,6 @@ class AuthServiceConfig:
     token_lifetime_s: float = DEFAULT_TOKEN_LIFETIME_S
     #: Network round-trip for a token introspection call from the gateway.
     introspection_latency_s: float = 0.3
-    #: Latency of a full login flow (browser redirects, MFA).
-    login_latency_s: float = 2.0
     #: Maximum introspection calls per second before the service rate-limits
     #: the caller (the paper notes FIRST was at risk of being "rate-limited
     #: by the Globus services" before caching was added).
@@ -55,8 +52,7 @@ class GlobusAuthLikeService:
     def __init__(self, env: Environment, config: Optional[AuthServiceConfig] = None):
         self.env = env
         self.config = config or AuthServiceConfig()
-        self.groups = GroupService()
-        self.policies = PolicyEngine(self.groups)
+        self.policies = PolicyEngine()
         self._providers: Dict[str, IdentityProvider] = {}
         self._identities: Dict[str, Identity] = {}
         self._tokens: Dict[str, TokenInfo] = {}
@@ -68,7 +64,6 @@ class GlobusAuthLikeService:
         self._window_calls = 0
         # counters
         self.introspection_calls = 0
-        self.logins = 0
 
     # -- registration ---------------------------------------------------------
     def register_provider(self, provider: IdentityProvider) -> None:
@@ -92,15 +87,9 @@ class GlobusAuthLikeService:
         self._clients[client_id] = client
         return client
 
-    # -- login / tokens ---------------------------------------------------------
-    def login(self, username: str, scopes: Optional[List[str]] = None):
-        """Simulation process: run a login flow and return a :class:`TokenBundle`."""
-        if self.config.login_latency_s > 0:
-            yield self.env.timeout(self.config.login_latency_s)
-        return self.issue_token(username, scopes)
-
+    # -- tokens -------------------------------------------------------------------
     def issue_token(self, username: str, scopes: Optional[List[str]] = None) -> TokenBundle:
-        """Immediately issue a token bundle (used by tests and the client SDK)."""
+        """Issue a token bundle (the client SDK and tests call this directly)."""
         identity = self._identities.get(username)
         if identity is None or not identity.active:
             raise AuthenticationError(f"Unknown or inactive identity: {username}")
@@ -120,7 +109,6 @@ class GlobusAuthLikeService:
         )
         self._tokens[access] = info
         self._refresh_tokens[refresh] = username
-        self.logins += 1
         return TokenBundle(
             access_token=access,
             refresh_token=refresh,
@@ -177,12 +165,6 @@ class GlobusAuthLikeService:
         return client
 
     # -- queries ----------------------------------------------------------------------
-    def get_identity(self, username: str) -> Identity:
-        identity = self._identities.get(username)
-        if identity is None:
-            raise AuthenticationError(f"Unknown identity: {username}")
-        return identity
-
     @property
     def registered_users(self) -> List[str]:
         return sorted(self._identities)

@@ -47,7 +47,7 @@ class TokenInfo:
 
 @dataclass
 class TokenBundle:
-    """Access + refresh token pair returned by a login flow."""
+    """Access + refresh token pair issued to a user."""
 
     access_token: str
     refresh_token: str

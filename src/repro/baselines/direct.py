@@ -60,7 +60,7 @@ class DirectVLLMTarget:
             nodes,
             tensor_parallel=tensor_parallel,
             perf_config=perf_config,
-            engine_config=engine_config or EngineConfig(generate_text=False),
+            engine_config=engine_config,
             api_config=api_config,
             via_api_server=True,
         )

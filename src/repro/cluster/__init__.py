@@ -13,12 +13,10 @@ from .job import Job, JobRequest, JobState
 from .node import Node, NodeSpec, dgx_a100_spec
 from .scheduler import (
     JobHandle,
-    KubernetesScheduler,
     LocalScheduler,
     PBSScheduler,
     SchedulerBase,
     SchedulerConfig,
-    SlurmScheduler,
     make_scheduler,
 )
 from .status import FacilityStatusProvider
@@ -46,8 +44,6 @@ __all__ = [
     "SchedulerBase",
     "SchedulerConfig",
     "PBSScheduler",
-    "SlurmScheduler",
-    "KubernetesScheduler",
     "LocalScheduler",
     "make_scheduler",
     "FacilityStatusProvider",

@@ -39,7 +39,6 @@ class JobRequest:
     gpus_per_node: int = 8
     walltime_s: float = 7200.0
     queue: str = "default"
-    priority: int = 0
     #: Free-form metadata (e.g. which model instance this job will host).
     metadata: dict = field(default_factory=dict)
 

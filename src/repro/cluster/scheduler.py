@@ -1,11 +1,12 @@
-"""Batch-scheduler simulators: PBS, Slurm, Kubernetes and a local provider.
+"""Batch-scheduler simulators: PBS and a local provider.
 
 The paper's endpoints acquire nodes "either on local nodes, inside a
 Kubernetes pod, or through a batch-scheduler submission (e.g., PBS or
-Slurm)".  Each scheduler here exposes the same interface —
-:meth:`SchedulerBase.submit` returning a :class:`JobHandle` — so the
-Globus-Compute-like endpoint manager (:mod:`repro.faas`) is provider
-agnostic, exactly as in FIRST.
+Slurm)".  Its deployments (Sophia, Polaris) run PBS, and the test
+clusters run on local nodes; those are the two kinds modelled here.  Both
+expose the same interface — :meth:`SchedulerBase.submit` returning a
+:class:`JobHandle` — so the Globus-Compute-like endpoint manager
+(:mod:`repro.faas`) is provider agnostic, exactly as in FIRST.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ __all__ = [
     "JobHandle",
     "SchedulerBase",
     "PBSScheduler",
-    "SlurmScheduler",
-    "KubernetesScheduler",
     "LocalScheduler",
     "make_scheduler",
 ]
@@ -36,8 +35,7 @@ class SchedulerConfig:
 
     ``cycle_latency_s`` models the scheduler's scheduling-iteration delay:
     even on an idle cluster a PBS job does not start instantaneously.  The
-    defaults are the PBS / Slurm timing; Kubernetes and local providers
-    state their own.
+    defaults are the PBS timing; the local provider states its own.
     """
 
     cycle_latency_s: float = 2.0
@@ -69,19 +67,10 @@ class JobHandle:
         self.started: Event = env.event()
         self.finished: Event = env.event()
 
-    @property
-    def nodes(self):
-        return self.job.nodes
-
-    @property
-    def state(self) -> JobState:
-        return self.job.state
-
 
 class SchedulerBase:
-    """Shared machinery for every scheduler flavour."""
-
-    scheduler_type = "base"
+    """Shared machinery for every scheduler flavour: a FIFO queue (jobs
+    start in submission order) with optional EASY backfill."""
 
     def __init__(
         self,
@@ -188,10 +177,6 @@ class SchedulerBase:
         return self._lookup(job_id).job
 
     @property
-    def queued_jobs(self) -> List[Job]:
-        return [h.job for h in self._queue]
-
-    @property
     def running_jobs(self) -> List[Job]:
         return [h.job for h in self._running.values()]
 
@@ -218,19 +203,14 @@ class SchedulerBase:
                 yield self.env.timeout(self.config.cycle_latency_s)
             self._schedule_pass()
 
-    def _order_queue(self) -> List[JobHandle]:
-        """Queue ordering policy; overridden by subclasses."""
-        return list(self._queue)
-
     def _schedule_pass(self) -> None:
-        ordered = self._order_queue()
         free = list(self.cluster.free_nodes)
         started: List[JobHandle] = []
         blocked_head: Optional[JobHandle] = None
         shadow_time: Optional[float] = None
         spare_at_shadow: Optional[int] = None
 
-        for handle in ordered:
+        for handle in list(self._queue):
             need = handle.job.request.num_nodes
             if blocked_head is None:
                 if need <= len(free):
@@ -342,40 +322,9 @@ class SchedulerBase:
 class PBSScheduler(SchedulerBase):
     """PBS Professional-like FIFO scheduler with EASY backfill (Sophia's default)."""
 
-    scheduler_type = "pbs"
-
-    def _order_queue(self) -> List[JobHandle]:
-        return sorted(self._queue, key=lambda h: h.job.submit_time)
-
-
-class SlurmScheduler(SchedulerBase):
-    """Slurm-like scheduler: priority first, then submission order, with backfill."""
-
-    scheduler_type = "slurm"
-
-    def _order_queue(self) -> List[JobHandle]:
-        return sorted(
-            self._queue,
-            key=lambda h: (-h.job.request.priority, h.job.submit_time),
-        )
-
-
-class KubernetesScheduler(SchedulerBase):
-    """Kubernetes-like provider: near-immediate pod placement, no walltime kill."""
-
-    scheduler_type = "kubernetes"
-
-    def __init__(self, env, cluster, config: Optional[SchedulerConfig] = None, ids=None):
-        config = config or SchedulerConfig(
-            cycle_latency_s=1.0, prologue_s=3.0, enforce_walltime=False, backfill=False
-        )
-        super().__init__(env, cluster, config, ids)
-
 
 class LocalScheduler(SchedulerBase):
     """Bare-metal/local provider: nodes handed out immediately with no queue delay."""
-
-    scheduler_type = "local"
 
     def __init__(self, env, cluster, config: Optional[SchedulerConfig] = None, ids=None):
         config = config or SchedulerConfig(
@@ -386,8 +335,6 @@ class LocalScheduler(SchedulerBase):
 
 _SCHEDULERS = {
     "pbs": PBSScheduler,
-    "slurm": SlurmScheduler,
-    "kubernetes": KubernetesScheduler,
     "local": LocalScheduler,
 }
 
@@ -399,7 +346,7 @@ def make_scheduler(
     config: Optional[SchedulerConfig] = None,
     ids: Optional[IdGenerator] = None,
 ) -> SchedulerBase:
-    """Factory used by deployment configs (``scheduler: pbs|slurm|kubernetes|local``)."""
+    """Factory used by deployment configs (``scheduler: pbs|local``)."""
     try:
         cls = _SCHEDULERS[kind.lower()]
     except KeyError:

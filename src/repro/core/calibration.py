@@ -43,10 +43,10 @@ CALIBRATION_NOTES: Dict[str, str] = {
         "(9.2 s vs 3.0 s median, Fig. 3)."
     ),
     "SchedulerConfig.cycle_latency_s, .prologue_s": (
-        "PBS / Slurm timing of every deployed cluster: the scheduling cycle "
-        "and the node prologue before an instance job is running.  Not fitted "
-        "to a figure; Kubernetes and local providers state their own faster "
-        "timing (cluster/scheduler.py)."
+        "PBS timing of every deployed cluster: the scheduling cycle and the "
+        "node prologue before an instance job is running.  Not fitted to a "
+        "figure; the local provider states its own immediate timing "
+        "(cluster/scheduler.py)."
     ),
     "GatewayConfig.uncached_connection_setup_s "
     "+ AuthServiceConfig.introspection_latency_s": (

@@ -162,10 +162,6 @@ class FIRSTClient:
     def get_batch(self, batch_id: str) -> dict:
         return self._call(self.gateway.get_batch(self.access_token, batch_id))
 
-    def retry_batch(self, batch_id: str) -> dict:
-        """``POST /v1/batches/{id}/retry`` — resubmit only the failed requests."""
-        return self._call(self.gateway.retry_batch(self.access_token, batch_id))
-
     def wait_for_batch(self, batch_id: str, poll_every_s: float = 30.0,
                        timeout_s: float = 24 * 3600.0) -> dict:
         """Advance the simulation until the batch reaches a terminal state."""

@@ -4,7 +4,7 @@
 with.  Given a :class:`DeploymentConfig` it builds, inside one simulation
 environment:
 
-* the Globus-Auth-like service with identity providers, users, groups and
+* the Globus-Auth-like service with identity providers, users and
   policies;
 * one cluster + batch scheduler + compute endpoint per configured facility;
 * the cloud relay with the admin confidential client and the pre-registered

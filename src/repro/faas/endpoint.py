@@ -563,7 +563,7 @@ class ComputeEndpoint:
         self.catalog = catalog
         self.config = config
         self.perf_config = perf_config or PerfModelConfig()
-        self.engine_config = engine_config or EngineConfig(generate_text=False)
+        self.engine_config = engine_config or EngineConfig()
         self.api_config = api_config or APIServerConfig()
         self._ids = ids or IdGenerator()
         #: Control plane driving every pool with an ``AutoscaleConfig``;

@@ -310,73 +310,23 @@ class InferenceGatewayAPI:
         else:
             endpoint = self.router.view.get(endpoint_id)
 
-        return self._launch_batch(info.username, model, endpoint, requests)
-
-    def _launch_batch(self, user: str, model: str, endpoint, requests,
-                      retried_from: Optional[str] = None) -> BatchRecord:
-        """Insert a batch record and dispatch its compute task."""
         record = BatchRecord(
             batch_id=self._ids.next("batch"),
-            user=user,
+            user=info.username,
             model=model,
             endpoint=endpoint.endpoint_id,
             num_requests=len(requests),
             status="in_progress",
             created_at=self.env.now,
-            requests=list(requests),
-            retried_from=retried_from,
         )
         self.db.insert_batch(record)
         future = self.compute_client.submit(
             self.function_for(HANDLER_BATCH),
             endpoint.endpoint_id,
-            {"model": model, "requests": list(requests)},
-            submitter=user,
+            {"model": model, "requests": requests},
+            submitter=info.username,
         )
         self.env.process(self._track_batch(record, future))
-        return record
-
-    def retry_batch(self, access_token: str, batch_id: str):
-        """``POST /v1/batches/{id}/retry`` — resubmit only the requests that
-        failed, as recorded in the batch's ``failure_reasons`` (§4.4).
-
-        Returns the new batch resource, or a typed error envelope when the
-        batch is unknown, still running, or has nothing to retry.
-        """
-        try:
-            record = yield from self._retry_batch(access_token, batch_id)
-        except Exception as exc:  # noqa: BLE001 - every failure becomes an envelope
-            return error_envelope(exc)
-        return record.to_dict()
-
-    def _retry_batch(self, access_token: str, batch_id: str):
-        info = yield from self.auth_layer.authenticate(access_token)
-        original = self.db.get_batch(batch_id)
-        if original is None:
-            raise NotFoundError(f"Unknown batch id {batch_id}")
-        if original.status not in ("completed", "failed"):
-            raise ValidationError(
-                f"Batch {batch_id} is still {original.status}; only finished "
-                "batches can be retried"
-            )
-        if original.status == "failed":
-            # The whole compute task failed: every request is retryable.
-            requests = list(original.requests)
-        else:
-            failed_ids = set(original.failure_reasons)
-            requests = [r for r in original.requests
-                        if r.request_id in failed_ids]
-        if not requests:
-            raise ValidationError(
-                f"Batch {batch_id} has no failed requests to retry"
-            )
-        model = original.model
-        self.auth_layer.authorize(info, f"model:{model}")
-        # Route afresh: the original endpoint may have left the federation.
-        endpoint = yield from self.route(model, tenant=info.username)
-        record = self._launch_batch(info.username, model, endpoint, requests,
-                                    retried_from=batch_id)
-        original.retry_batch_ids.append(record.batch_id)
         return record
 
     def _track_batch(self, record: BatchRecord, future):
@@ -406,11 +356,6 @@ class InferenceGatewayAPI:
             for r in run_result.results
             if not r.success
         }
-        if not record.failure_reasons:
-            # Requests are retained only for retry; a fully clean batch has
-            # nothing to resubmit, so drop them instead of growing the
-            # database with every batch ever run.
-            record.requests = []
         self.metrics.batch_completed(
             record.model,
             record.num_requests,

@@ -58,12 +58,6 @@ class BatchRecord:
     #: that completed with partial failures.
     failure_reasons: Dict[str, str] = field(default_factory=dict)
     results: List = field(default_factory=list)
-    #: Original submitted requests, retained so ``POST /v1/batches/{id}/retry``
-    #: can resubmit exactly the failed ones.
-    requests: List = field(default_factory=list)
-    #: Provenance: the batch this one retries, and the retries of this one.
-    retried_from: Optional[str] = None
-    retry_batch_ids: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         from .responses import envelope_for_reason
@@ -93,8 +87,6 @@ class BatchRecord:
             "output_tokens": self.output_tokens,
             "error": self.error,
             "errors": errors,
-            "retried_from": self.retried_from,
-            "retry_batch_ids": list(self.retry_batch_ids),
         }
 
 

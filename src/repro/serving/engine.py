@@ -132,9 +132,9 @@ class EngineConfig:
     max_prefill_tokens_per_step: int = 16384
     kv_block_size: int = 16
     vram_utilization: float = 0.9
-    #: Generate actual response text (slower, used by examples; benchmarks
-    #: usually disable it).
-    generate_text: bool = True
+    #: Generate actual response text (slower; off unless a deployment or
+    #: example asks for text).
+    generate_text: bool = False
     #: Collapse state-preserving runs of decode iterations into a single
     #: kernel event (see the module docstring).  Disable to force the
     #: reference one-event-per-iteration loop; simulated-time results are

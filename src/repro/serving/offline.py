@@ -84,7 +84,7 @@ class OfflineBatchRunner:
             node_spec=perf.node_spec,
             num_nodes=perf.num_nodes,
         )
-        self.engine_config = engine_config or EngineConfig(generate_text=False)
+        self.engine_config = engine_config or EngineConfig()
         self.include_load_time = include_load_time
 
     def run(self, requests: List[InferenceRequest]):

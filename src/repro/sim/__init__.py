@@ -28,7 +28,6 @@ from .events import (
     PENDING,
     URGENT,
     AllOf,
-    ConditionValue,
     Event,
     Interrupt,
     Process,
@@ -44,7 +43,6 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
-    "ConditionValue",
     "AllOf",
     "PENDING",
     "URGENT",

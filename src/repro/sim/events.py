@@ -20,7 +20,6 @@ __all__ = [
     "Process",
     "Interrupt",
     "AllOf",
-    "ConditionValue",
 ]
 
 #: Sentinel used for the value of an event that has not yet been triggered.
@@ -313,52 +312,10 @@ class Process(Event):
         return f"<Process({name}) object at {id(self):#x}>"
 
 
-class ConditionValue:
-    """Ordered mapping of events to values produced by an :class:`AllOf`."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: Iterable[Event]):
-        self.events = list(events)
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(str(key))
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def keys(self):
-        return iter(self.events)
-
-    def values(self):
-        return (e._value for e in self.events)
-
-    def items(self):
-        return ((e, e._value) for e in self.events)
-
-    def todict(self) -> dict:
-        return {e: e._value for e in self.events}
-
-
 class AllOf(Event):
     """Composite event that triggers once all of its events have triggered.
 
-    Its value is a :class:`ConditionValue` over the events, in the order
+    Its value is a ``{event: value}`` dict over the events, in the order
     given; it fails as soon as one of them fails, with that failure.  An
     empty list succeeds at once.
     """
@@ -381,7 +338,7 @@ class AllOf(Event):
                 event.callbacks.append(self._check)
 
         if not self._events:
-            self.succeed(ConditionValue([]))
+            self.succeed({})
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -392,4 +349,4 @@ class AllOf(Event):
             self.fail(event._value)
         elif self._count == len(self._events):
             # An event counts once it is processed, so all of them are now.
-            self.succeed(ConditionValue(self._events))
+            self.succeed({e: e._value for e in self._events})

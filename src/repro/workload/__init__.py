@@ -14,7 +14,7 @@ from .arrivals import (
     TraceReplayArrival,
     UniformArrival,
 )
-from .batchfile import parse_batch_lines, read_batch_file, requests_to_jsonl, write_batch_file
+from .batchfile import parse_batch_lines, requests_to_jsonl
 from .benchmark_client import BenchmarkClient
 from .sharegpt import BATCH_GENERATION_CONFIG, ShareGPTConfig, ShareGPTWorkload
 
@@ -31,7 +31,5 @@ __all__ = [
     "TraceReplayArrival",
     "BenchmarkClient",
     "requests_to_jsonl",
-    "write_batch_file",
     "parse_batch_lines",
-    "read_batch_file",
 ]

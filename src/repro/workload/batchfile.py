@@ -8,13 +8,12 @@ request."
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Iterable, List, Union
+from typing import Iterable, List
 
 from ..common import ValidationError
 from ..serving import InferenceRequest, RequestKind, estimate_tokens
 
-__all__ = ["requests_to_jsonl", "write_batch_file", "parse_batch_lines", "read_batch_file"]
+__all__ = ["requests_to_jsonl", "parse_batch_lines"]
 
 
 def _request_to_line(request: InferenceRequest) -> dict:
@@ -34,12 +33,6 @@ def _request_to_line(request: InferenceRequest) -> dict:
 def requests_to_jsonl(requests: Iterable[InferenceRequest]) -> str:
     """Serialise requests to the JSONL payload a user would upload."""
     return "\n".join(json.dumps(_request_to_line(r)) for r in requests)
-
-
-def write_batch_file(path: Union[str, Path], requests: Iterable[InferenceRequest]) -> Path:
-    path = Path(path)
-    path.write_text(requests_to_jsonl(requests) + "\n")
-    return path
 
 
 def parse_batch_lines(text: str, default_user: str = "batch@anl.gov") -> List[InferenceRequest]:
@@ -82,7 +75,3 @@ def parse_batch_lines(text: str, default_user: str = "batch@anl.gov") -> List[In
     if not requests:
         raise ValidationError("Batch input contains no requests")
     return requests
-
-
-def read_batch_file(path: Union[str, Path]) -> List[InferenceRequest]:
-    return parse_batch_lines(Path(path).read_text())

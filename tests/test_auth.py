@@ -7,7 +7,6 @@ from repro.auth import (
     AuthServiceConfig,
     DEFAULT_TOKEN_LIFETIME_S,
     GlobusAuthLikeService,
-    GroupService,
     IdentityProvider,
     PolicyEngine,
 )
@@ -44,13 +43,18 @@ def test_register_user_requires_known_provider():
 
 
 def test_identity_lookup_and_linking():
-    env, svc = make_service()
-    identity = svc.get_identity("alice@anl.gov")
+    env = Environment()
+    svc = GlobusAuthLikeService(env)
+    svc.register_provider(ANL)
+    identity = svc.register_user("alice@anl.gov", "Alice")
     assert identity.domain == "anl.gov"
+    assert svc.registered_users == ["alice@anl.gov"]
     identity.linked_usernames.append("alice@university.edu")
     assert identity.matches("alice@university.edu")
+    # An inactive identity can no longer obtain tokens.
+    identity.active = False
     with pytest.raises(AuthenticationError):
-        svc.get_identity("missing@anl.gov")
+        svc.issue_token("alice@anl.gov")
 
 
 # -- tokens -------------------------------------------------------------------
@@ -96,20 +100,6 @@ def test_revoke_token():
     svc.revoke(bundle.access_token)
     info = svc.introspect_sync(bundle.access_token)
     assert not info.is_valid(now=env.now)
-
-
-def test_login_flow_pays_latency():
-    env, svc = make_service()
-
-    def run(env):
-        bundle = yield from svc.login("alice@anl.gov")
-        return (env.now, bundle.username)
-
-    p = env.process(run(env))
-    env.run(until=p)
-    t, username = p.value
-    assert t == pytest.approx(2.0)
-    assert username == "alice@anl.gov"
 
 
 def test_introspection_pays_latency_and_counts_calls():
@@ -170,64 +160,38 @@ def test_confidential_client_authentication():
         svc.authenticate_client("missing", "s3cret")
 
 
-# -- groups ---------------------------------------------------------------------
-
-def test_group_membership_and_roles():
-    groups = GroupService()
-    groups.create_group("sensitive-project", "access to proprietary models")
-    groups.add_member("sensitive-project", "alice@anl.gov", admin=True)
-    groups.add_member("sensitive-project", "bob@university.edu")
-    assert groups.is_member("sensitive-project", "alice@anl.gov")
-    assert groups.is_admin("sensitive-project", "alice@anl.gov")
-    assert not groups.is_admin("sensitive-project", "bob@university.edu")
-    assert groups.groups_of("bob@university.edu") == ["sensitive-project"]
-    groups.remove_member("sensitive-project", "bob@university.edu")
-    assert not groups.is_member("sensitive-project", "bob@university.edu")
-    with pytest.raises(ValueError):
-        groups.create_group("sensitive-project")
-    with pytest.raises(KeyError):
-        groups.get("missing")
-    assert not groups.is_member("missing", "alice@anl.gov")
-
-
 # -- policies ---------------------------------------------------------------------
 
 def test_policy_domain_restriction():
-    groups = GroupService()
     policy = AccessPolicy("anl-only", resource="service", allowed_domains=["anl.gov"])
-    assert policy.evaluate("alice@anl.gov", groups).allowed
-    decision = policy.evaluate("bob@university.edu", groups)
+    assert policy.evaluate("alice@anl.gov").allowed
+    decision = policy.evaluate("bob@university.edu")
     assert not decision.allowed
     assert "domain" in decision.reason
 
 
-def test_policy_group_requirement_and_deny_list():
-    groups = GroupService()
-    groups.create_group("aurora-users")
-    groups.add_member("aurora-users", "alice@anl.gov")
+def test_policy_deny_list():
     policy = AccessPolicy("aurora", resource="model:AuroraGPT-7B",
-                          required_groups=["aurora-users"], denied_users=["mallory@anl.gov"])
-    assert policy.evaluate("alice@anl.gov", groups).allowed
-    assert not policy.evaluate("bob@university.edu", groups).allowed
-    assert not policy.evaluate("mallory@anl.gov", groups).allowed
+                          denied_users=["mallory@anl.gov"])
+    assert policy.evaluate("alice@anl.gov").allowed
+    assert policy.evaluate("bob@university.edu").allowed
+    decision = policy.evaluate("mallory@anl.gov")
+    assert not decision.allowed
+    assert "denied" in decision.reason
 
 
 def test_policy_mfa_requirement():
-    groups = GroupService()
     policy = AccessPolicy("high-assurance", require_mfa=True)
-    assert not policy.evaluate("bob@university.edu", groups, mfa_satisfied=False).allowed
-    assert policy.evaluate("bob@university.edu", groups, mfa_satisfied=True).allowed
+    assert not policy.evaluate("bob@university.edu", mfa_satisfied=False).allowed
+    assert policy.evaluate("bob@university.edu", mfa_satisfied=True).allowed
 
 
 def test_policy_engine_resource_scoping():
-    groups = GroupService()
-    groups.create_group("vip")
-    groups.add_member("vip", "alice@anl.gov")
-    engine = PolicyEngine(groups)
+    engine = PolicyEngine()
     engine.add_policy(AccessPolicy("service-wide", resource="service",
                                    allowed_domains=["anl.gov", "university.edu"]))
     engine.add_policy(AccessPolicy("model-lock", resource="model:secret-model",
-                                   required_groups=["vip"]))
+                                   allowed_domains=["anl.gov"]))
     # Service-wide policy applies to everything.
     assert engine.check("alice@anl.gov", "model:secret-model").allowed
     assert not engine.check("bob@university.edu", "model:secret-model").allowed

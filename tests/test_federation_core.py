@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.cluster import (FacilityStatusProvider, SchedulerConfig, make_scheduler,
-                           small_test_cluster)
+from repro.baselines import DirectVLLMTarget
+from repro.cluster import (A100_40GB, FacilityStatusProvider, Node, SchedulerConfig,
+                           dgx_a100_spec, make_scheduler, small_test_cluster)
 from repro.common import ConfigurationError, NotFoundError
 from repro.core import (
     ClusterDeploymentSpec,
@@ -15,11 +16,20 @@ from repro.core import (
     quickstart_config,
     sophia_benchmark_config,
 )
-from repro.faas import ComputeClientConfig, RelayConfig
+from repro.faas import ComputeClientConfig, ComputeEndpoint, EndpointConfig, RelayConfig
 from repro.gateway import GatewayConfig
 from repro.parallel import PartitionSpec, build_partition
 from repro.placement import FirstConfiguredRouter, PriorityRouter, RandomRouter
-from repro.serving import APIServerConfig, EngineConfig, InferenceRequest, PerfModelConfig
+from repro.serving import (
+    APIServerConfig,
+    EngineConfig,
+    InferenceRequest,
+    OfflineBatchRunner,
+    PerfModelConfig,
+    PerformanceModel,
+    ServingInstance,
+    default_catalog,
+)
 from repro.sim import Environment
 
 MODEL_8B = "meta-llama/Llama-3.1-8B-Instruct"
@@ -232,9 +242,24 @@ def test_deployments_run_each_config_class_default(build):
         assert endpoint.engine_config == EngineConfig(generate_text=config.generate_text)
 
 
-def test_slurm_runs_the_pbs_timing():
-    slurm = make_scheduler("slurm", Environment(), small_test_cluster())
-    assert slurm.config == SchedulerConfig()
+def test_components_built_without_config_run_the_class_defaults():
+    """A component built without a config carries its class's default, so a
+    deployment and a hand-built stack run the same values."""
+    env = Environment()
+    cluster = small_test_cluster()
+    scheduler = make_scheduler("pbs", env, cluster)
+    assert scheduler.config == SchedulerConfig()
+    catalog = default_catalog()
+    endpoint = ComputeEndpoint(env, scheduler, catalog,
+                               EndpointConfig(endpoint_id="ep", cluster=cluster.name))
+    spec = catalog.get(MODEL_8B)
+    instance = ServingInstance(env, spec, [Node("n0", dgx_a100_spec())])
+    pending, _ready = DirectVLLMTarget.launch(env, spec, [Node("n1", dgx_a100_spec())])
+    perf = PerformanceModel(spec, 1, A100_40GB, node_spec=dgx_a100_spec())
+    runner = OfflineBatchRunner(env, perf)
+    for engine_config in (endpoint.engine_config, instance.engine_config,
+                          pending.instance.engine_config, runner.engine_config):
+        assert engine_config == EngineConfig()
 
 
 def test_calibration_exports_only_its_notes():

@@ -144,19 +144,22 @@ def test_invalid_token_rejected(warm_deployment):
 
 def test_model_policy_enforced(warm_deployment):
     deployment = warm_deployment
-    deployment.auth.groups.create_group("qwen-vip")
     deployment.auth.policies.add_policy(
-        AccessPolicy("qwen-lock", resource=f"model:{MODEL_8B}", required_groups=["qwen-vip"])
+        AccessPolicy("qwen-lock", resource=f"model:{MODEL_8B}", allowed_domains=["anl.gov"])
     )
+    messages = [{"role": "user", "content": "hi"}]
     client = deployment.client("student@university.edu")
     with pytest.raises(AuthorizationError):
-        client.chat_completion(MODEL_8B, [{"role": "user", "content": "hi"}], max_tokens=8)
-    # Member of the group is allowed (model may need a cold start, so just
-    # verify authorization passes by going through the full path).
-    deployment.auth.groups.add_member("qwen-vip", "researcher@anl.gov")
+        client.chat_completion(MODEL_8B, messages, max_tokens=8)
+    envelope = deployment.client("student@university.edu", raise_on_error=False)
+    error = envelope.chat_completion(MODEL_8B, messages, max_tokens=8)["error"]
+    assert (error["type"], error["status"]) == ("permission_error", 403)
+    # The policy guards only its model: the same user is served elsewhere.
+    assert "error" not in envelope.chat_completion(MODEL_7B, messages, max_tokens=8)
+    # A user from an allowed domain is served (the model may need a cold
+    # start, so this goes through the full path).
     ok_client = deployment.client("researcher@anl.gov")
-    response = ok_client.chat_completion(MODEL_8B, [{"role": "user", "content": "hi"}],
-                                         max_tokens=8)
+    response = ok_client.chat_completion(MODEL_8B, messages, max_tokens=8)
     assert response["usage"]["completion_tokens"] == 8
 
 
@@ -254,6 +257,9 @@ def test_get_unknown_batch_raises(warm_deployment):
     client = warm_deployment.client("researcher@anl.gov")
     with pytest.raises(NotFoundError):
         client.get_batch("batch-does-not-exist")
+    envelope_client = warm_deployment.client("researcher@anl.gov", raise_on_error=False)
+    response = envelope_client.get_batch("batch-does-not-exist")
+    assert response["error"]["type"] == "not_found_error"
 
 
 def test_token_refresh_is_transparent(warm_deployment):

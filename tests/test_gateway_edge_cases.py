@@ -149,7 +149,9 @@ def test_batch_results_are_retained_in_database(deployment):
     batch = client.create_batch(requests_to_jsonl(requests))
     final = client.wait_for_batch(batch["id"], poll_every_s=30.0)
     record = deployment.database.get_batch(batch["id"])
-    assert final["request_counts"]["completed"] == 8
+    assert final["status"] == "completed"
+    assert final["request_counts"] == {"total": 8, "completed": 8, "failed": 0}
+    assert final["errors"] is None
     assert len(record.results) == 8
     assert all(r.success for r in record.results)
 
@@ -190,6 +192,9 @@ def test_failed_batch_records_counts_and_dashboard_failure():
     final = client.wait_for_batch(batch["id"], poll_every_s=10.0)
     assert final["status"] == "failed"
     assert final["error"]
+    assert final["request_counts"] == {"total": 5, "completed": 0, "failed": 5}
+    # A failed compute task has no per-request results, so no errors list.
+    assert final["errors"] is None
     record = d.database.get_batch(batch["id"])
     assert record.completed_requests == 0
     assert record.failed_requests == 5
@@ -517,156 +522,3 @@ def test_routing_cache_reuses_decision(deployment):
     after = len(deployment.gateway.router.decisions)
     # Within the routing-cache TTL the second request does not re-query.
     assert after - before <= 1
-
-
-# -- batch retry (POST /v1/batches/{id}/retry) ------------------------------------------
-
-def _partial_failure_deployment():
-    """A deployment whose compute layer is stubbed to return scripted batch
-    results: first a partial failure, then a clean completion (the retry)."""
-    from repro.serving import InferenceResult, OfflineRunResult
-    from repro.workload import ShareGPTWorkload
-
-    config = DeploymentConfig(
-        clusters=[
-            ClusterDeploymentSpec(
-                name="c1", kind="small", num_nodes=2, scheduler="local",
-                models=[ModelHostingConfig(MODEL_7B, max_parallel_tasks=32)],
-            ),
-        ],
-        users=["researcher@anl.gov"],
-        generate_text=False,
-    )
-    d = FIRSTDeployment(config)
-    requests = ShareGPTWorkload().generate(MODEL_7B, num_requests=3, id_prefix="rt")
-
-    def result(req, success, error=None):
-        return InferenceResult(
-            request_id=req.request_id, model=req.model,
-            prompt_tokens=req.prompt_tokens,
-            output_tokens=req.max_output_tokens if success else 0,
-            success=success, error=error,
-        )
-
-    first = OfflineRunResult(
-        results=[result(requests[0], True),
-                 result(requests[1], False, "KV cache exhausted"),
-                 result(requests[2], False, "inference server crashed")],
-        load_time_s=10.0, processing_time_s=5.0,
-    )
-
-    submitted = []
-
-    def fake_submit(function_id, endpoint_id, payload, **kwargs):
-        submitted.append(payload)
-        return object()
-
-    def fake_wait(future):
-        yield d.env.timeout(1.0)
-        batch_requests = submitted[-1]["requests"]
-        if len(batch_requests) == 3:
-            return first
-        return OfflineRunResult(
-            results=[result(r, True) for r in batch_requests],
-            load_time_s=10.0, processing_time_s=2.0,
-        )
-
-    d.gateway.compute_client.submit = fake_submit
-    d.gateway.compute_client.wait_future = fake_wait
-    return d, requests, submitted
-
-
-def test_batch_retry_resubmits_only_failed_requests():
-    from repro.workload import requests_to_jsonl
-
-    d, requests, submitted = _partial_failure_deployment()
-    client = d.client("researcher@anl.gov")
-    batch = client.create_batch(requests_to_jsonl(requests))
-    final = client.wait_for_batch(batch["id"], poll_every_s=5.0)
-    assert final["request_counts"]["failed"] == 2
-
-    retry = client.retry_batch(batch["id"])
-    assert retry["retried_from"] == batch["id"]
-    assert retry["request_counts"]["total"] == 2
-    # Only the failed request ids were resubmitted, nothing else.
-    resubmitted_ids = {r.request_id for r in submitted[-1]["requests"]}
-    assert resubmitted_ids == {requests[1].request_id, requests[2].request_id}
-
-    # Provenance is recorded both ways.
-    original = client.get_batch(batch["id"])
-    assert retry["id"] in original["retry_batch_ids"]
-
-    retried_final = client.wait_for_batch(retry["id"], poll_every_s=5.0)
-    assert retried_final["status"] == "completed"
-    assert retried_final["request_counts"] == {"total": 2, "completed": 2, "failed": 0}
-    assert retried_final["errors"] is None
-
-
-def test_batch_retry_unknown_batch_is_typed_not_found():
-    d, _requests, _submitted = _partial_failure_deployment()
-    client = d.client("researcher@anl.gov")
-    with pytest.raises(NotFoundError):
-        client.retry_batch("batch-does-not-exist")
-    envelope_client = d.client("researcher@anl.gov", raise_on_error=False)
-    response = envelope_client.retry_batch("batch-does-not-exist")
-    assert response["error"]["type"] == "not_found_error"
-
-
-def test_batch_retry_rejects_non_failed_and_running_batches():
-    from repro.workload import requests_to_jsonl
-
-    d, requests, _submitted = _partial_failure_deployment()
-    client = d.client("researcher@anl.gov")
-    batch = client.create_batch(requests_to_jsonl(requests))
-    # Still in progress: not retryable yet.
-    with pytest.raises(ValidationError):
-        client.retry_batch(batch["id"])
-    client.wait_for_batch(batch["id"], poll_every_s=5.0)
-
-    # A clean retry completes with zero failures; retrying *it* is rejected.
-    retry = client.retry_batch(batch["id"])
-    client.wait_for_batch(retry["id"], poll_every_s=5.0)
-    envelope_client = d.client("researcher@anl.gov", raise_on_error=False)
-    response = envelope_client.retry_batch(retry["id"])
-    assert response["error"]["type"] == "invalid_request_error"
-    assert "no failed requests" in response["error"]["message"]
-
-
-def test_fully_failed_batch_retries_every_request():
-    """A batch whose whole compute task failed has no per-request reasons;
-    retry resubmits all of them."""
-    from repro.serving import InferenceResult, OfflineRunResult
-    from repro.workload import requests_to_jsonl
-
-    d, requests, submitted = _partial_failure_deployment()
-
-    calls = {"n": 0}
-
-    def result(req):
-        return InferenceResult(
-            request_id=req.request_id, model=req.model,
-            prompt_tokens=req.prompt_tokens, output_tokens=req.max_output_tokens,
-            success=True,
-        )
-
-    def fake_wait(future):
-        yield d.env.timeout(1.0)
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise RuntimeError("endpoint unreachable")
-        return OfflineRunResult(
-            results=[result(r) for r in submitted[-1]["requests"]],
-            load_time_s=5.0, processing_time_s=2.0,
-        )
-
-    d.gateway.compute_client.wait_future = fake_wait
-    client = d.client("researcher@anl.gov")
-    batch = client.create_batch(requests_to_jsonl(requests))
-    final = client.wait_for_batch(batch["id"], poll_every_s=5.0)
-    assert final["status"] == "failed"
-
-    retry = client.retry_batch(batch["id"])
-    assert retry["request_counts"]["total"] == 3
-    retried_final = client.wait_for_batch(retry["id"], poll_every_s=5.0)
-    assert retried_final["status"] == "completed"
-    assert retried_final["request_counts"]["completed"] == 3

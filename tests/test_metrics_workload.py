@@ -19,8 +19,7 @@ from repro.workload import (
     ShareGPTWorkload,
     UniformArrival,
     parse_batch_lines,
-    read_batch_file,
-    write_batch_file,
+    requests_to_jsonl,
 )
 
 
@@ -200,10 +199,9 @@ def test_property_arrival_offsets_sorted_nonnegative(rate, n):
 
 # -- batch JSONL files -------------------------------------------------------------------
 
-def test_batch_jsonl_roundtrip(tmp_path):
+def test_batch_jsonl_roundtrip():
     requests = ShareGPTWorkload().generate("meta-llama/Llama-3.3-70B-Instruct", num_requests=20)
-    path = write_batch_file(tmp_path / "batch.jsonl", requests)
-    parsed = read_batch_file(path)
+    parsed = parse_batch_lines(requests_to_jsonl(requests))
     assert len(parsed) == 20
     assert parsed[0].model == "meta-llama/Llama-3.3-70B-Instruct"
     assert parsed[0].request_id == requests[0].request_id
