@@ -1,6 +1,6 @@
 """Execution census: which ``src/repro`` functions the repo's runs reach.
 
-Runs the scenario set (ledger, examples, layered ``--smoke``, CI's six
+Runs the scenario set (ledger, examples, layered ``--smoke``, CI's five
 ``--quick --check`` benches, ten paper-figure modules, CI's detlint and two
 DetSan hash-seed commands), then tier-1, each process under a
 ``sys.setprofile`` recorder (a generated ``sitecustomize``) that dumps what
@@ -28,7 +28,7 @@ PKG = ROOT / "src" / "repro"
 PY = sys.executable
 PYTEST = [PY, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
 CI_BENCHES = ("kernel_throughput", "obs_overhead", "autoscale_policies",
-              "federation_v2", "sweep_scale", "parallel_federation")
+              "federation_v2", "sweep_scale")
 FIGURES = ("fig3_request_rate", "fig4_autoscaling", "fig5_openai_comparison",
            "table1_webui_concurrency", "cold_start", "batch_mode",
            "case_study_eval", "optimizations", "streaming_ttft", "federation")

@@ -197,23 +197,20 @@ def main() -> None:
     print(f"kernel profile: {kernel['events_total']} events, "
           f"{kernel['events_per_wall_s']:.0f} events/wall-s")
 
-    # 13. Sharding one federated deployment across processes.  The parallel
-    #    plane splits a gateway + N compute clusters into per-cluster event
-    #    kernels that advance in conservative synchronous windows (lookahead
-    #    = relay wire latency) and exchange only boundary messages.  Results
-    #    are bit-identical to the serial run for any worker count — the
-    #    fingerprint proves it.  On a single-CPU box this costs more than it
-    #    saves (worker spawn + one sync round-trip per window); reach for it
-    #    when one simulated cluster saturates a core and you have spare ones.
+    # 13. Partitioning one federated deployment.  The parallel plane splits
+    #    a gateway + N compute clusters into per-cluster event kernels that
+    #    advance in conservative synchronous windows (lookahead = relay wire
+    #    latency) and exchange only boundary messages, pickled at every
+    #    barrier so no object is shared between partitions.  All partitions
+    #    run in this process; the fingerprint pins the merged result.
     from repro.parallel import FederatedScenario, PartitionedDeployment
 
     scenario = FederatedScenario.demo(clusters=2, num_requests=20)
-    result = PartitionedDeployment(scenario, workers=2).run()
+    result = PartitionedDeployment(scenario).run()
     print(f"\nPartitioned federation: {len(result.records)} requests across "
           f"{scenario.clusters[0].name}+{scenario.clusters[1].name}, "
           f"{result.stats.windows} windows, "
-          f"fingerprint {result.fingerprint[:16]} "
-          f"(identical at any worker count)")
+          f"fingerprint {result.fingerprint[:16]}")
 
     # 14. Guarding determinism.  Everything above is bit-identical across
     #    worker counts and PYTHONHASHSEED values — and two guard layers keep

@@ -34,7 +34,20 @@ from .engine import (
     lint_paths,
 )
 from .rules import RULE_REGISTRY
-from .detsan import DetSan, DetSanError, HashseedReport, compare_hashseeds
+
+#: Loaded on first use (PEP 562): ``python -m repro.analysis.detsan`` imports
+#: this package before it runs detsan as ``__main__``, and an eager import
+#: would execute detsan.py a second time.
+_DETSAN_EXPORTS = ("DetSan", "DetSanError", "HashseedReport", "compare_hashseeds")
+
+
+def __getattr__(name):
+    if name in _DETSAN_EXPORTS:
+        from . import detsan
+
+        return getattr(detsan, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DetlintConfig",

@@ -27,7 +27,7 @@ bit-identical to plain runs.
 reruns a scenario under two pinned ``PYTHONHASHSEED`` values and diffs the
 merged fingerprints — the end-to-end proof that no ``hash()``-keyed
 ordering leaks into results (the ``hashseed-determinism`` CI job drives it
-against a partitioned 2-worker federation).
+against a partitioned two-cluster federation).
 """
 
 from __future__ import annotations
@@ -330,17 +330,17 @@ def quickstart_fingerprint() -> str:
 
 
 def partitioned_fingerprint() -> str:
-    """Fingerprint of a small partitioned 2-worker federated scenario.
+    """Fingerprint of a small partitioned federated scenario.
 
-    This is the ``hashseed-determinism`` CI target: two clusters sharded
-    across two spawn workers, so the merged fingerprint covers boundary
+    This is the ``hashseed-determinism`` CI target: a gateway and two
+    cluster partitions, so the merged fingerprint covers boundary
     serialization, window planning and cross-partition merge order — the
     surfaces where hash-ordering bugs would hide.
     """
     from ..parallel import FederatedScenario, PartitionedDeployment
 
     scenario = FederatedScenario.demo(clusters=2, num_requests=12)
-    return PartitionedDeployment(scenario, workers=2).run().fingerprint
+    return PartitionedDeployment(scenario).run().fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def main(argv=None) -> int:
     parser.add_argument("--target",
                         default="repro.analysis.detsan:partitioned_fingerprint",
                         help="module:callable producing a fingerprintable "
-                             "result (default: the partitioned 2-worker "
+                             "result (default: the partitioned two-cluster "
                              "federation scenario)")
     parser.add_argument("--seeds", type=int, nargs=2, default=(101, 202),
                         metavar=("SEED_A", "SEED_B"),

@@ -268,9 +268,10 @@ class UnorderedIterationRule(Rule):
 # ---------------------------------------------------------------------------
 # DET005 — pickle-unsafe sweep / boundary payloads
 
-#: Constructors whose payloads cross process boundaries (spawn workers pick
-#: them up with a fresh interpreter, so everything must pickle by value or
-#: by importable reference).
+#: Constructors whose payloads are pickled: sweep specs cross to spawn
+#: workers (a fresh interpreter) and boundary messages are pickle-round-tripped
+#: at every partition barrier, so everything must pickle by value or by
+#: importable reference.
 _PICKLED_SPECS = {"ScenarioSpec", "SweepSpec", "BoundaryMessage"}
 
 
@@ -278,7 +279,7 @@ _PICKLED_SPECS = {"ScenarioSpec", "SweepSpec", "BoundaryMessage"}
 class PickleUnsafeRule(Rule):
     name = "DET005"
     description = ("lambda / nested callable passed into ScenarioSpec / "
-                   "SweepSpec / BoundaryMessage (won't pickle to spawn workers)")
+                   "SweepSpec / BoundaryMessage (won't pickle)")
 
     def __init__(self, ctx: FileContext):
         super().__init__(ctx)
@@ -323,10 +324,10 @@ class PickleUnsafeRule(Rule):
             for value in list(node.args) + [kw.value for kw in node.keywords]:
                 what = self._is_unpicklable(value)
                 if what:
-                    self.add(value, f"{ctor} payload carries {what}; spawn "
-                                    "workers re-import cells, so pass a "
-                                    "module-level callable or a registered "
-                                    "runner name instead")
+                    self.add(value, f"{ctor} payload carries {what}, which "
+                                    "won't pickle; pass a module-level "
+                                    "callable or a registered runner name "
+                                    "instead")
         self.generic_visit(node)
 
 

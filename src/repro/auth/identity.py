@@ -39,10 +39,6 @@ class Identity:
     active: bool = True
 
     @property
-    def identity_id(self) -> str:
-        return f"identity:{self.username}"
-
-    @property
     def domain(self) -> str:
         return self.username.split("@", 1)[1] if "@" in self.username else ""
 

@@ -40,10 +40,6 @@ class TokenInfo:
             return False
         return True
 
-    @property
-    def lifetime_s(self) -> float:
-        return self.expires_at - self.issued_at
-
 
 @dataclass
 class TokenBundle:

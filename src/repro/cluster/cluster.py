@@ -95,10 +95,6 @@ class Cluster:
         return len(self.nodes)
 
     @property
-    def up_nodes(self) -> List[Node]:
-        return [n for n in self.nodes if n.up]
-
-    @property
     def free_nodes(self) -> List[Node]:
         """Nodes that are up and not allocated to any job."""
         return [n for n in self.nodes if n.up and not n.allocated]

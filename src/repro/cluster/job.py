@@ -71,16 +71,6 @@ class Job:
             return None
         return self.start_time - self.submit_time
 
-    @property
-    def runtime_s(self) -> Optional[float]:
-        if self.start_time is None or self.end_time is None:
-            return None
-        return self.end_time - self.start_time
-
-    @property
-    def is_active(self) -> bool:
-        return self.state in (JobState.STARTING, JobState.RUNNING)
-
     def to_dict(self) -> dict:
         """Serialisable summary, as returned by the gateway's ``/jobs`` endpoint."""
         return {

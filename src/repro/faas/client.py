@@ -111,6 +111,3 @@ class ComputeClient:
         if status != TaskStatus.COMPLETED:
             raise RuntimeError(f"Task {future.task_id} failed: {future.record.error}")
         return self.relay.get_result(future.task_id)
-
-    def get_status(self, task_id: str) -> TaskStatus:
-        return self.relay.get_status(task_id)

@@ -86,12 +86,6 @@ class EndpointConfig:
     #: Confidential client id this endpoint trusts (None = accept relay tasks).
     required_client_id: Optional[str] = None
 
-    def hosting_for(self, model: str) -> ModelHostingConfig:
-        for cfg in self.models:
-            if cfg.model == model:
-                return cfg
-        raise NotFoundError(f"Model {model} is not hosted on endpoint {self.endpoint_id}")
-
     def hosts(self, model: str) -> bool:
         return any(cfg.model == model for cfg in self.models)
 

@@ -170,10 +170,6 @@ class RelayService:
         except KeyError:
             raise NotFoundError(f"Unknown endpoint id: {endpoint_id}") from None
 
-    @property
-    def endpoint_ids(self) -> List[str]:
-        return sorted(self._endpoints)
-
     def authorize_client(self, client_id: str) -> None:
         self.authorized_client_ids.add(client_id)
 

@@ -13,9 +13,8 @@ lookahead for synchronous-window PDES:
 - :mod:`repro.parallel.partition` — gateway / cluster / ping partitions
   wrapping the existing relay, endpoint, and serving stacks;
 - :mod:`repro.parallel.deployment` — the orchestrator
-  (:class:`PartitionedDeployment`) with spawn workers and a serial
-  ``workers=1`` fallback whose merged results are bit-identical to any
-  worker count.
+  (:class:`PartitionedDeployment`), which runs every partition in the
+  calling process and pickle-round-trips whatever crosses a boundary.
 """
 
 from .boundary import DISPATCH, PING, RESULT, BoundaryMessage, sort_key, validate_arrival

@@ -13,7 +13,7 @@ horizon.
 Messages are plain picklable dataclasses.  Delivery order is pinned by
 :func:`sort_key` — ``(arrival_time, source partition, per-sender sequence)``
 — so the receiving environment schedules them in an order that is a pure
-function of simulated history, never of worker count or OS scheduling.
+function of simulated history.
 """
 
 from __future__ import annotations

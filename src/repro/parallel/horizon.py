@@ -22,8 +22,8 @@ The planner then picks the next window:
   event globally, so zero-lookahead edges throttle the window size but can
   never deadlock.
 
-The plan is a pure function of the reported bounds, so every worker layout
-replays the identical window sequence.
+The plan is a pure function of the reported bounds, so every run of a
+scenario replays the identical window sequence.
 """
 
 from __future__ import annotations
@@ -48,14 +48,14 @@ class Window:
 
 @dataclass
 class WindowStats:
-    """Window/overhead breakdown surfaced in results and BENCH_parallel."""
+    """Window/overhead breakdown surfaced in results and the layered benchmark."""
 
     windows: int = 0
     micro_windows: int = 0
     messages: int = 0
-    #: Wall-clock seconds inside partition advances (the parallel part).
+    #: Wall-clock seconds inside partition advances (simulation work).
     advance_wall_s: float = 0.0
-    #: Wall-clock seconds in barrier exchange + planning (the serial part).
+    #: Wall-clock seconds in barrier round-trips + planning (coordination).
     sync_wall_s: float = 0.0
     #: Per-kind message counts (dispatch/result/ping).
     message_kinds: Dict[str, int] = field(default_factory=dict)

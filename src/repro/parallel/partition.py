@@ -17,17 +17,15 @@ scheme (:mod:`repro.parallel.horizon`) only ever lets a partition run inside a
 window that no in-flight message can land in, so ``env.now`` values interleave
 exactly as one global event queue would have interleaved them.
 
-Determinism notes (the bit-identical-across-worker-counts contract):
+Determinism notes:
 
 * randomness is keyed, never drawn from shared streams — the gateway's
   workload seed is ``stable_seed(seed, "workload")``, a pure function of the
-  scenario seed regardless of which worker builds it, and cluster partitions
-  draw nothing;
+  scenario seed, and cluster partitions draw nothing;
 * boundary messages are delivered in :func:`~repro.parallel.boundary.sort_key`
   order, so event ids assigned during delivery are reproducible;
 * barrier snapshots are applied in sorted source order before delivery, so
-  routing reads window-granular state that the serial fallback reproduces
-  identically.
+  routing reads window-granular state in a reproducible order.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ FUNCTION_ID = "fn-inference-chat"
 
 
 class PartitionSpec:
-    """Pickle-safe description of one partition (shipped to spawn workers)."""
+    """Description of one partition: what :func:`build_partition` builds."""
 
     __slots__ = ("pid", "name", "kind", "lookahead_s", "seed", "params")
 
@@ -78,13 +76,6 @@ class PartitionSpec:
         self.lookahead_s = lookahead_s
         self.seed = seed
         self.params = params or {}
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PartitionSpec(pid={self.pid}, name={self.name!r}, "

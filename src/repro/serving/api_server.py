@@ -68,10 +68,6 @@ class APIServer:
         self._open_connections = 0
 
     # -- queries -----------------------------------------------------------
-    @property
-    def open_connections(self) -> int:
-        return self._open_connections
-
     def handling_cost_s(self) -> float:
         """Current per-request front-end cost given open connections."""
         cfg = self.config

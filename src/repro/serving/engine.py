@@ -391,10 +391,6 @@ class ContinuousBatchingEngine:
         self._notify()
 
     @property
-    def current_batch_size(self) -> int:
-        return len(self.running)
-
-    @property
     def queue_depth(self) -> int:
         return len(self.waiting)
 

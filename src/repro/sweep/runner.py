@@ -85,9 +85,6 @@ class SweepResult:
     def failures(self) -> List[ShardResult]:
         return [r for r in self.results if not r.ok]
 
-    def __len__(self) -> int:
-        return len(self.results)
-
     def __iter__(self):
         return iter(self.results)
 

@@ -24,10 +24,6 @@ class ChatMessage:
     content: str
     tokens: int
 
-    @classmethod
-    def from_text(cls, role: str, content: str) -> "ChatMessage":
-        return cls(role=role, content=content, tokens=estimate_tokens(content))
-
 
 @dataclass
 class ChatSession:
@@ -59,9 +55,6 @@ class ChatSession:
         message = ChatMessage(role="assistant", content=content, tokens=tokens)
         self.messages.append(message)
         return message
-
-    def as_openai_messages(self) -> List[dict]:
-        return [{"role": m.role, "content": m.content} for m in self.messages]
 
 
 class SessionStore:

@@ -122,8 +122,3 @@ class ShareGPTWorkload:
                     )
                 )
         return requests
-
-    def mean_output_tokens(self, requests: List[InferenceRequest]) -> float:
-        if not requests:
-            return 0.0
-        return sum(r.max_output_tokens for r in requests) / len(requests)

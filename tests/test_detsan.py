@@ -7,7 +7,8 @@ past-event and duplicate-key pushes injected past ``schedule`` (which
 itself refuses a past time with ``ValueError``), obs-layer RNG
 attribution (with the dedicated-sampler exemption), and the
 ``compare_hashseeds`` subprocess harness passing on ``quickstart_config``
-while failing on a deliberately ``hash()``-keyed toy.
+while failing on a deliberately ``hash()``-keyed toy, and its CLI running
+the module exactly once.
 """
 
 from __future__ import annotations
@@ -251,3 +252,16 @@ class TestCompareHashseeds:
         with pytest.raises(ValueError):
             compare_hashseeds("detsan_toy:hash_keyed_fingerprint",
                               seeds=(7, 7))
+
+    def test_cli_runs_the_module_once(self):
+        # ``python -m repro.analysis.detsan`` imports the package first; an
+        # eager ``from .detsan import ...`` there would execute detsan.py a
+        # second time, which runpy reports as a RuntimeWarning.
+        import subprocess
+
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.analysis.detsan", "--help"],
+            env=dict(os.environ, PYTHONPATH=str(TESTS_DIR.parent / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

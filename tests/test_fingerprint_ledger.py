@@ -20,12 +20,12 @@ an endpoint deregistered mid-traffic; a fifth sends cold traffic through the
 run each single-cluster scaling policy on the autoscaling benchmark's diurnal
 scenario (report entry, replica launch/drain timeline, request records).
 One quickstart cell pins the gateway dashboard's per-model rows and totals
-beside the request fingerprint.  One partitioned cell streams requests over
-two cluster shards (window and message counts, each shard's work) and checks
-that two spawn workers reproduce its fingerprint.  One pool-state case reads
-every pool both ways — the gateway's ``/jobs`` rows and the placement view's
-signals — cold, mid cold start and after traffic on Sophia + Polaris, and
-after the quickstart run.
+beside the request fingerprint.  Two partitioned cells run two cluster shards
+under the conservative-window plane (window and message counts, each shard's
+work): one streams 60 requests, one sends 1,000 at 8 req/s.  One pool-state
+case reads every pool both ways — the gateway's ``/jobs`` rows and the
+placement view's signals — cold, mid cold start and after traffic on
+Sophia + Polaris, and after the quickstart run.
 
 The file is rewritten only by::
 
@@ -539,15 +539,18 @@ def pool_states_case() -> dict:
     return samples
 
 
-def partitioned_stream_case(workers: int = 1) -> dict:
-    """Streamed requests over two cluster shards under the conservative-window
-    plane: the merged fingerprint, the window counts and each shard's work."""
+#: ``FederatedScenario.demo`` arguments of the two partitioned cells.
+PARTITIONED_STREAM = {"clusters": 2, "num_requests": 60, "stream": True}
+PARTITIONED_QUICK = {"clusters": 2, "num_requests": 1_000, "rate": 8.0}
+
+
+def partitioned_case(demo: dict) -> dict:
+    """One scenario over cluster shards under the conservative-window plane:
+    the merged fingerprint, the window counts and each shard's work."""
     from repro.metrics import summarize
     from repro.parallel import FederatedScenario, PartitionedDeployment
 
-    result = PartitionedDeployment(
-        FederatedScenario.demo(clusters=2, num_requests=60, stream=True),
-        workers=workers).run()
+    result = PartitionedDeployment(FederatedScenario.demo(**demo)).run()
     stats = result.stats
     return {"requests": len(result.records),
             "fingerprint": result.fingerprint,
@@ -583,7 +586,8 @@ def build_ledger() -> dict:
     for policy in AUTOSCALE_POLICIES:
         cases[f"autoscale/{policy}"] = autoscale_case(policy)
     cases["quickstart"] = quickstart_case()
-    cases["partitioned/stream"] = partitioned_stream_case()
+    cases["partitioned/stream"] = partitioned_case(PARTITIONED_STREAM)
+    cases["partitioned/quick"] = partitioned_case(PARTITIONED_QUICK)
     cases["pool_states"] = pool_states_case()
     return {"header": {"python": platform.python_version(),
                        "numpy": numpy.__version__,
@@ -721,11 +725,15 @@ def test_quickstart_dashboard_matches_the_ledger():
 
 
 def test_partitioned_stream_matches_the_ledger():
-    observed = json.loads(json.dumps(partitioned_stream_case()))
+    observed = json.loads(json.dumps(partitioned_case(PARTITIONED_STREAM)))
     assert observed == recorded("partitioned/stream")
     assert observed["failed"] == 0 and observed["requests"] == 60
-    # Spawn workers reproduce the serial host bit for bit.
-    assert partitioned_stream_case(workers=2)["fingerprint"] == observed["fingerprint"]
+
+
+def test_partitioned_quick_matches_the_ledger():
+    observed = json.loads(json.dumps(partitioned_case(PARTITIONED_QUICK)))
+    assert observed == recorded("partitioned/quick")
+    assert observed["failed"] == 0 and observed["requests"] == 1_000
 
 
 def test_pool_states_match_the_ledger():

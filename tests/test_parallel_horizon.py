@@ -140,19 +140,14 @@ def _hops_seen(logs):
 
 
 def test_ping_ring_zero_lookahead_makes_progress():
-    logs = run_ping_ring(partitions=3, hops=12, latency_s=0.0, workers=1)
+    logs = run_ping_ring(partitions=3, hops=12, latency_s=0.0)
     assert _hops_seen(logs) == list(range(13))
     # Zero latency: the whole relay happens at simulated t=0.
     assert all(t == 0.0 for log in logs.values() for t, _ in log)
 
 
 def test_ping_ring_latency_spaces_hops():
-    logs = run_ping_ring(partitions=4, hops=8, latency_s=0.25, workers=1)
+    logs = run_ping_ring(partitions=4, hops=8, latency_s=0.25)
     times = sorted(t for log in logs.values() for t, _ in log)
     assert times == [0.25 * i for i in range(9)]
 
-
-def test_ping_ring_parallel_matches_serial_zero_lookahead():
-    serial = run_ping_ring(partitions=3, hops=9, latency_s=0.0, workers=1)
-    parallel = run_ping_ring(partitions=3, hops=9, latency_s=0.0, workers=3)
-    assert serial == parallel
